@@ -18,11 +18,8 @@ from .errors import (
 )
 from .softmin import (
     ActivePartition,
-    SoftMinResult,
     default_activity_tolerance,
-    lie_decomposition,
     partition,
-    softmin_evaluate,
     softmin_gradient,
     softmin_value,
     softmin_weights,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import softmin as sm
 from .errors import BlowUpError, DomainError, InvalidInputError
-from .geometry import ConstraintSet, estimate_bounds, eval_field, sample_tube
+from .geometry import ConstraintSet, call_batched, estimate_bounds, sample_tube
 from .certify import ThetaCertificate, theta_star_compact
 from .safety_filter import ControlAffineSystem
 
@@ -54,13 +54,15 @@ __all__ = [
 class BackupProblem:
     """Backup certification problem.
 
-    h and h_b map a state to (value, gradient); batched calls on (B, n)
-    blocks returning ((B,), (B, n)) are used when available.  k_b maps a
-    state to an input inside the admissible set and must be continuously
-    differentiable.  jacobian, when given, is the analytic Jacobian of the
-    closed-loop field (single state -> (n, n), batched -> (B, n, n));
-    otherwise central finite differences are used.  bounding_box is the
-    operating region used by sampling-based certification.
+    Every callable takes one state (n,) or a block of states (B, n); the
+    shapes below are for a block, and a wrong shape raises
+    InvalidInputError (see `geometry.call_batched`).  h and h_b map a block
+    to (values (B,), gradients (B, n)).  k_b maps a block to inputs (B, m)
+    inside the admissible set and must be continuously differentiable.
+    jacobian, when given, is the analytic Jacobian (B, n, n) of the
+    closed-loop field; otherwise central finite differences are used.
+    bounding_box is the operating region used by sampling-based
+    certification.
     """
 
     sys: ControlAffineSystem
@@ -98,81 +100,20 @@ class BackupProblem:
         return np.arange(self.N) * self.dtau
 
 
-class _BatchedCall:
-    """Adapter calling a user function on (B, n) state blocks.
-
-    Probes once whether the function is natively batched; afterwards the
-    dispatch is a plain attribute check, which matters in integrator inner
-    loops."""
-
-    __slots__ = ("fn", "tail_shape", "batched")
-
-    def __init__(self, fn, tail_shape: tuple):
-        self.fn = fn
-        self.tail_shape = tail_shape
-        self.batched = None
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        if self.batched:
-            return np.asarray(self.fn(X), dtype=float)
-        if self.batched is None:
-            try:
-                out = np.asarray(self.fn(X), dtype=float)
-                if out.shape == (X.shape[0],) + self.tail_shape:
-                    self.batched = True
-                    return out
-            except Exception:
-                pass
-            self.batched = False
-        return np.stack(
-            [np.asarray(self.fn(x), dtype=float).reshape(self.tail_shape) for x in X]
-        )
-
-
 def closed_loop_field(prob: BackupProblem) -> Callable:
     """Closed-loop vector field under the backup controller, batched."""
-    sys = prob.sys
-    drift = _BatchedCall(sys.drift, (sys.n,))
-    control = _BatchedCall(prob.k_b, (sys.m,))
-    actuation = _BatchedCall(sys.actuation, (sys.n, sys.m))
-
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        out = drift(X) + np.einsum("bij,bj->bi", actuation(X), control(X))
-        return out[0] if single else out
-
-    return F
+    return prob.sys.closed_loop(prob.k_b)
 
 
-def eval_scalar_fn(fn, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate an x -> (value, gradient) function on a block of states."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    B, n = X.shape
-    try:
-        v, g = fn(X)
-        v = np.asarray(v, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if v.shape == (B,) and g.shape == (B, n):
-            return v, g
-    except Exception:
-        pass
-    vals = np.empty(B)
-    grads = np.empty((B, n))
-    for b, x in enumerate(X):
-        vv, gg = fn(x)
-        vals[b] = vv
-        grads[b] = np.asarray(gg, dtype=float)
-    return vals, grads
-
-
-def _make_jacobian(prob: BackupProblem, F: Callable) -> Callable:
+def _make_jacobian(prob: BackupProblem, F: Callable, X: np.ndarray) -> Callable:
     """Jacobian of the closed-loop field on (B, n) blocks: the analytic one
-    when supplied, otherwise central differences with a state-scaled step."""
+    when supplied, otherwise central differences with a state-scaled step.
+    A supplied Jacobian has its shape checked once, on the initial block X,
+    so the integrator loop calls it directly."""
     n = prob.sys.n
     if prob.jacobian is not None:
-        return _BatchedCall(prob.jacobian, (n, n))
+        call_batched(prob.jacobian, X, (n, n))
+        return prob.jacobian
 
     def fd_jacobian(X: np.ndarray) -> np.ndarray:
         B = X.shape[0]
@@ -229,8 +170,8 @@ def integrate_flow_batch(prob: BackupProblem, X0) -> BatchFlowResult:
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
-    F = closed_loop_field(prob)  # handles batching itself
-    jac = _make_jacobian(prob, F)
+    F = closed_loop_field(prob)
+    jac = _make_jacobian(prob, F, X)
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
@@ -301,7 +242,7 @@ def _slice_values_from_flow(prob: BackupProblem, states, sens) -> tuple[np.ndarr
     grads = np.empty((B, N, n))
     for i in range(N):
         fn = prob.h if i < N - 1 else prob.h_b
-        v, g = eval_scalar_fn(fn, states[i])
+        v, g = call_batched(fn, states[i], (), (n,))
         vals[:, i] = v
         # grad b_i = S_i^T grad_h(phi_i)
         grads[:, i, :] = np.einsum("bji,bj->bi", sens[i], g)
@@ -408,9 +349,10 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     """
     X = np.atleast_2d(np.asarray(region_samples, dtype=float))
     F = closed_loop_field(prob)
-    hb_vals, hb_grads = eval_scalar_fn(prob.h_b, X)
-    h_vals, h_grads = eval_scalar_fn(prob.h, X)
-    Fx = eval_field(F, X)
+    n = prob.sys.n
+    hb_vals, hb_grads = call_batched(prob.h_b, X, (), (n,))
+    h_vals, h_grads = call_batched(prob.h, X, (), (n,))
+    Fx = call_batched(F, X, (n,))
 
     on_sb = np.abs(hb_vals) <= tol
     lie_hb = np.einsum("bi,bi->b", hb_grads, Fx)
@@ -431,7 +373,7 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     near_s = np.abs(h_vals) <= tol
     if near_s.any():
         flow = integrate_flow_batch(prob, X[near_s])
-        hb_T, _ = eval_scalar_fn(prob.h_b, flow.states[-1])
+        hb_T, _ = call_batched(prob.h_b, flow.states[-1], (), (n,))
         reach = np.zeros_like(near_s)
         reach[np.flatnonzero(near_s)[hb_T >= 0.0]] = True
     else:

@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InvalidCertificateError, InvalidInputError
-from .geometry import CompactBounds, ConstraintSet, VectorField, eval_field
+from .geometry import CompactBounds, ConstraintSet, VectorField, call_batched, march_and_bisect
+from .softmin import softmin_block
 
 __all__ = [
     "TailSpec",
@@ -80,12 +81,6 @@ class ThetaCertificate:
     bounds: CompactBounds
     tail: Optional[TailSpec]
     kind: str  # "CBF" for compact sets, "eCBF" when a tail term is present
-
-    def components(self) -> dict:
-        out = {"theta_tube": self.theta_tube, "theta_core": self.theta_core}
-        if self.theta_tail is not None:
-            out["theta_tail"] = self.theta_tail
-        return out
 
 
 def theta_star_compact(bounds: CompactBounds, N: int) -> ThetaCertificate:
@@ -188,12 +183,6 @@ class VerificationReport:
         return self.boundary_found and self.min_lie is not None and self.min_lie > 0.0
 
 
-def _softmin_block(vals: np.ndarray, theta: float) -> np.ndarray:
-    z = -theta * vals
-    zmax = z.max(axis=1, keepdims=True)
-    return (-(zmax[:, 0] + np.log(np.sum(np.exp(z - zmax), axis=1))) / theta)
-
-
 def probe_boundary(
     cs: ConstraintSet,
     F: VectorField,
@@ -222,71 +211,24 @@ def probe_boundary(
     rng = np.random.default_rng(seed)
     n_check = int(n_check)
 
-    def soft_vals(X):
+    def soft_level(X):
         vals, _ = cs.evaluate_batch(X)
-        return _softmin_block(vals, theta), vals
+        return softmin_block(vals, theta)[0]
 
     # interior pool
     n_pool = max(4 * n_check, 256)
     pool = rng.uniform(box[:, 0], box[:, 1], size=(n_pool, cs.n))
-    soft, _ = soft_vals(pool)
-    interior = pool[soft > 0.0]
-    if interior.shape[0] == 0:
-        return VerificationReport(
-            theta=float(theta), epsilon=float(epsilon), n_requested=n_check,
-            n_located=0, boundary_found=False, min_lie=None, argmin_point=None,
-            nonpositive=(), containment_ok=False, max_h_hat=None, min_h_hat=None,
+    interior = pool[soft_level(pool) > 0.0]
+    located = np.empty((0, cs.n))
+    if interior.shape[0] > 0:
+        starts = interior[rng.choice(interior.shape[0], size=n_check, replace=True)]
+        dirs = rng.normal(size=(n_check, cs.n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+        located = march_and_bisect(
+            soft_level, starts, dirs, step=0.04 * scale, n_steps=60, box=box,
+            margin=0.5 * scale, band=(0.0, boundary_tol), max_iter=100,
         )
-
-    starts = interior[rng.choice(interior.shape[0], size=n_check, replace=True)]
-    dirs = rng.normal(size=(n_check, cs.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-
-    inside = starts.copy()
-    outside = np.full_like(starts, np.nan)
-    found = np.zeros(n_check, dtype=bool)
-    dead = np.zeros(n_check, dtype=bool)
-    probe = starts.copy()
-    step = 0.04 * scale
-    for _ in range(60):
-        live = ~found & ~dead
-        if not live.any():
-            break
-        probe = probe + step * dirs
-        soft_p, _ = soft_vals(probe)
-        in_box = np.all((probe >= box[:, 0] - 0.5 * scale) & (probe <= box[:, 1] + 0.5 * scale), axis=1)
-        crossed = live & (soft_p < 0.0)
-        outside[crossed] = probe[crossed]
-        found |= crossed
-        still = live & ~crossed & (soft_p >= 0.0)
-        inside[still] = probe[still]
-        dead |= live & ~crossed & ~in_box
-
-    if not found.any():
-        return VerificationReport(
-            theta=float(theta), epsilon=float(epsilon), n_requested=n_check,
-            n_located=0, boundary_found=False, min_lie=None, argmin_point=None,
-            nonpositive=(), containment_ok=False, max_h_hat=None, min_h_hat=None,
-        )
-
-    inb = inside[found]
-    outb = outside[found]
-    soft_in, _ = soft_vals(inb)
-    done = soft_in <= boundary_tol
-    for _ in range(100):
-        if done.all():
-            break
-        mid = 0.5 * (inb + outb)
-        soft_mid, _ = soft_vals(mid)
-        go_in = soft_mid >= 0.0
-        upd = ~done
-        inb[upd & go_in] = mid[upd & go_in]
-        outb[upd & ~go_in] = mid[upd & ~go_in]
-        soft_in = np.where(upd & go_in, soft_mid, soft_in)
-        done = (soft_in >= 0.0) & (soft_in <= boundary_tol)
-
-    located = inb[done]
     if located.shape[0] == 0:
         return VerificationReport(
             theta=float(theta), epsilon=float(epsilon), n_requested=n_check,
@@ -295,14 +237,10 @@ def probe_boundary(
         )
 
     vals, grads = cs.evaluate_batch(located)
-    Fx = eval_field(F, located)
+    Fx = call_batched(F, located, (cs.n,))
     # Lie derivative of the smooth minimum: weighted sum of per-constraint rows
-    z = -theta * vals
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
-    w = e / e.sum(axis=1, keepdims=True)
-    lie_rows = np.einsum("bni,bi->bn", grads, Fx)
-    lie = np.sum(w * lie_rows, axis=1)
+    _, w = softmin_block(vals, theta)
+    lie = np.sum(w * np.einsum("bni,bi->bn", grads, Fx), axis=1)
 
     h_hat = vals.min(axis=1)
     bad = lie <= 0.0

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .backup import check_backup_preconditions
-from .certify import TailSpec, certify, probe_boundary, theta_star_compact, verify_certificate
+from .certify import TailSpec, certify, probe_boundary, verify_certificate
 from .errors import NotStrictlySafeError, SoftCBFError
 from .geometry import check_mfcq, estimate_bounds, sample_tube
 from .safety_filter import ClassK
@@ -273,7 +273,7 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
     if theta is None:
         tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
         bounds = estimate_bounds(cs, F, tube, cfg.activity_tolerance)
-        cert = theta_star_compact(bounds, cs.N)
+        cert = certify(bounds, _tail_from(cfg), cs.N)
         theta = cfg.theta_multiplier * max(cert.theta_star, 1e-9)
     x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else bench.x0_default
     sim_cfg = SimConfig(

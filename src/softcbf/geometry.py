@@ -37,11 +37,35 @@ __all__ = [
     "estimate_bounds",
     "check_mfcq",
     "shrink_epsilon_until_safe",
-    "eval_field",
+    "call_batched",
+    "march_and_bisect",
+    "bisect_to_band",
 ]
 
-# callable x -> xdot; must at least accept a single state of shape (n,)
+# callable x -> xdot on one state (n,) or a block of states (B, n)
 VectorField = Callable[[np.ndarray], np.ndarray]
+
+
+def call_batched(fn: Callable, X: np.ndarray, *tails: tuple):
+    """Call `fn` once on the block X of shape (B, n) and check its output.
+
+    `tails` gives the per-row shape of each returned array: `(n,)` for a
+    vector field, `()` and `(n,)` for a function returning (values,
+    gradients).  Every callable the package evaluates on blocks follows
+    this contract; a wrong shape raises InvalidInputError, and exceptions
+    raised by `fn` propagate unchanged.
+    """
+    out = fn(X)
+    arrays = [out] if len(tails) == 1 else list(out)
+    got = [np.shape(a) for a in arrays]
+    expected = [(X.shape[0],) + tuple(t) for t in tails]
+    if got != expected:
+        raise InvalidInputError(
+            f"{getattr(fn, '__qualname__', fn)} returned shape {', '.join(map(str, got))} for a "
+            f"block of {X.shape[0]} states; expected {', '.join(map(str, expected))}"
+        )
+    arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+    return arrays[0] if len(tails) == 1 else arrays
 
 
 @dataclass(frozen=True)
@@ -54,7 +78,9 @@ class ConstraintSet:
     `batch_evaluator`, when given, maps a block X of shape (B, n) to
     (values (B, N), gradients (B, N, n)) and must agree with the
     per-constraint evaluators; it exists purely so bulk sampling avoids a
-    Python loop.  Evaluators must be safe for concurrent invocation.
+    Python loop.  Like every callable the package evaluates on blocks
+    (see `call_batched`), it takes (B, n) and a wrong output shape raises
+    InvalidInputError.  Evaluators must be safe for concurrent invocation.
     """
 
     n: int
@@ -94,8 +120,7 @@ class ConstraintSet:
         """Values (B, N) and gradients (B, N, n) at a block of states."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.batch_evaluator is not None:
-            vals, grads = self.batch_evaluator(X)
-            return np.asarray(vals, dtype=float), np.asarray(grads, dtype=float)
+            return call_batched(self.batch_evaluator, X, (self.N,), (self.N, self.n))
         vals = np.empty((X.shape[0], self.N))
         grads = np.empty((X.shape[0], self.N, self.n))
         for b, x in enumerate(X):
@@ -149,50 +174,74 @@ class CompactBounds:
             raise InvalidCertificateError(f"need d > 0, got d={self.d}")
 
 
-def eval_field(F: VectorField, X: np.ndarray) -> np.ndarray:
-    """Evaluate a vector field on a block of states (B, n) -> (B, n).
-
-    Tries one batched call first; falls back to a row loop for fields that
-    only accept single states.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    try:
-        out = np.asarray(F(X), dtype=float)
-        if out.shape == X.shape:
-            return out
-    except Exception:
-        pass
-    return np.stack([np.asarray(F(x), dtype=float) for x in X])
-
-
 def _require_box(cs: ConstraintSet) -> np.ndarray:
     if not cs.compact_mode:
         raise InvalidInputError("operation requires compact-mode (a bounding box)")
     return cs.bounding_box
 
 
-def _bisect_to_band(cs, inside, outside, lo_target, hi_target, max_iter=80):
-    """Bisect between blocks of inside (h_hat >= 0) and outside (h_hat < 0)
-    points until the inside endpoint has h_hat in [lo_target, hi_target].
-    Returns the refined inside points and a mask of rows that converged."""
+def bisect_to_band(level, inside, outside, band, max_iter):
+    """Bisect between rows of `inside` (level >= 0) and `outside` (level < 0)
+    points until the inside endpoint has level in band = (lo, hi).
+
+    Only rows that have not converged are evaluated in each round.  Returns
+    the converged inside points; rows still outside the band after
+    `max_iter` rounds are dropped.
+    """
+    lo, hi = band
     inside = inside.copy()
     outside = outside.copy()
-    h_in = cs.min_values(inside)
-    done = (h_in >= lo_target) & (h_in <= hi_target)
+    if inside.shape[0] == 0:
+        return inside
+    h_in = level(inside)
+    done = (h_in >= lo) & (h_in <= hi)
     for _ in range(max_iter):
-        if done.all():
+        rows = np.flatnonzero(~done)
+        if rows.size == 0:
             break
-        mid = 0.5 * (inside + outside)
-        h_mid = cs.min_values(mid)
+        mid = 0.5 * (inside[rows] + outside[rows])
+        h_mid = level(mid)
         go_in = h_mid >= 0.0
-        upd = ~done
-        sel_in = upd & go_in
-        sel_out = upd & ~go_in
-        inside[sel_in] = mid[sel_in]
-        outside[sel_out] = mid[sel_out]
-        h_in = np.where(sel_in, h_mid, h_in)
-        done = (h_in >= lo_target) & (h_in <= hi_target)
-    return inside, done
+        inside[rows[go_in]] = mid[go_in]
+        outside[rows[~go_in]] = mid[~go_in]
+        h_in[rows[go_in]] = h_mid[go_in]
+        done[rows] = (h_in[rows] >= lo) & (h_in[rows] <= hi)
+    return inside[done]
+
+
+def march_and_bisect(level, starts, dirs, step, n_steps, box, margin, band, max_iter):
+    """Locate points just inside the zero level set of `level` along rays.
+
+    Each ray starts at a row of `starts` (level >= 0) and advances by
+    `step` along its unit direction in `dirs` until the level turns
+    negative; the crossing is then bisected back until the inside endpoint
+    has level in `band` (see `bisect_to_band`).  A ray that leaves `box`
+    widened by `margin` on every side before crossing, or that has not
+    crossed after `n_steps` steps, is abandoned.  Only rays still marching
+    are evaluated in each round.  `level` maps a block (B, n) to (B,).
+    """
+    lo_box = box[:, 0] - margin
+    hi_box = box[:, 1] + margin
+    inside = starts.copy()
+    outside = np.empty_like(starts)
+    probe = starts.copy()
+    live = np.ones(starts.shape[0], dtype=bool)
+    found = np.zeros(starts.shape[0], dtype=bool)
+    for _ in range(n_steps):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        probe[rows] = probe[rows] + step * dirs[rows]
+        pts = probe[rows]
+        h = level(pts)
+        crossed = h < 0.0
+        outside[rows[crossed]] = pts[crossed]
+        found[rows[crossed]] = True
+        still = ~crossed & (h >= 0.0)
+        inside[rows[still]] = pts[still]
+        in_box = np.all((pts >= lo_box) & (pts <= hi_box), axis=1)
+        live[rows] = ~crossed & in_box
+    return bisect_to_band(level, inside[found], outside[found], band, max_iter)
 
 
 def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) -> TubeSpec:
@@ -230,30 +279,10 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
         dirs = rng.normal(size=(n_rays, cs.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-        inside = starts.copy()
-        outside = np.full_like(starts, np.nan)
-        found = np.zeros(n_rays, dtype=bool)
-        dead = np.zeros(n_rays, dtype=bool)
-        step = 0.05 * scale
-        probe = starts.copy()
-        for _ in range(40):
-            live = ~found & ~dead
-            if not live.any():
-                break
-            probe = probe + step * dirs
-            in_box = np.all((probe >= box[:, 0]) & (probe <= box[:, 1]), axis=1)
-            h_probe = cs.min_values(probe)
-            crossed = live & (h_probe < 0.0)
-            outside[crossed] = probe[crossed]
-            found |= crossed
-            still_in = live & ~crossed & (h_probe >= 0.0) & in_box
-            inside[still_in] = probe[still_in]
-            # rays that leave the box before leaving the set are abandoned
-            dead |= live & ~crossed & ~in_box
-        ok = found & np.all(np.isfinite(outside), axis=1)
-        if ok.any():
-            pts, conv = _bisect_to_band(cs, inside[ok], outside[ok], 0.0, epsilon / 10.0)
-            refined = pts[conv]
+        refined = march_and_bisect(
+            cs.min_values, starts, dirs, step=0.05 * scale, n_steps=40, box=box,
+            margin=0.0, band=(0.0, epsilon / 10.0), max_iter=80,
+        )
 
     samples = np.vstack([accepted, refined]) if refined.size else accepted
     if samples.shape[0] == 0:
@@ -279,9 +308,8 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
             if out_pool.shape[0] == 0:
                 continue
             outs = out_pool[rng.choice(out_pool.shape[0], size=owned.shape[0])]
-            pts, conv = _bisect_to_band(cs, owned, outs, 0.0, epsilon)
-            if conv.any():
-                pts = pts[conv]
+            pts = bisect_to_band(cs.min_values, owned, outs, (0.0, epsilon), max_iter=80)
+            if pts.shape[0]:
                 v_p, _ = cs.evaluate_batch(pts)
                 hit = v_p.argmin(axis=1) == i
                 if hit.any():
@@ -291,6 +319,14 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
         samples = np.vstack([samples] + extra)
 
     return TubeSpec(epsilon, samples, float(density), coverage, int(seed))
+
+
+def _activity_tolerances(h_hat: np.ndarray, tol: Optional[float]) -> np.ndarray:
+    """Per-sample activity tolerance: the value-scaled default when `tol`
+    is None, otherwise `tol` on every sample."""
+    if tol is None:
+        return default_activity_tolerance(h_hat)
+    return np.full(h_hat.shape, float(tol))
 
 
 def estimate_bounds(
@@ -310,16 +346,12 @@ def estimate_bounds(
         raise InvalidInputError("tube has no samples")
     X = tube.samples
     vals, grads = cs.evaluate_batch(X)
-    Fx = eval_field(F, X)
+    Fx = call_batched(F, X, (cs.n,))
     lie = np.einsum("bni,bi->bn", grads, Fx)
 
     h_hat = vals.min(axis=1)
-    if tol is None:
-        tol_row = 1e-8 * (1.0 + np.abs(h_hat))
-    else:
-        tol_row = np.full(X.shape[0], float(tol))
     gaps = vals - h_hat[:, None]
-    active = gaps <= tol_row[:, None]
+    active = gaps <= _activity_tolerances(h_hat, tol)[:, None]
 
     M = float(np.abs(lie).max())
     lie_active = np.where(active, lie, np.inf)
@@ -408,10 +440,10 @@ def check_mfcq(cs: ConstraintSet, tube: TubeSpec, tol: Optional[float] = None) -
         near = np.zeros(X.shape[0], dtype=bool)
         near[order[: min(10, X.shape[0])]] = True
 
+    tol_rows = _activity_tolerances(h_hat, tol)
     entries = []
     for b in np.flatnonzero(near):
-        tol_b = default_activity_tolerance(h_hat[b]) if tol is None else float(tol)
-        act = np.flatnonzero(vals[b] - h_hat[b] <= tol_b)
+        act = np.flatnonzero(vals[b] - h_hat[b] <= tol_rows[b])
         g_act = grads[b][act]
         v, ok, margin = _mfcq_witness(g_act)
         pair = None

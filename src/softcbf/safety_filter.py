@@ -36,9 +36,11 @@ __all__ = [
 class ControlAffineSystem:
     """Dynamics xdot = drift(x) + actuation(x) @ u with an optional box input set.
 
-    drift maps (n,) -> (n,); actuation maps (n,) -> (n, m).  Batched calls
-    with a leading axis are allowed when the underlying functions support
-    numpy broadcasting (the shipped benchmarks do).  input_box, when
+    drift maps (n,) -> (n,) and a block (B, n) -> (B, n); actuation maps
+    (n,) -> (n, m) and (B, n) -> (B, n, m).  The package calls them once per
+    block and never falls back to a loop over rows; the closed-loop field
+    built from them (`closed_loop`) raises InvalidInputError when either,
+    or the controller, returns the wrong shape for a block.  input_box, when
     present, is (m, 2) rows [lo, hi].
     """
 
@@ -56,6 +58,30 @@ class ControlAffineSystem:
             if box.shape != (self.m, 2) or not np.all(box[:, 0] < box[:, 1]):
                 raise InvalidInputError(f"input box must be (m, 2) with lo < hi, got {box!r}")
             object.__setattr__(self, "input_box", box)
+
+    def closed_loop(self, controller: Callable) -> Callable[[np.ndarray], np.ndarray]:
+        """Vector field x -> drift(x) + actuation(x) @ controller(x) on one
+        state (n,) or a block (B, n).  The controller follows the same
+        contract as the dynamics, returning (B, m) on a block."""
+        n, m = self.n, self.m
+
+        def F(x):
+            x = np.asarray(x, dtype=float)
+            X = np.atleast_2d(x)
+            f0, g, u = self.drift(X), self.actuation(X), controller(X)
+            # checked inline rather than through geometry.call_batched: this
+            # body runs four times per RK4 step of every flow
+            B = X.shape[0]
+            if np.shape(f0) != (B, n) or np.shape(g) != (B, n, m) or np.shape(u) != (B, m):
+                raise InvalidInputError(
+                    f"drift, actuation and controller returned shape {np.shape(f0)}, "
+                    f"{np.shape(g)}, {np.shape(u)} for a block of {B} states; "
+                    f"expected {(B, n)}, {(B, n, m)}, {(B, m)}"
+                )
+            out = f0 + np.einsum("bij,bj->bi", g, u)
+            return out[0] if x.ndim == 1 else out
+
+        return F
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ minimum is
 
     softmin_theta(h) = -(1/theta) * log( sum_i exp(-theta * h_i) ),
 
-which under-approximates min_i h_i by at most log(N)/theta.  The module
-also provides the softmax weights that mix the constraint gradients, the
-active/inactive index split at a numerical tolerance, and the split of a
-weighted Lie-derivative sum into its active and inactive parts.
+which under-approximates min_i h_i by at most log(N)/theta.  One kernel,
+`softmin_block`, computes it together with the softmax weights that mix
+the constraint gradients on a (B, N) block of constraint values; the
+single-point functions are one-row uses of it.  The module also provides
+the active/inactive index split at a numerical tolerance.
 
 All functions are pure and safe to call concurrently.  Non-finite inputs
 are rejected at the boundary rather than propagated.
@@ -22,14 +23,12 @@ import numpy as np
 from .errors import DomainError, InvalidInputError
 
 __all__ = [
-    "SoftMinResult",
     "ActivePartition",
+    "softmin_block",
     "softmin_value",
     "softmin_weights",
-    "softmin_evaluate",
     "softmin_gradient",
     "partition",
-    "lie_decomposition",
     "default_activity_tolerance",
 ]
 
@@ -51,15 +50,6 @@ def _check_theta(theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class SoftMinResult:
-    """Smooth-minimum value together with the softmax weights that produced it."""
-
-    value: float
-    weights: np.ndarray
-    theta: float
-
-
-@dataclass(frozen=True)
 class ActivePartition:
     """Index split at a point: `active` holds the indices within `tolerance`
     of the pointwise minimum, `inactive` the rest.  `gaps[j]` is the
@@ -75,29 +65,42 @@ class ActivePartition:
         return self.gaps.size
 
 
-def default_activity_tolerance(h_min: float) -> float:
+def default_activity_tolerance(h_min):
     """Default tolerance for deciding which constraints count as active.
 
     Scales with the magnitude of the pointwise minimum because exact
-    floating-point ties never occur.
+    floating-point ties never occur.  Accepts a scalar or an array of
+    per-row minima.
     """
-    return 1e-8 * (1.0 + abs(float(h_min)))
+    return 1e-8 * (1.0 + np.abs(h_min))
+
+
+def softmin_block(vals: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth minimum (B,) and softmax weights (B, N) of each row of a
+    (B, N) block of constraint values.
+
+    Computed in max-shifted form so the result is finite for any finite
+    input, including theta in the tens of thousands.  Inputs are not
+    validated here; `softmin_value` and `softmin_weights` are the checked
+    single-point entry points.
+    """
+    z = -theta * vals
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    total = e.sum(axis=1, keepdims=True)
+    return -(zmax[:, 0] + np.log(total[:, 0])) / theta, e / total
 
 
 def softmin_value(values, theta: float) -> float:
     """Smooth minimum of `values` at sharpness `theta`.
 
-    Computed in max-shifted form so the result is finite for any finite
-    input, including theta in the hundreds.  A single value is returned
-    unchanged (no log/exp round trip).
+    A single value is returned unchanged (no log/exp round trip).
     """
     v = _as_values(values)
     theta = _check_theta(theta)
     if v.size == 1:
         return float(v[0])
-    z = -theta * v
-    zmax = z.max()
-    return float(-(zmax + np.log(np.sum(np.exp(z - zmax)))) / theta)
+    return float(softmin_block(v[None, :], theta)[0][0])
 
 
 def softmin_weights(values, theta: float) -> np.ndarray:
@@ -110,14 +113,7 @@ def softmin_weights(values, theta: float) -> np.ndarray:
     theta = _check_theta(theta)
     if v.size == 1:
         return np.array([1.0])
-    z = -theta * v
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-def softmin_evaluate(values, theta: float) -> SoftMinResult:
-    """Value and weights in one call."""
-    return SoftMinResult(softmin_value(values, theta), softmin_weights(values, theta), float(theta))
+    return softmin_block(v[None, :], theta)[1][0]
 
 
 def softmin_gradient(gradients, weights) -> np.ndarray:
@@ -149,20 +145,3 @@ def partition(values, tolerance: float) -> ActivePartition:
     mask = gaps <= tolerance
     idx = np.arange(v.size)
     return ActivePartition(idx[mask], idx[~mask], gaps, tolerance)
-
-
-def lie_decomposition(lie_values, weights, part: ActivePartition) -> tuple[float, float]:
-    """Split the weighted sum of per-constraint Lie derivatives into the
-    contribution of active indices and of inactive indices.
-
-    The two parts add up to dot(weights, lie_values).
-    """
-    lie = np.asarray(lie_values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if lie.shape != w.shape or lie.ndim != 1:
-        raise InvalidInputError(f"lie values {lie.shape} do not match weights {w.shape}")
-    if lie.size != part.n:
-        raise InvalidInputError(f"partition covers {part.n} indices, got {lie.size} values")
-    active_part = float(np.sum(w[part.active] * lie[part.active]))
-    inactive_part = float(np.sum(w[part.inactive] * lie[part.inactive]))
-    return active_part, inactive_part

@@ -1,7 +1,8 @@
 """Benchmark systems with analytic structure for oracle checks.
 
-All dynamics callables accept a single state of shape (n,) or a block of
-shape (B, n); constraint families ship a batch evaluator.  Numeric
+All dynamics, controller and constraint callables accept a single state of
+shape (n,) or a block of shape (B, n), as the package requires (see
+`geometry.call_batched`); constraint families ship a batch evaluator.  Numeric
 constants (LQR gain and cost-to-go matrix for the pendulum backup
 controller) are frozen in the source for cross-platform determinism; see
 scripts/derive_pendulum_lqr.py for the one-off derivation.
@@ -56,22 +57,7 @@ class Benchmark:
 
     def closed_loop_field(self) -> Callable:
         """Vector field under the safe controller, batched."""
-        sys = self.sys
-        k = self.safe_controller
-
-        def F(x):
-            x = np.asarray(x, dtype=float)
-            single = x.ndim == 1
-            X = np.atleast_2d(x)
-            u = np.atleast_2d(np.asarray(k(X), dtype=float))
-            if u.shape != (X.shape[0], sys.m):
-                u = np.stack([np.asarray(k(xi), dtype=float).reshape(sys.m) for xi in X])
-            f0 = np.asarray(sys.drift(X), dtype=float)
-            g = np.asarray(sys.actuation(X), dtype=float)
-            out = f0 + np.einsum("bij,bj->bi", g, u)
-            return out[0] if single else out
-
-        return F
+        return self.sys.closed_loop(self.safe_controller)
 
     def certification_set(self) -> ConstraintSet:
         """Constraint family the certificate is computed on: the slice
@@ -79,10 +65,6 @@ class Benchmark:
         if self.backup is not None:
             return slice_constraint_set(self.backup)
         return self.constraints
-
-    @property
-    def certification_N(self) -> int:
-        return self.backup.N if self.backup is not None else self.constraints.N
 
 
 def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
@@ -297,16 +279,12 @@ def pendulum_backup() -> Benchmark:
         bounding_box=box,
     )
 
-    def h_eval(x):
-        v, g = h(np.asarray(x, dtype=float))
-        return v, g
-
     def batch(X):
         v, g = h(np.atleast_2d(np.asarray(X, dtype=float)))
         return v[:, None], g[:, None, :]
 
     constraints = ConstraintSet(
-        n=2, evaluators=(h_eval,), bounding_box=box, batch_evaluator=batch
+        n=2, evaluators=(h,), bounding_box=box, batch_evaluator=batch
     )
 
     def desired(x):

@@ -6,6 +6,7 @@ from softcbf import (
     BackupProblem,
     BlowUpError,
     ControlAffineSystem,
+    InvalidInputError,
     backup_barrier,
     certify_backup,
     check_backup_preconditions,
@@ -332,3 +333,45 @@ def test_certify_backup_scalar_end_to_end():
     report = verify_certificate(cs, F, cert, 1.01 * cert.theta_star, 100, seed=0)
     assert report.boundary_found and report.min_lie > 0
     assert report.containment_ok
+
+
+def test_safe_set_function_with_wrong_block_shape_raises():
+    def h_single(x):
+        # answers a block of states with a single state's value and gradient
+        X = np.atleast_2d(np.asarray(x, dtype=float))
+        return 1.0 - X[0] @ X[0], -2.0 * X[0]
+
+    prob = scalar_problem(h=h_single)
+    with pytest.raises(InvalidInputError, match=r"shape \(\), \(1,\) for a block of 4 states; expected \(4,\), \(4, 1\)"):
+        slice_constraint_set(prob).evaluate_batch(np.linspace(-0.5, 0.5, 4)[:, None])
+
+
+def test_flow_callable_with_wrong_block_shape_raises():
+    def drift_single(x):
+        # answers a block with the drift of its first state, which would
+        # otherwise broadcast silently over the block
+        return -np.atleast_2d(np.asarray(x, dtype=float))[0]
+
+    def jacobian_single(x):
+        return -np.ones((1, 1))
+
+    base = scalar_problem()
+    bad_drift = scalar_problem(sys=ControlAffineSystem(
+        n=1, m=1, drift=drift_single, actuation=base.sys.actuation))
+    bad_jacobian = scalar_problem(jacobian=jacobian_single)
+    X0 = np.array([[0.5], [-0.3]])
+    with pytest.raises(InvalidInputError, match=r"shape \(1,\), \(2, 1, 1\), \(2, 1\)"):
+        integrate_flow_batch(bad_drift, X0)
+    with pytest.raises(InvalidInputError, match=r"shape \(1, 1\) for a block of 2 states"):
+        integrate_flow_batch(bad_jacobian, X0)
+
+
+def test_exception_inside_backup_controller_propagates_unchanged():
+    def k_single(x):
+        if np.asarray(x).ndim != 1:
+            raise TypeError("single states only")
+        return np.zeros(1)
+
+    prob = scalar_problem(k_b=k_single)
+    with pytest.raises(TypeError, match="single states only"):
+        integrate_flow_batch(prob, np.array([[0.1], [0.2]]))

@@ -77,6 +77,57 @@ def test_simulate_exit_zero_and_trace(tmp_path):
     assert len(lines) == 202  # header + 201 rows at dt = 0.01
 
 
+def test_simulate_uses_the_tail_certificate(tmp_path, capsys):
+    cfg_file = tmp_path / "tail.cfg"
+    cfg_file.write_text(
+        "benchmark = scalar-stable\n"
+        "tail_R = 1\ntail_eta = 0.01\ntail_C = 1\ntail_p = 1\ntail_r_inf = 0.5\n"
+    )
+    assert main(["certify", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path / "certify-scalar-stable.txt")
+    assert report["kind"] == "eCBF"
+    theta_tail = float(report["theta_tail"])
+    assert float(report["theta_star"]) == theta_tail
+
+    capsys.readouterr()
+    assert main([
+        "simulate", "--config", str(cfg_file), "--t-final", "0.5", "--out", str(tmp_path),
+    ]) == 0
+    printed = capsys.readouterr().out.split("theta=", 1)[1].split(":", 1)[0]
+    # printed with 6 significant digits
+    assert float(printed) >= 1.01 * theta_tail * (1.0 - 1e-5)
+
+
+# seed-0 certificates of the compact benchmarks, each at its default band
+# and density; the sampling, bound and verification paths must reproduce
+# them to the last few bits
+SEED0_CERTIFICATES = {
+    "double-integrator-box": {
+        "theta_star": 15737.286940871161, "M": 2.4935103419077298,
+        "r": 0.5002017852375702, "d": 0.00020178523757019562,
+        "verify_min_lie": 0.53391178215077373,
+    },
+    "scalar-stable": {
+        "theta_star": 6.9314718055994522, "M": 0.99999086257507397,
+        "r": 0.90007050241129716, "d": 1.8001410048225943,
+        "verify_min_lie": 0.99999822086571466,
+    },
+    "thin-annulus": {
+        "theta_star": 69.314718055994533, "M": 0.19999083637960874,
+        "r": 0.11557813862188918, "d": 0.030008720295538582,
+        "verify_min_lie": 0.17502189768327664,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED0_CERTIFICATES))
+def test_certify_reproduces_seed0_certificate(tmp_path, name):
+    assert main(["certify", "--benchmark", name, "--seed", "0", "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path / f"certify-{name}.txt")
+    for key, value in SEED0_CERTIFICATES[name].items():
+        assert float(report[key]) == pytest.approx(value, rel=1e-12), key
+
+
 def test_simulate_explicit_theta(tmp_path):
     code = main([
         "simulate", "--benchmark", "scalar-stable", "--theta", "30",

@@ -14,7 +14,7 @@ from softcbf import (
     sample_tube,
     shrink_epsilon_until_safe,
 )
-from softcbf.geometry import eval_field
+from softcbf.geometry import march_and_bisect
 
 
 def single_constraint_set(fn, n, box):
@@ -241,12 +241,95 @@ def test_shrink_epsilon_helper():
     assert bounds.r > 0
 
 
-def test_eval_field_handles_single_state_functions():
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise TypeError("single states only")
-        return -x
+def scalar_interval():
+    # -1 <= x <= 1 as two affine constraints, with a batch evaluator
+    W = np.array([[-1.0], [1.0]])
 
-    X = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_allclose(eval_field(F, X), -X)
+    def batch(X):
+        return 1.0 + X @ W.T, np.broadcast_to(W, (X.shape[0], 2, 1)).copy()
+
+    return ConstraintSet(
+        n=1,
+        evaluators=(lambda x: (1.0 - x[0], W[0]), lambda x: (1.0 + x[0], W[1])),
+        bounding_box=np.array([[-1.3, 1.3]]),
+        batch_evaluator=batch,
+    )
+
+
+def test_field_with_wrong_block_shape_raises():
+    cs = scalar_interval()
+    tube = sample_tube(cs, 0.1, 2000.0, seed=0)
+
+    def F(x):
+        # answers a block with a single state's shape
+        return -np.atleast_2d(x)[0]
+
+    with pytest.raises(InvalidInputError, match=r"shape \(1,\).*expected \(\d+, 1\)"):
+        estimate_bounds(cs, F, tube)
+
+
+def test_batch_evaluator_with_wrong_shape_raises():
+    cs = scalar_interval()
+    bad = ConstraintSet(
+        n=1, evaluators=cs.evaluators, bounding_box=cs.bounding_box,
+        batch_evaluator=lambda X: (cs.batch_evaluator(X)[0][:, 0], cs.batch_evaluator(X)[1]),
+    )
+    with pytest.raises(InvalidInputError, match="expected"):
+        bad.evaluate_batch(np.zeros((3, 1)))
+
+
+def test_exception_inside_field_propagates_unchanged():
+    cs = scalar_interval()
+    tube = sample_tube(cs, 0.1, 2000.0, seed=0)
+
+    def F(x):
+        if np.asarray(x).ndim != 1:
+            raise TypeError("single states only")
+        return -np.asarray(x, dtype=float)
+
+    with pytest.raises(TypeError, match="single states only"):
+        estimate_bounds(cs, F, tube)
+
+
+def test_march_and_bisect_evaluates_only_live_rows():
+    # level 1 - x on the line: rays from several starts cross at x = 1;
+    # the ray pointing left leaves the box and is abandoned
+    starts = np.array([[0.0], [0.33], [0.5], [0.71], [0.0]])
+    dirs = np.array([[1.0], [1.0], [1.0], [1.0], [-1.0]])
+    box = np.array([[-2.0, 2.0]])
+    band = (0.0, 1e-6)
+    calls = []
+
+    def level(X):
+        h = 1.0 - X[:, 0]
+        calls.append((X.copy(), h.copy()))
+        return h
+
+    located = march_and_bisect(level, starts, dirs, step=0.1, n_steps=100, box=box,
+                               margin=0.0, band=band, max_iter=60)
+    assert located.shape == (4, 1)
+    np.testing.assert_array_less(1.0 - 1e-6 - 1e-15, located[:, 0])
+    np.testing.assert_array_less(located[:, 0], 1.0 + 1e-15)
+
+    # march rounds: the next round sees exactly the rays that neither
+    # crossed nor left the box
+    sizes = [X.shape[0] for X, _ in calls]
+    assert sizes[0] == 5
+    k = 0
+    while True:
+        X, h = calls[k]
+        live = int(np.sum((h >= 0.0) & (np.abs(X[:, 0]) <= 2.0)))
+        if live == 0:
+            break
+        assert sizes[k + 1] == live
+        k += 1
+    # bisection rounds: all four crossings first, then exactly the rows
+    # whose inside endpoint is not yet in the band
+    k += 1
+    assert sizes[k] == 4
+    for (X, h), nxt in zip(calls[k:], sizes[k + 1:]):
+        assert nxt == int(np.sum(~((h >= band[0]) & (h <= band[1]))))
+    _, h_last = calls[-1]
+    assert np.all((h_last >= band[0]) & (h_last <= band[1]))
+    # an unmasked loop would evaluate every ray in every round
+    assert sum(sizes) < 5 * len(sizes)

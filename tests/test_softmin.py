@@ -7,13 +7,12 @@ from softcbf import (
     DomainError,
     InvalidInputError,
     default_activity_tolerance,
-    lie_decomposition,
     partition,
-    softmin_evaluate,
     softmin_gradient,
     softmin_value,
     softmin_weights,
 )
+from softcbf.softmin import softmin_block
 
 # frozen with an independent 50-digit evaluation (mpmath)
 SOFTMIN_01_THETA1 = -0.31326168751822283405
@@ -93,29 +92,6 @@ def test_partition_examples():
     assert np.all(part.gaps >= 0.0)
 
 
-def test_lie_decomposition_examples():
-    part = partition([0.0, 0.0], 0.1)
-    active, inactive = lie_decomposition([1.0, -1.0], [0.5, 0.5], part)
-    assert inactive == 0.0
-
-    part = partition([0.0, 1.0], 0.5)
-    active, inactive = lie_decomposition([1.0, -1.0], [0.9, 0.1], part)
-    assert active == pytest.approx(0.9)
-    assert inactive == pytest.approx(-0.1)
-
-
-def test_lie_decomposition_parts_sum_to_dot():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = rng.integers(1, 9)
-        vals = rng.normal(size=n)
-        lie = rng.normal(size=n)
-        w = softmin_weights(vals, 3.0)
-        part = partition(vals, float(rng.uniform(0, 0.5)))
-        a, p = lie_decomposition(lie, w, part)
-        assert a + p == pytest.approx(float(w @ lie), abs=1e-12)
-
-
 def test_input_validation():
     with pytest.raises(InvalidInputError):
         softmin_value([np.nan, 1.0], 1.0)
@@ -131,8 +107,6 @@ def test_input_validation():
         softmin_gradient([[1.0, 2.0]], [0.5, 0.5])
     with pytest.raises(InvalidInputError):
         softmin_gradient([[1.0], [2.0]], [0.7, 0.7])
-    with pytest.raises(InvalidInputError):
-        lie_decomposition([1.0, 2.0], [1.0], partition([0.0], 0.0))
 
 
 values_strategy = st.lists(
@@ -199,13 +173,22 @@ def test_tie_gap_is_exactly_log_n_over_theta():
             assert gap == pytest.approx(np.log(n) / theta, rel=1e-13)
 
 
-def test_softmin_evaluate_bundles_value_and_weights():
-    res = softmin_evaluate([0.0, 1.0], 1.0)
-    assert res.value == pytest.approx(SOFTMIN_01_THETA1, abs=1e-15)
-    assert res.theta == 1.0
-    np.testing.assert_allclose(res.weights, [W1_01_THETA1, W2_01_THETA1], atol=1e-15)
+@pytest.mark.parametrize("theta", [3.0, 73444.49, 75000.0])
+def test_block_kernel_matches_single_point_functions_bitwise(theta):
+    rng = np.random.default_rng(5)
+    vals = rng.normal(scale=1e-3, size=(64, 11))
+    vals[0] = 0.0  # an exact tie
+    soft, w = softmin_block(vals, theta)
+    assert soft.shape == (64,) and w.shape == (64, 11)
+    for b in range(vals.shape[0]):
+        assert soft[b] == softmin_value(vals[b], theta)
+        np.testing.assert_array_equal(w[b], softmin_weights(vals[b], theta))
 
 
 def test_default_activity_tolerance_scales_with_value():
     assert default_activity_tolerance(0.0) == pytest.approx(1e-8)
     assert default_activity_tolerance(-9.0) == pytest.approx(1e-7)
+    h = np.array([0.0, -9.0, 0.37])
+    np.testing.assert_array_equal(
+        default_activity_tolerance(h), [default_activity_tolerance(v) for v in h]
+    )
