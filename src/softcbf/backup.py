@@ -133,7 +133,7 @@ class IntegratorStats:
     steps: int
     step_size: float
     max_local_error: float
-    max_condition: float
+    max_condition: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,19 @@ class FlowResult:
 @dataclass(frozen=True)
 class BatchFlowResult:
     """Same as FlowResult for a block of initial states: states has shape
-    (N, B, n) and sensitivities (N, B, n, n)."""
+    (N, B, n) and sensitivities (N, B, n, n).  A values-only flow has
+    sensitivities None and stats.max_condition None."""
 
     states: np.ndarray
-    sensitivities: np.ndarray
+    sensitivities: Optional[np.ndarray]
     stats: IntegratorStats
 
 
-def integrate_flow_batch(prob: BackupProblem, X0) -> BatchFlowResult:
-    """RK4 integration of the closed loop and its variational system for a
-    block of initial states, recording every slice time exactly."""
+def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) -> BatchFlowResult:
+    """RK4 integration of the closed loop for a block of initial states,
+    recording every slice time exactly.  With `sensitivities` the
+    variational system is integrated alongside; without, the Jacobian is
+    never called and the states are bitwise the same."""
     X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
     if X.shape[1] != prob.sys.n:
         raise InvalidInputError(f"states must have dimension {prob.sys.n}")
@@ -171,55 +174,54 @@ def integrate_flow_batch(prob: BackupProblem, X0) -> BatchFlowResult:
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
     F = closed_loop_field(prob)
-    jac = _make_jacobian(prob, F, X)
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
 
     states = np.empty((N, B, n))
-    sens = np.empty((N, B, n, n))
-    S = np.broadcast_to(np.eye(n), (B, n, n)).copy()
     states[0] = X
-    sens[0] = S
+    sens = None
+    if sensitivities:
+        jac = _make_jacobian(prob, F, X)
+        sens = np.empty((N, B, n, n))
+        S = np.broadcast_to(np.eye(n), (B, n, n)).copy()
+        sens[0] = S
 
     max_err = 0.0
     steps = 0
     t = 0.0
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rk4_augmented(prob, F, jac, X, S, states, sens, h, n_sub, N, t, steps, max_err)
+        for i in range(1, N):
+            for _ in range(n_sub):
+                k1x = F(X)
+                X2 = X + 0.5 * h * k1x
+                k2x = F(X2)
+                X3 = X + 0.5 * h * k2x
+                k3x = F(X3)
+                X4 = X + h * k3x
+                k4x = F(X4)
+                if sens is not None:
+                    k1s = jac(X) @ S
+                    k2s = jac(X2) @ (S + 0.5 * h * k1s)
+                    k3s = jac(X3) @ (S + 0.5 * h * k2s)
+                    k4s = jac(X4) @ (S + h * k3s)
+                    S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+                incr = (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                X = X + incr
+                t += h
+                steps += 1
+                # crude local error proxy: RK4 increment vs trapezoid increment
+                err = np.abs(incr - 0.5 * h * (k1x + k4x)).max()
+                if err > max_err:
+                    max_err = float(err)
+                if not np.all(np.isfinite(X)):
+                    raise BlowUpError(f"state became non-finite at t={t:.6g}", time=t)
+            states[i] = X
+            if sens is not None:
+                sens[i] = S
 
-
-def _rk4_augmented(prob, F, jac, X, S, states, sens, h, n_sub, N, t, steps, max_err):
-    for i in range(1, N):
-        for _ in range(n_sub):
-            k1x = F(X)
-            k1s = jac(X) @ S
-            X2 = X + 0.5 * h * k1x
-            k2x = F(X2)
-            k2s = jac(X2) @ (S + 0.5 * h * k1s)
-            X3 = X + 0.5 * h * k2x
-            k3x = F(X3)
-            k3s = jac(X3) @ (S + 0.5 * h * k2s)
-            X4 = X + h * k3x
-            k4x = F(X4)
-            k4s = jac(X4) @ (S + h * k3s)
-            incr = (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            X = X + incr
-            S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
-            t += h
-            steps += 1
-            # crude local error proxy: RK4 increment vs trapezoid increment
-            err = np.abs(incr - 0.5 * h * (k1x + k4x)).max()
-            if err > max_err:
-                max_err = float(err)
-            if not np.all(np.isfinite(X)):
-                raise BlowUpError(f"state became non-finite at t={t:.6g}", time=t)
-        states[i] = X
-        sens[i] = S
-
-    n = states.shape[2]
-    cond = float(np.linalg.cond(sens.reshape(-1, n, n)).max())
+    cond = None if sens is None else float(np.linalg.cond(sens.reshape(-1, n, n)).max())
     return BatchFlowResult(
         states=states,
         sensitivities=sens,
@@ -234,25 +236,29 @@ def integrate_flow(prob: BackupProblem, x0) -> FlowResult:
     return FlowResult(states=res.states[:, 0], sensitivities=res.sensitivities[:, 0], stats=res.stats)
 
 
-def _slice_values_from_flow(prob: BackupProblem, states, sens) -> tuple[np.ndarray, np.ndarray]:
+def _slice_values_from_flow(prob: BackupProblem, states, sens):
     """Slice values (B, N) and pulled-back gradients (B, N, n) from batched
-    flow output (N, B, n) / (N, B, n, n)."""
+    flow output (N, B, n) / (N, B, n, n); the gradients are None when sens
+    is None."""
     N, B, n = states.shape
     vals = np.empty((B, N))
-    grads = np.empty((B, N, n))
+    grads = None if sens is None else np.empty((B, N, n))
     for i in range(N):
         fn = prob.h if i < N - 1 else prob.h_b
         v, g = call_batched(fn, states[i], (), (n,))
         vals[:, i] = v
-        # grad b_i = S_i^T grad_h(phi_i)
-        grads[:, i, :] = np.einsum("bji,bj->bi", sens[i], g)
+        if grads is not None:
+            # grad b_i = S_i^T grad_h(phi_i)
+            grads[:, i, :] = np.einsum("bji,bj->bi", sens[i], g)
     return vals, grads
 
 
-def slice_values_batch(prob: BackupProblem, X) -> tuple[np.ndarray, np.ndarray]:
-    """Slice constraint values and gradients for a block of states; one flow
-    integration serves all N constraints."""
-    flow = integrate_flow_batch(prob, X)
+def slice_values_batch(prob: BackupProblem, X, gradients: bool = True):
+    """Slice constraint values (B, N) and gradients (B, N, n) for a block of
+    states; one flow integration serves all N constraints.  Without
+    `gradients` the flow skips its sensitivities and the gradients are
+    None."""
+    flow = integrate_flow_batch(prob, X, sensitivities=gradients)
     return _slice_values_from_flow(prob, flow.states, flow.sensitivities)
 
 
@@ -288,7 +294,8 @@ def slice_constraint_set(prob: BackupProblem) -> ConstraintSet:
     """The slice constraints packaged as a constraint family.
 
     Each per-constraint evaluator integrates the flow from scratch; the
-    batch evaluator shares one integration across all N constraints.
+    batch evaluator shares one integration across all N constraints, and
+    the value evaluator does the same without the flow sensitivities.
     """
     if prob.bounding_box is None:
         raise InvalidInputError("backup problem needs a bounding box for certification")
@@ -305,6 +312,7 @@ def slice_constraint_set(prob: BackupProblem) -> ConstraintSet:
         evaluators=tuple(make_eval(i) for i in range(prob.N)),
         bounding_box=prob.bounding_box,
         batch_evaluator=lambda X: slice_values_batch(prob, X),
+        value_evaluator=lambda X: slice_values_batch(prob, X, gradients=False)[0],
     )
 
 
@@ -372,7 +380,7 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
 
     near_s = np.abs(h_vals) <= tol
     if near_s.any():
-        flow = integrate_flow_batch(prob, X[near_s])
+        flow = integrate_flow_batch(prob, X[near_s], sensitivities=False)
         hb_T, _ = call_batched(prob.h_b, flow.states[-1], (), (n,))
         reach = np.zeros_like(near_s)
         reach[np.flatnonzero(near_s)[hb_T >= 0.0]] = True

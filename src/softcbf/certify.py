@@ -212,8 +212,7 @@ def probe_boundary(
     n_check = int(n_check)
 
     def soft_level(X):
-        vals, _ = cs.evaluate_batch(X)
-        return softmin_block(vals, theta)[0]
+        return softmin_block(cs.values(X), theta)[0]
 
     # interior pool
     n_pool = max(4 * n_check, 256)

@@ -78,15 +78,19 @@ class ConstraintSet:
     `batch_evaluator`, when given, maps a block X of shape (B, n) to
     (values (B, N), gradients (B, N, n)) and must agree with the
     per-constraint evaluators; it exists purely so bulk sampling avoids a
-    Python loop.  Like every callable the package evaluates on blocks
-    (see `call_batched`), it takes (B, n) and a wrong output shape raises
-    InvalidInputError.  Evaluators must be safe for concurrent invocation.
+    Python loop.  `value_evaluator`, when given, maps a block to the values
+    (B, N) alone and must agree with the batch evaluator; level-set search,
+    which reads no gradients, uses it through `values`.  Like every
+    callable the package evaluates on blocks (see `call_batched`), both
+    take (B, n) and a wrong output shape raises InvalidInputError.
+    Evaluators must be safe for concurrent invocation.
     """
 
     n: int
     evaluators: tuple
     bounding_box: Optional[np.ndarray] = None
     batch_evaluator: Optional[Callable] = None
+    value_evaluator: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 1 or len(self.evaluators) < 1:
@@ -127,10 +131,17 @@ class ConstraintSet:
             vals[b], grads[b] = self.evaluate(x)
         return vals, grads
 
+    def values(self, X) -> np.ndarray:
+        """Values (B, N) at a block of states, from the value evaluator when
+        there is one and from `evaluate_batch` otherwise."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.value_evaluator is not None:
+            return call_batched(self.value_evaluator, X, (self.N,))
+        return self.evaluate_batch(X)[0]
+
     def min_values(self, X) -> np.ndarray:
         """Pointwise minimum over constraints for a block of states."""
-        vals, _ = self.evaluate_batch(X)
-        return vals.min(axis=1)
+        return self.values(X).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     n_cand = max(512, int(math.ceil(density * volume)))
 
     cand = rng.uniform(box[:, 0], box[:, 1], size=(n_cand, cs.n))
-    vals, _ = cs.evaluate_batch(cand)
+    vals = cs.values(cand)
     h_hat = vals.min(axis=1)
     band = (h_hat >= 0.0) & (h_hat <= epsilon)
     accepted = cand[band]
@@ -293,7 +304,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
 
     # per-constraint coverage of the argmin regions, with a targeted retry
     # for constraints the random pass missed
-    vals_s, _ = cs.evaluate_batch(samples)
+    vals_s = cs.values(samples)
     coverage = np.zeros(cs.N, dtype=bool)
     coverage[np.unique(vals_s.argmin(axis=1))] = True
     extra = []
@@ -310,7 +321,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
             outs = out_pool[rng.choice(out_pool.shape[0], size=owned.shape[0])]
             pts = bisect_to_band(cs.min_values, owned, outs, (0.0, epsilon), max_iter=80)
             if pts.shape[0]:
-                v_p, _ = cs.evaluate_batch(pts)
+                v_p = cs.values(pts)
                 hit = v_p.argmin(axis=1) == i
                 if hit.any():
                     extra.append(pts[hit][:4])

@@ -375,3 +375,32 @@ def test_exception_inside_backup_controller_propagates_unchanged():
     prob = scalar_problem(k_b=k_single)
     with pytest.raises(TypeError, match="single states only"):
         integrate_flow_batch(prob, np.array([[0.1], [0.2]]))
+
+
+@pytest.mark.parametrize(
+    "make_problem",
+    [lambda: get_benchmark("pendulum-backup").backup, scalar_problem],
+    ids=["pendulum", "scalar-stable"],
+)
+def test_values_only_flow_matches_full_flow_bitwise(make_problem):
+    prob = make_problem()
+    box = prob.bounding_box
+    X0 = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(16, prob.sys.n))
+    full = integrate_flow_batch(prob, X0)
+    values_only = integrate_flow_batch(prob, X0, sensitivities=False)
+    np.testing.assert_array_equal(values_only.states, full.states)
+    assert values_only.sensitivities is None
+    assert values_only.stats.max_condition is None
+    assert values_only.stats.steps == full.stats.steps
+    assert values_only.stats.max_local_error == full.stats.max_local_error
+
+
+def test_values_only_flow_never_calls_the_jacobian():
+    def jacobian(X):
+        raise AssertionError("Jacobian called on a values-only flow")
+
+    prob = scalar_problem(jacobian=jacobian)
+    flow = integrate_flow_batch(prob, np.array([[0.5], [-0.3]]), sensitivities=False)
+    np.testing.assert_allclose(flow.states[-1, :, 0], [0.5 * np.exp(-1.0), -0.3 * np.exp(-1.0)], atol=1e-9)
+    cs = slice_constraint_set(prob)
+    np.testing.assert_allclose(cs.values(np.array([[0.0]])), [[1.0, 1.0, 0.25]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import softcbf.backup
 from softcbf.cli import ConfigError, load_config, main, resolve_config
 
 
@@ -98,9 +99,24 @@ def test_simulate_uses_the_tail_certificate(tmp_path, capsys):
     assert float(printed) >= 1.01 * theta_tail * (1.0 - 1e-5)
 
 
+# pendulum-backup at a quick size: a coarse tube, few verification rays and
+# few precondition points
+QUICK_PENDULUM_CONFIG = "n_check = 30\nprecondition_points = 300\n"
+
+
+def certify_quick_pendulum(tmp_path):
+    cfg_file = tmp_path / "quick.cfg"
+    cfg_file.write_text(QUICK_PENDULUM_CONFIG)
+    code = main([
+        "certify", "--benchmark", "pendulum-backup", "--seed", "0", "--density", "30",
+        "--config", str(cfg_file), "--out", str(tmp_path),
+    ])
+    return code, read_report(tmp_path / "certify-pendulum-backup.txt")
+
+
 # seed-0 certificates of the compact benchmarks, each at its default band
-# and density; the sampling, bound and verification paths must reproduce
-# them to the last few bits
+# and density, and of pendulum-backup at the quick size; the sampling, flow,
+# bound and verification paths must reproduce them to the last few bits
 SEED0_CERTIFICATES = {
     "double-integrator-box": {
         "theta_star": 15737.286940871161, "M": 2.4935103419077298,
@@ -117,15 +133,48 @@ SEED0_CERTIFICATES = {
         "r": 0.11557813862188918, "d": 0.030008720295538582,
         "verify_min_lie": 0.17502189768327664,
     },
+    "pendulum-backup": {
+        "theta_star": 2221.5281496503903, "M": 6.703580477125195,
+        "r": 0.090789552834032089, "d": 0.0030218841310769018,
+        "verify_min_lie": 0.093894284098017672,
+    },
 }
 
 
 @pytest.mark.parametrize("name", sorted(SEED0_CERTIFICATES))
 def test_certify_reproduces_seed0_certificate(tmp_path, name):
-    assert main(["certify", "--benchmark", name, "--seed", "0", "--out", str(tmp_path)]) == 0
-    report = read_report(tmp_path / f"certify-{name}.txt")
+    if name == "pendulum-backup":
+        code, report = certify_quick_pendulum(tmp_path)
+    else:
+        code = main(["certify", "--benchmark", name, "--seed", "0", "--out", str(tmp_path)])
+        report = read_report(tmp_path / f"certify-{name}.txt")
+    assert code == 0
     for key, value in SEED0_CERTIFICATES[name].items():
         assert float(report[key]) == pytest.approx(value, rel=1e-12), key
+
+
+def test_certify_integrates_sensitivities_only_where_gradients_are_read(tmp_path, monkeypatch):
+    real = softcbf.backup.integrate_flow_batch
+    flows = []
+
+    def counted(prob, X0, *args, **kwargs):
+        flow = real(prob, X0, *args, **kwargs)
+        flows.append((flow.states.shape[1], flow.sensitivities is not None))
+        return flow
+
+    monkeypatch.setattr(softcbf.backup, "integrate_flow_batch", counted)
+    code, report = certify_quick_pendulum(tmp_path)
+    assert code == 0
+    tube = int(report["tube_samples"])
+    located = int(report["verify_boundary_points"])
+    # check_mfcq and estimate_bounds read the gradients at the tube samples,
+    # verification at the located boundary points; every other flow (the
+    # precondition reachability, sampling, ray marching, bisection) reads
+    # values only
+    assert [rows for rows, sens in flows if sens] == [tube, tube, located]
+    # values-only flows go through the module-level name as well; the
+    # rejection-sampling candidates alone are 512 rows at this density
+    assert sum(rows for rows, sens in flows if not sens) > 512
 
 
 def test_simulate_explicit_theta(tmp_path):

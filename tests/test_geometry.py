@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from softcbf import (
     InvalidInputError,
     NotStrictlySafeError,
     TubeSpec,
+    benchmark_names,
     check_mfcq,
     estimate_bounds,
+    get_benchmark,
     sample_tube,
     shrink_epsilon_until_safe,
 )
@@ -276,6 +280,22 @@ def test_batch_evaluator_with_wrong_shape_raises():
     )
     with pytest.raises(InvalidInputError, match="expected"):
         bad.evaluate_batch(np.zeros((3, 1)))
+
+
+def test_value_evaluator_with_wrong_shape_raises():
+    cs = scalar_interval()
+    bad = dataclasses.replace(cs, value_evaluator=lambda X: cs.batch_evaluator(X)[0][:, 0])
+    with pytest.raises(InvalidInputError, match=r"shape \(3,\) for a block of 3 states; expected \(3, 2\)"):
+        bad.values(np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_values_match_batch_evaluation_bitwise(name):
+    cs = get_benchmark(name).certification_set()
+    box = cs.bounding_box
+    X = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(64, cs.n))
+    np.testing.assert_array_equal(cs.values(X), cs.evaluate_batch(X)[0])
+    np.testing.assert_array_equal(cs.min_values(X), cs.evaluate_batch(X)[0].min(axis=1))
 
 
 def test_exception_inside_field_propagates_unchanged():
