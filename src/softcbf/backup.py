@@ -166,7 +166,12 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     """RK4 integration of the closed loop for a block of initial states,
     recording every slice time exactly.  With `sensitivities` the
     variational system is integrated alongside; without, the Jacobian is
-    never called and the states are bitwise the same."""
+    never called and the states are bitwise the same.
+
+    In a block of two or more rows, each row comes out bitwise the same
+    whatever rows share the block, so marching and bisection may flow only
+    live rows.  A one-row block can differ in the last bit: numpy computes
+    a (1, n) @ (n,) product, like the pendulum's K.x, with dot, not gemv."""
     X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
     if X.shape[1] != prob.sys.n:
         raise InvalidInputError(f"states must have dimension {prob.sys.n}")
@@ -212,10 +217,10 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                 t += h
                 steps += 1
                 # crude local error proxy: RK4 increment vs trapezoid increment
-                err = np.abs(incr - 0.5 * h * (k1x + k4x)).max()
+                err = float(np.abs(incr - 0.5 * h * (k1x + k4x)).max())
                 if err > max_err:
-                    max_err = float(err)
-                if not np.all(np.isfinite(X)):
+                    max_err = err
+                if not np.isfinite(X).all():
                     raise BlowUpError(f"state became non-finite at t={t:.6g}", time=t)
             states[i] = X
             if sens is not None:

@@ -4,7 +4,8 @@ filtered closed loop, and sweep the smoothing parameter.
 Outputs are plain key-value report files and CSV traces so external tools
 can plot them.  Exit codes: 0 success, 1 bad configuration, 2 strict
 safety fails on samples, 3 constraint qualification fails, 4 a simulated
-trace violated the safety tolerance.
+trace violated the safety tolerance, 5 `certify --theta` at or below
+theta_star passed its sampled boundary check, which is not a certificate.
 """
 from __future__ import annotations
 
@@ -250,21 +251,27 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
     theta = cfg.theta if cfg.theta is not None else cfg.theta_multiplier * cert.theta_star
     if cert.theta_star == 0.0 and theta == 0.0:
         theta = 1.0
-    if theta > cert.theta_star:
-        report = verify_certificate(cs, F, cert, theta, cfg.n_check, cfg.seed)
-    else:
+    below = theta <= cert.theta_star
+    if below:
         report = probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
+    else:
+        report = verify_certificate(cs, F, cert, theta, cfg.n_check, cfg.seed)
     entries += [
         ("verify_theta", theta),
         ("verify_boundary_points", report.n_located),
         ("verify_min_lie", report.min_lie if report.min_lie is not None else "n/a"),
         ("verify_containment", report.containment_ok),
     ]
-    certified = report.all_positive
-    entries.append(("exit_status", "certified" if certified else "verification found nonpositive witnesses"))
+    if not report.all_positive:
+        status, code = "verification found nonpositive witnesses", 2
+    elif below:
+        status, code = "sampled check below theta_star, not a certificate", 5
+    else:
+        status, code = "certified", 0
+    entries.append(("exit_status", status))
     write_report(report_path, entries, cfg)
     print(f"theta_star = {cert.theta_star:.6g} ({cert.kind}); report: {report_path}")
-    return 0 if certified else 2
+    return code
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:

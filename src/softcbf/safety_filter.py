@@ -67,7 +67,7 @@ class ControlAffineSystem:
 
         def F(x):
             x = np.asarray(x, dtype=float)
-            X = np.atleast_2d(x)
+            X = x[None] if x.ndim == 1 else x
             f0, g, u = self.drift(X), self.actuation(X), controller(X)
             # checked inline rather than through geometry.call_batched: this
             # body runs four times per RK4 step of every flow

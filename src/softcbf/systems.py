@@ -95,12 +95,18 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
 
 def _const_actuation(gmat: np.ndarray) -> Callable:
     gmat = np.asarray(gmat, dtype=float)
+    # a block gets a read-only slice of one zero-stride block grown to the
+    # largest B seen: far cheaper than a np.broadcast_to call per RK4 stage
+    block = np.broadcast_to(gmat, (1,) + gmat.shape)
 
     def g(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
+        nonlocal block
+        if np.ndim(x) == 1:
             return gmat
-        return np.broadcast_to(gmat, (x.shape[0],) + gmat.shape)
+        view = block  # read once: another thread may swap in a shorter one
+        if len(view) < len(x):
+            view = block = np.broadcast_to(gmat, (len(x),) + gmat.shape)
+        return view[: len(x)]
 
     return g
 
@@ -128,10 +134,9 @@ def double_integrator_box() -> Benchmark:
 
     def drift(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        out = np.stack([X[:, 1], np.zeros(X.shape[0])], axis=-1)
-        return out[0] if single else out
+        out = np.zeros(x.shape)
+        out[..., 0] = x[..., 1]
+        return out
 
     sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=_const_actuation([[0.0], [1.0]]))
 
@@ -141,17 +146,11 @@ def double_integrator_box() -> Benchmark:
 
     def safe(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        u = -(X[:, 0] + 2.0 * X[:, 1])
-        return (u[0:1] if single else u[:, None])
+        return -(x[..., 0:1] + 2.0 * x[..., 1:2])
 
     def desired(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        u = -3.0 * (X[:, 0] - 3.0) - 3.0 * X[:, 1]
-        return (u[0:1] if single else u[:, None])
+        return -3.0 * (x[..., 0:1] - 3.0) - 3.0 * x[..., 1:2]
 
     def closed_loop(x):
         X = np.atleast_2d(np.asarray(x, dtype=float))
@@ -214,10 +213,10 @@ def pendulum_backup() -> Benchmark:
 
     def drift(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        out = np.stack([X[:, 1], np.sin(X[:, 0])], axis=-1)
-        return out[0] if single else out
+        out = np.empty(x.shape)
+        out[..., 0] = x[..., 1]
+        out[..., 1] = np.sin(x[..., 0])
+        return out
 
     sys = ControlAffineSystem(
         n=2,
@@ -249,23 +248,20 @@ def pendulum_backup() -> Benchmark:
 
     def k_b(x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        u = PENDULUM_U_MAX * np.tanh(-(X @ PENDULUM_K) / PENDULUM_U_MAX)
-        return u[0:1] if single else u[:, None]
+        u = PENDULUM_U_MAX * np.tanh(-(x @ PENDULUM_K) / PENDULUM_U_MAX)
+        return u[..., None]
 
     def jac_closed_loop(x):
         # d/dx [w, sin(a) + umax*tanh(-K.x/umax)]
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        B = X.shape[0]
-        J = np.zeros((B, 2, 2))
-        J[:, 0, 1] = 1.0
-        J[:, 1, 0] = np.cos(X[:, 0])
-        sech2 = 1.0 / np.cosh((X @ PENDULUM_K) / PENDULUM_U_MAX) ** 2
-        J[:, 1, :] -= sech2[:, None] * PENDULUM_K[None, :]
-        return J[0] if single else J
+        J = np.zeros(x.shape[:-1] + (2, 2))
+        J[..., 0, 1] = 1.0
+        J[..., 1, 0] = np.cos(x[..., 0])
+        # np.square, not ** 2: on the scalar of one state ** 2 calls pow, which
+        # can differ from the x * x of an array's ** 2 in the last bit
+        sech2 = 1.0 / np.square(np.cosh((x @ PENDULUM_K) / PENDULUM_U_MAX))
+        J[..., 1, :] -= sech2[..., None] * PENDULUM_K
+        return J
 
     box = np.array([[-1.7, 1.7], [-1.6, 1.6]])
     backup = BackupProblem(
@@ -289,10 +285,7 @@ def pendulum_backup() -> Benchmark:
 
     def desired(x):
         # constant maximal push away from upright
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.array([PENDULUM_U_MAX])
-        return np.full((x.shape[0], 1), PENDULUM_U_MAX)
+        return np.full(np.shape(x)[:-1] + (1,), PENDULUM_U_MAX)
 
     chol = np.linalg.cholesky(PENDULUM_P)
 
@@ -343,15 +336,10 @@ def _scalar_benchmark(name: str, stable: bool) -> Benchmark:
     )
 
     def safe(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(1) if x.ndim == 1 else np.zeros((x.shape[0], 1))
+        return np.zeros(np.shape(x)[:-1] + (1,))
 
     def desired(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        u = -1.5 * (X[:, 0] - 2.0)
-        return u[0:1] if single else u[:, None]
+        return -1.5 * (np.asarray(x, dtype=float)[..., 0:1] - 2.0)
 
     analytic = None
     if stable:

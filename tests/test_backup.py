@@ -404,3 +404,25 @@ def test_values_only_flow_never_calls_the_jacobian():
     np.testing.assert_allclose(flow.states[-1, :, 0], [0.5 * np.exp(-1.0), -0.3 * np.exp(-1.0)], atol=1e-9)
     cs = slice_constraint_set(prob)
     np.testing.assert_allclose(cs.values(np.array([[0.0]])), [[1.0, 1.0, 0.25]])
+
+
+@pytest.mark.parametrize("sensitivities", [True, False], ids=["with-sensitivities", "values-only"])
+def test_flow_row_does_not_depend_on_its_block(sensitivities):
+    # ray marching and bisection flow only the rows still live, so a row
+    # must come out bitwise the same whatever rows share its block; a
+    # one-row block is exempt (its K.x product takes numpy's dot kernel,
+    # not gemv)
+    prob = get_benchmark("pendulum-backup").backup
+    box = prob.bounding_box
+    rng = np.random.default_rng(3)
+    pair = rng.uniform(box[:, 0], box[:, 1], size=(2, 2))
+    block = rng.uniform(box[:, 0], box[:, 1], size=(64, 2))
+    at = [5, 40]
+    block[at] = pair
+    small = integrate_flow_batch(prob, pair, sensitivities=sensitivities)
+    large = integrate_flow_batch(prob, block, sensitivities=sensitivities)
+    assert small.states.tobytes() == large.states[:, at].tobytes()
+    if sensitivities:
+        assert small.sensitivities.tobytes() == large.sensitivities[:, at].tobytes()
+    else:
+        assert small.sensitivities is None and large.sensitivities is None

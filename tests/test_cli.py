@@ -30,6 +30,22 @@ def test_certify_scalar_stable_exit_zero(tmp_path):
     assert "config.seed" in report
 
 
+def test_certify_below_theta_star_is_not_a_certificate(tmp_path):
+    out = tmp_path / "below"
+    # theta_star is 15737.3 here; a boundary probe at theta = 100 finds only
+    # positive Lie derivatives, which is a sampled check, not a certificate
+    assert main(["certify", "--benchmark", "double-integrator-box", "--theta", "100",
+                 "--out", str(out)]) == 5
+    report = read_report(out / "certify-double-integrator-box.txt")
+    assert float(report["theta_star"]) > 100.0
+    assert float(report["verify_min_lie"]) > 0
+    assert report["exit_status"] == "sampled check below theta_star, not a certificate"
+
+    out = tmp_path / "default"
+    assert main(["certify", "--benchmark", "double-integrator-box", "--out", str(out)]) == 0
+    assert read_report(out / "certify-double-integrator-box.txt")["exit_status"] == "certified"
+
+
 def test_certify_unstable_exit_two(tmp_path):
     code = main(["certify", "--benchmark", "scalar-unstable", "--out", str(tmp_path)])
     assert code == 2

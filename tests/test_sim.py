@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +159,20 @@ def test_backup_benchmark_short_run():
     assert trace.min_h_soft > 0
     assert trace.h_hard[0] >= trace.h_soft[0]
     assert not trace.infeasible.any()
+
+
+# closed-loop traces recorded at fixed inputs; the filter acts on most
+# steps of both, so the barrier, its gradient, the filter and the plant
+# step must all reproduce bit for bit
+FIXED_TRACES = json.loads((Path(__file__).parent / "fixed_traces.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_TRACES))
+def test_simulate_reproduces_fixed_traces(name):
+    rec = FIXED_TRACES[name]
+    cfg = SimConfig(x0=np.array(rec["x0"]), t_final=rec["t_final"], dt=rec["dt"], theta=rec["theta"])
+    trace = run(get_benchmark(name), cfg)
+    assert trace.states.tolist() == rec["states"]
+    assert trace.controls.tolist() == rec["controls"]
+    assert trace.h_soft.tolist() == rec["h_soft"]
+    assert trace.min_h_soft == rec["min_h_soft"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from softcbf import (
+    ControlAffineSystem,
     InvalidInputError,
     benchmark_names,
     double_integrator_box,
@@ -11,7 +12,7 @@ from softcbf import (
     scalar_stable,
     thin_annulus,
 )
-from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P
+from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P, _const_actuation
 
 
 def test_registry():
@@ -168,3 +169,80 @@ def test_annulus_constraints_and_width():
     assert vals[0] == pytest.approx(0.0)
     assert vals[1] == pytest.approx(0.05)
     np.testing.assert_allclose(grads[0], -grads[1], atol=1e-14)  # antiparallel
+
+
+@pytest.mark.parametrize("name", ["double-integrator-box", "pendulum-backup", "scalar-stable", "thin-annulus"])
+def test_closed_loop_field_shapes_and_rows(name):
+    bench = get_benchmark(name)
+    n = bench.sys.n
+    box = bench.constraints.bounding_box
+    X = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(9, n))
+    fields = [bench.closed_loop_field()]
+    if bench.backup is not None:
+        fields.append(bench.sys.closed_loop(bench.backup.k_b))
+    for F in fields:
+        block = F(X)
+        assert block.shape == (9, n)
+        for x, row in zip(X, block):
+            single = F(x)
+            assert single.shape == (n,)
+            # one state is a one-row block, bit for bit
+            assert single.tobytes() == F(x[None])[0].tobytes()
+            # a one-row block may round K.x differently from a larger one
+            np.testing.assert_allclose(single, row, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["double-integrator-box", "pendulum-backup", "scalar-stable", "thin-annulus"])
+def test_one_state_matches_a_one_row_block_bitwise(name):
+    # the plant step and the backup takeover call these on one state, the
+    # flows on blocks; a one-state shortcut such as a numpy scalar's ** 2
+    # (pow, not x * x) would break this in the last bit for a few states
+    bench = get_benchmark(name)
+    fns = [bench.sys.drift, bench.sys.actuation, bench.safe_controller, bench.desired_controller]
+    if bench.backup is not None:
+        fns += [bench.backup.k_b, bench.backup.jacobian]
+    box = bench.constraints.bounding_box
+    size = 20000 if bench.backup is not None else 1000
+    X = np.random.default_rng(1).uniform(2 * box[:, 0], 2 * box[:, 1], size=(size, bench.sys.n))
+    for fn in fns:
+        single = np.array([fn(x) for x in X])
+        rows = np.array([fn(x[None])[0] for x in X])
+        assert single.shape == rows.shape
+        assert single.tobytes() == rows.tobytes(), fn.__name__
+
+
+def test_constant_actuation_shapes():
+    gmat = np.array([[0.0], [1.0]])
+    g = _const_actuation(gmat)
+    np.testing.assert_array_equal(g(np.zeros(2)), gmat)
+    assert g(np.zeros(2)).shape == (2, 1)
+    # B grows, shrinks, then grows past the largest block seen so far
+    for B in (1, 5, 3, 1000, 7):
+        block = g(np.zeros((B, 2)))
+        assert isinstance(block, np.ndarray) and block.shape == (B, 2, 1)
+        np.testing.assert_array_equal(block, np.broadcast_to(gmat, (B, 2, 1)))
+        # the block is a view shared between calls, so it must not be writable
+        assert not block.flags.writeable
+
+
+@pytest.mark.parametrize("part", ["drift", "actuation", "controller"])
+@pytest.mark.parametrize("rows", [None, 1, 4], ids=["one-state", "one-row", "four-rows"])
+def test_closed_loop_component_with_wrong_shape_raises(part, rows):
+    good = {
+        "drift": lambda X: -X,
+        "actuation": _const_actuation([[1.0], [0.0]]),
+        "controller": lambda X: np.zeros(X.shape[:-1] + (1,)),
+    }
+    parts = dict(good)
+    # answers a block with the shape of one of its states
+    parts[part] = lambda X, real=good[part]: real(X)[0]
+    sys = ControlAffineSystem(n=2, m=1, drift=parts["drift"], actuation=parts["actuation"])
+    F = sys.closed_loop(parts["controller"])
+    x = np.full(2, 0.5) if rows is None else np.full((rows, 2), 0.5)
+    B = 1 if rows is None else rows
+    with pytest.raises(
+        InvalidInputError,
+        match=rf"drift, actuation and controller returned shape .* for a block of {B} states; "
+        rf"expected \({B}, 2\), \({B}, 2, 1\), \({B}, 1\)",
+    ):
+        F(x)
