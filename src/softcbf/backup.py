@@ -300,7 +300,8 @@ def slice_constraint_set(prob: BackupProblem) -> ConstraintSet:
 
     Each per-constraint evaluator integrates the flow from scratch; the
     batch evaluator shares one integration across all N constraints, and
-    the value evaluator does the same without the flow sensitivities.
+    the value evaluator does the same without the flow sensitivities.  The
+    screen is b_0 = h, which needs no flow.
     """
     if prob.bounding_box is None:
         raise InvalidInputError("backup problem needs a bounding box for certification")
@@ -318,6 +319,7 @@ def slice_constraint_set(prob: BackupProblem) -> ConstraintSet:
         bounding_box=prob.bounding_box,
         batch_evaluator=lambda X: slice_values_batch(prob, X),
         value_evaluator=lambda X: slice_values_batch(prob, X, gradients=False)[0],
+        screen=lambda X: prob.h(X)[0],
     )
 
 

@@ -199,9 +199,11 @@ def probe_boundary(
     points (smooth minimum > 0) to exterior points, driven until the inner
     endpoint sits within `boundary_tol` of the level set; the inner
     endpoint is returned so located points never have a negative smooth
-    minimum.  No threshold precondition is imposed here, which makes the
-    routine usable for sweeps across the threshold; `verify_certificate`
-    adds the precondition.
+    minimum.  The searches read only the sign of the smooth minimum, which
+    never exceeds the pointwise one, so they go through
+    `ConstraintSet.screened_values`.  No threshold precondition is imposed
+    here, which makes the routine usable for sweeps across the threshold;
+    `verify_certificate` adds the precondition.
     """
     if not cs.compact_mode:
         raise InvalidInputError("boundary probing requires a bounding box")
@@ -212,21 +214,22 @@ def probe_boundary(
     n_check = int(n_check)
 
     def soft_level(X):
-        return softmin_block(cs.values(X), theta)[0]
+        return softmin_block(cs.screened_values(X), theta)[0]
 
     # interior pool
     n_pool = max(4 * n_check, 256)
     pool = rng.uniform(box[:, 0], box[:, 1], size=(n_pool, cs.n))
-    interior = pool[soft_level(pool) > 0.0]
+    pool_level = soft_level(pool)
+    interior = np.flatnonzero(pool_level > 0.0)
     located = np.empty((0, cs.n))
-    if interior.shape[0] > 0:
-        starts = interior[rng.choice(interior.shape[0], size=n_check, replace=True)]
+    if interior.size > 0:
+        starts = interior[rng.choice(interior.size, size=n_check, replace=True)]
         dirs = rng.normal(size=(n_check, cs.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
         located = march_and_bisect(
-            soft_level, starts, dirs, step=0.04 * scale, n_steps=60, box=box,
-            margin=0.5 * scale, band=(0.0, boundary_tol), max_iter=100,
+            soft_level, pool[starts], pool_level[starts], dirs, step=0.04 * scale,
+            n_steps=60, box=box, margin=0.5 * scale, band=(0.0, boundary_tol), max_iter=100,
         )
     if located.shape[0] == 0:
         return VerificationReport(

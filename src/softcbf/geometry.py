@@ -80,10 +80,12 @@ class ConstraintSet:
     per-constraint evaluators; it exists purely so bulk sampling avoids a
     Python loop.  `value_evaluator`, when given, maps a block to the values
     (B, N) alone and must agree with the batch evaluator; level-set search,
-    which reads no gradients, uses it through `values`.  Like every
-    callable the package evaluates on blocks (see `call_batched`), both
-    take (B, n) and a wrong output shape raises InvalidInputError.
-    Evaluators must be safe for concurrent invocation.
+    which reads no gradients, uses it through `values`.  `screen`, when
+    given, maps a block to the values (B,) of one cheap member constraint
+    (see `screened_values`).  Like every callable the package evaluates on
+    blocks (see `call_batched`), all three take (B, n) and a wrong output
+    shape raises InvalidInputError.  Evaluators must be safe for concurrent
+    invocation.
     """
 
     n: int
@@ -91,6 +93,7 @@ class ConstraintSet:
     bounding_box: Optional[np.ndarray] = None
     batch_evaluator: Optional[Callable] = None
     value_evaluator: Optional[Callable] = None
+    screen: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 1 or len(self.evaluators) < 1:
@@ -143,13 +146,35 @@ class ConstraintSet:
         """Pointwise minimum over constraints for a block of states."""
         return self.values(X).min(axis=1)
 
+    def screened_values(self, X) -> np.ndarray:
+        """Values (B, N), exact at every row whose screen value is not
+        negative.  A negative one proves the row outside the set, so the row
+        is not evaluated: each of its entries holds that value, which keeps
+        the signs of its minimum and smooth minimum.  Without a screen this
+        is `values`."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.screen is None:
+            return self.values(X)
+        s = call_batched(self.screen, X, ())
+        vals = np.repeat(s[:, None], self.N, axis=1)
+        rows = np.flatnonzero(~(s < 0.0))
+        if rows.size:
+            # never one row out of several: a lone row can differ in the
+            # last bit (see backup.integrate_flow_batch)
+            pad = np.repeat(rows, 2) if rows.size == 1 and X.shape[0] > 1 else rows
+            vals[rows] = self.values(X[pad])[: rows.size]
+        return vals
+
 
 @dataclass(frozen=True)
 class TubeSpec:
     """Samples of the boundary band {0 <= h_hat <= epsilon}.
 
     `constraint_coverage[i]` is True when some stored sample has constraint
-    i attaining the pointwise minimum.
+    i attaining the pointwise minimum.  `values` (B, N) and `gradients`
+    (B, N, n), when present, are the evaluation of the samples by the family
+    that drew them; `check_mfcq` and `estimate_bounds` read them instead of
+    evaluating again.
     """
 
     epsilon: float
@@ -157,6 +182,8 @@ class TubeSpec:
     sampling_density: float
     constraint_coverage: np.ndarray = field(default=None)
     seed: Optional[int] = None
+    values: Optional[np.ndarray] = None
+    gradients: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -191,20 +218,19 @@ def _require_box(cs: ConstraintSet) -> np.ndarray:
     return cs.bounding_box
 
 
-def bisect_to_band(level, inside, outside, band, max_iter):
-    """Bisect between rows of `inside` (level >= 0) and `outside` (level < 0)
-    points until the inside endpoint has level in band = (lo, hi).
+def bisect_to_band(level, inside, inside_levels, outside, band, max_iter):
+    """Bisect between rows of `inside` (level >= 0, given as `inside_levels`)
+    and `outside` (level < 0) points until the inside endpoint has level in
+    band = (lo, hi).
 
-    Only rows that have not converged are evaluated in each round.  Returns
-    the converged inside points; rows still outside the band after
-    `max_iter` rounds are dropped.
+    Only the midpoints of rows that have not converged are evaluated in
+    each round.  Returns the converged inside points; rows still outside
+    the band after `max_iter` rounds are dropped.
     """
     lo, hi = band
     inside = inside.copy()
     outside = outside.copy()
-    if inside.shape[0] == 0:
-        return inside
-    h_in = level(inside)
+    h_in = np.array(inside_levels, dtype=float)
     done = (h_in >= lo) & (h_in <= hi)
     for _ in range(max_iter):
         rows = np.flatnonzero(~done)
@@ -220,13 +246,13 @@ def bisect_to_band(level, inside, outside, band, max_iter):
     return inside[done]
 
 
-def march_and_bisect(level, starts, dirs, step, n_steps, box, margin, band, max_iter):
+def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, margin, band, max_iter):
     """Locate points just inside the zero level set of `level` along rays.
 
-    Each ray starts at a row of `starts` (level >= 0) and advances by
-    `step` along its unit direction in `dirs` until the level turns
-    negative; the crossing is then bisected back until the inside endpoint
-    has level in `band` (see `bisect_to_band`).  A ray that leaves `box`
+    Each ray starts at a row of `starts` (level `start_levels` >= 0) and
+    advances by `step` along its unit direction in `dirs` until the level
+    turns negative; the crossing is then bisected back until the inside
+    endpoint has level in `band` (see `bisect_to_band`).  A ray that leaves `box`
     widened by `margin` on every side before crossing, or that has not
     crossed after `n_steps` steps, is abandoned.  Only rays still marching
     are evaluated in each round.  `level` maps a block (B, n) to (B,).
@@ -234,6 +260,7 @@ def march_and_bisect(level, starts, dirs, step, n_steps, box, margin, band, max_
     lo_box = box[:, 0] - margin
     hi_box = box[:, 1] + margin
     inside = starts.copy()
+    h_inside = np.array(start_levels, dtype=float)
     outside = np.empty_like(starts)
     probe = starts.copy()
     live = np.ones(starts.shape[0], dtype=bool)
@@ -250,9 +277,10 @@ def march_and_bisect(level, starts, dirs, step, n_steps, box, margin, band, max_
         found[rows[crossed]] = True
         still = ~crossed & (h >= 0.0)
         inside[rows[still]] = pts[still]
+        h_inside[rows[still]] = h[still]
         in_box = np.all((pts >= lo_box) & (pts <= hi_box), axis=1)
         live[rows] = ~crossed & in_box
-    return bisect_to_band(level, inside[found], outside[found], band, max_iter)
+    return bisect_to_band(level, inside[found], h_inside[found], outside[found], band, max_iter)
 
 
 def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) -> TubeSpec:
@@ -263,6 +291,8 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     refines extra points down to h_hat in [0, epsilon/10] so the check
     functions see genuinely near-boundary states.  Afterwards each
     constraint whose active region was missed gets a targeted search.
+    Searches read only the sign of h_hat, through `screened_values`; the
+    final samples are evaluated once, with gradients, on the tube.
     """
     box = _require_box(cs)
     epsilon = float(epsilon)
@@ -274,8 +304,11 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     n_cand = max(512, int(math.ceil(density * volume)))
 
+    def level(X):
+        return cs.screened_values(X).min(axis=1)
+
     cand = rng.uniform(box[:, 0], box[:, 1], size=(n_cand, cs.n))
-    vals = cs.values(cand)
+    vals = cs.screened_values(cand)
     h_hat = vals.min(axis=1)
     band = (h_hat >= 0.0) & (h_hat <= epsilon)
     accepted = cand[band]
@@ -283,16 +316,16 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     # boundary refinement: from interior points, march random rays until the
     # set is left, then bisect the crossing back into [0, eps/10]
     refined = np.empty((0, cs.n))
-    interior = cand[h_hat > 0.0]
-    if interior.shape[0] > 0:
-        n_rays = min(interior.shape[0], max(32, n_cand // 16))
-        starts = interior[rng.choice(interior.shape[0], size=n_rays, replace=False)]
+    interior = np.flatnonzero(h_hat > 0.0)
+    if interior.size > 0:
+        n_rays = min(interior.size, max(32, n_cand // 16))
+        starts = interior[rng.choice(interior.size, size=n_rays, replace=False)]
         dirs = rng.normal(size=(n_rays, cs.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
         refined = march_and_bisect(
-            cs.min_values, starts, dirs, step=0.05 * scale, n_steps=40, box=box,
-            margin=0.0, band=(0.0, epsilon / 10.0), max_iter=80,
+            level, cand[starts], h_hat[starts], dirs, step=0.05 * scale,
+            n_steps=40, box=box, margin=0.0, band=(0.0, epsilon / 10.0), max_iter=80,
         )
 
     samples = np.vstack([accepted, refined]) if refined.size else accepted
@@ -304,22 +337,21 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
 
     # per-constraint coverage of the argmin regions, with a targeted retry
     # for constraints the random pass missed
-    vals_s = cs.values(samples)
+    vals_s, grads_s = cs.evaluate_batch(samples)
     coverage = np.zeros(cs.N, dtype=bool)
     coverage[np.unique(vals_s.argmin(axis=1))] = True
     extra = []
     if not coverage.all():
         argmin_c = vals.argmin(axis=1)
         for i in np.flatnonzero(~coverage):
-            owned = cand[(argmin_c == i) & (h_hat > epsilon)]
+            owned = np.flatnonzero((argmin_c == i) & (h_hat > epsilon))[:16]
             if owned.shape[0] == 0:
                 continue
-            owned = owned[: min(16, owned.shape[0])]
             out_pool = cand[h_hat < 0.0]
             if out_pool.shape[0] == 0:
                 continue
             outs = out_pool[rng.choice(out_pool.shape[0], size=owned.shape[0])]
-            pts = bisect_to_band(cs.min_values, owned, outs, (0.0, epsilon), max_iter=80)
+            pts = bisect_to_band(level, cand[owned], h_hat[owned], outs, (0.0, epsilon), 80)
             if pts.shape[0]:
                 v_p = cs.values(pts)
                 hit = v_p.argmin(axis=1) == i
@@ -328,8 +360,19 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
                     coverage[i] = True
     if extra:
         samples = np.vstack([samples] + extra)
+        vals_s, grads_s = cs.evaluate_batch(samples)
 
-    return TubeSpec(epsilon, samples, float(density), coverage, int(seed))
+    return TubeSpec(epsilon, samples, float(density), coverage, int(seed), vals_s, grads_s)
+
+
+def _tube_evaluation(cs: ConstraintSet, tube: TubeSpec):
+    """Values and gradients at the tube samples: the tube's own evaluation,
+    by the family that drew it, or else a fresh one."""
+    if len(tube) == 0:
+        raise InvalidInputError("tube has no samples")
+    if tube.gradients is None:
+        return cs.evaluate_batch(tube.samples)
+    return tube.values, tube.gradients
 
 
 def _activity_tolerances(h_hat: np.ndarray, tol: Optional[float]) -> np.ndarray:
@@ -353,10 +396,8 @@ def estimate_bounds(
     as soon as an active constraint has a nonpositive Lie derivative, since
     that contradicts strict inward flow on the boundary.
     """
-    if len(tube) == 0:
-        raise InvalidInputError("tube has no samples")
     X = tube.samples
-    vals, grads = cs.evaluate_batch(X)
+    vals, grads = _tube_evaluation(cs, tube)
     Fx = call_batched(F, X, (cs.n,))
     lie = np.einsum("bni,bi->bn", grads, Fx)
 
@@ -440,10 +481,8 @@ def check_mfcq(cs: ConstraintSet, tube: TubeSpec, tol: Optional[float] = None) -
     point in (nearly) opposite directions, i.e. the boundary has a
     degenerate kink there.
     """
-    if len(tube) == 0:
-        raise InvalidInputError("tube has no samples")
     X = tube.samples
-    vals, grads = cs.evaluate_batch(X)
+    vals, grads = _tube_evaluation(cs, tube)
     h_hat = vals.min(axis=1)
     near = h_hat <= tube.epsilon / 10.0
     if not near.any():

@@ -97,11 +97,12 @@ class SimTrace:
 
     def to_csv(self, fobj) -> None:
         """Write the trace as CSV: t, x_1..x_n, u_1..u_m, h_soft, h_hard,
-        modified, infeasible.  Floats carry 17 significant digits."""
+        modified, infeasible.  Floats carry 17 significant digits.  `fobj`
+        is an open text file or a path."""
         n = self.states.shape[1]
         m = self.controls.shape[1]
         close = False
-        if isinstance(fobj, (str, bytes)):
+        if not hasattr(fobj, "write"):
             fobj = open(fobj, "w")
             close = True
         try:
@@ -179,7 +180,7 @@ def run(bench: Benchmark, cfg: SimConfig) -> SimTrace:
     if x.size != sys.n:
         raise InvalidInputError(f"x0 must have dimension {sys.n}")
 
-    soft0, _, hard0 = eval_barrier(x)
+    soft0, _, hard0 = barrier0 = eval_barrier(x)
     if soft0 < 0.0:
         if hard0 >= 0.0:
             warnings.warn(
@@ -213,7 +214,8 @@ def run(bench: Benchmark, cfg: SimConfig) -> SimTrace:
     k = 0
     while k <= n_steps:
         states[k] = x
-        soft, grad_soft, hard = eval_barrier(x)
+        # the barrier at x0 was evaluated above
+        soft, grad_soft, hard = barrier0 if k == 0 else eval_barrier(x)
         h_soft[k] = soft
         h_hard[k] = hard
         if k == n_steps:

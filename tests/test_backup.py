@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import softcbf.backup
 from softcbf import (
     BackupProblem,
     BlowUpError,
@@ -14,6 +15,8 @@ from softcbf import (
     get_benchmark,
     integrate_flow,
     integrate_flow_batch,
+    probe_boundary,
+    sample_tube,
     slice_constraint_set,
     softmin_value,
     verify_certificate,
@@ -426,3 +429,33 @@ def test_flow_row_does_not_depend_on_its_block(sensitivities):
         assert small.sensitivities.tobytes() == large.sensitivities[:, at].tobytes()
     else:
         assert small.sensitivities is None and large.sensitivities is None
+
+
+def test_level_searches_flow_no_state_outside_h(monkeypatch):
+    # b_0 = h needs no flow and h(x) < 0 proves x outside the slice set, so
+    # sampling, marching, bisection and boundary probing flow only states
+    # with h(x) >= 0
+    bench = get_benchmark("pendulum-backup")
+    prob = bench.backup
+    real = softcbf.backup.integrate_flow_batch
+    values_only = []
+
+    def recorded(prob, X0, sensitivities=True):
+        if not sensitivities:
+            values_only.append(np.array(X0))
+        return real(prob, X0, sensitivities)
+
+    monkeypatch.setattr(softcbf.backup, "integrate_flow_batch", recorded)
+    cs = slice_constraint_set(prob)
+    tube = sample_tube(cs, bench.cert_epsilon, 30.0, seed=0)
+    n_tube = len(values_only)
+    report = probe_boundary(cs, bench.closed_loop_field(), 3000.0, bench.cert_epsilon, 30, seed=0)
+    assert len(tube) > 0 and report.n_located > 0
+    assert 0 < n_tube < len(values_only)
+    flowed = np.vstack(values_only)
+    assert np.all(prob.h(flowed)[0] >= 0.0)
+    # the searches do meet states outside h: the first candidates of
+    # sample_tube's stream already include some
+    box = prob.bounding_box
+    cand = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(512, 2))
+    assert np.any(prob.h(cand)[0] < 0.0)

@@ -183,14 +183,14 @@ def test_certify_integrates_sensitivities_only_where_gradients_are_read(tmp_path
     assert code == 0
     tube = int(report["tube_samples"])
     located = int(report["verify_boundary_points"])
-    # check_mfcq and estimate_bounds read the gradients at the tube samples,
-    # verification at the located boundary points; every other flow (the
-    # precondition reachability, sampling, ray marching, bisection) reads
-    # values only
-    assert [rows for rows, sens in flows if sens] == [tube, tube, located]
-    # values-only flows go through the module-level name as well; the
-    # rejection-sampling candidates alone are 512 rows at this density
-    assert sum(rows for rows, sens in flows if not sens) > 512
+    # sample_tube evaluates its final samples once with gradients, for
+    # coverage and for check_mfcq and estimate_bounds, which read the tube's
+    # evaluation; verification reads them at the located boundary points.
+    # Every other flow (the precondition reachability, sampling, ray
+    # marching, bisection) reads values only
+    assert [rows for rows, sens in flows if sens] == [tube, located]
+    # values-only flows go through the module-level name as well
+    assert sum(rows for rows, sens in flows if not sens) > 0
 
 
 def test_simulate_explicit_theta(tmp_path):

@@ -19,6 +19,7 @@ from softcbf import (
     shrink_epsilon_until_safe,
 )
 from softcbf.geometry import march_and_bisect
+from softcbf.softmin import softmin_block
 
 
 def single_constraint_set(fn, n, box):
@@ -325,8 +326,8 @@ def test_march_and_bisect_evaluates_only_live_rows():
         calls.append((X.copy(), h.copy()))
         return h
 
-    located = march_and_bisect(level, starts, dirs, step=0.1, n_steps=100, box=box,
-                               margin=0.0, band=band, max_iter=60)
+    located = march_and_bisect(level, starts, 1.0 - starts[:, 0], dirs, step=0.1, n_steps=100,
+                               box=box, margin=0.0, band=band, max_iter=60)
     assert located.shape == (4, 1)
     np.testing.assert_array_less(1.0 - 1e-6 - 1e-15, located[:, 0])
     np.testing.assert_array_less(located[:, 0], 1.0 + 1e-15)
@@ -343,13 +344,92 @@ def test_march_and_bisect_evaluates_only_live_rows():
             break
         assert sizes[k + 1] == live
         k += 1
-    # bisection rounds: all four crossings first, then exactly the rows
-    # whose inside endpoint is not yet in the band
+    # bisection rounds: the march hands over the levels of its inside
+    # points, so the first round evaluates midpoints alone, none of them a
+    # point the march saw, and only for the crossings whose last inside
+    # point is not yet in the band; later rounds hold exactly the rows whose
+    # inside endpoint is not yet in the band
     k += 1
-    assert sizes[k] == 4
+    inside_levels = []
+    for x in starts[:4, 0]:
+        while 1.0 - (x + 0.1) >= 0.0:
+            x = x + 0.1
+        inside_levels.append(1.0 - x)
+    assert sizes[k] == sum(not band[0] <= h <= band[1] for h in inside_levels) > 0
+    marched = np.concatenate([X[:, 0] for X, _ in calls[:k]])
+    assert not np.isin(calls[k][0][:, 0], marched).any()
     for (X, h), nxt in zip(calls[k:], sizes[k + 1:]):
         assert nxt == int(np.sum(~((h >= band[0]) & (h <= band[1]))))
     _, h_last = calls[-1]
     assert np.all((h_last >= band[0]) & (h_last <= band[1]))
     # an unmasked loop would evaluate every ray in every round
     assert sum(sizes) < 5 * len(sizes)
+
+
+def screened_faces():
+    # box_faces with a block value evaluator that records its blocks, and
+    # face 0 (1 - x1 >= 0) as the screen
+    W = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    blocks = []
+
+    def values(X):
+        blocks.append(X.copy())
+        return 1.0 + X @ W.T
+
+    cs = dataclasses.replace(box_faces(), value_evaluator=values, screen=lambda X: 1.0 - X[:, 0])
+    return cs, blocks
+
+
+def test_screened_values_evaluate_only_rows_the_screen_keeps():
+    cs, blocks = screened_faces()
+    X = np.array([[0.5, 0.0], [1.5, 0.2], [-0.5, 2.0], [2.0, -3.0]])
+    vals = cs.screened_values(X)
+    # rows 1 and 3 have x1 > 1: not evaluated, every entry is the screen value
+    np.testing.assert_array_equal(blocks[0], X[[0, 2]])
+    exact = cs.values(X)
+    np.testing.assert_array_equal(vals[[0, 2]], exact[[0, 2]])
+    np.testing.assert_array_equal(vals[1], np.full(4, -0.5))
+    np.testing.assert_array_equal(vals[3], np.full(4, -1.0))
+    # minimum and smooth minimum have the signs of the exact ones
+    np.testing.assert_array_equal(vals.min(axis=1) < 0.0, exact.min(axis=1) < 0.0)
+    np.testing.assert_array_equal(softmin_block(vals, 50.0)[0] < 0.0, softmin_block(exact, 50.0)[0] < 0.0)
+
+
+def test_screened_values_never_evaluate_a_lone_row_of_a_larger_request():
+    cs, blocks = screened_faces()
+    kept = np.array([0.2, 0.1])
+    cs.screened_values(np.array([[1.5, 0.0], kept, [3.0, 0.0]]))
+    np.testing.assert_array_equal(blocks[-1], [kept, kept])
+    cs.screened_values(kept[None, :])
+    np.testing.assert_array_equal(blocks[-1], [kept])
+    n_blocks = len(blocks)
+    vals = cs.screened_values(np.array([[1.5, 0.0], [3.0, 0.0]]))
+    assert len(blocks) == n_blocks
+    np.testing.assert_array_equal(vals.min(axis=1), [-0.5, -2.0])
+
+
+def test_screened_values_without_a_screen_are_values():
+    cs = get_benchmark("double-integrator-box").certification_set()
+    X = np.random.default_rng(1).uniform(-2.0, 2.0, size=(32, cs.n))
+    np.testing.assert_array_equal(cs.screened_values(X), cs.values(X))
+
+
+def test_tube_carries_its_evaluation(monkeypatch):
+    bench = get_benchmark("double-integrator-box")
+    cs = bench.certification_set()
+    F = bench.closed_loop_field()
+    tube = sample_tube(cs, bench.cert_epsilon, bench.cert_density, seed=0)
+    vals, grads = cs.evaluate_batch(tube.samples)
+    assert tube.values.tobytes() == vals.tobytes()
+    assert tube.gradients.tobytes() == grads.tobytes()
+    bare = dataclasses.replace(tube, values=None, gradients=None)
+    expected = (estimate_bounds(cs, F, bare), check_mfcq(cs, bare))
+
+    def no_evaluation(self, X):
+        raise AssertionError("tube samples evaluated again")
+
+    monkeypatch.setattr(ConstraintSet, "evaluate_batch", no_evaluation)
+    bounds, mfcq = estimate_bounds(cs, F, tube), check_mfcq(cs, tube)
+    assert bounds == expected[0]
+    assert (mfcq.passed, mfcq.n_checked) == (expected[1].passed, expected[1].n_checked)
+    assert [e.active for e in mfcq.entries] == [e.active for e in expected[1].entries]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import softcbf.sim
 from softcbf import (
     InvalidInputError,
     SimConfig,
@@ -150,6 +151,32 @@ def test_csv_format():
     # floats are written with 17 significant digits and round-trip exactly
     assert float(row[3]) == trace.h_soft[0]
     assert row[5] in ("0", "1") and row[6] in ("0", "1")
+
+
+def test_csv_accepts_a_path(tmp_path):
+    trace = run(get_benchmark("scalar-stable"), scalar_cfg(t_final=0.1))
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    trace.to_csv(tmp_path / "trace.csv")
+    trace.to_csv(str(tmp_path / "trace-str.csv"))
+    assert (tmp_path / "trace.csv").read_text() == buf.getvalue()
+    assert (tmp_path / "trace-str.csv").read_text() == buf.getvalue()
+
+
+def test_backup_run_flows_once_per_step(monkeypatch):
+    # the barrier at x0 is evaluated once, for the initial check and step 0
+    bench = get_benchmark("pendulum-backup")
+    real = softcbf.sim.integrate_flow
+    flows = []
+
+    def counted(prob, x0):
+        flows.append(np.array(x0))
+        return real(prob, x0)
+
+    monkeypatch.setattr(softcbf.sim, "integrate_flow", counted)
+    trace = run(bench, SimConfig(x0=np.array([0.05, 0.06]), t_final=0.05, dt=0.01, theta=500.0))
+    assert len(flows) == len(trace)
+    np.testing.assert_array_equal(np.array(flows), trace.states)
 
 
 def test_backup_benchmark_short_run():
