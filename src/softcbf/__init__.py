@@ -17,9 +17,7 @@ from .errors import (
     SoftCBFError,
 )
 from .softmin import (
-    ActivePartition,
     default_activity_tolerance,
-    partition,
     softmin_gradient,
     softmin_value,
     softmin_weights,

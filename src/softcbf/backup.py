@@ -168,10 +168,15 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     variational system is integrated alongside; without, the Jacobian is
     never called and the states are bitwise the same.
 
+    The value steps of a slice interval record their RK4 stage states; the
+    Jacobian then runs once on all 4*n_sub*B of them (O(4*n_sub*B*n^2)
+    floats), and the sensitivity recursion over the interval's steps.
+
     In a block of two or more rows, each row comes out bitwise the same
     whatever rows share the block, so marching and bisection may flow only
     live rows.  A one-row block can differ in the last bit: numpy computes
-    a (1, n) @ (n,) product, like the pendulum's K.x, with dot, not gemv."""
+    a (1, n) @ (n,) product, like the pendulum's K.x, with dot, not gemv,
+    and its Jacobian sees 4*n_sub rows, where a per-stage call saw one."""
     X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
     if X.shape[1] != prob.sys.n:
         raise InvalidInputError(f"states must have dimension {prob.sys.n}")
@@ -191,6 +196,8 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         sens = np.empty((N, B, n, n))
         S = np.broadcast_to(np.eye(n), (B, n, n)).copy()
         sens[0] = S
+        # the stage states of each RK4 step of one slice interval
+        stages = np.empty((n_sub, 4, B, n))
 
     max_err = 0.0
     steps = 0
@@ -198,7 +205,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, N):
-            for _ in range(n_sub):
+            for s in range(n_sub):
                 k1x = F(X)
                 X2 = X + 0.5 * h * k1x
                 k2x = F(X2)
@@ -207,11 +214,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                 X4 = X + h * k3x
                 k4x = F(X4)
                 if sens is not None:
-                    k1s = jac(X) @ S
-                    k2s = jac(X2) @ (S + 0.5 * h * k1s)
-                    k3s = jac(X3) @ (S + 0.5 * h * k2s)
-                    k4s = jac(X4) @ (S + h * k3s)
-                    S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+                    stages[s] = X, X2, X3, X4
                 incr = (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
                 X = X + incr
                 t += h
@@ -224,6 +227,12 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                     raise BlowUpError(f"state became non-finite at t={t:.6g}", time=t)
             states[i] = X
             if sens is not None:
+                for J in jac(stages.reshape(-1, n)).reshape(n_sub, 4, B, n, n):
+                    k1s = J[0] @ S
+                    k2s = J[1] @ (S + 0.5 * h * k1s)
+                    k3s = J[2] @ (S + 0.5 * h * k2s)
+                    k4s = J[3] @ (S + h * k3s)
+                    S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                 sens[i] = S
 
     cond = None if sens is None else float(np.linalg.cond(sens.reshape(-1, n, n)).max())

@@ -4,7 +4,8 @@ For control-affine dynamics xdot = f0(x) + g(x) u the barrier condition
 turns into one linear inequality a.u >= rhs - c in the input, with
 a = g(x)^T grad_h and c = grad_h . f0(x).  Projecting a desired input onto
 that half-space has a closed form; intersecting with a box input set
-reduces to a one-dimensional monotone root find in the dual multiplier.
+reduces to a one-dimensional piecewise-linear equation in the dual
+multiplier, solved exactly by a breakpoint search.
 
 Infeasibility is surfaced, never silently clipped: with a certified
 smoothing threshold it should not occur, so at runtime it is an event the
@@ -143,12 +144,15 @@ class ClassKinfK:
 class FilterOutcome:
     """Filter result: input u, slack of the barrier inequality at u
     (nonnegative unless infeasible), whether u differs from the desired
-    input, and how the solution was obtained."""
+    input, and how the solution was obtained.  `multiplier` is the lam >= 0
+    of the KKT solution u = u_des + lam*a, clipped to the box when there is
+    one; it is inf when the filter is infeasible."""
 
     u: np.ndarray
     constraint_value: float
     modified: bool
     qp_status: str  # "analytic" | "clipped" | "infeasible"
+    multiplier: float = 0.0
 
 
 def barrier_row(sys: ControlAffineSystem, grad_h, x) -> tuple[np.ndarray, float]:
@@ -182,10 +186,13 @@ def filter_unconstrained(a, c: float, rhs: float, u_des) -> FilterOutcome:
         return FilterOutcome(u=u_des, constraint_value=slack, modified=False, qp_status="analytic")
     nrm2 = float(a @ a)
     if nrm2 == 0.0:
-        return FilterOutcome(u=u_des, constraint_value=slack, modified=False, qp_status="infeasible")
-    u = u_des + ((rhs - c - float(a @ u_des)) / nrm2) * a
+        return FilterOutcome(u=u_des, constraint_value=slack, modified=False,
+                             qp_status="infeasible", multiplier=math.inf)
+    lam = (rhs - c - float(a @ u_des)) / nrm2
+    u = u_des + lam * a
     return FilterOutcome(
-        u=u, constraint_value=float(c + a @ u - rhs), modified=True, qp_status="analytic"
+        u=u, constraint_value=float(c + a @ u - rhs), modified=True, qp_status="analytic",
+        multiplier=lam,
     )
 
 
@@ -197,9 +204,12 @@ def filter_boxed(a, c: float, rhs: float, u_des, box) -> FilterOutcome:
     """Project u_des onto {a.u >= rhs - c} intersected with a box input set.
 
     The KKT solution is u(lam) = clip(u_des + lam*a, box) with the smallest
-    lam >= 0 making the inequality hold; a.u(lam) is nondecreasing in lam,
-    so the multiplier is found by bracketing and bisection (bracket
-    tolerance 1e-10).  Infeasible when even the best box corner violates.
+    lam >= 0 making the inequality hold.  a.u(lam) is piecewise linear and
+    nondecreasing, with breakpoints (lo_j - u_j)/a_j and (hi_j - u_j)/a_j,
+    so an O(m log m) walk over the sorted breakpoints finds the segment
+    where it reaches the bound and solves it in closed form (breakpoint
+    search; Kiwiel, Math. Programming 112, 2008).  Infeasible when even the
+    best box corner violates.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     u_des = np.asarray(u_des, dtype=float).reshape(-1)
@@ -225,6 +235,7 @@ def filter_boxed(a, c: float, rhs: float, u_des, box) -> FilterOutcome:
             constraint_value=float(c + a @ u_best - rhs),
             modified=True,
             qp_status="infeasible",
+            multiplier=math.inf,
         )
 
     # if the unconstrained projection stays inside the box it is exact
@@ -237,28 +248,35 @@ def filter_boxed(a, c: float, rhs: float, u_des, box) -> FilterOutcome:
             constraint_value=float(c + a @ u_free - rhs),
             modified=True,
             qp_status="analytic",
+            multiplier=lam_free,
         )
 
-    def phi(lam):
-        return float(a @ _clip(u_des + lam * a, box)) - target
-
-    lam_lo, lam_hi = 0.0, max(lam_free, 1e-16)
-    for _ in range(200):
-        if phi(lam_hi) >= 0.0:
+    # component j is free between its two breakpoints, adding a_j^2 to the slope
+    j = np.flatnonzero(a)
+    ends = (box[j] - u_des[j, None]) / a[j, None]
+    times = np.maximum(np.concatenate([ends.min(axis=1), ends.max(axis=1)]), 0.0)
+    rates = np.concatenate([a[j] ** 2, -(a[j] ** 2)])
+    order = np.argsort(times, kind="stable")
+    # gap: how far a.u(lam) still falls short of the target
+    lam, gap, slope = 0.0, target - float(a @ u0), 0.0
+    for t, rate in zip(times[order], rates[order]):
+        if slope * (t - lam) >= gap:
+            lam += gap / slope
             break
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-    # bisect: keep phi(lam_hi) >= 0 > phi(lam_lo)
-    tol = min(1e-10, 1e-9 / max(1.0, nrm2))
-    while lam_hi - lam_lo > tol:
-        mid = 0.5 * (lam_lo + lam_hi)
-        if phi(mid) >= 0.0:
-            lam_hi = mid
-        else:
-            lam_lo = mid
-    u = _clip(u_des + lam_hi * a, box)
+        gap -= slope * (t - lam)
+        lam, slope = t, slope + rate
+    # rounding can leave the slack a few ulps below 0: step lam up until it is not
+    step = np.finfo(float).eps * (1.0 + lam)
+    u = _clip(u_des + lam * a, box)
+    for _ in range(64):
+        if float(c + a @ u - rhs) >= 0.0:
+            break
+        lam += step
+        step *= 2.0
+        u = _clip(u_des + lam * a, box)
     return FilterOutcome(
-        u=u, constraint_value=float(c + a @ u - rhs), modified=True, qp_status="clipped"
+        u=u, constraint_value=float(c + a @ u - rhs), modified=True, qp_status="clipped",
+        multiplier=lam,
     )
 
 

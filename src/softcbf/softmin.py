@@ -8,27 +8,22 @@ minimum is
 which under-approximates min_i h_i by at most log(N)/theta.  One kernel,
 `softmin_block`, computes it together with the softmax weights that mix
 the constraint gradients on a (B, N) block of constraint values; the
-single-point functions are one-row uses of it.  The module also provides
-the active/inactive index split at a numerical tolerance.
+single-point functions are one-row uses of it.
 
 All functions are pure and safe to call concurrently.  Non-finite inputs
 are rejected at the boundary rather than propagated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InvalidInputError
 
 __all__ = [
-    "ActivePartition",
     "softmin_block",
     "softmin_value",
     "softmin_weights",
     "softmin_gradient",
-    "partition",
     "default_activity_tolerance",
 ]
 
@@ -47,22 +42,6 @@ def _check_theta(theta: float) -> float:
     if not np.isfinite(theta) or theta <= 0.0:
         raise DomainError(f"theta must be a finite positive number, got {theta}")
     return theta
-
-
-@dataclass(frozen=True)
-class ActivePartition:
-    """Index split at a point: `active` holds the indices within `tolerance`
-    of the pointwise minimum, `inactive` the rest.  `gaps[j]` is the
-    nonnegative distance of value j above the minimum."""
-
-    active: np.ndarray
-    inactive: np.ndarray
-    gaps: np.ndarray
-    tolerance: float
-
-    @property
-    def n(self) -> int:
-        return self.gaps.size
 
 
 def default_activity_tolerance(h_min):
@@ -134,14 +113,3 @@ def softmin_gradient(gradients, weights) -> np.ndarray:
         raise InvalidInputError(f"weights must sum to 1, got {w.sum()!r}")
     return w @ g
 
-
-def partition(values, tolerance: float) -> ActivePartition:
-    """Split indices into active (gap <= tolerance) and inactive (gap > tolerance)."""
-    v = _as_values(values)
-    tolerance = float(tolerance)
-    if tolerance < 0.0:
-        raise DomainError(f"tolerance must be nonnegative, got {tolerance}")
-    gaps = v - v.min()
-    mask = gaps <= tolerance
-    idx = np.arange(v.size)
-    return ActivePartition(idx[mask], idx[~mask], gaps, tolerance)

@@ -73,11 +73,12 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
     b = np.asarray(b, dtype=float)
     N, n = W.shape
 
+    def values(X):
+        return b[None, :] + np.atleast_2d(X) @ W.T
+
     def batch(X):
         X = np.atleast_2d(X)
-        vals = b[None, :] + X @ W.T
-        grads = np.broadcast_to(W, (X.shape[0], N, n)).copy()
-        return vals, grads
+        return values(X), np.broadcast_to(W, (X.shape[0], N, n)).copy()
 
     def make_eval(i):
         def ev(x):
@@ -90,6 +91,7 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
         evaluators=tuple(make_eval(i) for i in range(N)),
         bounding_box=np.asarray(box, dtype=float),
         batch_evaluator=batch,
+        value_evaluator=values,
     )
 
 
@@ -399,12 +401,14 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
 
     sys = ControlAffineSystem(n=2, m=2, drift=drift, actuation=_const_actuation(np.eye(2)))
 
-    def batch(X):
+    def values(X):
         X = np.atleast_2d(X)
         r2 = np.einsum("bi,bi->b", X, X)
-        vals = np.stack([1.0 - r2, r2 - (1.0 - width)], axis=-1)
-        grads = np.stack([-2.0 * X, 2.0 * X], axis=1)
-        return vals, grads
+        return np.stack([1.0 - r2, r2 - (1.0 - width)], axis=-1)
+
+    def batch(X):
+        X = np.atleast_2d(X)
+        return values(X), np.stack([-2.0 * X, 2.0 * X], axis=1)
 
     def ev_outer(x):
         x = np.asarray(x, dtype=float)
@@ -419,6 +423,7 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
         evaluators=(ev_outer, ev_inner),
         bounding_box=np.array([[-1.1, 1.1], [-1.1, 1.1]]),
         batch_evaluator=batch,
+        value_evaluator=values,
     )
 
     mid = 1.0 - 0.5 * width

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -459,3 +462,75 @@ def test_level_searches_flow_no_state_outside_h(monkeypatch):
     box = prob.bounding_box
     cand = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(512, 2))
     assert np.any(prob.h(cand)[0] < 0.0)
+
+
+def per_stage_sensitivities(prob, X0):
+    """Reference for the variational system: the same RK4 recursion with the
+    Jacobian called at each stage as the stage is reached."""
+    X = np.array(X0, dtype=float)
+    B, n = X.shape
+    F = closed_loop_field(prob)
+    jac = softcbf.backup._make_jacobian(prob, F, X)
+    n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
+    h = prob.dtau / n_sub
+    S = np.broadcast_to(np.eye(n), (B, n, n)).copy()
+    sens = [S]
+    for _ in range(1, prob.N):
+        for _ in range(n_sub):
+            k1x = F(X)
+            X2 = X + 0.5 * h * k1x
+            k2x = F(X2)
+            X3 = X + 0.5 * h * k2x
+            k3x = F(X3)
+            X4 = X + h * k3x
+            k4x = F(X4)
+            k1s = jac(X) @ S
+            k2s = jac(X2) @ (S + 0.5 * h * k1s)
+            k3s = jac(X3) @ (S + 0.5 * h * k2s)
+            k4s = jac(X4) @ (S + h * k3s)
+            S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+            X = X + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        sens.append(S)
+    return np.array(sens)
+
+
+@pytest.mark.parametrize(
+    "make_problem",
+    [lambda: get_benchmark("pendulum-backup").backup, lambda: scalar_problem(jacobian=None)],
+    ids=["pendulum", "scalar-finite-differences"],
+)
+def test_sensitivities_match_per_stage_reference_bitwise(make_problem):
+    # one Jacobian call per slice interval, on the recorded stage states,
+    # gives every row of a block of two or more rows the bits of a call per
+    # stage; a one-row flow's Jacobian sees a larger block and may move in
+    # the last bit
+    prob = make_problem()
+    box = prob.bounding_box
+    rng = np.random.default_rng(4)
+    for B in (2, 64):
+        X0 = rng.uniform(box[:, 0], box[:, 1], size=(B, prob.sys.n))
+        flow = integrate_flow_batch(prob, X0)
+        assert flow.sensitivities.tobytes() == per_stage_sensitivities(prob, X0).tobytes()
+    for _ in range(10):
+        X0 = rng.uniform(box[:, 0], box[:, 1], size=(1, prob.sys.n))
+        flow = integrate_flow_batch(prob, X0)
+        np.testing.assert_allclose(flow.sensitivities, per_stage_sensitivities(prob, X0), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_sensitivity_flow_calls_jacobian_once_per_slice(B):
+    prob = get_benchmark("pendulum-backup").backup
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return prob.jacobian(X)
+
+    n_sub = math.ceil(prob.dtau / prob.h_max)
+    X0 = np.linspace(-0.3, 0.3, 2 * B).reshape(B, 2)
+    flow = integrate_flow_batch(dataclasses.replace(prob, jacobian=counted), X0)
+    # the shape check on the initial block, then one call per slice interval
+    # on the 4 stage states of each of its n_sub RK4 steps
+    assert rows == [B] + [4 * n_sub * B] * (prob.N - 1)
+    assert len(rows) == 11 and flow.stats.steps == 200
+    assert flow.sensitivities.tobytes() == integrate_flow_batch(prob, X0).sensitivities.tobytes()

@@ -3,6 +3,7 @@ import pytest
 
 import softcbf.backup
 from softcbf.cli import ConfigError, load_config, main, resolve_config
+from softcbf.geometry import ConstraintSet
 
 
 def read_report(path):
@@ -191,6 +192,25 @@ def test_certify_integrates_sensitivities_only_where_gradients_are_read(tmp_path
     assert [rows for rows, sens in flows if sens] == [tube, located]
     # values-only flows go through the module-level name as well
     assert sum(rows for rows, sens in flows if not sens) > 0
+
+
+@pytest.mark.parametrize("name", ["double-integrator-box", "scalar-stable", "thin-annulus"])
+def test_compact_certify_evaluates_gradients_only_where_they_are_read(name, tmp_path, monkeypatch):
+    # the compact families carry value evaluators, so sampling, marching,
+    # bisection and boundary location never build gradient blocks: the tube
+    # samples (read by check_mfcq and estimate_bounds) and the located
+    # boundary points (read by verification) are the only gradient blocks
+    real = ConstraintSet.evaluate_batch
+    rows = []
+
+    def counted(self, X):
+        rows.append(len(X))
+        return real(self, X)
+
+    monkeypatch.setattr(ConstraintSet, "evaluate_batch", counted)
+    assert main(["certify", "--benchmark", name, "--out", str(tmp_path)]) == 0
+    report = read_report(tmp_path / f"certify-{name}.txt")
+    assert rows == [int(report["tube_samples"]), int(report["verify_boundary_points"])]
 
 
 def test_simulate_explicit_theta(tmp_path):

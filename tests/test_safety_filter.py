@@ -270,3 +270,32 @@ def test_minimality_on_grids():
         feas = grid[grid @ a >= rhs]
         if feas.size:
             assert np.linalg.norm(out.u - u_des) <= np.linalg.norm(feas - u_des, axis=1).min() + 1e-9
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_boxed_breakpoint_search_is_exact(m):
+    # instances whose free projection leaves the box, so the multiplier comes
+    # from the breakpoint search; u_des may start outside the box
+    rng = np.random.default_rng(10 + m)
+    checked = 0
+    while checked < 100:
+        a = rng.normal(size=m)
+        c = float(rng.normal())
+        u_des = rng.uniform(-1.5, 1.5, size=m)
+        lo = rng.uniform(-1.0, 0.0, size=m)
+        box = np.stack([lo, lo + rng.uniform(0.1, 1.5, size=m)], axis=-1)
+        u0 = np.clip(u_des, box[:, 0], box[:, 1])
+        corner = np.where(a > 0, box[:, 1], box[:, 0])
+        reach = float(a @ corner - a @ u0)
+        if reach < 1e-3:  # u_des already at the best corner
+            continue
+        rhs = c + float(a @ u0) + float(rng.uniform(0.01, 0.99)) * reach
+        u_free = u_des + (rhs - c - float(a @ u_des)) / float(a @ a) * a
+        if np.all((u_free >= box[:, 0]) & (u_free <= box[:, 1])):
+            continue
+        out = filter_boxed(a, c, rhs, u_des, box)
+        assert out.qp_status == "clipped" and out.modified
+        assert out.multiplier >= 0.0
+        assert np.array_equal(out.u, np.clip(u_des + out.multiplier * a, box[:, 0], box[:, 1]))
+        assert 0.0 <= out.constraint_value <= 1e-12 * (1.0 + abs(rhs - c))
+        checked += 1

@@ -7,7 +7,6 @@ from softcbf import (
     DomainError,
     InvalidInputError,
     default_activity_tolerance,
-    partition,
     softmin_gradient,
     softmin_value,
     softmin_weights,
@@ -78,20 +77,6 @@ def test_gradient_matches_finite_differences():
     np.testing.assert_allclose(grad, fd, rtol=1e-6)
 
 
-def test_partition_examples():
-    part = partition([1.0, 1.0, 2.0], 0.0)
-    np.testing.assert_array_equal(part.active, [0, 1])
-    np.testing.assert_array_equal(part.inactive, [2])
-    np.testing.assert_allclose(part.gaps, [0.0, 0.0, 1.0])
-
-    part = partition([0.5, 0.5 + 1e-9, 3.0], 1e-6)
-    np.testing.assert_array_equal(part.active, [0, 1])
-
-    part = partition([2.0, 5.0], 0.0)
-    np.testing.assert_allclose(part.gaps, [0.0, 3.0])
-    assert np.all(part.gaps >= 0.0)
-
-
 def test_input_validation():
     with pytest.raises(InvalidInputError):
         softmin_value([np.nan, 1.0], 1.0)
@@ -101,8 +86,6 @@ def test_input_validation():
         softmin_value([1.0], 0.0)
     with pytest.raises(DomainError):
         softmin_value([1.0], -2.0)
-    with pytest.raises(DomainError):
-        partition([1.0], -1e-9)
     with pytest.raises(InvalidInputError):
         softmin_gradient([[1.0, 2.0]], [0.5, 0.5])
     with pytest.raises(InvalidInputError):
