@@ -38,6 +38,7 @@ __all__ = [
     "BatchFlowResult",
     "BackupBarrier",
     "closed_loop_field",
+    "rk4_step",
     "integrate_flow",
     "integrate_flow_batch",
     "backup_barrier",
@@ -131,9 +132,6 @@ def _make_jacobian(prob: BackupProblem, F: Callable, X: np.ndarray) -> Callable:
 @dataclass(frozen=True)
 class IntegratorStats:
     steps: int
-    step_size: float
-    max_local_error: float
-    max_condition: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,7 @@ class FlowResult:
     """Flow and sensitivity of one initial state at every slice time.
 
     states[i] = phi(x0, tau_i); sensitivities[i] = D_x phi(x0, tau_i), with
-    sensitivities[0] the identity.  The flow map is a diffeomorphism for
-    each fixed time, so the sensitivity matrices are invertible in exact
-    arithmetic; their worst conditioning is reported in the stats.
+    sensitivities[0] the identity.
     """
 
     states: np.ndarray
@@ -155,11 +151,24 @@ class FlowResult:
 class BatchFlowResult:
     """Same as FlowResult for a block of initial states: states has shape
     (N, B, n) and sensitivities (N, B, n, n).  A values-only flow has
-    sensitivities None and stats.max_condition None."""
+    sensitivities None."""
 
     states: np.ndarray
     sensitivities: Optional[np.ndarray]
     stats: IntegratorStats
+
+
+def rk4_step(F: Callable, X: np.ndarray, h: float):
+    """One classical RK4 step of xdot = F(x) from X: returns the next state
+    and the four stage states (X, X2, X3, X4) at which F was evaluated."""
+    k1 = F(X)
+    X2 = X + 0.5 * h * k1
+    k2 = F(X2)
+    X3 = X + 0.5 * h * k2
+    k3 = F(X3)
+    X4 = X + h * k3
+    k4 = F(X4)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (X, X2, X3, X4)
 
 
 def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) -> BatchFlowResult:
@@ -199,30 +208,17 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         # the stage states of each RK4 step of one slice interval
         stages = np.empty((n_sub, 4, B, n))
 
-    max_err = 0.0
     steps = 0
     t = 0.0
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, N):
             for s in range(n_sub):
-                k1x = F(X)
-                X2 = X + 0.5 * h * k1x
-                k2x = F(X2)
-                X3 = X + 0.5 * h * k2x
-                k3x = F(X3)
-                X4 = X + h * k3x
-                k4x = F(X4)
+                X, stage_states = rk4_step(F, X, h)
                 if sens is not None:
-                    stages[s] = X, X2, X3, X4
-                incr = (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-                X = X + incr
+                    stages[s] = stage_states
                 t += h
                 steps += 1
-                # crude local error proxy: RK4 increment vs trapezoid increment
-                err = float(np.abs(incr - 0.5 * h * (k1x + k4x)).max())
-                if err > max_err:
-                    max_err = err
                 if not np.isfinite(X).all():
                     raise BlowUpError(f"state became non-finite at t={t:.6g}", time=t)
             states[i] = X
@@ -235,12 +231,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                     S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                 sens[i] = S
 
-    cond = None if sens is None else float(np.linalg.cond(sens.reshape(-1, n, n)).max())
-    return BatchFlowResult(
-        states=states,
-        sensitivities=sens,
-        stats=IntegratorStats(steps=steps, step_size=h, max_local_error=max_err, max_condition=cond),
-    )
+    return BatchFlowResult(states=states, sensitivities=sens, stats=IntegratorStats(steps=steps))
 
 
 def integrate_flow(prob: BackupProblem, x0) -> FlowResult:

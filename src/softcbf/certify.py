@@ -20,7 +20,7 @@ closed loop the constants were measured on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -144,15 +144,8 @@ def certify(bounds: CompactBounds, tail: Optional[TailSpec], N: int) -> ThetaCer
     if tail is None:
         return base
     t_tail = theta_star_tail(tail, N)
-    return ThetaCertificate(
-        theta_tube=base.theta_tube,
-        theta_core=base.theta_core,
-        theta_tail=t_tail,
-        theta_star=max(base.theta_tube, base.theta_core, t_tail),
-        N=N,
-        bounds=bounds,
-        tail=tail,
-        kind="eCBF",
+    return replace(
+        base, theta_tail=t_tail, theta_star=max(base.theta_star, t_tail), tail=tail, kind="eCBF"
     )
 
 

@@ -13,7 +13,7 @@ import argparse
 import sys as _sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -65,33 +65,25 @@ class ScenarioConfig:
             yield f.name, getattr(self, f.name)
 
 
-_FLOAT_LIST_KEYS = {"x0", "thetas"}
-_INT_KEYS = {"seed", "n_check", "substeps", "precondition_points"}
-_STR_KEYS = {"benchmark", "alpha_kind", "infeasible_policy", "out"}
-_OPTIONAL_FLOAT_KEYS = {
-    "epsilon", "density", "theta", "activity_tolerance", "mfcq_tolerance",
-    "tail_R", "tail_eta", "tail_C", "tail_p", "tail_r_inf",
-}
-
-
 class ConfigError(SoftCBFError):
     pass
 
 
+def _parse_list(raw: str) -> list:
+    return [float(tok) for tok in raw.replace(",", " ").split()]
+
+
+# a key parses by its ScenarioConfig annotation; every other annotation is a float
+_PARSERS = {str: str, int: int, Optional[list]: _parse_list}
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
+
+
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _STR_KEYS:
-        return raw
-    if key in _FLOAT_LIST_KEYS:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)
+    return _PARSERS.get(_FIELD_TYPES[key], float)(raw.strip())
 
 
 def load_config(path: str) -> dict:
     """Parse a `key = value` file; comments start with '#'."""
-    known = {f.name for f in fields(ScenarioConfig)}
     out = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -100,7 +92,7 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (tok.strip() for tok in line.split("=", 1))
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             out[key] = _parse_value(key, raw)
@@ -114,21 +106,9 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     if getattr(args, "config", None):
         for key, value in load_config(args.config).items():
             setattr(cfg, key, value)
-    overrides = {
-        "benchmark": args.benchmark,
-        "epsilon": args.epsilon,
-        "density": args.density,
-        "seed": args.seed,
-        "theta": args.theta,
-        "theta_multiplier": args.theta_multiplier,
-        "out": args.out,
-        "t_final": getattr(args, "t_final", None),
-        "dt": getattr(args, "dt", None),
-        "thetas": getattr(args, "thetas", None),
-        "activity_tolerance": getattr(args, "activity_tolerance", None),
-        "mfcq_tolerance": getattr(args, "mfcq_tolerance", None),
-    }
-    for key, value in overrides.items():
+    # a command-line flag overrides the key of the same name
+    for key in _FIELD_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
     if not cfg.benchmark:
@@ -148,8 +128,16 @@ def _tail_from(cfg: ScenarioConfig) -> Optional[TailSpec]:
     return TailSpec(R=cfg.tail_R, eta_at_R=cfg.tail_eta, C=cfg.tail_C, p=cfg.tail_p, r_inf=cfg.tail_r_inf)
 
 
-def _alpha_from(cfg: ScenarioConfig):
-    return ClassK(kind=cfg.alpha_kind, kappa=cfg.alpha_kappa, scale=cfg.alpha_scale)
+def _sim_config(cfg: ScenarioConfig, bench, theta: float) -> SimConfig:
+    return SimConfig(
+        x0=np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else bench.x0_default,
+        t_final=cfg.t_final,
+        dt=cfg.dt,
+        theta=theta,
+        alpha=ClassK(kind=cfg.alpha_kind, kappa=cfg.alpha_kappa, scale=cfg.alpha_scale),
+        infeasible_policy=cfg.infeasible_policy,
+        substeps=cfg.substeps,
+    )
 
 
 def _fmt(value) -> str:
@@ -282,17 +270,7 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
         bounds = estimate_bounds(cs, F, tube, cfg.activity_tolerance)
         cert = certify(bounds, _tail_from(cfg), cs.N)
         theta = cfg.theta_multiplier * max(cert.theta_star, 1e-9)
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else bench.x0_default
-    sim_cfg = SimConfig(
-        x0=x0,
-        t_final=cfg.t_final,
-        dt=cfg.dt,
-        theta=theta,
-        alpha=_alpha_from(cfg),
-        infeasible_policy=cfg.infeasible_policy,
-        substeps=cfg.substeps,
-    )
-    trace = run(bench, sim_cfg)
+    trace = run(bench, _sim_config(cfg, bench, theta))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"trace-{bench.name}.csv"
@@ -309,7 +287,6 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
         print("error: sweep needs a nonempty theta list (--thetas)", file=_sys.stderr)
         return 1
     bench, cs, F = _certification_pieces(cfg)
-    x0 = np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else bench.x0_default
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"sweep-{bench.name}.csv"
@@ -318,18 +295,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
         for theta in cfg.thetas:
             report = probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
             lie = report.min_lie if report.min_lie is not None else float("nan")
-            trace = run(
-                bench,
-                SimConfig(
-                    x0=x0,
-                    t_final=cfg.t_final,
-                    dt=cfg.dt,
-                    theta=theta,
-                    alpha=_alpha_from(cfg),
-                    infeasible_policy=cfg.infeasible_policy,
-                    substeps=cfg.substeps,
-                ),
-            )
+            trace = run(bench, _sim_config(cfg, bench, theta))
             fobj.write(
                 f"{theta:.17g},{lie:.17g},{trace.min_h_soft:.17g},{int(trace.infeasible.sum())}\n"
             )
@@ -360,10 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--t-final", dest="t_final", type=float)
             p.add_argument("--dt", type=float)
         if name == "sweep":
-            p.add_argument(
-                "--thetas",
-                type=lambda s: [float(tok) for tok in s.replace(",", " ").split()],
-            )
+            p.add_argument("--thetas", type=_parse_list)
     return parser
 
 

@@ -238,18 +238,10 @@ def filter_boxed(a, c: float, rhs: float, u_des, box) -> FilterOutcome:
             multiplier=math.inf,
         )
 
-    # if the unconstrained projection stays inside the box it is exact
-    nrm2 = float(a @ a)
-    lam_free = (target - float(a @ u_des)) / nrm2
-    u_free = u_des + lam_free * a
-    if np.all(u_free >= box[:, 0]) and np.all(u_free <= box[:, 1]):
-        return FilterOutcome(
-            u=u_free,
-            constraint_value=float(c + a @ u_free - rhs),
-            modified=True,
-            qp_status="analytic",
-            multiplier=lam_free,
-        )
+    # the unconstrained projection is exact when it stays inside the box
+    free = filter_unconstrained(a, c, rhs, u_des)
+    if np.all(free.u >= box[:, 0]) and np.all(free.u <= box[:, 1]):
+        return free
 
     # component j is free between its two breakpoints, adding a_j^2 to the slope
     j = np.flatnonzero(a)

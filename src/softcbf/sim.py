@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from . import softmin as sm
-from .backup import backup_barrier, integrate_flow
+from .backup import backup_barrier, integrate_flow, rk4_step
 from .errors import InvalidInputError
 from .safety_filter import (
     ClassK,
@@ -101,34 +101,18 @@ class SimTrace:
         is an open text file or a path."""
         n = self.states.shape[1]
         m = self.controls.shape[1]
-        close = False
-        if not hasattr(fobj, "write"):
-            fobj = open(fobj, "w")
-            close = True
-        try:
-            cols = (
-                ["t"]
-                + [f"x_{i+1}" for i in range(n)]
-                + [f"u_{j+1}" for j in range(m)]
-                + ["h_soft", "h_hard", "modified", "infeasible"]
-            )
-            fobj.write(",".join(cols) + "\n")
-            for k in range(len(self)):
-                row = (
-                    [f"{self.times[k]:.17g}"]
-                    + [f"{v:.17g}" for v in self.states[k]]
-                    + [f"{v:.17g}" for v in self.controls[k]]
-                    + [
-                        f"{self.h_soft[k]:.17g}",
-                        f"{self.h_hard[k]:.17g}",
-                        str(int(self.modified[k])),
-                        str(int(self.infeasible[k])),
-                    ]
-                )
-                fobj.write(",".join(row) + "\n")
-        finally:
-            if close:
-                fobj.close()
+        cols = (
+            ["t"]
+            + [f"x_{i+1}" for i in range(n)]
+            + [f"u_{j+1}" for j in range(m)]
+            + ["h_soft", "h_hard", "modified", "infeasible"]
+        )
+        data = np.column_stack(
+            [self.times, self.states, self.controls, self.h_soft, self.h_hard,
+             self.modified, self.infeasible]
+        )
+        np.savetxt(fobj, data, fmt=["%.17g"] * (n + m + 3) + ["%d"] * 2, delimiter=",",
+                   header=",".join(cols), comments="")
 
 
 def _barrier_state(bench: Benchmark, theta: float):
@@ -164,11 +148,7 @@ def _plant_step(bench: Benchmark, x: np.ndarray, u: np.ndarray, dt: float, subst
 
     h = dt / substeps
     for _ in range(substeps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x, _ = rk4_step(f, x, h)
     return x
 
 

@@ -130,8 +130,6 @@ def test_scalar_linear_flow_matches_closed_form():
         assert flow.states[i][0] == pytest.approx(0.8 * np.exp(-tau), abs=1e-9)
         assert flow.sensitivities[i][0, 0] == pytest.approx(np.exp(-tau), abs=1e-9)
     assert flow.stats.steps == 100
-    assert flow.stats.step_size == pytest.approx(0.01)
-    assert flow.stats.max_condition >= 1.0
 
 
 def test_sensitivity_matches_matrix_exponential():
@@ -396,9 +394,7 @@ def test_values_only_flow_matches_full_flow_bitwise(make_problem):
     values_only = integrate_flow_batch(prob, X0, sensitivities=False)
     np.testing.assert_array_equal(values_only.states, full.states)
     assert values_only.sensitivities is None
-    assert values_only.stats.max_condition is None
     assert values_only.stats.steps == full.stats.steps
-    assert values_only.stats.max_local_error == full.stats.max_local_error
 
 
 def test_values_only_flow_never_calls_the_jacobian():

@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import softcbf.backup
-from softcbf.cli import ConfigError, load_config, main, resolve_config
+from softcbf.cli import ConfigError, ScenarioConfig, load_config, main, resolve_config
 from softcbf.geometry import ConstraintSet
 
 
@@ -282,6 +284,23 @@ def test_config_file_roundtrip(tmp_path):
     assert loaded["seed"] == 3
     assert loaded["thetas"] == [5.0, 10.0]
     assert loaded["x0"] == [0.1]
+
+
+def test_every_config_key_parses_to_its_field_type(tmp_path):
+    # every key gets the text "2", so a key parsed as the wrong type shows
+    types = {
+        "benchmark": str, "alpha_kind": str, "infeasible_policy": str, "out": str,
+        "seed": int, "n_check": int, "precondition_points": int, "substeps": int,
+        "x0": list, "thetas": list,
+    }
+    keys = [f.name for f in fields(ScenarioConfig)]
+    cfg_file = tmp_path / "every-key.cfg"
+    cfg_file.write_text("".join(f"{key} = 2\n" for key in keys))
+    loaded = load_config(str(cfg_file))
+    assert list(loaded) == keys
+    for key in keys:
+        assert type(loaded[key]) is types.get(key, float), key
+    assert loaded["x0"] == loaded["thetas"] == [2.0]
 
 
 def test_config_file_unknown_key_rejected(tmp_path):

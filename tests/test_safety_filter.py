@@ -226,6 +226,31 @@ def test_boxed_matches_grid_oracle():
     assert checked > 50
 
 
+def test_boxed_free_projection_is_the_unconstrained_projection():
+    # instances whose free projection stays in the box: the boxed filter
+    # returns the unconstrained filter's outcome bit for bit
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 200:
+        m = int(rng.integers(1, 4))
+        a = rng.normal(size=m)
+        c = float(rng.normal())
+        u_des = rng.uniform(-1.0, 1.0, size=m)
+        box = np.stack(
+            [u_des - rng.uniform(0.2, 1.5, size=m), u_des + rng.uniform(0.2, 1.5, size=m)], axis=-1
+        )
+        rhs = c + float(a @ u_des) + float(rng.uniform(0.01, 1.0))
+        free = filter_unconstrained(a, c, rhs, u_des)
+        if not np.all((free.u >= box[:, 0]) & (free.u <= box[:, 1])):
+            continue
+        out = filter_boxed(a, c, rhs, u_des, box)
+        assert np.array_equal(out.u, free.u)
+        assert (out.constraint_value, out.multiplier, out.qp_status, out.modified) == (
+            free.constraint_value, free.multiplier, free.qp_status, free.modified
+        )
+        checked += 1
+
+
 def test_complementary_slackness_when_active():
     rng = np.random.default_rng(2)
     for _ in range(100):
