@@ -156,13 +156,19 @@ class VerificationReport:
     min_lie is the smallest Lie derivative of the smooth minimum over the
     located boundary points; nonpositive witnesses are collected.
     containment_ok states whether every located point kept the pointwise
-    minimum inside [0, epsilon].
+    minimum inside [0, epsilon].  Every requested ray is located, abandoned
+    (no crossing inside the widened box within the march's steps, or no
+    interior start at all) or unconverged (crossed, but its bisection did
+    not reach the boundary tolerance), so n_requested == n_located +
+    n_abandoned + n_unconverged.
     """
 
     theta: float
     epsilon: float
     n_requested: int
     n_located: int
+    n_abandoned: int
+    n_unconverged: int
     boundary_found: bool
     min_lie: Optional[float]
     argmin_point: Optional[np.ndarray]
@@ -215,20 +221,25 @@ def probe_boundary(
     pool_level = soft_level(pool)
     interior = np.flatnonzero(pool_level > 0.0)
     located = np.empty((0, cs.n))
+    n_crossed = 0
     if interior.size > 0:
         starts = interior[rng.choice(interior.size, size=n_check, replace=True)]
         dirs = rng.normal(size=(n_check, cs.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-        located = march_and_bisect(
+        located, n_crossed = march_and_bisect(
             soft_level, pool[starts], pool_level[starts], dirs, step=0.04 * scale,
             n_steps=60, box=box, margin=0.5 * scale, band=(0.0, boundary_tol), max_iter=100,
         )
+    counts = dict(
+        n_requested=n_check, n_located=int(located.shape[0]),
+        n_abandoned=n_check - n_crossed, n_unconverged=n_crossed - int(located.shape[0]),
+    )
     if located.shape[0] == 0:
         return VerificationReport(
-            theta=float(theta), epsilon=float(epsilon), n_requested=n_check,
-            n_located=0, boundary_found=False, min_lie=None, argmin_point=None,
-            nonpositive=(), containment_ok=False, max_h_hat=None, min_h_hat=None,
+            theta=float(theta), epsilon=float(epsilon), **counts, boundary_found=False,
+            min_lie=None, argmin_point=None, nonpositive=(), containment_ok=False,
+            max_h_hat=None, min_h_hat=None,
         )
 
     vals, grads = cs.evaluate_batch(located)
@@ -244,8 +255,7 @@ def probe_boundary(
     return VerificationReport(
         theta=float(theta),
         epsilon=float(epsilon),
-        n_requested=n_check,
-        n_located=int(located.shape[0]),
+        **counts,
         boundary_found=True,
         min_lie=float(lie[i_min]),
         argmin_point=located[i_min].copy(),

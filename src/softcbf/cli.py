@@ -247,6 +247,8 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
     entries += [
         ("verify_theta", theta),
         ("verify_boundary_points", report.n_located),
+        ("verify_rays_abandoned", report.n_abandoned),
+        ("verify_rays_unconverged", report.n_unconverged),
         ("verify_min_lie", report.min_lie if report.min_lie is not None else "n/a"),
         ("verify_containment", report.containment_ok),
     ]

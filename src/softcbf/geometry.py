@@ -254,33 +254,68 @@ def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, marg
     turns negative; the crossing is then bisected back until the inside
     endpoint has level in `band` (see `bisect_to_band`).  A ray that leaves `box`
     widened by `margin` on every side before crossing, or that has not
-    crossed after `n_steps` steps, is abandoned.  Only rays still marching
-    are evaluated in each round.  `level` maps a block (B, n) to (B,).
+    crossed after `n_steps` steps, is abandoned.  `level` maps a block (B, n)
+    to (B,).
+
+    No call of `level` holds more than one point per ray.  With L of the R
+    rays still marching, each evaluates its next min(R // L, steps left)
+    points in one call, up to its first point outside the widened box, so
+    the calls stay full as rays drop out; points past a crossing are
+    evaluated and discarded.  Every point is the running sum `p + step * d`
+    a one-step-per-round march forms, and in a block of two or more rows a
+    row's level does not depend on the other rows (see
+    `backup.integrate_flow_batch`).  So the crossings and the located points
+    are bitwise those of a one-step march; only where that march would
+    evaluate a lone ray can a level differ, in its last bit.
+
+    Returns the located points and the number of rays that crossed; the
+    crossed rays that are not located stayed outside `band` for `max_iter`
+    rounds.
     """
     lo_box = box[:, 0] - margin
     hi_box = box[:, 1] + margin
+    n_rays = starts.shape[0]
     inside = starts.copy()
     h_inside = np.array(start_levels, dtype=float)
     outside = np.empty_like(starts)
     probe = starts.copy()
-    live = np.ones(starts.shape[0], dtype=bool)
-    found = np.zeros(starts.shape[0], dtype=bool)
-    for _ in range(n_steps):
+    live = np.ones(n_rays, dtype=bool)
+    found = np.zeros(n_rays, dtype=bool)
+    taken = 0
+    while taken < n_steps:
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
-        probe[rows] = probe[rows] + step * dirs[rows]
-        pts = probe[rows]
-        h = level(pts)
-        crossed = h < 0.0
-        outside[rows[crossed]] = pts[crossed]
+        K = min(n_rays // rows.size, n_steps - taken)
+        taken += K
+        # the next K points of every live ray, (K, L, n)
+        pts = np.empty((K, rows.size, starts.shape[1]))
+        p, delta = probe[rows], step * dirs[rows]
+        for k in range(K):
+            p = p + delta
+            pts[k] = p
+        in_box = np.all((pts >= lo_box) & (pts <= hi_box), axis=2)
+        # a ray's points up to and including its first one outside the box
+        evaluated = np.ones_like(in_box)
+        evaluated[1:] = ~np.logical_or.accumulate(~in_box, axis=0)[:-1]
+        h = np.full(in_box.shape, np.nan)
+        h[evaluated] = level(pts[evaluated])
+        neg = h < 0.0
+        crossed = neg.any(axis=0)
+        first = np.where(crossed, neg.argmax(axis=0), K)
+        # the last non-negative level before the crossing
+        before = (h >= 0.0) & (np.arange(K)[:, None] < first)
+        last = K - 1 - before[::-1].argmax(axis=0)
+        cols = np.arange(rows.size)
+        outside[rows[crossed]] = pts[first[crossed], cols[crossed]]
         found[rows[crossed]] = True
-        still = ~crossed & (h >= 0.0)
-        inside[rows[still]] = pts[still]
-        h_inside[rows[still]] = h[still]
-        in_box = np.all((pts >= lo_box) & (pts <= hi_box), axis=1)
-        live[rows] = ~crossed & in_box
-    return bisect_to_band(level, inside[found], h_inside[found], outside[found], band, max_iter)
+        kept = before.any(axis=0)
+        inside[rows[kept]] = pts[last[kept], cols[kept]]
+        h_inside[rows[kept]] = h[last[kept], cols[kept]]
+        probe[rows] = pts[-1]
+        live[rows] = ~crossed & in_box.all(axis=0)
+    located = bisect_to_band(level, inside[found], h_inside[found], outside[found], band, max_iter)
+    return located, int(found.sum())
 
 
 def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) -> TubeSpec:
@@ -323,7 +358,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
         dirs = rng.normal(size=(n_rays, cs.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-        refined = march_and_bisect(
+        refined, _ = march_and_bisect(
             level, cand[starts], h_hat[starts], dirs, step=0.05 * scale,
             n_steps=40, box=box, margin=0.0, band=(0.0, epsilon / 10.0), max_iter=80,
         )
@@ -347,7 +382,11 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
             owned = np.flatnonzero((argmin_c == i) & (h_hat > epsilon))[:16]
             if owned.shape[0] == 0:
                 continue
-            out_pool = cand[h_hat < 0.0]
+            # bisect toward exterior points that constraint i also owns, so
+            # the crossing lands on its face, and else toward any exterior
+            out_pool = cand[(argmin_c == i) & (h_hat < 0.0)]
+            if out_pool.shape[0] == 0:
+                out_pool = cand[h_hat < 0.0]
             if out_pool.shape[0] == 0:
                 continue
             outs = out_pool[rng.choice(out_pool.shape[0], size=owned.shape[0])]

@@ -208,6 +208,37 @@ def test_probe_boundary_flags_missing_boundary():
     assert report.min_lie is None
 
 
+def test_probe_boundary_counts_every_requested_ray():
+    cs, F = disk_problem()
+
+    def counts(report):
+        assert report.n_requested == report.n_located + report.n_abandoned + report.n_unconverged
+        return report.n_located, report.n_abandoned, report.n_unconverged
+
+    # every ray from inside the disk crosses its boundary, and converges
+    assert counts(probe_boundary(cs, F, 60.0, 0.1, 200, seed=0)) == (200, 0, 0)
+    # a tolerance below the levels rounding leaves next to the boundary
+    # keeps rays that crossed from converging
+    located, abandoned, unconverged = counts(
+        probe_boundary(cs, F, 60.0, 0.1, 200, seed=0, boundary_tol=1e-300))
+    assert abandoned == 0 and unconverged > 0
+
+    # no zero level set inside the widened box: every ray is abandoned
+    def wide(x):
+        return float(100.0 - x @ x), -2.0 * np.asarray(x, dtype=float)
+
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    cs_wide = ConstraintSet(n=2, evaluators=(wide,), bounding_box=box)
+    assert counts(probe_boundary(cs_wide, F, 5.0, 0.1, 50, 0)) == (0, 50, 0)
+
+    # no interior start at all: no ray is marched, and each counts as abandoned
+    def empty(x):
+        return float(-1.0 - x @ x), -2.0 * np.asarray(x, dtype=float)
+
+    cs_empty = ConstraintSet(n=2, evaluators=(empty,), bounding_box=box)
+    assert counts(probe_boundary(cs_empty, F, 5.0, 0.1, 50, 0)) == (0, 50, 0)
+
+
 def test_containment_at_tube_threshold():
     # just above log(N)/eps every located boundary point stays in the band
     cs, F = disk_problem()

@@ -27,6 +27,10 @@ def test_certify_scalar_stable_exit_zero(tmp_path):
     assert float(report["theta_star"]) == pytest.approx(np.log(2) / 0.1, rel=1e-12)
     assert report["mfcq_passed"] == "True"
     assert float(report["verify_min_lie"]) > 0
+    # every verification ray is located, abandoned or unconverged
+    rays = [int(report[k]) for k in ("verify_boundary_points", "verify_rays_abandoned",
+                                     "verify_rays_unconverged")]
+    assert sum(rays) == int(report["config.n_check"])
     assert report["exit_status"] == "certified"
     # the resolved configuration is embedded for reproducibility
     assert report["config.benchmark"] == "scalar-stable"

@@ -18,7 +18,7 @@ from softcbf import (
     sample_tube,
     shrink_epsilon_until_safe,
 )
-from softcbf.geometry import march_and_bisect
+from softcbf.geometry import bisect_to_band, march_and_bisect
 from softcbf.softmin import softmin_block
 
 
@@ -312,11 +312,16 @@ def test_exception_inside_field_propagates_unchanged():
         estimate_bounds(cs, F, tube)
 
 
-def test_march_and_bisect_evaluates_only_live_rows():
+def five_ray_line():
     # level 1 - x on the line: rays from several starts cross at x = 1;
     # the ray pointing left leaves the box and is abandoned
     starts = np.array([[0.0], [0.33], [0.5], [0.71], [0.0]])
     dirs = np.array([[1.0], [1.0], [1.0], [1.0], [-1.0]])
+    return starts, 1.0 - starts[:, 0], dirs
+
+
+def test_march_and_bisect_evaluates_only_live_rows():
+    starts, start_levels, dirs = five_ray_line()
     box = np.array([[-2.0, 2.0]])
     band = (0.0, 1e-6)
     calls = []
@@ -326,30 +331,28 @@ def test_march_and_bisect_evaluates_only_live_rows():
         calls.append((X.copy(), h.copy()))
         return h
 
-    located = march_and_bisect(level, starts, 1.0 - starts[:, 0], dirs, step=0.1, n_steps=100,
-                               box=box, margin=0.0, band=band, max_iter=60)
+    located, _ = march_and_bisect(level, starts, start_levels, dirs, step=0.1, n_steps=100,
+                                  box=box, margin=0.0, band=band, max_iter=60)
     assert located.shape == (4, 1)
     np.testing.assert_array_less(1.0 - 1e-6 - 1e-15, located[:, 0])
     np.testing.assert_array_less(located[:, 0], 1.0 + 1e-15)
 
-    # march rounds: the next round sees exactly the rays that neither
-    # crossed nor left the box
+    # march rounds: with L of the 5 rays live, each takes its next 5 // L
+    # steps in one call.  One step per round while 3 to 5 rays live (the
+    # rays cross after 3, 6, 7 and 11 steps); two steps per round while two
+    # rays live; then five for the left-going ray alone,
+    # whose second five-step round stops at its first point outside the box,
+    # x = -2 - 4.4e-16 after 20 steps
     sizes = [X.shape[0] for X, _ in calls]
-    assert sizes[0] == 5
-    k = 0
-    while True:
-        X, h = calls[k]
-        live = int(np.sum((h >= 0.0) & (np.abs(X[:, 0]) <= 2.0)))
-        if live == 0:
-            break
-        assert sizes[k + 1] == live
-        k += 1
+    schedule = [5, 5, 5, 4, 4, 4, 3, 4, 4, 5, 4]
+    k = len(schedule)
+    assert sizes[:k] == schedule
+    assert calls[k - 1][0][-1, 0] < -2.0 <= calls[k - 1][0][-2, 0]
     # bisection rounds: the march hands over the levels of its inside
     # points, so the first round evaluates midpoints alone, none of them a
     # point the march saw, and only for the crossings whose last inside
     # point is not yet in the band; later rounds hold exactly the rows whose
     # inside endpoint is not yet in the band
-    k += 1
     inside_levels = []
     for x in starts[:4, 0]:
         while 1.0 - (x + 0.1) >= 0.0:
@@ -364,6 +367,143 @@ def test_march_and_bisect_evaluates_only_live_rows():
     assert np.all((h_last >= band[0]) & (h_last <= band[1]))
     # an unmasked loop would evaluate every ray in every round
     assert sum(sizes) < 5 * len(sizes)
+
+
+def test_march_and_bisect_counts_the_rays_that_crossed():
+    starts, start_levels, dirs = five_ray_line()
+    box = np.array([[-2.0, 2.0]])
+    kwargs = dict(step=0.1, n_steps=100, box=box, margin=0.0, band=(0.0, 1e-6))
+    located, n_crossed = march_and_bisect(lambda X: 1.0 - X[:, 0], starts, start_levels, dirs,
+                                          max_iter=60, **kwargs)
+    # the left-going ray is abandoned, the other four cross and converge
+    assert (n_crossed, located.shape[0]) == (4, 4)
+    # three bisection rounds bring none of the four into the band
+    located, n_crossed = march_and_bisect(lambda X: 1.0 - X[:, 0], starts, start_levels, dirs,
+                                          max_iter=3, **kwargs)
+    assert n_crossed == 4 and located.shape[0] < n_crossed
+
+
+def one_step_march(level, starts, start_levels, dirs, step, n_steps, box, margin, band, max_iter):
+    # the march that evaluates one step of every live ray per round: the
+    # reference for march_and_bisect's located points.  Also returns the
+    # number of live rays in each round
+    lo_box = box[:, 0] - margin
+    hi_box = box[:, 1] + margin
+    inside = starts.copy()
+    h_inside = np.array(start_levels, dtype=float)
+    outside = np.empty_like(starts)
+    probe = starts.copy()
+    live = np.ones(starts.shape[0], dtype=bool)
+    found = np.zeros(starts.shape[0], dtype=bool)
+    rounds = []
+    for _ in range(n_steps):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        rounds.append(rows.size)
+        probe[rows] = probe[rows] + step * dirs[rows]
+        pts = probe[rows]
+        h = level(pts)
+        crossed = h < 0.0
+        outside[rows[crossed]] = pts[crossed]
+        found[rows[crossed]] = True
+        still = ~crossed & (h >= 0.0)
+        inside[rows[still]] = pts[still]
+        h_inside[rows[still]] = h[still]
+        in_box = np.all((pts >= lo_box) & (pts <= hi_box), axis=1)
+        live[rows] = ~crossed & in_box
+    located = bisect_to_band(level, inside[found], h_inside[found], outside[found], band, max_iter)
+    return located, int(found.sum()), rounds
+
+
+def corner_cut_set(c):
+    # box_faces plus the corner cut x1 + x2 <= c, on a tighter bounding box
+    W = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [-1.0, -1.0]])
+    b = np.array([1.0, 1.0, 1.0, 1.0, c])
+
+    def make(i):
+        def ev(x):
+            return float(b[i] + W[i] @ x), W[i].copy()
+
+        return ev
+
+    return ConstraintSet(
+        n=2,
+        evaluators=tuple(make(i) for i in range(5)),
+        bounding_box=np.array([[-1.2, 1.2], [-1.2, 1.2]]),
+    )
+
+
+def march_case(name):
+    """(level, starts, start levels, dirs, march keywords) for random rays:
+    the quick pendulum slice set under the screened smooth minimum (as
+    boundary probing marches it), box faces and the thin annulus under the
+    screened minimum (as tube sampling marches them)."""
+    rng = np.random.default_rng(7)
+    if name == "pendulum":
+        cs = get_benchmark("pendulum-backup").certification_set()
+
+        def level(X):
+            return softmin_block(cs.screened_values(X), 3000.0)[0]
+
+        n_rays, scale_step, n_steps, margin, band, max_iter = 24, 0.04, 60, 0.5, (0.0, 1e-10), 100
+    else:
+        cs = box_faces() if name == "box-faces" else get_benchmark("thin-annulus").certification_set()
+
+        def level(X):
+            return cs.screened_values(X).min(axis=1)
+
+        n_rays, scale_step, n_steps, margin, band, max_iter = 64, 0.05, 40, 0.0, (0.0, 1e-3), 80
+    box = cs.bounding_box
+    pool = rng.uniform(box[:, 0], box[:, 1], size=(32 * n_rays, cs.n))
+    pool_level = level(pool)
+    starts = pool[pool_level > 0.0][:n_rays]
+    dirs = rng.normal(size=starts.shape)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    kwargs = dict(step=scale_step * scale, n_steps=n_steps, box=box, margin=margin * scale,
+                  band=band, max_iter=max_iter)
+    return level, starts, level(starts), dirs, kwargs
+
+
+@pytest.mark.parametrize("name", ["pendulum", "box-faces", "thin-annulus"])
+def test_march_matches_one_step_reference_bitwise(name):
+    level, starts, start_levels, dirs, kwargs = march_case(name)
+
+    def recorded(blocks):
+        def fn(X):
+            blocks.append(X.shape[0])
+            return level(X)
+
+        return fn
+
+    blocks, ref_blocks = [], []
+    located, n_crossed = march_and_bisect(recorded(blocks), starts, start_levels, dirs, **kwargs)
+    ref, ref_crossed, rounds = one_step_march(recorded(ref_blocks), starts, start_levels, dirs, **kwargs)
+    assert located.shape[0] > 0
+    assert located.tobytes() == ref.tobytes()
+    assert n_crossed == ref_crossed
+    # never more than one point per ray in a call
+    assert max(blocks) <= starts.shape[0]
+    # rays cross at different steps, so some round before the reference's
+    # last has at most half the rays live: the budgeted march takes two or
+    # more steps there, and saves calls (the bisection calls are the same)
+    assert any(live <= starts.shape[0] // 2 for live in rounds[:-1])
+    assert len(blocks) < len(ref_blocks)
+
+
+def test_sample_tube_coverage_retry_lands_on_the_missed_face():
+    # at density 1 the random pass finds no band sample owned by the corner
+    # cut (constraint 4); the retry bisects from candidates it owns toward
+    # exterior candidates it also owns, so the crossing is on its face
+    cs = corner_cut_set(1.7)
+    eps = 0.02
+    tube = sample_tube(cs, eps, 1.0, seed=0)
+    assert tube.constraint_coverage.all()
+    owned = tube.values.argmin(axis=1) == 4
+    assert owned.any()
+    h_hat = tube.values.min(axis=1)
+    assert np.all((h_hat[owned] >= 0.0) & (h_hat[owned] <= eps))
 
 
 def screened_faces():
