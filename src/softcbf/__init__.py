@@ -30,7 +30,6 @@ from .geometry import (
     check_mfcq,
     estimate_bounds,
     sample_tube,
-    shrink_epsilon_until_safe,
 )
 from .certify import (
     TailSpec,
@@ -58,9 +57,7 @@ from .backup import (
     BackupPreconditionReport,
     FlowResult,
     backup_barrier,
-    certify_backup,
     check_backup_preconditions,
-    closed_loop_field,
     integrate_flow,
     integrate_flow_batch,
     slice_constraint_set,

@@ -27,8 +27,7 @@ import numpy as np
 
 from . import softmin as sm
 from .errors import BlowUpError, DomainError, InvalidInputError
-from .geometry import ConstraintSet, call_batched, estimate_bounds, sample_tube
-from .certify import ThetaCertificate, theta_star_compact
+from .geometry import ConstraintSet, _checked_box, call_batched
 from .safety_filter import ControlAffineSystem
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "FlowResult",
     "BatchFlowResult",
     "BackupBarrier",
-    "closed_loop_field",
     "rk4_step",
     "integrate_flow",
     "integrate_flow_batch",
@@ -47,7 +45,6 @@ __all__ = [
     "CheckResult",
     "BackupPreconditionReport",
     "check_backup_preconditions",
-    "certify_backup",
 ]
 
 
@@ -87,10 +84,7 @@ class BackupProblem:
         if self.h_max <= 0:
             raise DomainError("h_max must be positive")
         if self.bounding_box is not None:
-            box = np.asarray(self.bounding_box, dtype=float)
-            if box.shape != (self.sys.n, 2) or not np.all(box[:, 0] < box[:, 1]):
-                raise InvalidInputError("bounding box must be (n, 2) with lo < hi")
-            object.__setattr__(self, "bounding_box", box)
+            object.__setattr__(self, "bounding_box", _checked_box(self.bounding_box, self.sys.n, "bounding box"))
 
     @property
     def N(self) -> int:
@@ -99,11 +93,6 @@ class BackupProblem:
     @property
     def slice_times(self) -> np.ndarray:
         return np.arange(self.N) * self.dtau
-
-
-def closed_loop_field(prob: BackupProblem) -> Callable:
-    """Closed-loop vector field under the backup controller, batched."""
-    return prob.sys.closed_loop(prob.k_b)
 
 
 def _make_jacobian(prob: BackupProblem, F: Callable, X: np.ndarray) -> Callable:
@@ -192,7 +181,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
-    F = closed_loop_field(prob)
+    F = prob.sys.closed_loop(prob.k_b)
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
@@ -363,7 +352,7 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     it inherits the integrator tolerance.
     """
     X = np.atleast_2d(np.asarray(region_samples, dtype=float))
-    F = closed_loop_field(prob)
+    F = prob.sys.closed_loop(prob.k_b)
     n = prob.sys.n
     hb_vals, hb_grads = call_batched(prob.h_b, X, (), (n,))
     h_vals, h_grads = call_batched(prob.h, X, (), (n,))
@@ -404,24 +393,3 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
 
     return BackupPreconditionReport(chk1, chk2, chk3)
 
-
-def certify_backup(
-    prob: BackupProblem,
-    F_used,
-    epsilon: float,
-    density: float,
-    seed: int,
-    tol: Optional[float] = None,
-) -> ThetaCertificate:
-    """End-to-end backup certificate.
-
-    Builds the slice constraint family, samples its boundary band, measures
-    the band constants under the supplied closed-loop field (normally the
-    backup closed loop), and returns the compact-set threshold.  Callers
-    should run `check_backup_preconditions` first; a strict-safety error
-    here means those conditions fail in practice.
-    """
-    cs = slice_constraint_set(prob)
-    tube = sample_tube(cs, epsilon, density, seed)
-    bounds = estimate_bounds(cs, F_used, tube, tol)
-    return theta_star_compact(bounds, prob.N)

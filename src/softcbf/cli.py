@@ -203,8 +203,9 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
         print(f"error: {err}", file=_sys.stderr)
         return 1
     entries.append(("tube_samples", len(tube)))
+    entries.append(("tube_constraint_coverage", tube.constraint_coverage.astype(int)))
 
-    mfcq = check_mfcq(cs, tube, cfg.mfcq_tolerance)
+    mfcq = check_mfcq(tube, cfg.mfcq_tolerance)
     entries.append(("mfcq_checked", mfcq.n_checked))
     entries.append(("mfcq_passed", mfcq.passed))
     if not mfcq.passed:
@@ -218,7 +219,7 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
         return 3
 
     try:
-        bounds = estimate_bounds(cs, F, tube, cfg.activity_tolerance)
+        bounds = estimate_bounds(F, tube, cfg.activity_tolerance)
     except NotStrictlySafeError as err:
         entries.append(("exit_status", f"not strictly safe: {err}"))
         write_report(report_path, entries, cfg)
@@ -269,7 +270,7 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
     theta = cfg.theta
     if theta is None:
         tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
-        bounds = estimate_bounds(cs, F, tube, cfg.activity_tolerance)
+        bounds = estimate_bounds(F, tube, cfg.activity_tolerance)
         cert = certify(bounds, _tail_from(cfg), cs.N)
         theta = cfg.theta_multiplier * max(cert.theta_star, 1e-9)
     trace = run(bench, _sim_config(cfg, bench, theta))

@@ -13,7 +13,7 @@ is the caller's rigor knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "sample_tube",
     "estimate_bounds",
     "check_mfcq",
-    "shrink_epsilon_until_safe",
     "call_batched",
     "march_and_bisect",
     "bisect_to_band",
@@ -66,6 +65,14 @@ def call_batched(fn: Callable, X: np.ndarray, *tails: tuple):
         )
     arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
     return arrays[0] if len(tails) == 1 else arrays
+
+
+def _checked_box(box, rows: int, what: str) -> np.ndarray:
+    """`box` as floats, checked to be (rows, 2) with lo < hi in every row."""
+    box = np.asarray(box, dtype=float)
+    if box.shape != (rows, 2) or not np.all(box[:, 0] < box[:, 1]):
+        raise InvalidInputError(f"{what} must be ({rows}, 2) with lo < hi, got {box!r}")
+    return box
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,7 @@ class ConstraintSet:
         if self.n < 1 or len(self.evaluators) < 1:
             raise InvalidInputError("need n >= 1 and at least one constraint")
         if self.bounding_box is not None:
-            box = np.asarray(self.bounding_box, dtype=float)
-            if box.shape != (self.n, 2) or not np.all(box[:, 0] < box[:, 1]):
-                raise InvalidInputError(f"bounding box must be (n, 2) with lo < hi, got {box!r}")
-            object.__setattr__(self, "bounding_box", box)
+            object.__setattr__(self, "bounding_box", _checked_box(self.bounding_box, self.n, "bounding box"))
 
     @property
     def N(self) -> int:
@@ -142,10 +146,6 @@ class ConstraintSet:
             return call_batched(self.value_evaluator, X, (self.N,))
         return self.evaluate_batch(X)[0]
 
-    def min_values(self, X) -> np.ndarray:
-        """Pointwise minimum over constraints for a block of states."""
-        return self.values(X).min(axis=1)
-
     def screened_values(self, X) -> np.ndarray:
         """Values (B, N), exact at every row whose screen value is not
         negative.  A negative one proves the row outside the set, so the row
@@ -172,18 +172,21 @@ class TubeSpec:
 
     `constraint_coverage[i]` is True when some stored sample has constraint
     i attaining the pointwise minimum.  `values` (B, N) and `gradients`
-    (B, N, n), when present, are the evaluation of the samples by the family
-    that drew them; `check_mfcq` and `estimate_bounds` read them instead of
-    evaluating again.
+    (B, N, n) are the evaluation of the samples by the family that drew
+    them; `check_mfcq` and `estimate_bounds` read them.
     """
 
     epsilon: float
     samples: np.ndarray
     sampling_density: float
-    constraint_coverage: np.ndarray = field(default=None)
-    seed: Optional[int] = None
-    values: Optional[np.ndarray] = None
-    gradients: Optional[np.ndarray] = None
+    constraint_coverage: np.ndarray
+    seed: Optional[int]
+    values: np.ndarray
+    gradients: np.ndarray
+
+    def __post_init__(self):
+        if len(self) == 0:
+            raise InvalidInputError("tube has no samples")
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -225,24 +228,31 @@ def bisect_to_band(level, inside, inside_levels, outside, band, max_iter):
 
     Only the midpoints of rows that have not converged are evaluated in
     each round.  Returns the converged inside points; rows still outside
-    the band after `max_iter` rounds are dropped.
+    the band after `max_iter` rounds are dropped, and so is a row whose
+    bracket has collapsed to adjacent floats: its midpoint equals one of
+    its endpoints, so no further round could move it.
     """
     lo, hi = band
     inside = inside.copy()
     outside = outside.copy()
     h_in = np.array(inside_levels, dtype=float)
     done = (h_in >= lo) & (h_in <= hi)
+    live = ~done
     for _ in range(max_iter):
-        rows = np.flatnonzero(~done)
+        rows = np.flatnonzero(live)
+        mid = 0.5 * (inside[rows] + outside[rows])
+        moved = ~(np.all(mid == inside[rows], axis=1) | np.all(mid == outside[rows], axis=1))
+        live[rows[~moved]] = False
+        rows, mid = rows[moved], mid[moved]
         if rows.size == 0:
             break
-        mid = 0.5 * (inside[rows] + outside[rows])
         h_mid = level(mid)
         go_in = h_mid >= 0.0
         inside[rows[go_in]] = mid[go_in]
         outside[rows[~go_in]] = mid[~go_in]
         h_in[rows[go_in]] = h_mid[go_in]
         done[rows] = (h_in[rows] >= lo) & (h_in[rows] <= hi)
+        live[rows] = ~done[rows]
     return inside[done]
 
 
@@ -404,16 +414,6 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     return TubeSpec(epsilon, samples, float(density), coverage, int(seed), vals_s, grads_s)
 
 
-def _tube_evaluation(cs: ConstraintSet, tube: TubeSpec):
-    """Values and gradients at the tube samples: the tube's own evaluation,
-    by the family that drew it, or else a fresh one."""
-    if len(tube) == 0:
-        raise InvalidInputError("tube has no samples")
-    if tube.gradients is None:
-        return cs.evaluate_batch(tube.samples)
-    return tube.values, tube.gradients
-
-
 def _activity_tolerances(h_hat: np.ndarray, tol: Optional[float]) -> np.ndarray:
     """Per-sample activity tolerance: the value-scaled default when `tol`
     is None, otherwise `tol` on every sample."""
@@ -422,12 +422,7 @@ def _activity_tolerances(h_hat: np.ndarray, tol: Optional[float]) -> np.ndarray:
     return np.full(h_hat.shape, float(tol))
 
 
-def estimate_bounds(
-    cs: ConstraintSet,
-    F: VectorField,
-    tube: TubeSpec,
-    tol: Optional[float] = None,
-) -> CompactBounds:
+def estimate_bounds(F: VectorField, tube: TubeSpec, tol: Optional[float] = None) -> CompactBounds:
     """Measure the certificate constants M, r, d over the tube samples.
 
     `tol` is the activity tolerance; None means the value-scaled default.
@@ -435,9 +430,8 @@ def estimate_bounds(
     as soon as an active constraint has a nonpositive Lie derivative, since
     that contradicts strict inward flow on the boundary.
     """
-    X = tube.samples
-    vals, grads = _tube_evaluation(cs, tube)
-    Fx = call_batched(F, X, (cs.n,))
+    X, vals, grads = tube.samples, tube.values, tube.gradients
+    Fx = call_batched(F, X, X.shape[1:])
     lie = np.einsum("bni,bi->bn", grads, Fx)
 
     h_hat = vals.min(axis=1)
@@ -512,7 +506,7 @@ def _mfcq_witness(grads: np.ndarray, margin: float = 1e-9, sweeps: int = 50):
     return v, m > 0.0, m
 
 
-def check_mfcq(cs: ConstraintSet, tube: TubeSpec, tol: Optional[float] = None) -> MFCQReport:
+def check_mfcq(tube: TubeSpec, tol: Optional[float] = None) -> MFCQReport:
     """Constraint-qualification check at the near-boundary tube samples.
 
     At each sample with h_hat close to zero, looks for a common ascent
@@ -520,8 +514,7 @@ def check_mfcq(cs: ConstraintSet, tube: TubeSpec, tol: Optional[float] = None) -
     point in (nearly) opposite directions, i.e. the boundary has a
     degenerate kink there.
     """
-    X = tube.samples
-    vals, grads = _tube_evaluation(cs, tube)
+    X, vals, grads = tube.samples, tube.values, tube.gradients
     h_hat = vals.min(axis=1)
     near = h_hat <= tube.epsilon / 10.0
     if not near.any():
@@ -554,32 +547,3 @@ def check_mfcq(cs: ConstraintSet, tube: TubeSpec, tol: Optional[float] = None) -
     passed = all(e.ok for e in entries)
     return MFCQReport(passed=passed, n_checked=len(entries), entries=tuple(entries))
 
-
-def shrink_epsilon_until_safe(
-    cs: ConstraintSet,
-    F: VectorField,
-    epsilon: float,
-    density: float,
-    seed: int,
-    tol: Optional[float] = None,
-    max_halvings: int = 12,
-):
-    """Halve epsilon until the sampled bounds come out strictly safe.
-
-    Returns (epsilon, tube, bounds) for the first width that works.
-    Mirrors the usual 'pick the band small enough' argument, realized on
-    samples.
-    """
-    eps = float(epsilon)
-    last_err = None
-    for _ in range(max_halvings + 1):
-        try:
-            tube = sample_tube(cs, eps, density, seed)
-            bounds = estimate_bounds(cs, F, tube, tol)
-            return eps, tube, bounds
-        except (NotStrictlySafeError, EmptyTubeError) as err:
-            last_err = err
-            eps *= 0.5
-    raise NotStrictlySafeError(
-        f"no strictly safe band found down to epsilon={eps:.3g}: {last_err}"
-    )

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError
+from .geometry import _checked_box
 
 __all__ = [
     "ControlAffineSystem",
@@ -55,10 +56,7 @@ class ControlAffineSystem:
         if self.n < 1 or self.m < 1:
             raise InvalidInputError("need n >= 1 and m >= 1")
         if self.input_box is not None:
-            box = np.asarray(self.input_box, dtype=float)
-            if box.shape != (self.m, 2) or not np.all(box[:, 0] < box[:, 1]):
-                raise InvalidInputError(f"input box must be (m, 2) with lo < hi, got {box!r}")
-            object.__setattr__(self, "input_box", box)
+            object.__setattr__(self, "input_box", _checked_box(self.input_box, self.m, "input box"))
 
     def closed_loop(self, controller: Callable) -> Callable[[np.ndarray], np.ndarray]:
         """Vector field x -> drift(x) + actuation(x) @ controller(x) on one

@@ -52,8 +52,6 @@ class Benchmark:
     # the band must be thin relative to the smallest constraint scale
     cert_epsilon: float = 0.1
     cert_density: float = 2000.0
-    # False for benchmarks that exist to exercise failure paths
-    certifiable: bool = True
 
     def closed_loop_field(self) -> Callable:
         """Vector field under the safe controller, batched."""
@@ -364,7 +362,6 @@ def _scalar_benchmark(name: str, stable: bool) -> Benchmark:
         safe_controller=safe,
         x0_default=np.zeros(1),
         analytic=analytic,
-        certifiable=stable,
     )
 
 

@@ -30,7 +30,7 @@ def scalar_pipeline():
     bench = sc.get_benchmark("scalar-stable")
     F = bench.closed_loop_field()
     tube = sc.sample_tube(bench.constraints, bench.cert_epsilon, bench.cert_density, seed=0)
-    bounds = sc.estimate_bounds(bench.constraints, F, tube)
+    bounds = sc.estimate_bounds(F, tube)
     cert = sc.theta_star_compact(bounds, bench.constraints.N)
     return dict(bench=bench, F=F, cert=cert, elapsed=time.time() - t0)
 
@@ -41,7 +41,7 @@ def di_pipeline():
     bench = sc.get_benchmark("double-integrator-box")
     F = bench.closed_loop_field()
     tube = sc.sample_tube(bench.constraints, bench.cert_epsilon, bench.cert_density, seed=0)
-    bounds = sc.estimate_bounds(bench.constraints, F, tube)
+    bounds = sc.estimate_bounds(F, tube)
     cert = sc.theta_star_compact(bounds, bench.constraints.N)
     return dict(bench=bench, F=F, cert=cert, elapsed=time.time() - t0)
 
@@ -52,7 +52,7 @@ def annulus_pipeline():
     bench = sc.get_benchmark("thin-annulus")
     F = bench.closed_loop_field()
     tube = sc.sample_tube(bench.constraints, bench.cert_epsilon, bench.cert_density, seed=0)
-    bounds = sc.estimate_bounds(bench.constraints, F, tube)
+    bounds = sc.estimate_bounds(F, tube)
     cert = sc.theta_star_compact(bounds, bench.constraints.N)
     return dict(bench=bench, F=F, cert=cert, elapsed=time.time() - t0)
 
@@ -65,8 +65,9 @@ def pendulum_pipeline():
     F = bench.closed_loop_field()
     samples = bench.precondition_sampler(3000, 0)
     pre = sc.check_backup_preconditions(prob, samples, tol=1e-6)
-    cert = sc.certify_backup(prob, F, bench.cert_epsilon, bench.cert_density, seed=0)
     cs = sc.slice_constraint_set(prob)
+    tube = sc.sample_tube(cs, bench.cert_epsilon, bench.cert_density, seed=0)
+    cert = sc.theta_star_compact(sc.estimate_bounds(F, tube), prob.N)
     verify = sc.verify_certificate(cs, F, cert, 1.01 * cert.theta_star, 200, seed=0)
     return dict(
         bench=bench, prob=prob, F=F, cs=cs, pre=pre, cert=cert, verify=verify,

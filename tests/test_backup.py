@@ -12,9 +12,8 @@ from softcbf import (
     ControlAffineSystem,
     InvalidInputError,
     backup_barrier,
-    certify_backup,
     check_backup_preconditions,
-    closed_loop_field,
+    estimate_bounds,
     get_benchmark,
     integrate_flow,
     integrate_flow_batch,
@@ -22,6 +21,7 @@ from softcbf import (
     sample_tube,
     slice_constraint_set,
     softmin_value,
+    theta_star_compact,
     verify_certificate,
 )
 
@@ -327,13 +327,14 @@ def test_preconditions_trivial_case_flagged():
 
 def test_certify_backup_scalar_end_to_end():
     prob = scalar_problem()
-    F = closed_loop_field(prob)
-    cert = certify_backup(prob, F, epsilon=0.05, density=3000.0, seed=0)
+    F = prob.sys.closed_loop(prob.k_b)
+    cs = slice_constraint_set(prob)
+    tube = sample_tube(cs, 0.05, 3000.0, seed=0)
+    cert = theta_star_compact(estimate_bounds(F, tube), prob.N)
     assert np.isfinite(cert.theta_star) and cert.theta_star > 0
     assert cert.N == 3
     # active slice near the band is the immediate one: inward rate about 2x^2
     assert cert.bounds.r == pytest.approx(2.0, rel=0.15)
-    cs = slice_constraint_set(prob)
     report = verify_certificate(cs, F, cert, 1.01 * cert.theta_star, 100, seed=0)
     assert report.boundary_found and report.min_lie > 0
     assert report.containment_ok
@@ -465,7 +466,7 @@ def per_stage_sensitivities(prob, X0):
     Jacobian called at each stage as the stage is reached."""
     X = np.array(X0, dtype=float)
     B, n = X.shape
-    F = closed_loop_field(prob)
+    F = prob.sys.closed_loop(prob.k_b)
     jac = softcbf.backup._make_jacobian(prob, F, X)
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub

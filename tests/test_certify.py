@@ -166,7 +166,7 @@ def disk_problem():
 def test_verify_certificate_stable_disk():
     cs, F = disk_problem()
     tube = sample_tube(cs, 0.1, 1500.0, seed=0)
-    bounds = estimate_bounds(cs, F, tube)
+    bounds = estimate_bounds(F, tube)
     cert = theta_star_compact(bounds, cs.N)
     report = verify_certificate(cs, F, cert, 2.0 * cert.theta_star, 300, seed=0)
     assert report.boundary_found
@@ -180,7 +180,7 @@ def test_verify_certificate_stable_disk():
 def test_verify_certificate_requires_theta_above_threshold():
     cs, F = disk_problem()
     tube = sample_tube(cs, 0.1, 1500.0, seed=0)
-    cert = theta_star_compact(estimate_bounds(cs, F, tube), cs.N)
+    cert = theta_star_compact(estimate_bounds(F, tube), cs.N)
     with pytest.raises(DomainError):
         verify_certificate(cs, F, cert, 0.5 * cert.theta_star, 50, seed=0)
 

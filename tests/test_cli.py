@@ -164,6 +164,16 @@ SEED0_CERTIFICATES = {
 }
 
 
+# which constraints attain the minimum at some tube sample: the quick-size
+# pendulum-backup tube reaches only slices 0 and 10
+SEED0_TUBE_COVERAGE = {
+    "double-integrator-box": "1 1 1 1",
+    "scalar-stable": "1 1",
+    "thin-annulus": "1 1",
+    "pendulum-backup": "1 0 0 0 0 0 0 0 0 0 1",
+}
+
+
 @pytest.mark.parametrize("name", sorted(SEED0_CERTIFICATES))
 def test_certify_reproduces_seed0_certificate(tmp_path, name):
     if name == "pendulum-backup":
@@ -174,6 +184,7 @@ def test_certify_reproduces_seed0_certificate(tmp_path, name):
     assert code == 0
     for key, value in SEED0_CERTIFICATES[name].items():
         assert float(report[key]) == pytest.approx(value, rel=1e-12), key
+    assert report["tube_constraint_coverage"] == SEED0_TUBE_COVERAGE[name]
 
 
 def test_certify_integrates_sensitivities_only_where_gradients_are_read(tmp_path, monkeypatch):

@@ -3,23 +3,25 @@ import dataclasses
 import numpy as np
 import pytest
 
+import softcbf.geometry
 from softcbf import (
+    BackupProblem,
     CompactBounds,
     ConstraintSet,
+    ControlAffineSystem,
     EmptyTubeError,
     InvalidCertificateError,
     InvalidInputError,
     NotStrictlySafeError,
-    TubeSpec,
     benchmark_names,
     check_mfcq,
     estimate_bounds,
     get_benchmark,
     sample_tube,
-    shrink_epsilon_until_safe,
 )
 from softcbf.geometry import bisect_to_band, march_and_bisect
 from softcbf.softmin import softmin_block
+from test_certify import disk_problem
 
 
 def single_constraint_set(fn, n, box):
@@ -69,10 +71,45 @@ def test_constraint_set_validation():
         )
 
 
+def zero_field(X):
+    return np.zeros(np.shape(X))
+
+
+# each owner of a box, built with a (2, 2) box
+BOX_OWNERS = {
+    "ConstraintSet.bounding_box": lambda box: ConstraintSet(
+        n=2, evaluators=(lambda x: (1.0, np.zeros(2)),), bounding_box=box
+    ),
+    "BackupProblem.bounding_box": lambda box: BackupProblem(
+        sys=ControlAffineSystem(n=2, m=1, drift=zero_field, actuation=lambda X: np.zeros(np.shape(X) + (1,))),
+        k_b=lambda X: np.zeros(np.shape(X)[:-1] + (1,)), h=None, h_b=None, T=1.0, dtau=0.5,
+        bounding_box=box,
+    ),
+    "ControlAffineSystem.input_box": lambda box: ControlAffineSystem(
+        n=1, m=2, drift=zero_field, actuation=lambda X: np.zeros(np.shape(X) + (2,)), input_box=box
+    ),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(BOX_OWNERS))
+def test_every_box_owner_rejects_a_bad_box(owner):
+    make = BOX_OWNERS[owner]
+    make([[-1.0, 1.0], [0.0, 2.0]])
+    bad_boxes = (
+        [[-1.0, 1.0]],  # too few rows
+        [[-1.0, 0.0, 1.0], [0.0, 1.0, 2.0]],  # too many columns
+        [[-1.0, 1.0], [2.0, 2.0]],  # lo == hi
+        [[-1.0, 1.0], [3.0, 2.0]],  # lo > hi
+    )
+    for box in bad_boxes:
+        with pytest.raises(InvalidInputError, match="lo < hi"):
+            make(box)
+
+
 def test_sample_tube_disk_band():
     cs = unit_disk()
     tube = sample_tube(cs, 0.1, 800.0, seed=0)
-    h = cs.min_values(tube.samples)
+    h = cs.values(tube.samples).min(axis=1)
     assert len(tube) > 50
     assert np.all(h >= 0.0)
     assert np.all(h <= 0.1)
@@ -82,7 +119,7 @@ def test_sample_tube_disk_band():
 def test_sample_tube_box_band_and_coverage():
     cs = box_faces()
     tube = sample_tube(cs, 0.05, 2000.0, seed=1)
-    h = cs.min_values(tube.samples)
+    h = cs.values(tube.samples).min(axis=1)
     assert np.all((h >= 0.0) & (h <= 0.05))
     # every face's active region is represented
     assert tube.constraint_coverage.all()
@@ -122,7 +159,7 @@ def test_estimate_bounds_stable_scalar():
     # the analytic Lie derivative at the band is 2 x^2 (about 2 near |x| = 1)
     cs = scalar_set()
     tube = sample_tube(cs, 0.05, 3000.0, seed=0)
-    bounds = estimate_bounds(cs, lambda x: -np.atleast_2d(x) if np.ndim(x) > 1 else -x, tube)
+    bounds = estimate_bounds(lambda x: -np.atleast_2d(x) if np.ndim(x) > 1 else -x, tube)
     assert bounds.r == pytest.approx(2.0, rel=0.1)
     assert bounds.M == pytest.approx(2.0, rel=0.1)
     assert bounds.M >= bounds.r > 0
@@ -133,7 +170,7 @@ def test_estimate_bounds_unstable_scalar_raises_with_witness():
     cs = scalar_set()
     tube = sample_tube(cs, 0.05, 3000.0, seed=0)
     with pytest.raises(NotStrictlySafeError) as err:
-        estimate_bounds(cs, lambda x: np.asarray(x, dtype=float), tube)
+        estimate_bounds(lambda x: np.asarray(x, dtype=float), tube)
     assert err.value.point is not None
     assert err.value.constraint == 0
     assert err.value.lie_value < 0
@@ -146,7 +183,7 @@ def test_estimate_bounds_box_gap():
     def F(x):
         return -np.asarray(x, dtype=float)
 
-    bounds = estimate_bounds(cs, F, tube)
+    bounds = estimate_bounds(F, tube)
     # faces see inward rate about 2|x_i| around 1; gaps can close near corners
     assert 0 < bounds.r <= 2.1
     assert bounds.M <= 2.2 * 1.3
@@ -162,8 +199,8 @@ def test_bounds_exact_replay():
     def F(x):
         return -np.asarray(x, dtype=float)
 
-    b1 = estimate_bounds(cs, F, tube)
-    b2 = estimate_bounds(cs, F, tube)
+    b1 = estimate_bounds(F, tube)
+    b2 = estimate_bounds(F, tube)
     assert (b1.M, b1.r, b1.d) == (b2.M, b2.r, b2.d)
 
 
@@ -174,10 +211,14 @@ def test_bounds_monotone_under_nested_tube():
         return -np.asarray(x, dtype=float)
 
     tube = sample_tube(cs, 0.08, 3000.0, seed=5)
-    h = cs.min_values(tube.samples)
-    inner = TubeSpec(0.04, tube.samples[h <= 0.04], tube.sampling_density)
-    outer_bounds = estimate_bounds(cs, F, tube)
-    inner_bounds = estimate_bounds(cs, F, inner)
+    h = cs.values(tube.samples).min(axis=1)
+    keep = h <= 0.04
+    inner = dataclasses.replace(
+        tube, epsilon=0.04, samples=tube.samples[keep], values=tube.values[keep],
+        gradients=tube.gradients[keep],
+    )
+    outer_bounds = estimate_bounds(F, tube)
+    inner_bounds = estimate_bounds(F, inner)
     assert inner_bounds.r >= outer_bounds.r
     assert inner_bounds.d >= outer_bounds.d
 
@@ -194,7 +235,7 @@ def test_compact_bounds_invariants():
 def test_mfcq_single_gradient_passes():
     cs = unit_disk()
     tube = sample_tube(cs, 0.1, 600.0, seed=0)
-    report = check_mfcq(cs, tube)
+    report = check_mfcq(tube)
     assert report.passed
     assert report.n_checked > 0
     assert all(e.witness is not None for e in report.entries)
@@ -203,7 +244,7 @@ def test_mfcq_single_gradient_passes():
 def test_mfcq_orthogonal_gradients_pass():
     cs = box_faces()
     tube = sample_tube(cs, 0.05, 2000.0, seed=2)
-    report = check_mfcq(cs, tube, tol=0.2)
+    report = check_mfcq(tube, tol=0.2)
     assert report.passed
 
 
@@ -221,29 +262,10 @@ def test_mfcq_opposed_gradients_fail():
         bounding_box=np.array([[-1.1, 1.1], [-1.1, 1.1]]),
     )
     tube = sample_tube(cs, 0.01, 4000.0, seed=0)
-    report = check_mfcq(cs, tube, tol=0.2)
+    report = check_mfcq(tube, tol=0.2)
     assert not report.passed
     bad = report.failures[0]
     assert bad.violating_pair == (0, 1) or bad.violating_pair == (1, 0)
-
-
-def test_shrink_epsilon_helper():
-    # a field that is only inward very close to the boundary: outside a thin
-    # shell it pushes outward, so wide bands must fail and narrow ones pass
-    def ev(x):
-        return float(1.0 - x @ x), -2.0 * np.asarray(x, dtype=float)
-
-    cs = single_constraint_set(ev, 2, [[-1.2, 1.2], [-1.2, 1.2]])
-
-    def F(x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        r2 = np.einsum("bi,bi->b", X, X)
-        out = X * (0.9 - r2)[:, None] * 10.0
-        return out[0] if np.asarray(x).ndim == 1 else out
-
-    eps, tube, bounds = shrink_epsilon_until_safe(cs, F, 0.4, 2000.0, seed=0)
-    assert eps < 0.4
-    assert bounds.r > 0
 
 
 def scalar_interval():
@@ -270,7 +292,7 @@ def test_field_with_wrong_block_shape_raises():
         return -np.atleast_2d(x)[0]
 
     with pytest.raises(InvalidInputError, match=r"shape \(1,\).*expected \(\d+, 1\)"):
-        estimate_bounds(cs, F, tube)
+        estimate_bounds(F, tube)
 
 
 def test_batch_evaluator_with_wrong_shape_raises():
@@ -296,7 +318,6 @@ def test_values_match_batch_evaluation_bitwise(name):
     box = cs.bounding_box
     X = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(64, cs.n))
     np.testing.assert_array_equal(cs.values(X), cs.evaluate_batch(X)[0])
-    np.testing.assert_array_equal(cs.min_values(X), cs.evaluate_batch(X)[0].min(axis=1))
 
 
 def test_exception_inside_field_propagates_unchanged():
@@ -309,7 +330,7 @@ def test_exception_inside_field_propagates_unchanged():
         return -np.asarray(x, dtype=float)
 
     with pytest.raises(TypeError, match="single states only"):
-        estimate_bounds(cs, F, tube)
+        estimate_bounds(F, tube)
 
 
 def five_ray_line():
@@ -492,6 +513,80 @@ def test_march_matches_one_step_reference_bitwise(name):
     assert len(blocks) < len(ref_blocks)
 
 
+def reference_bisect_to_band(level, inside, inside_levels, outside, band, max_iter, rounds):
+    # the bisection that runs every row outside the band until max_iter,
+    # collapsed brackets included: the reference for bisect_to_band.  Each
+    # round's midpoints and the mask of its collapsed rows go into rounds
+    lo, hi = band
+    inside = inside.copy()
+    outside = outside.copy()
+    h_in = np.array(inside_levels, dtype=float)
+    done = (h_in >= lo) & (h_in <= hi)
+    for _ in range(max_iter):
+        rows = np.flatnonzero(~done)
+        if rows.size == 0:
+            break
+        mid = 0.5 * (inside[rows] + outside[rows])
+        collapsed = np.all(mid == inside[rows], axis=1) | np.all(mid == outside[rows], axis=1)
+        rounds.append((mid, collapsed))
+        h_mid = level(mid)
+        go_in = h_mid >= 0.0
+        inside[rows[go_in]] = mid[go_in]
+        outside[rows[~go_in]] = mid[~go_in]
+        h_in[rows[go_in]] = h_mid[go_in]
+        done[rows] = (h_in[rows] >= lo) & (h_in[rows] <= hi)
+    return inside[done]
+
+
+def test_bisection_drops_collapsed_brackets(monkeypatch):
+    # boundary rays of the disk-and-slab set's smooth minimum at theta = 60,
+    # bisected to a band of width 1e-300: on many rays no float lies in it,
+    # and their brackets collapse to adjacent floats long before max_iter
+    cs, _ = disk_problem()
+    box = cs.bounding_box
+    rng = np.random.default_rng(0)
+    pool = rng.uniform(box[:, 0], box[:, 1], size=(800, 2))
+
+    def level(X):
+        return softmin_block(cs.screened_values(X), 60.0)[0]
+
+    pool_level = level(pool)
+    starts = rng.choice(np.flatnonzero(pool_level > 0.0), size=200)
+    dirs = rng.normal(size=(200, 2))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
+    kwargs = dict(step=0.04 * scale, n_steps=60, box=box, margin=0.5 * scale,
+                  band=(0.0, 1e-300), max_iter=100)
+
+    def run(bisect):
+        blocks = []
+
+        def recorded(X):
+            blocks.append(X.copy())
+            return level(X)
+
+        monkeypatch.setattr(softcbf.geometry, "bisect_to_band", bisect)
+        located, n_crossed = march_and_bisect(recorded, pool[starts], pool_level[starts], dirs, **kwargs)
+        return located, n_crossed, blocks
+
+    located, n_crossed, blocks = run(bisect_to_band)
+    rounds = []
+    ref, ref_crossed, ref_blocks = run(
+        lambda *args: reference_bisect_to_band(*args, rounds=rounds)
+    )
+    assert located.tobytes() == ref.tobytes()
+    assert n_crossed == ref_crossed
+    assert n_crossed - located.shape[0] > 0
+    n_collapsed = sum(int(c.sum()) for _, c in rounds)
+    assert n_collapsed > 0
+    # the march's calls are the same; each bisection round evaluates the
+    # reference's midpoints less its collapsed rows, and so no collapsed row
+    n_march = len(ref_blocks) - len(rounds)
+    expected = ref_blocks[:n_march] + [mid[~c] for mid, c in rounds if not c.all()]
+    assert len(blocks) == len(expected)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(blocks, expected))
+
+
 def test_sample_tube_coverage_retry_lands_on_the_missed_face():
     # at density 1 the random pass finds no band sample owned by the corner
     # cut (constraint 4); the retry bisects from candidates it owns toward
@@ -562,14 +657,14 @@ def test_tube_carries_its_evaluation(monkeypatch):
     vals, grads = cs.evaluate_batch(tube.samples)
     assert tube.values.tobytes() == vals.tobytes()
     assert tube.gradients.tobytes() == grads.tobytes()
-    bare = dataclasses.replace(tube, values=None, gradients=None)
-    expected = (estimate_bounds(cs, F, bare), check_mfcq(cs, bare))
+    fresh = dataclasses.replace(tube, values=vals, gradients=grads)
+    expected = (estimate_bounds(F, fresh), check_mfcq(fresh))
 
     def no_evaluation(self, X):
         raise AssertionError("tube samples evaluated again")
 
     monkeypatch.setattr(ConstraintSet, "evaluate_batch", no_evaluation)
-    bounds, mfcq = estimate_bounds(cs, F, tube), check_mfcq(cs, tube)
+    bounds, mfcq = estimate_bounds(F, tube), check_mfcq(tube)
     assert bounds == expected[0]
     assert (mfcq.passed, mfcq.n_checked) == (expected[1].passed, expected[1].n_checked)
     assert [e.active for e in mfcq.entries] == [e.active for e in expected[1].entries]

@@ -146,9 +146,7 @@ def test_pendulum_backup_setup():
 def test_pendulum_jacobian_matches_finite_differences():
     bench = pendulum_backup()
     prob = bench.backup
-    from softcbf import closed_loop_field
-
-    F = closed_loop_field(prob)
+    F = prob.sys.closed_loop(prob.k_b)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x = rng.uniform(-1.5, 1.5, size=2)
