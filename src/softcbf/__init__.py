@@ -44,11 +44,15 @@ from .certify import (
 from .safety_filter import (
     ClassK,
     ClassKinfK,
+    ConstantActuation,
     ControlAffineSystem,
     FilterOutcome,
+    barrier_block,
     barrier_row,
     filter_boxed,
+    filter_boxed_block,
     filter_unconstrained,
+    filter_unconstrained_block,
     make_rhs,
 )
 from .backup import (

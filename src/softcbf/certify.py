@@ -25,8 +25,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidCertificateError, InvalidInputError
-from .geometry import CompactBounds, ConstraintSet, VectorField, call_batched, march_and_bisect
+from .errors import DomainError, InvalidCertificateError
+from .geometry import (
+    CompactBounds,
+    ConstraintSet,
+    VectorField,
+    _require_box,
+    call_batched,
+    march_and_bisect,
+)
 from .softmin import softmin_block
 
 __all__ = [
@@ -204,11 +211,9 @@ def probe_boundary(
     here, which makes the routine usable for sweeps across the threshold;
     `verify_certificate` adds the precondition.
     """
-    if not cs.compact_mode:
-        raise InvalidInputError("boundary probing requires a bounding box")
+    box = _require_box(cs, "boundary probing")
     if theta <= 0:
         raise DomainError(f"theta must be positive, got {theta}")
-    box = cs.bounding_box
     rng = np.random.default_rng(seed)
     n_check = int(n_check)
 

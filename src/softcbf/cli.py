@@ -295,10 +295,12 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     csv_path = out / f"sweep-{bench.name}.csv"
     with open(csv_path, "w") as fobj:
         fobj.write("theta,min_boundary_lie,min_h_soft,infeasible_count\n")
-        for theta in cfg.thetas:
-            report = probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
+        reports = [probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
+                   for theta in cfg.thetas]
+        # one closed loop per theta, all advanced in lockstep
+        traces = run(bench, [_sim_config(cfg, bench, theta) for theta in cfg.thetas])
+        for theta, report, trace in zip(cfg.thetas, reports, traces):
             lie = report.min_lie if report.min_lie is not None else float("nan")
-            trace = run(bench, _sim_config(cfg, bench, theta))
             fobj.write(
                 f"{theta:.17g},{lie:.17g},{trace.min_h_soft:.17g},{int(trace.infeasible.sum())}\n"
             )

@@ -215,9 +215,13 @@ class CompactBounds:
             raise InvalidCertificateError(f"need d > 0, got d={self.d}")
 
 
-def _require_box(cs: ConstraintSet) -> np.ndarray:
+def _require_box(cs: ConstraintSet, what: str) -> np.ndarray:
+    """The bounding box of a compact-mode family, checked to be finite:
+    sampling needs a finite volume, though an input box may be half-open."""
     if not cs.compact_mode:
-        raise InvalidInputError("operation requires compact-mode (a bounding box)")
+        raise InvalidInputError(f"{what} requires a bounding box")
+    if not np.all(np.isfinite(cs.bounding_box)):
+        raise InvalidInputError(f"{what} requires a finite bounding box, got {cs.bounding_box!r}")
     return cs.bounding_box
 
 
@@ -339,7 +343,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     Searches read only the sign of h_hat, through `screened_values`; the
     final samples are evaluated once, with gradients, on the tube.
     """
-    box = _require_box(cs)
+    box = _require_box(cs, "tube sampling")
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")

@@ -10,6 +10,11 @@ multiplier, solved exactly by a breakpoint search.
 Infeasibility is surfaced, never silently clipped: with a certified
 smoothing threshold it should not occur, so at runtime it is an event the
 caller must decide on.
+
+Each function has a block form (`barrier_block`, `filter_unconstrained_block`,
+`filter_boxed_block`) that treats B independent rows in one call; the
+single-row functions are its one-row case.  Every per-row reduction is a
+stacked matmul, so a row of a block is bitwise the one-row result.
 """
 from __future__ import annotations
 
@@ -23,15 +28,41 @@ from .errors import InvalidInputError
 from .geometry import _checked_box
 
 __all__ = [
+    "ConstantActuation",
     "ControlAffineSystem",
     "ClassK",
     "ClassKinfK",
     "FilterOutcome",
     "barrier_row",
+    "barrier_block",
     "filter_unconstrained",
+    "filter_unconstrained_block",
     "filter_boxed",
+    "filter_boxed_block",
     "make_rhs",
 ]
+
+
+class ConstantActuation:
+    """Actuation g(x) = G that does not depend on the state, as a callable
+    that follows the system contract: one state (n,) gives G (n, m), a block
+    (B, n) gives (B, n, m).  Because it is constant, the closed-loop
+    simulation evaluates it once per control step, not at every RK4 stage.
+    """
+
+    def __init__(self, G):
+        self.G = np.asarray(G, dtype=float)
+        # a block gets a read-only slice of one zero-stride block grown to the
+        # largest B seen: far cheaper than a np.broadcast_to call per RK4 stage
+        self._block = np.broadcast_to(self.G, (1,) + self.G.shape)
+
+    def __call__(self, x):
+        if np.ndim(x) == 1:
+            return self.G
+        view = self._block  # read once: another thread may swap in a shorter one
+        if len(view) < len(x):
+            view = self._block = np.broadcast_to(self.G, (len(x),) + self.G.shape)
+        return view[: len(x)]
 
 
 @dataclass(frozen=True)
@@ -42,8 +73,9 @@ class ControlAffineSystem:
     (n,) -> (n, m) and (B, n) -> (B, n, m).  The package calls them once per
     block and never falls back to a loop over rows; the closed-loop field
     built from them (`closed_loop`) raises InvalidInputError when either,
-    or the controller, returns the wrong shape for a block.  input_box, when
-    present, is (m, 2) rows [lo, hi].
+    or the controller, returns the wrong shape for a block.  An actuation
+    that does not depend on the state is best given as a ConstantActuation.
+    input_box, when present, is (m, 2) rows [lo, hi].
     """
 
     n: int
@@ -153,6 +185,28 @@ class FilterOutcome:
     multiplier: float = 0.0
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products (B,) of two (B, k) blocks.  A stacked matmul
+    computes each row bitwise like the one-row a[i] @ b[i]; einsum does not
+    (it can sum in another order)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _lie_coefficients(grad_h, g, f0):
+    # a = g^T grad_h as the stacked (1, n) @ (n, m) product of each row
+    return (grad_h[:, None, :] @ g)[:, 0], _rowdot(grad_h, f0)
+
+
+def barrier_block(sys: ControlAffineSystem, grad_h, X) -> tuple[np.ndarray, np.ndarray]:
+    """`barrier_row` for each row of a block: gradients and states (B, n) give
+    a (B, m) and c (B,), each row bitwise the one-row result.  The dynamics
+    are called once, on the block.  Inputs are not validated here;
+    `barrier_row` is the checked one-row entry point."""
+    g = np.asarray(sys.actuation(X), dtype=float).reshape(len(X), sys.n, sys.m)
+    f0 = np.asarray(sys.drift(X), dtype=float).reshape(len(X), sys.n)
+    return _lie_coefficients(grad_h, g, f0)
+
+
 def barrier_row(sys: ControlAffineSystem, grad_h, x) -> tuple[np.ndarray, float]:
     """Coefficients of the barrier inequality: a = g(x)^T grad_h, c = grad_h . f0(x),
     so that the Lie derivative under input u is c + a.u."""
@@ -162,10 +216,56 @@ def barrier_row(sys: ControlAffineSystem, grad_h, x) -> tuple[np.ndarray, float]
         raise InvalidInputError(f"expected shape ({sys.n},) for gradient and state")
     if not (np.all(np.isfinite(grad_h)) and np.all(np.isfinite(x))):
         raise InvalidInputError("gradient and state must be finite")
-    g = np.asarray(sys.actuation(x), dtype=float).reshape(sys.n, sys.m)
-    a = g.T @ grad_h
-    c = float(grad_h @ np.asarray(sys.drift(x), dtype=float).reshape(sys.n))
-    return a, c
+    g = np.asarray(sys.actuation(x), dtype=float).reshape(1, sys.n, sys.m)
+    f0 = np.asarray(sys.drift(x), dtype=float).reshape(1, sys.n)
+    a, c = _lie_coefficients(grad_h[None], g, f0)
+    return a[0], float(c[0])
+
+
+# dtype of a block's qp_status: long enough for "infeasible"
+_STATUS = "<U10"
+
+
+def _one_row(a, c, rhs, u_des):
+    a = np.asarray(a, dtype=float).reshape(1, -1)
+    u_des = np.asarray(u_des, dtype=float).reshape(1, -1)
+    if a.shape != u_des.shape:
+        raise InvalidInputError(f"a {a.shape[1:]} and u_des {u_des.shape[1:]} must match")
+    return a, np.array([c], dtype=float), np.array([rhs], dtype=float), u_des
+
+
+def _first(block: FilterOutcome) -> FilterOutcome:
+    return FilterOutcome(
+        u=block.u[0],
+        constraint_value=float(block.constraint_value[0]),
+        modified=bool(block.modified[0]),
+        qp_status=str(block.qp_status[0]),
+        multiplier=float(block.multiplier[0]),
+    )
+
+
+def filter_unconstrained_block(a, c, rhs, u_des) -> FilterOutcome:
+    """`filter_unconstrained` for each row of a block: a and u_des (B, m), c
+    and rhs (B,).  The outcome's fields hold one entry per row, each bitwise
+    the one-row result.  Inputs are not validated here."""
+    au = _rowdot(a, u_des)
+    slack = c + au - rhs
+    short = ~(slack >= 0.0)
+    status = np.full(len(au), "analytic", dtype=_STATUS)
+    nrm2 = _rowdot(a, a)
+    moved = short & (nrm2 != 0.0)
+    dead = short & ~moved
+    status[dead] = "infeasible"
+    # lam is 0 on the rows that keep u_des; where() keeps them bitwise
+    lam = np.where(moved, rhs - c - au, 0.0) / np.where(moved, nrm2, 1.0)
+    u = np.where(moved[:, None], u_des + lam[:, None] * a, u_des)
+    return FilterOutcome(
+        u=u,
+        constraint_value=np.where(moved, c + _rowdot(a, u) - rhs, slack),
+        modified=moved,
+        qp_status=status,
+        multiplier=np.where(dead, math.inf, lam),
+    )
 
 
 def filter_unconstrained(a, c: float, rhs: float, u_des) -> FilterOutcome:
@@ -175,27 +275,85 @@ def filter_unconstrained(a, c: float, rhs: float, u_des) -> FilterOutcome:
     when a = 0 with the inequality violated, i.e. the barrier condition
     itself fails at this state.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    u_des = np.asarray(u_des, dtype=float).reshape(-1)
-    if a.shape != u_des.shape:
-        raise InvalidInputError(f"a {a.shape} and u_des {u_des.shape} must match")
-    slack = float(c + a @ u_des - rhs)
-    if slack >= 0.0:
-        return FilterOutcome(u=u_des, constraint_value=slack, modified=False, qp_status="analytic")
-    nrm2 = float(a @ a)
-    if nrm2 == 0.0:
-        return FilterOutcome(u=u_des, constraint_value=slack, modified=False,
-                             qp_status="infeasible", multiplier=math.inf)
-    lam = (rhs - c - float(a @ u_des)) / nrm2
-    u = u_des + lam * a
-    return FilterOutcome(
-        u=u, constraint_value=float(c + a @ u - rhs), modified=True, qp_status="analytic",
-        multiplier=lam,
-    )
+    return _first(filter_unconstrained_block(*_one_row(a, c, rhs, u_des)))
 
 
-def _clip(u, box):
-    return np.clip(u, box[:, 0], box[:, 1])
+def _breakpoint_search(a, c, rhs, u_des, box, u0):
+    """The smallest lam >= 0 with c + a.u(lam) >= rhs, u(lam) = clip(u_des +
+    lam*a, box), for one row whose free projection leaves the box; returns
+    u(lam) and lam."""
+    # component j is free between its two breakpoints, adding a_j^2 to the slope
+    j = np.flatnonzero(a)
+    ends = (box[j] - u_des[j, None]) / a[j, None]
+    times = np.maximum(np.concatenate([ends.min(axis=1), ends.max(axis=1)]), 0.0)
+    rates = np.concatenate([a[j] ** 2, -(a[j] ** 2)])
+    order = np.argsort(times, kind="stable")
+    # gap: how far a.u(lam) still falls short of the target
+    lam, gap, slope = 0.0, rhs - c - float(a @ u0), 0.0
+    for t, rate in zip(times[order], rates[order]):
+        if slope * (t - lam) >= gap:
+            lam += gap / slope
+            break
+        gap -= slope * (t - lam)
+        lam, slope = t, slope + rate
+    # rounding can leave the slack a few ulps below 0: step lam up until it is not
+    step = np.finfo(float).eps * (1.0 + lam)
+    u = np.clip(u_des + lam * a, box[:, 0], box[:, 1])
+    for _ in range(64):
+        if float(c + a @ u - rhs) >= 0.0:
+            break
+        lam += step
+        step *= 2.0
+        u = np.clip(u_des + lam * a, box[:, 0], box[:, 1])
+    return u, lam
+
+
+def filter_boxed_block(a, c, rhs, u_des, box) -> FilterOutcome:
+    """`filter_boxed` for each row of a block: a and u_des (B, m), c and rhs
+    (B,), one box (m, 2) for all rows.  The outcome's fields hold one entry
+    per row, each bitwise the one-row result; only the rows whose free
+    projection leaves the box run the breakpoint search.  Inputs are not
+    validated here."""
+    lo, hi = box[:, 0], box[:, 1]
+    target = rhs - c
+    u = np.clip(u_des, lo, hi)
+    au = _rowdot(a, u)
+    slack = c + au - rhs
+    modified = (u != u_des).any(axis=1)
+    status = np.where(modified, "clipped", "analytic").astype(_STATUS)
+    multiplier = np.zeros(len(u))
+    short = np.flatnonzero(~(au >= target))
+    if short.size == 0:
+        return FilterOutcome(u=u, constraint_value=slack, modified=modified, qp_status=status,
+                             multiplier=multiplier)
+    modified[short] = True
+    # best achievable value of a.u over the box
+    a_s = a[short]
+    u_best = np.where(a_s > 0, hi, np.where(a_s < 0, lo, u[short]))
+    best = _rowdot(a_s, u_best)
+    dead = best < target[short]
+    d = short[dead]
+    u[d] = u_best[dead]
+    slack[d] = c[d] + best[dead] - rhs[d]
+    status[d] = "infeasible"
+    multiplier[d] = math.inf
+    r = short[~dead]
+    if r.size:
+        # the unconstrained projection is exact where it stays inside the box
+        free = filter_unconstrained_block(a[r], c[r], rhs[r], u_des[r])
+        inside = ((free.u >= lo) & (free.u <= hi)).all(axis=1)
+        k = r[inside]
+        u[k] = free.u[inside]
+        slack[k] = free.constraint_value[inside]
+        modified[k] = free.modified[inside]
+        status[k] = free.qp_status[inside]
+        multiplier[k] = free.multiplier[inside]
+        for i in r[~inside]:
+            u[i], multiplier[i] = _breakpoint_search(a[i], c[i], rhs[i], u_des[i], box, u[i])
+            slack[i] = c[i] + a[i] @ u[i] - rhs[i]
+            status[i] = "clipped"
+    return FilterOutcome(u=u, constraint_value=slack, modified=modified, qp_status=status,
+                         multiplier=multiplier)
 
 
 def filter_boxed(a, c: float, rhs: float, u_des, box) -> FilterOutcome:
@@ -209,65 +367,8 @@ def filter_boxed(a, c: float, rhs: float, u_des, box) -> FilterOutcome:
     search; Kiwiel, Math. Programming 112, 2008).  Infeasible when even the
     best box corner violates.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    u_des = np.asarray(u_des, dtype=float).reshape(-1)
-    box = np.asarray(box, dtype=float)
-    m = a.size
-    if box.shape != (m, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise InvalidInputError(f"box must be ({m}, 2) with lo < hi")
-
-    target = rhs - c
-    u0 = _clip(u_des, box)
-    if float(a @ u0) >= target:
-        modified = not np.array_equal(u0, u_des)
-        status = "clipped" if modified else "analytic"
-        return FilterOutcome(
-            u=u0, constraint_value=float(c + a @ u0 - rhs), modified=modified, qp_status=status
-        )
-
-    # best achievable value of a.u over the box
-    u_best = np.where(a > 0, box[:, 1], np.where(a < 0, box[:, 0], u0))
-    if float(a @ u_best) < target:
-        return FilterOutcome(
-            u=u_best,
-            constraint_value=float(c + a @ u_best - rhs),
-            modified=True,
-            qp_status="infeasible",
-            multiplier=math.inf,
-        )
-
-    # the unconstrained projection is exact when it stays inside the box
-    free = filter_unconstrained(a, c, rhs, u_des)
-    if np.all(free.u >= box[:, 0]) and np.all(free.u <= box[:, 1]):
-        return free
-
-    # component j is free between its two breakpoints, adding a_j^2 to the slope
-    j = np.flatnonzero(a)
-    ends = (box[j] - u_des[j, None]) / a[j, None]
-    times = np.maximum(np.concatenate([ends.min(axis=1), ends.max(axis=1)]), 0.0)
-    rates = np.concatenate([a[j] ** 2, -(a[j] ** 2)])
-    order = np.argsort(times, kind="stable")
-    # gap: how far a.u(lam) still falls short of the target
-    lam, gap, slope = 0.0, target - float(a @ u0), 0.0
-    for t, rate in zip(times[order], rates[order]):
-        if slope * (t - lam) >= gap:
-            lam += gap / slope
-            break
-        gap -= slope * (t - lam)
-        lam, slope = t, slope + rate
-    # rounding can leave the slack a few ulps below 0: step lam up until it is not
-    step = np.finfo(float).eps * (1.0 + lam)
-    u = _clip(u_des + lam * a, box)
-    for _ in range(64):
-        if float(c + a @ u - rhs) >= 0.0:
-            break
-        lam += step
-        step *= 2.0
-        u = _clip(u_des + lam * a, box)
-    return FilterOutcome(
-        u=u, constraint_value=float(c + a @ u - rhs), modified=True, qp_status="clipped",
-        multiplier=lam,
-    )
+    a, c, rhs, u_des = _one_row(a, c, rhs, u_des)
+    return _first(filter_boxed_block(a, c, rhs, u_des, _checked_box(box, a.shape[1], "box")))
 
 
 def make_rhs(alpha: Union[ClassK, ClassKinfK], h_val: float, x_norm: Optional[float] = None) -> float:

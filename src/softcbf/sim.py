@@ -4,7 +4,9 @@ Zero-order-hold control loop: at each control step the barrier (smooth
 minimum of the constraint family, or of the backup slice constraints) and
 its gradient are evaluated, the desired input is filtered through the
 single-constraint projection, and the plant is integrated one step with
-RK4 substeps while the input is held.
+RK4 substeps while the input is held.  Several configurations run in
+lockstep as the rows of one block, each step one call per stage for all
+of them; a single configuration is the one-row block.
 
 The continuous-time guarantee degrades under sampling; traces are judged
 against a small negative tolerance (default -1e-6) that absorbs the
@@ -14,22 +16,30 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import softmin as sm
-from .backup import backup_barrier, integrate_flow, rk4_step
+from .backup import rk4_step, slice_values_batch
 from .errors import InvalidInputError
+from .geometry import call_batched
 from .safety_filter import (
     ClassK,
     ClassKinfK,
-    barrier_row,
-    filter_boxed,
-    filter_unconstrained,
+    ConstantActuation,
+    _rowdot,
+    barrier_block,
+    filter_boxed_block,
+    filter_unconstrained_block,
     make_rhs,
 )
 from .systems import Benchmark
+
+# the one-row forms stay importable from this module, where perfbench's
+# tracer patches them, though the lockstep loop calls the block forms
+from .backup import backup_barrier, integrate_flow  # noqa: F401
+from .safety_filter import barrier_row, filter_boxed, filter_unconstrained  # noqa: F401
 
 __all__ = ["SimConfig", "SimTrace", "run", "SAFETY_TOLERANCE"]
 
@@ -73,7 +83,10 @@ class SimTrace:
     Row k holds the state at time t_k and the input held over
     [t_k, t_{k+1}); the final row repeats the last input so the arrays
     stay rectangular.  `violations` lists (time, value) pairs where the
-    smooth barrier went negative.
+    smooth barrier went negative.  `filter_status`, `slack` and
+    `multiplier` are the filter's qp_status, constraint_value and
+    multiplier at each step; they hold "" and NaN where the filter did not
+    run (takeover steps and the final row).  The CSV leaves them out.
     """
 
     times: np.ndarray
@@ -83,6 +96,9 @@ class SimTrace:
     h_hard: np.ndarray
     modified: np.ndarray
     infeasible: np.ndarray
+    filter_status: np.ndarray
+    slack: np.ndarray
+    multiplier: np.ndarray
     min_h_soft: float
     violations: list
     truncated: bool = False
@@ -115,157 +131,237 @@ class SimTrace:
                    header=",".join(cols), comments="")
 
 
-def _barrier_state(bench: Benchmark, theta: float):
-    """Return a function x -> (soft value, soft gradient, hard value)."""
+def _softmin_rows(vals, grads, theta):
+    """Smooth minimum (B,) and its gradient (B, n) of each row of a block of
+    constraint values (B, N) and gradients (B, N, n); theta (B,) per row."""
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
+        raise InvalidInputError("constraint values and gradients must be finite")
+    if vals.shape[1] == 1:  # one constraint is its own smooth minimum
+        return vals[:, 0], grads[:, 0]
+    soft, w = sm.softmin_block(vals, theta)
+    # sum_i w_i grad_i as a stacked (1, N) @ (N, n) product, bitwise per row
+    return soft, (w[:, None, :] @ grads)[:, 0]
+
+
+def _barrier_block(bench: Benchmark):
+    """Return a function (X (B, n), theta (B,)) -> (soft values (B,), soft
+    gradients (B, n), hard values (B,)) that evaluates a block in one call:
+    one batch evaluation of the family, or one flow with sensitivities of
+    the backup slices."""
     if bench.backup is not None:
         prob = bench.backup
 
-        def eval_barrier(x):
-            bb = backup_barrier(prob, integrate_flow(prob, x), theta)
-            return bb.soft_value, bb.soft_gradient, float(bb.b_values.min())
+        def evaluate(X):
+            return slice_values_batch(prob, X)
 
     else:
-        cs = bench.constraints
+        evaluate = bench.constraints.evaluate_batch
 
-        def eval_barrier(x):
-            vals, grads = cs.evaluate(x)
-            w = sm.softmin_weights(vals, theta)
-            return (
-                sm.softmin_value(vals, theta),
-                sm.softmin_gradient(grads, w),
-                float(vals.min()),
-            )
+    def eval_barrier(X, theta):
+        vals, grads = evaluate(X)
+        soft, grad = _softmin_rows(vals, grads, theta)
+        return soft, grad, vals.min(axis=1)
 
     return eval_barrier
 
 
-def _plant_step(bench: Benchmark, x: np.ndarray, u: np.ndarray, dt: float, substeps: int):
-    sys = bench.sys
+def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) -> np.ndarray:
+    """Integrate every row of X over one control step with its input row of
+    U held.  `run` checks the dynamics' block shapes once, so they are called
+    directly here.  Each row's held input g(x) u is a stacked matmul, bitwise
+    the one-row g @ u; a ConstantActuation's is the same at every RK4 stage,
+    so it is computed once."""
+    U = U[:, :, None]
+    if isinstance(sys.actuation, ConstantActuation):
+        held = (sys.actuation(X) @ U)[:, :, 0]
 
-    def f(x):
-        g = np.asarray(sys.actuation(x), dtype=float).reshape(sys.n, sys.m)
-        return np.asarray(sys.drift(x), dtype=float).reshape(sys.n) + g @ u
+        def f(X):
+            return sys.drift(X) + held
+
+    else:
+        def f(X):
+            return sys.drift(X) + (sys.actuation(X) @ U)[:, :, 0]
 
     h = dt / substeps
     for _ in range(substeps):
-        x, _ = rk4_step(f, x, h)
-    return x
+        X, _ = rk4_step(f, X, h)
+    return X
 
 
-def run(bench: Benchmark, cfg: SimConfig) -> SimTrace:
-    """Simulate the filtered closed loop; deterministic for fixed inputs."""
+def _as_block(cfg: Union[SimConfig, Sequence[SimConfig]]) -> list:
+    cfgs = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
+    if not cfgs:
+        raise InvalidInputError("need at least one config")
+    clock = {(c.dt, c.t_final, c.substeps) for c in cfgs}
+    if len(clock) > 1:
+        raise InvalidInputError("configs run in lockstep must share dt, t_final and substeps")
+    return cfgs
+
+
+def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[SimTrace, list]:
+    """Simulate the filtered closed loop; deterministic for fixed inputs.
+
+    `cfg` is one SimConfig, which returns one SimTrace, or a list of them,
+    which returns one trace per config.  A list runs in lockstep: at each
+    control step the live rows share one desired-controller call, one
+    barrier evaluation, one block filter and one block plant step.  The
+    configs must share dt, t_final and substeps; x0, theta, alpha and
+    infeasible_policy may differ.  Takeover, halt, clip and truncation are
+    decided per row, and a row that stops leaves the block.  On a
+    constraint family each row is bitwise its single run; on a backup set
+    the rows share one flow, so a row can differ from its single run in the
+    last bits (see `integrate_flow_batch`).
+    """
     sys = bench.sys
-    eval_barrier = _barrier_state(bench, cfg.theta)
-    x = cfg.x0.copy()
-    if x.size != sys.n:
+    cfgs = _as_block(cfg)
+    if any(c.x0.size != sys.n for c in cfgs):
         raise InvalidInputError(f"x0 must have dimension {sys.n}")
+    B, n, m = len(cfgs), sys.n, sys.m
+    eval_barrier = _barrier_block(bench)
+    theta = np.array([c.theta for c in cfgs])
+    X = np.stack([c.x0 for c in cfgs])
 
-    soft0, _, hard0 = barrier0 = eval_barrier(x)
-    if soft0 < 0.0:
-        if hard0 >= 0.0:
-            warnings.warn(
-                "initial state is inside the hard set but outside the smooth "
-                "set; the certificate does not cover it",
-                stacklevel=2,
-            )
-        else:
-            raise InvalidInputError(
-                f"initial state is unsafe: smooth barrier {soft0:.4g}, hard barrier {hard0:.4g}"
-            )
+    # the dynamics are called on blocks without per-call checks, so check
+    # their shapes once here
+    call_batched(sys.drift, X, (n,))
+    call_batched(sys.actuation, X, (n, m))
+    soft, grad, hard = eval_barrier(X, theta)
+    for soft0, hard0 in zip(soft, hard):
+        if soft0 < 0.0:
+            if hard0 >= 0.0:
+                warnings.warn(
+                    "initial state is inside the hard set but outside the smooth "
+                    "set; the certificate does not cover it",
+                    stacklevel=2,
+                )
+            else:
+                raise InvalidInputError(
+                    f"initial state is unsafe: smooth barrier {soft0:.4g}, hard barrier {hard0:.4g}"
+                )
 
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
-    states = np.empty((n_steps + 1, sys.n))
-    controls = np.zeros((n_steps + 1, sys.m))
-    h_soft = np.empty(n_steps + 1)
-    h_hard = np.empty(n_steps + 1)
-    modified = np.zeros(n_steps + 1, dtype=bool)
-    infeasible = np.zeros(n_steps + 1, dtype=bool)
+    dt, substeps = cfgs[0].dt, cfgs[0].substeps
+    n_steps = int(round(cfgs[0].t_final / dt))
+    times = np.arange(n_steps + 1) * dt
+    # recorded as [step, row]; each trace takes its column
+    states = np.empty((n_steps + 1, B, n))
+    controls = np.zeros((n_steps + 1, B, m))
+    h_soft = np.empty((n_steps + 1, B))
+    h_hard = np.empty((n_steps + 1, B))
+    modified = np.zeros((n_steps + 1, B), dtype=bool)
+    infeasible = np.zeros((n_steps + 1, B), dtype=bool)
+    # the filter's outcome at every step; ""/NaN where it did not run
+    filter_status = np.full((n_steps + 1, B), "", dtype="<U10")
+    slack = np.full((n_steps + 1, B), np.nan)
+    multiplier = np.full((n_steps + 1, B), np.nan)
 
-    takeover = False
-    truncated = False
-    note = ""
-    near_singular = 0
-    if bench.backup is not None:
-        fallback_controller = bench.backup.k_b
-    else:
-        fallback_controller = bench.safe_controller
+    ends = np.full(B, n_steps + 1)  # rows recorded per trace
+    notes = [""] * B
+    near_singular = np.zeros(B, dtype=int)
+    takeover = np.zeros(B, dtype=bool)
+    fallback_controller = bench.backup.k_b if bench.backup is not None else bench.safe_controller
+    box = sys.input_box
 
-    k = 0
-    while k <= n_steps:
-        states[k] = x
-        # the barrier at x0 was evaluated above
-        soft, grad_soft, hard = barrier0 if k == 0 else eval_barrier(x)
-        h_soft[k] = soft
-        h_hard[k] = hard
+    def fallback(x):
+        return np.asarray(fallback_controller(x), dtype=float).reshape(m)
+
+    # the rows still running, whose states X holds; `sel` indexes them in
+    # the records, as a slice while every row runs
+    live, sel, theta_live = np.arange(B), slice(None), theta
+    for k in range(n_steps + 1):
+        if k > 0:
+            soft, grad, hard = eval_barrier(X, theta_live)
+        states[k, sel] = X
+        h_soft[k, sel] = soft
+        h_hard[k, sel] = hard
         if k == n_steps:
-            controls[k] = controls[k - 1] if k > 0 else 0.0
+            controls[k, sel] = controls[k - 1, sel] if k > 0 else 0.0
             break
 
-        if takeover:
-            u = np.asarray(fallback_controller(x), dtype=float).reshape(sys.m)
-        else:
-            u_des = np.asarray(bench.desired_controller(x), dtype=float).reshape(sys.m)
-            a, c = barrier_row(sys, grad_soft, x)
-            rhs = make_rhs(cfg.alpha, soft, float(np.linalg.norm(x)))
-            if sys.input_box is not None:
-                outcome = filter_boxed(a, c, rhs, u_des, sys.input_box)
+        # act: the positions in live whose input is filtered; rows: their records
+        U = np.empty((live.size, m))
+        act, rows, Xa, soft_a, grad_a = slice(None), sel, X, soft, grad
+        if takeover.any():
+            taken = takeover[live]
+            for j in np.flatnonzero(taken):
+                U[j] = fallback(X[j])
+            act = np.flatnonzero(~taken)
+            rows, Xa, soft_a, grad_a = live[act], X[act], soft[act], grad[act]
+        stop = []  # positions in live that halt at this step
+        if len(Xa):
+            u_des = np.asarray(bench.desired_controller(Xa), dtype=float).reshape(len(Xa), m)
+            a, c = barrier_block(sys, grad_a, Xa)
+            rhs = np.array([
+                make_rhs(cfgs[i].alpha, h,
+                         float(np.linalg.norm(x)) if isinstance(cfgs[i].alpha, ClassKinfK) else None)
+                for i, h, x in zip(live[act], soft_a, Xa)
+            ])
+            if box is not None:
+                out = filter_boxed_block(a, c, rhs, u_des, box)
             else:
-                outcome = filter_unconstrained(a, c, rhs, u_des)
-            if outcome.qp_status == "infeasible":
-                infeasible[k] = True
-                if cfg.infeasible_policy == "halt":
-                    controls[k] = outcome.u
-                    truncated = True
-                    note = f"halted on infeasible filter at t={times[k]:.6g}"
-                    k += 1
-                    break
-                if cfg.infeasible_policy == "backup-takeover":
-                    takeover = True
-                    u = np.asarray(fallback_controller(x), dtype=float).reshape(sys.m)
+                out = filter_unconstrained_block(a, c, rhs, u_des)
+            U[act] = out.u
+            filter_status[k, rows] = out.qp_status
+            slack[k, rows] = out.constraint_value
+            multiplier[k, rows] = out.multiplier
+            ok = out.qp_status != "infeasible"
+            acted = out.modified & ok
+            modified[k, rows] = acted
+            # the closed-form projection is discontinuous where the input
+            # direction nearly vanishes: count the steps that acted there
+            near_singular[rows] += acted & (
+                np.sqrt(_rowdot(a, a)) < 1e-6 * (1.0 + np.sqrt(_rowdot(u_des, u_des))))
+            for j in np.flatnonzero(~ok):
+                p = np.arange(live.size)[act][j]  # the position in live of filtered row j
+                i = live[p]
+                infeasible[k, i] = True
+                policy = cfgs[i].infeasible_policy
+                if policy == "halt":
+                    notes[i] = f"halted on infeasible filter at t={times[k]:.6g}"
+                    ends[i] = k + 1
+                    stop.append(p)
+                elif policy == "backup-takeover":
+                    takeover[i] = True
+                    U[p] = fallback(X[p])
                 else:  # clip
-                    note = note or "clip policy applied on infeasible steps (unsound)"
-                    if sys.input_box is not None:
-                        u = np.clip(u_des, sys.input_box[:, 0], sys.input_box[:, 1])
-                    else:
-                        u = u_des
-            else:
-                u = outcome.u
-                modified[k] = outcome.modified
-                if outcome.modified and np.linalg.norm(a) < 1e-6 * (1.0 + np.linalg.norm(u_des)):
-                    near_singular += 1
-        controls[k] = u
+                    notes[i] = notes[i] or "clip policy applied on infeasible steps (unsound)"
+                    U[p] = np.clip(u_des[j], box[:, 0], box[:, 1]) if box is not None else u_des[j]
+        controls[k, sel] = U
 
-        x_next = _plant_step(bench, x, u, cfg.dt, cfg.substeps)
-        if not np.all(np.isfinite(x_next)):
-            truncated = True
-            note = f"plant state became non-finite after t={times[k]:.6g}"
-            k += 1
-            break
-        x = x_next
-        k += 1
+        if stop:
+            keep = np.ones(live.size, dtype=bool)
+            keep[stop] = False
+            live, X, U = live[keep], X[keep], U[keep]
+        X = _plant_block(sys, X, U, dt, substeps)
+        if not np.isfinite(X).all():
+            finite = np.isfinite(X).all(axis=1)
+            for i in live[~finite]:
+                notes[i] = f"plant state became non-finite after t={times[k]:.6g}"
+                ends[i] = k + 1
+            live, X = live[finite], X[finite]
+        if live.size < len(theta_live):  # rows left the block
+            if live.size == 0:
+                break
+            sel, theta_live = live, theta[live]
 
-    if truncated:
-        times = times[:k]
-        states = states[:k]
-        controls = controls[:k]
-        h_soft = h_soft[:k]
-        h_hard = h_hard[:k]
-        modified = modified[:k]
-        infeasible = infeasible[:k]
-
-    violations = [(float(t), float(v)) for t, v in zip(times, h_soft) if v < 0.0]
-    return SimTrace(
-        times=times,
-        states=states,
-        controls=controls,
-        h_soft=h_soft,
-        h_hard=h_hard,
-        modified=modified,
-        infeasible=infeasible,
-        min_h_soft=float(h_soft.min()) if h_soft.size else float("nan"),
-        violations=violations,
-        truncated=truncated,
-        note=note,
-        near_singular_steps=near_singular,
-    )
+    traces = []
+    for i in range(B):
+        e = ends[i]
+        trace_h = np.ascontiguousarray(h_soft[:e, i])
+        traces.append(SimTrace(
+            times=times[:e],
+            states=np.ascontiguousarray(states[:e, i]),
+            controls=np.ascontiguousarray(controls[:e, i]),
+            h_soft=trace_h,
+            h_hard=np.ascontiguousarray(h_hard[:e, i]),
+            modified=np.ascontiguousarray(modified[:e, i]),
+            infeasible=np.ascontiguousarray(infeasible[:e, i]),
+            filter_status=np.ascontiguousarray(filter_status[:e, i]),
+            slack=np.ascontiguousarray(slack[:e, i]),
+            multiplier=np.ascontiguousarray(multiplier[:e, i]),
+            min_h_soft=float(trace_h.min()) if trace_h.size else float("nan"),
+            violations=[(float(t), float(v)) for t, v in zip(times, trace_h) if v < 0.0],
+            truncated=bool(e < n_steps + 1),
+            note=notes[i],
+            near_singular_steps=int(near_singular[i]),
+        ))
+    return traces[0] if isinstance(cfg, SimConfig) else traces

@@ -56,14 +56,15 @@ def default_activity_tolerance(h_min):
 
 def softmin_block(vals: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Smooth minimum (B,) and softmax weights (B, N) of each row of a
-    (B, N) block of constraint values.
+    (B, N) block of constraint values, at one sharpness theta for every row
+    or one per row (B,).
 
     Computed in max-shifted form so the result is finite for any finite
     input, including theta in the tens of thousands.  Inputs are not
     validated here; `softmin_value` and `softmin_weights` are the checked
     single-point entry points.
     """
-    z = -theta * vals
+    z = -(theta[:, None] if np.ndim(theta) else theta) * vals
     zmax = z.max(axis=1, keepdims=True)
     e = np.exp(z - zmax)
     total = e.sum(axis=1, keepdims=True)

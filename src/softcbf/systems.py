@@ -17,7 +17,7 @@ import numpy as np
 from .backup import BackupProblem, slice_constraint_set
 from .errors import InvalidInputError
 from .geometry import ConstraintSet
-from .safety_filter import ControlAffineSystem
+from .safety_filter import ConstantActuation, ControlAffineSystem
 
 __all__ = [
     "Benchmark",
@@ -65,6 +65,20 @@ class Benchmark:
         return self.constraints
 
 
+def _evaluators_of(batch: Callable, N: int) -> tuple:
+    """Per-constraint evaluators that read entry i of the batch evaluator on
+    a one-row block, so the two agree bitwise."""
+
+    def make_eval(i):
+        def ev(x):
+            vals, grads = batch(np.asarray(x, dtype=float)[None])
+            return float(vals[0, i]), grads[0, i]
+
+        return ev
+
+    return tuple(make_eval(i) for i in range(N))
+
+
 def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
     """Family h_i(x) = b_i + W_i . x with constant gradients W_i."""
     W = np.asarray(W, dtype=float)
@@ -78,37 +92,13 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
         X = np.atleast_2d(X)
         return values(X), np.broadcast_to(W, (X.shape[0], N, n)).copy()
 
-    def make_eval(i):
-        def ev(x):
-            return float(b[i] + W[i] @ np.asarray(x, dtype=float)), W[i].copy()
-
-        return ev
-
     return ConstraintSet(
         n=n,
-        evaluators=tuple(make_eval(i) for i in range(N)),
+        evaluators=_evaluators_of(batch, N),
         bounding_box=np.asarray(box, dtype=float),
         batch_evaluator=batch,
         value_evaluator=values,
     )
-
-
-def _const_actuation(gmat: np.ndarray) -> Callable:
-    gmat = np.asarray(gmat, dtype=float)
-    # a block gets a read-only slice of one zero-stride block grown to the
-    # largest B seen: far cheaper than a np.broadcast_to call per RK4 stage
-    block = np.broadcast_to(gmat, (1,) + gmat.shape)
-
-    def g(x):
-        nonlocal block
-        if np.ndim(x) == 1:
-            return gmat
-        view = block  # read once: another thread may swap in a shorter one
-        if len(view) < len(x):
-            view = block = np.broadcast_to(gmat, (len(x),) + gmat.shape)
-        return view[: len(x)]
-
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +128,7 @@ def double_integrator_box() -> Benchmark:
         out[..., 0] = x[..., 1]
         return out
 
-    sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=_const_actuation([[0.0], [1.0]]))
+    sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=ConstantActuation([[0.0], [1.0]]))
 
     W = np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5, 1.5])
@@ -222,7 +212,7 @@ def pendulum_backup() -> Benchmark:
         n=2,
         m=1,
         drift=drift,
-        actuation=_const_actuation([[0.0], [1.0]]),
+        actuation=ConstantActuation([[0.0], [1.0]]),
         input_box=np.array([[-PENDULUM_U_MAX, PENDULUM_U_MAX]]),
     )
 
@@ -330,7 +320,7 @@ def _scalar_benchmark(name: str, stable: bool) -> Benchmark:
     def drift(x):
         return sign * np.asarray(x, dtype=float)
 
-    sys = ControlAffineSystem(n=1, m=1, drift=drift, actuation=_const_actuation([[1.0]]))
+    sys = ControlAffineSystem(n=1, m=1, drift=drift, actuation=ConstantActuation([[1.0]]))
     constraints = _affine_constraints(
         np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]), [[-1.3, 1.3]]
     )
@@ -396,7 +386,7 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
         x = np.asarray(x, dtype=float)
         return np.zeros_like(x)
 
-    sys = ControlAffineSystem(n=2, m=2, drift=drift, actuation=_const_actuation(np.eye(2)))
+    sys = ControlAffineSystem(n=2, m=2, drift=drift, actuation=ConstantActuation(np.eye(2)))
 
     def values(X):
         X = np.atleast_2d(X)
@@ -407,17 +397,9 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
         X = np.atleast_2d(X)
         return values(X), np.stack([-2.0 * X, 2.0 * X], axis=1)
 
-    def ev_outer(x):
-        x = np.asarray(x, dtype=float)
-        return float(1.0 - x @ x), -2.0 * x
-
-    def ev_inner(x):
-        x = np.asarray(x, dtype=float)
-        return float(x @ x - (1.0 - width)), 2.0 * x
-
     constraints = ConstraintSet(
         n=2,
-        evaluators=(ev_outer, ev_inner),
+        evaluators=_evaluators_of(batch, 2),
         bounding_box=np.array([[-1.1, 1.1], [-1.1, 1.1]]),
         batch_evaluator=batch,
         value_evaluator=values,

@@ -17,6 +17,7 @@ from softcbf import (
     check_mfcq,
     estimate_bounds,
     get_benchmark,
+    probe_boundary,
     sample_tube,
 )
 from softcbf.geometry import bisect_to_band, march_and_bisect
@@ -143,6 +144,21 @@ def test_sample_tube_requires_box_and_valid_params():
         sample_tube(disk, -0.1, 100.0, 0)
     with pytest.raises(Exception):
         sample_tube(disk, 0.1, 0.0, 0)
+
+
+@pytest.mark.parametrize("box", [[[-np.inf, np.inf]], [[-1.0, np.inf]]], ids=["open", "half-open"])
+def test_compact_mode_rejects_an_infinite_bounding_box(box):
+    # sampling needs a finite volume: both samplers say so instead of
+    # overflowing on the box volume or drawing non-finite points
+    cs = ConstraintSet(n=1, evaluators=(lambda x: (1.0 - float(x @ x), -2.0 * x),), bounding_box=box)
+    with pytest.raises(InvalidInputError, match="tube sampling requires a finite bounding box"):
+        sample_tube(cs, 0.1, 100.0, 0)
+    with pytest.raises(InvalidInputError, match="boundary probing requires a finite bounding box"):
+        probe_boundary(cs, lambda x: -np.asarray(x, dtype=float), 5.0, 0.1, 50, 0)
+    # an input box may stay half-open
+    sys = ControlAffineSystem(n=1, m=1, drift=lambda x: x, actuation=lambda x: np.ones((1, 1)),
+                              input_box=[[0.0, np.inf]])
+    assert sys.input_box[0, 1] == np.inf
 
 
 def test_sample_tube_deterministic_for_seed():

@@ -6,12 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import softcbf.sim
+import softcbf.backup
 from softcbf import (
+    ClassK,
+    ConstraintSet,
     InvalidInputError,
     SimConfig,
+    SimTrace,
     get_benchmark,
 )
+from softcbf.cli import main
 from softcbf.sim import run
 
 
@@ -164,19 +168,21 @@ def test_csv_accepts_a_path(tmp_path):
 
 
 def test_backup_run_flows_once_per_step(monkeypatch):
-    # the barrier at x0 is evaluated once, for the initial check and step 0
+    # the barrier at x0 is evaluated once, for the initial check and step 0;
+    # each step is one flow with sensitivities of the live rows
     bench = get_benchmark("pendulum-backup")
-    real = softcbf.sim.integrate_flow
+    real = softcbf.backup.integrate_flow_batch
     flows = []
 
-    def counted(prob, x0):
-        flows.append(np.array(x0))
-        return real(prob, x0)
+    def counted(prob, X0, sensitivities=True):
+        flows.append((np.array(X0), sensitivities))
+        return real(prob, X0, sensitivities)
 
-    monkeypatch.setattr(softcbf.sim, "integrate_flow", counted)
+    monkeypatch.setattr(softcbf.backup, "integrate_flow_batch", counted)
     trace = run(bench, SimConfig(x0=np.array([0.05, 0.06]), t_final=0.05, dt=0.01, theta=500.0))
     assert len(flows) == len(trace)
-    np.testing.assert_array_equal(np.array(flows), trace.states)
+    assert all(sens for _, sens in flows)
+    np.testing.assert_array_equal(np.array([X0[0] for X0, _ in flows]), trace.states)
 
 
 def test_backup_benchmark_short_run():
@@ -203,3 +209,137 @@ def test_simulate_reproduces_fixed_traces(name):
     assert trace.controls.tolist() == rec["controls"]
     assert trace.h_soft.tolist() == rec["h_soft"]
     assert trace.min_h_soft == rec["min_h_soft"]
+
+
+def assert_same_trace(a, b):
+    """Every SimTrace field equal, arrays bit for bit (NaN included)."""
+    for f in dataclasses.fields(SimTrace):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        elif isinstance(x, float) and np.isnan(x):
+            assert np.isnan(y), f.name
+        else:
+            assert x == y, f.name
+
+
+def mixed_block(bench, t_final=2.0):
+    # six rows with different x0 (the default, then seeded states inside
+    # the hard set), theta, relaxation and policy
+    cs = bench.constraints
+    X = np.random.default_rng(4).uniform(*cs.bounding_box.T, size=(2000, cs.n))
+    inside = X[cs.evaluate_batch(X)[0].min(axis=1) > 0.0]
+    x0s = [bench.x0_default] + list(inside[:5])
+    alphas = [ClassK(), ClassK(kind="cubic", kappa=2.0), ClassK(kind="tanh", kappa=3.0, scale=0.5)]
+    cfgs = []
+    for k, theta in enumerate([3.0, 25.0, 400.0, 7e3, 9e4, 50.0]):
+        cfgs.append(SimConfig(
+            x0=x0s[k], t_final=t_final, dt=0.01, theta=theta,
+            alpha=alphas[k % 3],
+            infeasible_policy=("backup-takeover", "clip", "halt")[k % 3],
+        ))
+    return cfgs
+
+
+@pytest.mark.filterwarnings("ignore:initial state is inside the hard set")
+@pytest.mark.parametrize(
+    "name", ["double-integrator-box", "scalar-stable", "scalar-unstable", "thin-annulus"])
+def test_lockstep_rows_equal_single_runs_bitwise(name):
+    bench = get_benchmark(name)
+    cfgs = mixed_block(bench)
+    traces = run(bench, cfgs)
+    assert isinstance(traces, list) and len(traces) == len(cfgs)
+    for cfg, trace in zip(cfgs, traces):
+        assert_same_trace(trace, run(bench, cfg))
+
+
+def test_lockstep_backup_rows_stay_within_1e_12_of_single_runs():
+    # the rows share one flow per step, which may round differently in the
+    # last bit from a one-row flow
+    bench = get_benchmark("pendulum-backup")
+    cfgs = [
+        SimConfig(x0=np.array(x0), t_final=1.0, dt=0.01, theta=theta)
+        for x0, theta in (([0.05, 0.06], 500.0), ([-0.04, 0.02], 75000.0), ([0.0, -0.07], 3000.0))
+    ]
+    for cfg, trace in zip(cfgs, run(bench, cfgs)):
+        single = run(bench, cfg)
+        assert len(trace) == len(single) == 101
+        for field in ("states", "controls", "h_soft", "h_hard", "slack"):
+            np.testing.assert_allclose(getattr(trace, field), getattr(single, field), rtol=0, atol=1e-12)
+        for field in ("modified", "infeasible", "filter_status"):
+            np.testing.assert_array_equal(getattr(trace, field), getattr(single, field))
+
+
+def test_lockstep_halt_truncates_only_its_row():
+    bench = get_benchmark("scalar-unstable")
+    sys = dataclasses.replace(bench.sys, actuation=lambda x: _zero_actuation(x))
+    dead = dataclasses.replace(bench, sys=sys)
+    cfgs = [scalar_cfg(x0=np.array([0.9]), theta=4.0, t_final=1.0, infeasible_policy=policy)
+            for policy in ("backup-takeover", "halt", "clip")]
+    traces = run(dead, cfgs)
+    assert [t.truncated for t in traces] == [False, True, False]
+    assert len(traces[1]) < len(traces[0]) == len(traces[2]) == 101
+    for cfg, trace in zip(cfgs, traces):
+        assert_same_trace(trace, run(dead, cfg))
+
+
+def test_lockstep_configs_must_share_the_clock():
+    bench = get_benchmark("scalar-stable")
+    for other in (scalar_cfg(dt=0.02), scalar_cfg(t_final=1.0), scalar_cfg(substeps=5)):
+        with pytest.raises(InvalidInputError, match="share dt, t_final and substeps"):
+            run(bench, [scalar_cfg(), other])
+    with pytest.raises(InvalidInputError):
+        run(bench, [])
+
+
+def test_filter_record_marks_infeasible_steps():
+    bench = get_benchmark("scalar-unstable")
+    sys = dataclasses.replace(bench.sys, actuation=lambda x: _zero_actuation(x))
+    dead = dataclasses.replace(bench, sys=sys)
+    for policy in ("backup-takeover", "clip"):
+        trace = run(dead, scalar_cfg(x0=np.array([0.9]), theta=4.0, t_final=1.0,
+                                     infeasible_policy=policy))
+        assert trace.infeasible.any()
+        np.testing.assert_array_equal(trace.filter_status == "infeasible", trace.infeasible)
+        ran = trace.filter_status != ""
+        # "" and NaN exactly where the filter did not run: takeover and the final row
+        assert not ran[-1]
+        np.testing.assert_array_equal(np.isnan(trace.slack), ~ran)
+        np.testing.assert_array_equal(np.isnan(trace.multiplier), ~ran)
+        assert np.all(trace.multiplier[trace.infeasible] == np.inf)
+        if policy == "backup-takeover":
+            first = int(np.flatnonzero(trace.infeasible)[0])
+            assert not ran[first + 1:].any()
+        else:
+            assert ran[:-1].all()
+    trace = run(bench, scalar_cfg(t_final=1.0))
+    assert set(trace.filter_status[:-1]) <= {"analytic", "clipped"}
+    assert np.all(trace.multiplier[:-1][trace.modified[:-1]] > 0.0)
+
+
+def test_sweep_min_h_soft_matches_simulate(tmp_path):
+    thetas = [3.0, 47.0, 9000.0]
+    common = ["--benchmark", "double-integrator-box", "--t-final", "2", "--out", str(tmp_path)]
+    assert main(["sweep", "--thetas", ",".join(map(str, thetas))] + common) == 0
+    rows = np.loadtxt(tmp_path / "sweep-double-integrator-box.csv", delimiter=",", skiprows=1)
+    for theta, row in zip(thetas, rows):
+        assert main(["simulate", "--theta", str(theta)] + common) == 0
+        h_soft = np.loadtxt(tmp_path / "trace-double-integrator-box.csv", delimiter=",",
+                            skiprows=1, usecols=4)
+        assert row[0] == theta and row[2] == h_soft.min()
+
+
+def test_one_constraint_family_is_its_own_smooth_minimum():
+    # with N = 1 the smooth minimum is the constraint itself, bit for bit
+    bench = get_benchmark("scalar-stable")
+    W, b = np.array([[-1.0]]), np.array([1.0])
+
+    def batch(X):
+        X = np.atleast_2d(X)
+        return b + X @ W.T, np.broadcast_to(W, (len(X), 1, 1)).copy()
+
+    cs = ConstraintSet(
+        n=1, evaluators=(lambda x: (float(b[0] - x[0]), -np.ones(1)),), batch_evaluator=batch)
+    trace = run(dataclasses.replace(bench, constraints=cs), scalar_cfg(theta=0.37, t_final=0.5))
+    assert trace.h_soft.tobytes() == trace.h_hard.tobytes()

@@ -12,7 +12,8 @@ from softcbf import (
     scalar_stable,
     thin_annulus,
 )
-from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P, _const_actuation
+from softcbf.safety_filter import ConstantActuation
+from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P
 
 
 def test_registry():
@@ -211,7 +212,7 @@ def test_one_state_matches_a_one_row_block_bitwise(name):
 
 def test_constant_actuation_shapes():
     gmat = np.array([[0.0], [1.0]])
-    g = _const_actuation(gmat)
+    g = ConstantActuation(gmat)
     np.testing.assert_array_equal(g(np.zeros(2)), gmat)
     assert g(np.zeros(2)).shape == (2, 1)
     # B grows, shrinks, then grows past the largest block seen so far
@@ -228,7 +229,7 @@ def test_constant_actuation_shapes():
 def test_closed_loop_component_with_wrong_shape_raises(part, rows):
     good = {
         "drift": lambda X: -X,
-        "actuation": _const_actuation([[1.0], [0.0]]),
+        "actuation": ConstantActuation([[1.0], [0.0]]),
         "controller": lambda X: np.zeros(X.shape[:-1] + (1,)),
     }
     parts = dict(good)
@@ -244,3 +245,17 @@ def test_closed_loop_component_with_wrong_shape_raises(part, rows):
         rf"expected \({B}, 2\), \({B}, 2, 1\), \({B}, 1\)",
     ):
         F(x)
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_evaluate_equals_a_one_row_batch_bitwise(name):
+    # the closed loop evaluates blocks, so the per-constraint evaluators must
+    # be the batch evaluator's rows, not a formula that rounds differently
+    cs = get_benchmark(name).constraints
+    box = cs.bounding_box
+    X = np.random.default_rng(2).uniform(box[:, 0], box[:, 1], size=(1000, cs.n))
+    for x in X:
+        vals, grads = cs.evaluate(x)
+        bvals, bgrads = cs.evaluate_batch(x[None])
+        assert vals.tobytes() == bvals[0].tobytes()
+        assert grads.tobytes() == bgrads[0].tobytes()
