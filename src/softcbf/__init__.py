@@ -60,6 +60,7 @@ from .backup import (
     BackupProblem,
     BackupPreconditionReport,
     FlowResult,
+    FusedField,
     backup_barrier,
     check_backup_preconditions,
     integrate_flow,

@@ -32,6 +32,7 @@ from .safety_filter import ControlAffineSystem
 
 __all__ = [
     "BackupProblem",
+    "FusedField",
     "IntegratorStats",
     "FlowResult",
     "BatchFlowResult",
@@ -49,6 +50,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class FusedField:
+    """A closed-loop field computed in one pass, declared for the drift,
+    actuation and backup controller it fuses.
+
+    `field` follows the closed-loop contract, one state (n,) or a block
+    (B, n), and must equal `sys.closed_loop(k_b)` bit for bit on finite
+    states, including the sign of zero; a flow checks its shape once, on
+    its initial block.
+    The other three fields are the very objects `field` fuses; a
+    BackupProblem uses it only while its own are these (see
+    `BackupProblem.closed_loop`).
+    """
+
+    field: Callable
+    drift: Callable
+    actuation: Callable
+    k_b: Callable
+
+
+@dataclass(frozen=True)
 class BackupProblem:
     """Backup certification problem.
 
@@ -61,6 +82,14 @@ class BackupProblem:
     closed-loop field; otherwise central finite differences are used.
     bounding_box is the operating region used by sampling-based
     certification.
+
+    fused, when given, is a hand-fused closed-loop field (see FusedField)
+    that the flows call in place of the composed `sys.closed_loop(k_b)`.
+    It applies only while sys.drift, sys.actuation and k_b are the very
+    objects it was declared for: a `dataclasses.replace` that swaps any of
+    them, such as one that wraps k_b to count its calls, falls back to the
+    composed field, which calls all three.  `closed_loop()` applies this
+    rule.
     """
 
     sys: ControlAffineSystem
@@ -72,6 +101,7 @@ class BackupProblem:
     jacobian: Optional[Callable] = None
     h_max: float = 1e-2
     bounding_box: Optional[np.ndarray] = None
+    fused: Optional[FusedField] = None
 
     def __post_init__(self):
         if self.T <= 0 or self.dtau <= 0:
@@ -93,6 +123,15 @@ class BackupProblem:
     @property
     def slice_times(self) -> np.ndarray:
         return np.arange(self.N) * self.dtau
+
+    def closed_loop(self) -> Callable:
+        """The closed-loop field x -> drift(x) + actuation(x) @ k_b(x): the
+        fused field while it applies, the composed one otherwise."""
+        f = self.fused
+        if (f is not None and f.drift is self.sys.drift
+                and f.actuation is self.sys.actuation and f.k_b is self.k_b):
+            return f.field
+        return self.sys.closed_loop(self.k_b)
 
 
 def _make_jacobian(prob: BackupProblem, F: Callable, X: np.ndarray) -> Callable:
@@ -160,11 +199,33 @@ def rk4_step(F: Callable, X: np.ndarray, h: float):
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (X, X2, X3, X4)
 
 
+def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):
+    """Re-run slice interval i from its finite start X one RK4 step at a
+    time and raise BlowUpError at the first step whose state is not
+    finite, with the time a test after every step would report."""
+    t = 0.0
+    for _ in range((i - 1) * n_sub):
+        t += h
+    for _ in range(n_sub):
+        X, _ = rk4_step(F, X, h)
+        t += h
+        if not np.isfinite(X).all():
+            break
+    raise BlowUpError(f"state became non-finite at t={t:.6g}", time=t)
+
+
 def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) -> BatchFlowResult:
     """RK4 integration of the closed loop for a block of initial states,
     recording every slice time exactly.  With `sensitivities` the
     variational system is integrated alongside; without, the Jacobian is
     never called and the states are bitwise the same.
+
+    The field is `prob.closed_loop()`: the problem's fused field when it
+    applies, whose shape is checked once on the initial block, or the
+    composed field, which checks its shapes at every call.  Finiteness is
+    tested once per slice interval: a non-finite state stays non-finite
+    under the later RK4 updates, so the interval is then re-run step by
+    step to raise BlowUpError with the time of the step that blew up.
 
     The value steps of a slice interval record their RK4 stage states; the
     Jacobian then runs once on all 4*n_sub*B of them (O(4*n_sub*B*n^2)
@@ -181,7 +242,9 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
-    F = prob.sys.closed_loop(prob.k_b)
+    F = prob.closed_loop()
+    if prob.fused is not None and F is prob.fused.field:
+        call_batched(F, X, (n,))
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
@@ -197,8 +260,6 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         # the stage states of each RK4 step of one slice interval
         stages = np.empty((n_sub, 4, B, n))
 
-    steps = 0
-    t = 0.0
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, N):
@@ -206,10 +267,8 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                 X, stage_states = rk4_step(F, X, h)
                 if sens is not None:
                     stages[s] = stage_states
-                t += h
-                steps += 1
-                if not np.isfinite(X).all():
-                    raise BlowUpError(f"state became non-finite at t={t:.6g}", time=t)
+            if not np.isfinite(X).all():
+                _raise_blow_up(F, states[i - 1], h, n_sub, i)
             states[i] = X
             if sens is not None:
                 for J in jac(stages.reshape(-1, n)).reshape(n_sub, 4, B, n, n):
@@ -220,7 +279,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                     S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                 sens[i] = S
 
-    return BatchFlowResult(states=states, sensitivities=sens, stats=IntegratorStats(steps=steps))
+    return BatchFlowResult(states=states, sensitivities=sens, stats=IntegratorStats(steps=(N - 1) * n_sub))
 
 
 def integrate_flow(prob: BackupProblem, x0) -> FlowResult:
@@ -352,7 +411,7 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     it inherits the integrator tolerance.
     """
     X = np.atleast_2d(np.asarray(region_samples, dtype=float))
-    F = prob.sys.closed_loop(prob.k_b)
+    F = prob.closed_loop()
     n = prob.sys.n
     hb_vals, hb_grads = call_batched(prob.h_b, X, (), (n,))
     h_vals, h_grads = call_batched(prob.h, X, (), (n,))

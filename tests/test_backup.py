@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -10,6 +11,7 @@ from softcbf import (
     BackupProblem,
     BlowUpError,
     ControlAffineSystem,
+    FusedField,
     InvalidInputError,
     backup_barrier,
     check_backup_preconditions,
@@ -211,7 +213,10 @@ def test_blow_up_reports_time():
     )
     with pytest.raises(BlowUpError) as err:
         integrate_flow(prob, np.array([2.0]))
-    assert err.value.time is not None and 0 < err.value.time <= 2.0
+    # x(t) = 2 / (1 - 2t) blows up at t = 0.5; RK4 at h = 0.01 gets past it
+    # and overflows at its 53rd step, in the second slice interval, whose
+    # time is h accumulated step by step
+    assert err.value.time == 0.5300000000000002
 
 
 def test_slice_gradients_match_closed_form():
@@ -369,6 +374,64 @@ def test_flow_callable_with_wrong_block_shape_raises():
         integrate_flow_batch(bad_drift, X0)
     with pytest.raises(InvalidInputError, match=r"shape \(1, 1\) for a block of 2 states"):
         integrate_flow_batch(bad_jacobian, X0)
+
+
+def test_fused_field_with_wrong_block_shape_raises():
+    def field_single(x):
+        # answers a block with the field of its first state
+        return prob.fused.field(np.atleast_2d(x)[0])
+
+    prob = get_benchmark("pendulum-backup").backup
+    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, field=field_single))
+    assert bad.closed_loop() is field_single
+    with pytest.raises(InvalidInputError, match=r"field_single returned shape \(2,\) for a block of 3 states; expected \(3, 2\)"):
+        integrate_flow_batch(bad, np.zeros((3, 2)))
+
+
+def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
+    prob = get_benchmark("pendulum-backup").backup
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapper
+
+    drift = counted("drift", prob.sys.drift)
+    actuation = counted("actuation", prob.sys.actuation)
+    k_b = counted("k_b", prob.k_b)
+    field = counted("fused", prob.fused.field)
+    sys = dataclasses.replace(prob.sys, drift=drift, actuation=actuation)
+    declared = dataclasses.replace(prob, sys=sys, k_b=k_b, fused=FusedField(field, drift, actuation, k_b))
+    X0 = np.array([[0.3, -0.2], [-0.1, 0.4], [0.05, 0.0]])
+    reference = integrate_flow_batch(prob, X0)
+
+    # the fused field alone: its shape check on the initial block, then four
+    # calls per RK4 step; the finite-difference Jacobian and the
+    # precondition checks go through it too
+    flow = integrate_flow_batch(declared, X0)
+    assert calls == {"fused": 1 + 4 * flow.stats.steps}
+    integrate_flow_batch(dataclasses.replace(declared, jacobian=None), X0)
+    check_backup_preconditions(declared, X0)
+    assert set(calls) == {"fused"}
+    assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
+
+    # a wrapped k_b, like a step clock's, or a wrapped drift or actuation,
+    # like a call tracer's, puts the flow on the composed field
+    swaps = {
+        "k_b": dict(k_b=counted("new k_b", k_b)),
+        "drift": dict(sys=dataclasses.replace(sys, drift=counted("new drift", drift))),
+        "actuation": dict(sys=dataclasses.replace(sys, actuation=counted("new actuation", actuation))),
+    }
+    for name, swap in swaps.items():
+        calls.clear()
+        flow = integrate_flow_batch(dataclasses.replace(declared, **swap), X0)
+        steps = flow.stats.steps
+        assert calls == {"drift": 4 * steps, "actuation": 4 * steps, "k_b": 4 * steps, f"new {name}": 4 * steps}
+        assert flow.states.tobytes() == reference.states.tobytes()
+        assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
 
 
 def test_exception_inside_backup_controller_propagates_unchanged():

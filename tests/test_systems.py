@@ -178,7 +178,7 @@ def test_closed_loop_field_shapes_and_rows(name):
     X = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(9, n))
     fields = [bench.closed_loop_field()]
     if bench.backup is not None:
-        fields.append(bench.sys.closed_loop(bench.backup.k_b))
+        fields += [bench.sys.closed_loop(bench.backup.k_b), bench.backup.closed_loop()]
     for F in fields:
         block = F(X)
         assert block.shape == (9, n)
@@ -189,6 +189,26 @@ def test_closed_loop_field_shapes_and_rows(name):
             assert single.tobytes() == F(x[None])[0].tobytes()
             # a one-row block may round K.x differently from a larger one
             np.testing.assert_allclose(single, row, rtol=1e-14, atol=1e-15)
+
+
+def test_fused_closed_loop_matches_composed_bitwise():
+    # compared as bytes, since == takes -0.0 for +0.0: the composed field's
+    # einsum turns a -0.0 component into +0.0, and the fused field must too
+    prob = pendulum_backup().backup
+    fused = prob.closed_loop()
+    assert fused is prob.fused.field
+    composed = prob.sys.closed_loop(prob.k_b)
+    box = prob.bounding_box
+    rng = np.random.default_rng(7)
+    for trial in range(1200):
+        B = (1, 2, 7, 800)[trial % 4]
+        X = rng.uniform(box[:, 0], box[:, 1], size=(B, prob.sys.n))
+        zeros = rng.uniform(size=X.shape) < 0.2
+        X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+        assert fused(X).tobytes() == composed(X).tobytes()
+    x = np.array([0.3, -0.0])
+    assert fused(x).shape == (prob.sys.n,)
+    assert fused(x).tobytes() == composed(x).tobytes()
 
 
 @pytest.mark.parametrize("name", ["double-integrator-box", "pendulum-backup", "scalar-stable", "thin-annulus"])
