@@ -58,15 +58,23 @@ class FusedField:
     (B, n), and must equal `sys.closed_loop(k_b)` bit for bit on finite
     states, including the sign of zero; a flow checks its shape once, on
     its initial block.
-    The other three fields are the very objects `field` fuses; a
+    The next three fields are the very objects `field` fuses; a
     BackupProblem uses it only while its own are these (see
     `BackupProblem.closed_loop`).
+
+    `row`, when given, maps one state as a tuple of n floats to n floats,
+    bit for bit `field` on that one-row block; one-row flows call it.  Only
+    + - * / may be Python float arithmetic; the rest goes through the
+    block's numpy kernels (np.dot for a one-row matmul, np.tanh, ...), since
+    `math` and a written-out dot differ in the last bit.  It must not raise
+    on overflow: a square is `x * x`, as Python's float `**` raises.
     """
 
     field: Callable
     drift: Callable
     actuation: Callable
     k_b: Callable
+    row: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,8 @@ class BackupProblem:
     certification.
 
     fused, when given, is a hand-fused closed-loop field (see FusedField)
-    that the flows call in place of the composed `sys.closed_loop(k_b)`.
+    that the flows call in place of the composed `sys.closed_loop(k_b)`,
+    in its row form on one-row flows when it has one.
     It applies only while sys.drift, sys.actuation and k_b are the very
     objects it was declared for: a `dataclasses.replace` that swaps any of
     them, such as one that wraps k_b to count its calls, falls back to the
@@ -199,6 +208,22 @@ def rk4_step(F: Callable, X: np.ndarray, h: float):
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (X, X2, X3, X4)
 
 
+def _rk4_row(f: Callable, x: tuple, h: float):
+    """`rk4_step` on one state as a tuple of floats, for a row form f: the
+    same operations in the same order, so the same bits, without numpy's
+    per-call dispatch.  test_row_flows_equal_one_row_block_flows_bitwise
+    keeps the two bodies equal."""
+    k1 = f(x)
+    x2 = tuple([a + 0.5 * h * k for a, k in zip(x, k1)])
+    k2 = f(x2)
+    x3 = tuple([a + 0.5 * h * k for a, k in zip(x, k2)])
+    k3 = f(x3)
+    x4 = tuple([a + h * k for a, k in zip(x, k3)])
+    k4 = f(x4)
+    x_next = tuple([a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
+    return x_next, (x, x2, x3, x4)
+
+
 def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):
     """Re-run slice interval i from its finite start X one RK4 step at a
     time and raise BlowUpError at the first step whose state is not
@@ -222,10 +247,13 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
 
     The field is `prob.closed_loop()`: the problem's fused field when it
     applies, whose shape is checked once on the initial block, or the
-    composed field, which checks its shapes at every call.  Finiteness is
-    tested once per slice interval: a non-finite state stays non-finite
-    under the later RK4 updates, so the interval is then re-run step by
-    step to raise BlowUpError with the time of the step that blew up.
+    composed field, which checks its shapes at every call.  A one-row
+    block on a fused field with a row form runs its value steps on the row
+    form (`_rk4_row`), bit for bit, once it returns n floats on the initial
+    state.  Finiteness is tested once per slice interval: a non-finite
+    state stays non-finite under the later RK4 updates, so the interval is
+    then re-run step by step on the block field to raise BlowUpError with
+    the time of the step that blew up.
 
     The value steps of a slice interval record their RK4 stage states; the
     Jacobian then runs once on all 4*n_sub*B of them (O(4*n_sub*B*n^2)
@@ -243,8 +271,16 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
     F = prob.closed_loop()
+    row = None
     if prob.fused is not None and F is prob.fused.field:
         call_batched(F, X, (n,))
+        if B == 1 and prob.fused.row is not None:
+            row, x = prob.fused.row, tuple(X[0].tolist())
+            out = row(x)
+            if not (isinstance(out, (tuple, list)) and len(out) == n and all(isinstance(v, float) for v in out)):
+                raise InvalidInputError(
+                    f"{getattr(row, '__qualname__', row)} returned {out!r} for one state; expected {n} floats"
+                )
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
@@ -263,13 +299,20 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, N):
-            for s in range(n_sub):
-                X, stage_states = rk4_step(F, X, h)
-                if sens is not None:
-                    stages[s] = stage_states
-            if not np.isfinite(X).all():
+            if row is None:
+                for s in range(n_sub):
+                    X, stage_states = rk4_step(F, X, h)
+                    if sens is not None:
+                        stages[s] = stage_states
+                states[i] = X
+            else:
+                for s in range(n_sub):
+                    x, stage_states = _rk4_row(row, x, h)
+                    if sens is not None:
+                        stages[s, :, 0] = stage_states
+                states[i, 0] = x
+            if not np.isfinite(states[i]).all():
                 _raise_blow_up(F, states[i - 1], h, n_sub, i)
-            states[i] = X
             if sens is not None:
                 for J in jac(stages.reshape(-1, n)).reshape(n_sub, 4, B, n, n):
                     k1s = J[0] @ S

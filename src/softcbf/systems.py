@@ -252,6 +252,12 @@ def pendulum_backup() -> Benchmark:
         out[:, 1] = np.sin(X[:, 0]) + (PENDULUM_U_MAX * np.tanh(-(X @ PENDULUM_K) / PENDULUM_U_MAX) + 0.0)
         return out[0] if x.ndim == 1 else out
 
+    def closed_loop_row(x):
+        # closed_loop on a tuple of floats, same operations in the same order;
+        # K.x, tanh and sin stay numpy calls (a written-out dot or math differ)
+        u = PENDULUM_U_MAX * float(np.tanh(-float(np.dot(PENDULUM_K, x)) / PENDULUM_U_MAX))
+        return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
+
     def jac_closed_loop(x):
         # d/dx [w, sin(a) + umax*tanh(-K.x/umax)]
         x = np.asarray(x, dtype=float)
@@ -274,7 +280,7 @@ def pendulum_backup() -> Benchmark:
         dtau=0.2,
         jacobian=jac_closed_loop,
         bounding_box=box,
-        fused=FusedField(closed_loop, drift, sys.actuation, k_b),
+        fused=FusedField(closed_loop, drift, sys.actuation, k_b, row=closed_loop_row),
     )
 
     def batch(X):

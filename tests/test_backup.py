@@ -218,6 +218,27 @@ def test_blow_up_reports_time():
     # time is h accumulated step by step
     assert err.value.time == 0.5300000000000002
 
+    # the same flow on the row path of a fused field: it must find the blow
+    # up in the same interval, and the block re-run reports the same time.
+    # The row square is x * x: Python's float ** raises OverflowError where
+    # numpy returns inf
+    rows = collections.Counter()
+
+    def square(x):
+        x = np.asarray(x, dtype=float)
+        return x * x
+
+    def square_row(x):
+        rows["row"] += 1
+        return (x[0] * x[0],)
+
+    fused = dataclasses.replace(prob, fused=FusedField(square, drift, sys.actuation, zero_controller, square_row))
+    assert fused.closed_loop() is square
+    with pytest.raises(BlowUpError) as err:
+        integrate_flow(fused, np.array([2.0]))
+    assert err.value.time == 0.5300000000000002
+    assert rows["row"] > 4 * 50
+
 
 def test_slice_gradients_match_closed_form():
     # for xdot = -x: b_i(x) = level_i - x^2 exp(-2 tau_i), so the pulled-back
@@ -388,6 +409,38 @@ def test_fused_field_with_wrong_block_shape_raises():
         integrate_flow_batch(bad, np.zeros((3, 2)))
 
 
+def test_row_flows_equal_one_row_block_flows_bitwise():
+    # the row path against the same problem without a row form, whose
+    # one-row flows run rk4_step on (1, n) blocks of the fused field
+    prob = get_benchmark("pendulum-backup").backup
+    blocks = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=None))
+    assert blocks.closed_loop() is prob.closed_loop()
+    box = prob.bounding_box
+    rng = np.random.default_rng(5)
+    X = rng.uniform(box[:, 0], box[:, 1], size=(200, prob.sys.n))
+    zeros = rng.uniform(size=X.shape) < 0.1
+    X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    for x in X:
+        for sens in (False, True):
+            got = integrate_flow_batch(prob, x[None], sensitivities=sens)
+            want = integrate_flow_batch(blocks, x[None], sensitivities=sens)
+            assert got.states.tobytes() == want.states.tobytes()
+            if sens:
+                assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
+
+
+def test_fused_row_form_with_wrong_length_raises():
+    def short_row(x):
+        return prob.fused.row(x)[:1]
+
+    prob = get_benchmark("pendulum-backup").backup
+    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=short_row))
+    with pytest.raises(InvalidInputError, match=r"short_row returned \(.+,\) for one state; expected 2 floats"):
+        integrate_flow_batch(bad, np.zeros((1, 2)))
+    # only a one-row flow takes the row path and checks the row form
+    integrate_flow_batch(bad, np.zeros((2, 2)))
+
+
 def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     prob = get_benchmark("pendulum-backup").backup
     calls = collections.Counter()
@@ -403,10 +456,12 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     actuation = counted("actuation", prob.sys.actuation)
     k_b = counted("k_b", prob.k_b)
     field = counted("fused", prob.fused.field)
+    row = counted("row", prob.fused.row)
     sys = dataclasses.replace(prob.sys, drift=drift, actuation=actuation)
-    declared = dataclasses.replace(prob, sys=sys, k_b=k_b, fused=FusedField(field, drift, actuation, k_b))
+    declared = dataclasses.replace(prob, sys=sys, k_b=k_b, fused=FusedField(field, drift, actuation, k_b, row))
     X0 = np.array([[0.3, -0.2], [-0.1, 0.4], [0.05, 0.0]])
     reference = integrate_flow_batch(prob, X0)
+    reference_row = integrate_flow_batch(prob, X0[:1])
 
     # the fused field alone: its shape check on the initial block, then four
     # calls per RK4 step; the finite-difference Jacobian and the
@@ -417,6 +472,13 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     check_backup_preconditions(declared, X0)
     assert set(calls) == {"fused"}
     assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
+
+    # a one-row flow: the row form's check on the initial state and four
+    # calls per RK4 step, and the fused field once, for its shape check
+    calls.clear()
+    flow = integrate_flow_batch(declared, X0[:1])
+    assert calls == {"fused": 1, "row": 1 + 4 * flow.stats.steps}
+    assert flow.sensitivities.tobytes() == reference_row.sensitivities.tobytes()
 
     # a wrapped k_b, like a step clock's, or a wrapped drift or actuation,
     # like a call tracer's, puts the flow on the composed field
@@ -432,6 +494,11 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
         assert calls == {"drift": 4 * steps, "actuation": 4 * steps, "k_b": 4 * steps, f"new {name}": 4 * steps}
         assert flow.states.tobytes() == reference.states.tobytes()
         assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
+        # a one-row flow too runs the composed field, not the row form
+        calls.clear()
+        flow = integrate_flow_batch(dataclasses.replace(declared, **swap), X0[:1])
+        assert calls == {"drift": 4 * steps, "actuation": 4 * steps, "k_b": 4 * steps, f"new {name}": 4 * steps}
+        assert flow.sensitivities.tobytes() == reference_row.sensitivities.tobytes()
 
 
 def test_exception_inside_backup_controller_propagates_unchanged():

@@ -211,6 +211,25 @@ def test_fused_closed_loop_matches_composed_bitwise():
     assert fused(x).tobytes() == composed(x).tobytes()
 
 
+def test_fused_row_form_matches_field_bitwise():
+    # the row form on a tuple of floats against the fused field on the same
+    # state as a one-row block, as bytes, over box states, states where tanh
+    # saturates (|x| about 50) and injected signed zeros
+    prob = pendulum_backup().backup
+    row, field = prob.fused.row, prob.fused.field
+    box = prob.bounding_box
+    rng = np.random.default_rng(11)
+    X = rng.uniform(box[:, 0], box[:, 1], size=(4500, prob.sys.n))
+    X[1500:3000] *= 50.0 / np.abs(X[1500:3000]).max(axis=1, keepdims=True)
+    zeros = rng.uniform(size=X.shape) < 0.2
+    zeros[:1500] = False
+    X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    for x in X:
+        out = row(tuple(x.tolist()))
+        assert type(out) is tuple and all(type(v) is float for v in out)
+        assert np.array(out).tobytes() == field(x[None])[0].tobytes()
+
+
 @pytest.mark.parametrize("name", ["double-integrator-box", "pendulum-backup", "scalar-stable", "thin-annulus"])
 def test_one_state_matches_a_one_row_block_bitwise(name):
     # the plant step and the backup takeover call these on one state, the
