@@ -47,6 +47,7 @@ from .safety_filter import (
     ConstantActuation,
     ControlAffineSystem,
     FilterOutcome,
+    FusedPlant,
     barrier_block,
     barrier_row,
     filter_boxed,

@@ -92,13 +92,16 @@ class BackupProblem:
     certification.
 
     fused, when given, is a hand-fused closed-loop field (see FusedField)
-    that the flows call in place of the composed `sys.closed_loop(k_b)`,
-    in its row form on one-row flows when it has one.
+    that the flows call in place of `sys.closed_loop(k_b)`, in its row form
+    on one-row flows when it has one.
     It applies only while sys.drift, sys.actuation and k_b are the very
     objects it was declared for: a `dataclasses.replace` that swaps any of
-    them, such as one that wraps k_b to count its calls, falls back to the
-    composed field, which calls all three.  `closed_loop()` applies this
-    rule.
+    them falls back to `sys.closed_loop(k_b)`.  With only k_b swapped, such
+    as by a wrapper that counts its calls, that is one k_b call and one
+    call of the system's fused plant when it has one (see
+    `ControlAffineSystem`); with the drift or the actuation swapped, it is
+    the composed field, which calls all three.  `closed_loop()` applies
+    these rules.
     """
 
     sys: ControlAffineSystem
@@ -135,7 +138,7 @@ class BackupProblem:
 
     def closed_loop(self) -> Callable:
         """The closed-loop field x -> drift(x) + actuation(x) @ k_b(x): the
-        fused field while it applies, the composed one otherwise."""
+        fused field while it applies, `sys.closed_loop(k_b)` otherwise."""
         f = self.fused
         if (f is not None and f.drift is self.sys.drift
                 and f.actuation is self.sys.actuation and f.k_b is self.k_b):
@@ -246,8 +249,8 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     never called and the states are bitwise the same.
 
     The field is `prob.closed_loop()`: the problem's fused field when it
-    applies, whose shape is checked once on the initial block, or the
-    composed field, which checks its shapes at every call.  A one-row
+    applies, whose shape is checked once on the initial block, or
+    `sys.closed_loop(k_b)`, which checks its shapes at every call.  A one-row
     block on a fused field with a row form runs its value steps on the row
     form (`_rk4_row`), bit for bit, once it returns n floats on the initial
     state.  Finiteness is tested once per slice interval: a non-finite

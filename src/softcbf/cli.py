@@ -204,6 +204,12 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
         return 1
     entries.append(("tube_samples", len(tube)))
     entries.append(("tube_constraint_coverage", tube.constraint_coverage.astype(int)))
+    entries += [
+        ("tube_rays_requested", tube.rays_requested),
+        ("tube_rays_located", tube.rays_located),
+        ("tube_rays_abandoned", tube.rays_abandoned),
+        ("tube_rays_unconverged", tube.rays_unconverged),
+    ]
 
     mfcq = check_mfcq(tube, cfg.mfcq_tolerance)
     entries.append(("mfcq_checked", mfcq.n_checked))

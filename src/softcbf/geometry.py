@@ -173,7 +173,10 @@ class TubeSpec:
     `constraint_coverage[i]` is True when some stored sample has constraint
     i attaining the pointwise minimum.  `values` (B, N) and `gradients`
     (B, N, n) are the evaluation of the samples by the family that drew
-    them; `check_mfcq` and `estimate_bounds` read them.
+    them; `check_mfcq` and `estimate_bounds` read them.  The `rays_*`
+    counts are those of the refinement pass: every requested ray is
+    located, abandoned (it left the box or never crossed) or unconverged
+    (it crossed, but its bisection stayed outside the band).
     """
 
     epsilon: float
@@ -183,6 +186,10 @@ class TubeSpec:
     seed: Optional[int]
     values: np.ndarray
     gradients: np.ndarray
+    rays_requested: int = 0
+    rays_located: int = 0
+    rays_abandoned: int = 0
+    rays_unconverged: int = 0
 
     def __post_init__(self):
         if len(self) == 0:
@@ -365,6 +372,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     # boundary refinement: from interior points, march random rays until the
     # set is left, then bisect the crossing back into [0, eps/10]
     refined = np.empty((0, cs.n))
+    n_rays = n_crossed = 0
     interior = np.flatnonzero(h_hat > 0.0)
     if interior.size > 0:
         n_rays = min(interior.size, max(32, n_cand // 16))
@@ -372,7 +380,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
         dirs = rng.normal(size=(n_rays, cs.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-        refined, _ = march_and_bisect(
+        refined, n_crossed = march_and_bisect(
             level, cand[starts], h_hat[starts], dirs, step=0.05 * scale,
             n_steps=40, box=box, margin=0.0, band=(0.0, epsilon / 10.0), max_iter=80,
         )
@@ -415,7 +423,12 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
         samples = np.vstack([samples] + extra)
         vals_s, grads_s = cs.evaluate_batch(samples)
 
-    return TubeSpec(epsilon, samples, float(density), coverage, int(seed), vals_s, grads_s)
+    n_located = refined.shape[0]
+    return TubeSpec(
+        epsilon, samples, float(density), coverage, int(seed), vals_s, grads_s,
+        rays_requested=n_rays, rays_located=n_located,
+        rays_abandoned=n_rays - n_crossed, rays_unconverged=n_crossed - n_located,
+    )
 
 
 def _activity_tolerances(h_hat: np.ndarray, tol: Optional[float]) -> np.ndarray:

@@ -30,6 +30,7 @@ from .geometry import _checked_box
 __all__ = [
     "ConstantActuation",
     "ControlAffineSystem",
+    "FusedPlant",
     "ClassK",
     "ClassKinfK",
     "FilterOutcome",
@@ -66,6 +67,22 @@ class ConstantActuation:
 
 
 @dataclass(frozen=True)
+class FusedPlant:
+    """The plant drift(X) + actuation(X) @ U in one pass, declared for the
+    drift and actuation it fuses.
+
+    `plant` maps blocks X (B, n) and U (B, m) to (B, n), bit for bit the
+    composed `drift(X) + einsum("bij,bj->bi", actuation(X), U)` on finite
+    states and inputs, including the sign of zero: the einsum adds an exact
+    +0.0 to every component.
+    """
+
+    plant: Callable
+    drift: Callable
+    actuation: Callable
+
+
+@dataclass(frozen=True)
 class ControlAffineSystem:
     """Dynamics xdot = drift(x) + actuation(x) @ u with an optional box input set.
 
@@ -76,6 +93,13 @@ class ControlAffineSystem:
     or the controller, returns the wrong shape for a block.  An actuation
     that does not depend on the state is best given as a ConstantActuation.
     input_box, when present, is (m, 2) rows [lo, hi].
+
+    fused, when given, is a FusedPlant.  While its drift and actuation are
+    this system's very objects, `closed_loop(controller)` calls the
+    controller and then the plant, whatever the controller; a
+    `dataclasses.replace` that swaps the drift or the actuation, such as
+    one that wraps them to count their calls, falls back to the composed
+    field: drift, actuation and controller, summed by an einsum.
     """
 
     n: int
@@ -83,6 +107,7 @@ class ControlAffineSystem:
     drift: Callable[[np.ndarray], np.ndarray]
     actuation: Callable[[np.ndarray], np.ndarray]
     input_box: Optional[np.ndarray] = None
+    fused: Optional[FusedPlant] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -92,9 +117,31 @@ class ControlAffineSystem:
 
     def closed_loop(self, controller: Callable) -> Callable[[np.ndarray], np.ndarray]:
         """Vector field x -> drift(x) + actuation(x) @ controller(x) on one
-        state (n,) or a block (B, n).  The controller follows the same
-        contract as the dynamics, returning (B, m) on a block."""
+        state (n,) or a block (B, n), on the fused plant while it applies.
+        The controller follows the same contract as the dynamics, returning
+        (B, m) on a block; every output shape is checked at every call."""
         n, m = self.n, self.m
+        p = self.fused
+        if p is not None and p.drift is self.drift and p.actuation is self.actuation:
+            plant = p.plant
+
+            def F(x):
+                x = np.asarray(x, dtype=float)
+                X = x[None] if x.ndim == 1 else x
+                B = X.shape[0]
+                u = controller(X)
+                if np.shape(u) != (B, m):
+                    raise InvalidInputError(
+                        f"controller returned shape {np.shape(u)} for a block of {B} states; expected {(B, m)}"
+                    )
+                out = plant(X, u)
+                if np.shape(out) != (B, n):
+                    raise InvalidInputError(
+                        f"fused plant returned shape {np.shape(out)} for a block of {B} states; expected {(B, n)}"
+                    )
+                return out[0] if x.ndim == 1 else out
+
+            return F
 
         def F(x):
             x = np.asarray(x, dtype=float)

@@ -17,7 +17,7 @@ import numpy as np
 from .backup import BackupProblem, FusedField, slice_constraint_set
 from .errors import InvalidInputError
 from .geometry import ConstraintSet
-from .safety_filter import ConstantActuation, ControlAffineSystem
+from .safety_filter import ConstantActuation, ControlAffineSystem, FusedPlant
 
 __all__ = [
     "Benchmark",
@@ -208,12 +208,23 @@ def pendulum_backup() -> Benchmark:
         out[..., 1] = np.sin(x[..., 0])
         return out
 
+    def plant(X, U):
+        # drift(X) + g @ U in one pass, bit for bit: the composed field's
+        # einsum adds an exact +0.0 to both components (g = [[0], [1]]),
+        # which turns a -0.0 into +0.0, so the two + 0.0 terms stay
+        out = np.empty(X.shape)
+        out[:, 0] = X[:, 1] + 0.0
+        out[:, 1] = np.sin(X[:, 0]) + (U[:, 0] + 0.0)
+        return out
+
+    actuation = ConstantActuation([[0.0], [1.0]])
     sys = ControlAffineSystem(
         n=2,
         m=1,
         drift=drift,
-        actuation=ConstantActuation([[0.0], [1.0]]),
+        actuation=actuation,
         input_box=np.array([[-PENDULUM_U_MAX, PENDULUM_U_MAX]]),
+        fused=FusedPlant(plant, drift, actuation),
     )
 
     c = PENDULUM_SHEAR
@@ -242,9 +253,7 @@ def pendulum_backup() -> Benchmark:
         return u[..., None]
 
     def closed_loop(x):
-        # drift(x) + g k_b(x) in one pass, bit for bit: the composed field's
-        # einsum adds an exact +0.0 to both components (g = [[0], [1]]),
-        # which turns a -0.0 into +0.0, so the two + 0.0 terms stay
+        # plant(X, k_b(X)) with k_b written inline
         x = np.asarray(x, dtype=float)
         X = x[None] if x.ndim == 1 else x
         out = np.empty(X.shape)
@@ -280,7 +289,7 @@ def pendulum_backup() -> Benchmark:
         dtau=0.2,
         jacobian=jac_closed_loop,
         bounding_box=box,
-        fused=FusedField(closed_loop, drift, sys.actuation, k_b, row=closed_loop_row),
+        fused=FusedField(closed_loop, drift, actuation, k_b, row=closed_loop_row),
     )
 
     def batch(X):

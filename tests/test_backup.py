@@ -12,6 +12,7 @@ from softcbf import (
     BlowUpError,
     ControlAffineSystem,
     FusedField,
+    FusedPlant,
     InvalidInputError,
     backup_barrier,
     check_backup_preconditions,
@@ -446,9 +447,9 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     calls = collections.Counter()
 
     def counted(name, fn):
-        def wrapper(x):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(x)
+            return fn(*args)
 
         return wrapper
 
@@ -457,7 +458,9 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     k_b = counted("k_b", prob.k_b)
     field = counted("fused", prob.fused.field)
     row = counted("row", prob.fused.row)
-    sys = dataclasses.replace(prob.sys, drift=drift, actuation=actuation)
+    plant = counted("plant", prob.sys.fused.plant)
+    sys = dataclasses.replace(prob.sys, drift=drift, actuation=actuation,
+                              fused=FusedPlant(plant, drift, actuation))
     declared = dataclasses.replace(prob, sys=sys, k_b=k_b, fused=FusedField(field, drift, actuation, k_b, row))
     X0 = np.array([[0.3, -0.2], [-0.1, 0.4], [0.05, 0.0]])
     reference = integrate_flow_batch(prob, X0)
@@ -480,25 +483,32 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     assert calls == {"fused": 1, "row": 1 + 4 * flow.stats.steps}
     assert flow.sensitivities.tobytes() == reference_row.sensitivities.tobytes()
 
-    # a wrapped k_b, like a step clock's, or a wrapped drift or actuation,
-    # like a call tracer's, puts the flow on the composed field
-    swaps = {
-        "k_b": dict(k_b=counted("new k_b", k_b)),
-        "drift": dict(sys=dataclasses.replace(sys, drift=counted("new drift", drift))),
-        "actuation": dict(sys=dataclasses.replace(sys, actuation=counted("new actuation", actuation))),
-    }
-    for name, swap in swaps.items():
+    # a wrapped k_b, like a step clock's, keeps the system's fused plant:
+    # four calls per RK4 step of the wrapper, the k_b it wraps and the plant,
+    # and none of drift or actuation; a one-row flow too, not the row form
+    wrapped = dataclasses.replace(declared, k_b=counted("new k_b", k_b))
+    for X, want in ((X0, reference), (X0[:1], reference_row)):
         calls.clear()
-        flow = integrate_flow_batch(dataclasses.replace(declared, **swap), X0)
+        flow = integrate_flow_batch(wrapped, X)
         steps = flow.stats.steps
-        assert calls == {"drift": 4 * steps, "actuation": 4 * steps, "k_b": 4 * steps, f"new {name}": 4 * steps}
-        assert flow.states.tobytes() == reference.states.tobytes()
-        assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
-        # a one-row flow too runs the composed field, not the row form
-        calls.clear()
-        flow = integrate_flow_batch(dataclasses.replace(declared, **swap), X0[:1])
-        assert calls == {"drift": 4 * steps, "actuation": 4 * steps, "k_b": 4 * steps, f"new {name}": 4 * steps}
-        assert flow.sensitivities.tobytes() == reference_row.sensitivities.tobytes()
+        assert calls == {"new k_b": 4 * steps, "k_b": 4 * steps, "plant": 4 * steps}
+        assert flow.states.tobytes() == want.states.tobytes()
+        assert flow.sensitivities.tobytes() == want.sensitivities.tobytes()
+
+    # a wrapped drift or actuation, like a call tracer's, puts the flow on
+    # the composed field, which calls all three and never the plant
+    swaps = {
+        "drift": dataclasses.replace(sys, drift=counted("new drift", drift)),
+        "actuation": dataclasses.replace(sys, actuation=counted("new actuation", actuation)),
+    }
+    for name, swapped in swaps.items():
+        for X, want in ((X0, reference), (X0[:1], reference_row)):
+            calls.clear()
+            flow = integrate_flow_batch(dataclasses.replace(declared, sys=swapped), X)
+            steps = flow.stats.steps
+            assert calls == {"drift": 4 * steps, "actuation": 4 * steps, "k_b": 4 * steps, f"new {name}": 4 * steps}
+            assert flow.states.tobytes() == want.states.tobytes()
+            assert flow.sensitivities.tobytes() == want.sensitivities.tobytes()
 
 
 def test_exception_inside_backup_controller_propagates_unchanged():

@@ -1,9 +1,11 @@
+import dataclasses
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import softcbf.backup
+import softcbf.cli
 from softcbf.cli import ConfigError, ScenarioConfig, load_config, main, resolve_config
 from softcbf.geometry import ConstraintSet
 
@@ -31,6 +33,10 @@ def test_certify_scalar_stable_exit_zero(tmp_path):
     rays = [int(report[k]) for k in ("verify_boundary_points", "verify_rays_abandoned",
                                      "verify_rays_unconverged")]
     assert sum(rays) == int(report["config.n_check"])
+    # and so is every refinement ray of the tube
+    rays = [int(report[f"tube_rays_{k}"]) for k in ("located", "abandoned", "unconverged")]
+    assert int(report["tube_rays_requested"]) > 0
+    assert sum(rays) == int(report["tube_rays_requested"])
     assert report["exit_status"] == "certified"
     # the resolved configuration is embedded for reproducibility
     assert report["config.benchmark"] == "scalar-stable"
@@ -185,6 +191,36 @@ def test_certify_reproduces_seed0_certificate(tmp_path, name):
     for key, value in SEED0_CERTIFICATES[name].items():
         assert float(report[key]) == pytest.approx(value, rel=1e-12), key
     assert report["tube_constraint_coverage"] == SEED0_TUBE_COVERAGE[name]
+
+
+def test_certify_with_a_wrapped_backup_controller_writes_the_same_report(tmp_path, monkeypatch):
+    # a step clock or a call counter wraps k_b, which takes the flows off the
+    # fused field and onto the system's fused plant; the report must not move
+    def report_lines(out):
+        code, _ = certify_quick_pendulum(out)
+        assert code == 0
+        lines = (out / "certify-pendulum-backup.txt").read_text().splitlines()
+        return [line for line in lines if not line.startswith("config.out = ")]
+
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "wrapped").mkdir()
+    plain = report_lines(tmp_path / "plain")
+    real = softcbf.cli.get_benchmark
+    calls = []
+
+    def get_benchmark(name):
+        bench = real(name)
+        k_b = bench.backup.k_b
+
+        def clocked(x):
+            calls.append(1)
+            return k_b(x)
+
+        return dataclasses.replace(bench, backup=dataclasses.replace(bench.backup, k_b=clocked))
+
+    monkeypatch.setattr(softcbf.cli, "get_benchmark", get_benchmark)
+    assert report_lines(tmp_path / "wrapped") == plain
+    assert calls
 
 
 def test_certify_integrates_sensitivities_only_where_gradients_are_read(tmp_path, monkeypatch):

@@ -161,6 +161,25 @@ def test_compact_mode_rejects_an_infinite_bounding_box(box):
     assert sys.input_box[0, 1] == np.inf
 
 
+def test_sample_tube_counts_every_refinement_ray():
+    # one constraint 1 - |x2| that jumps to -1 beyond x1 = 0.5: rays that
+    # cross |x2| = 1 are located, rays into the jump cross but never reach
+    # the band, and rays that leave the box through x1 = -1.2 are abandoned
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        if x[0] > 0.5:
+            return -1.0, np.zeros(2)
+        return 1.0 - abs(x[1]), np.array([0.0, -np.sign(x[1])])
+
+    cs = single_constraint_set(ev, 2, [[-1.2, 1.2], [-1.2, 1.2]])
+    tube = sample_tube(cs, 0.05, 500.0, seed=0)
+    counts = (tube.rays_located, tube.rays_abandoned, tube.rays_unconverged)
+    assert min(counts) > 0
+    assert sum(counts) == tube.rays_requested
+    h = cs.values(tube.samples).min(axis=1)
+    assert np.all((h >= 0.0) & (h <= 0.05))
+
+
 def test_sample_tube_deterministic_for_seed():
     cs = unit_disk()
     a = sample_tube(cs, 0.1, 500.0, seed=7)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from softcbf import (
     scalar_stable,
     thin_annulus,
 )
-from softcbf.safety_filter import ConstantActuation
+from softcbf.safety_filter import ConstantActuation, FusedPlant
 from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P
 
 
@@ -197,7 +199,9 @@ def test_fused_closed_loop_matches_composed_bitwise():
     prob = pendulum_backup().backup
     fused = prob.closed_loop()
     assert fused is prob.fused.field
-    composed = prob.sys.closed_loop(prob.k_b)
+    # sys.closed_loop(k_b) is the fused plant's path; the reference is the
+    # drift + actuation + einsum sum of a system without one
+    composed = dataclasses.replace(prob.sys, fused=None).closed_loop(prob.k_b)
     box = prob.bounding_box
     rng = np.random.default_rng(7)
     for trial in range(1200):
@@ -209,6 +213,48 @@ def test_fused_closed_loop_matches_composed_bitwise():
     x = np.array([0.3, -0.0])
     assert fused(x).shape == (prob.sys.n,)
     assert fused(x).tobytes() == composed(x).tobytes()
+
+
+def test_fused_plant_matches_composed_bitwise():
+    # the fused plant serves any controller: the backup controller, a wrapped
+    # one (a step clock's or a call counter's), the desired controller and
+    # seeded linear controllers, whose outputs include both signed zeros
+    bench = pendulum_backup()
+    sys = bench.sys
+    assert sys.fused is not None
+    composed_sys = dataclasses.replace(sys, fused=None)
+    rng = np.random.default_rng(13)
+    k_b = bench.backup.k_b
+
+    def wrapped(X):
+        return k_b(X)
+
+    def linear(K):
+        return lambda X: X @ K
+
+    def first_coordinate(k):
+        # -0.0 or +0.0 wherever the first coordinate is a signed zero
+        return lambda X: X[:, :1] * k
+
+    controllers = [k_b, wrapped, bench.desired_controller]
+    controllers += [linear(rng.normal(size=(sys.n, sys.m))) for _ in range(3)]
+    controllers += [first_coordinate(k) for k in (1.5, -0.7)]
+    box = bench.constraints.bounding_box
+    zero_signs = set()
+    for c in controllers:
+        fused, composed = sys.closed_loop(c), composed_sys.closed_loop(c)
+        for trial in range(200):
+            B = (1, 2, 7, 800)[trial % 4]
+            X = rng.uniform(box[:, 0], box[:, 1], size=(B, sys.n))
+            zeros = rng.uniform(size=X.shape) < 0.2
+            X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+            assert fused(X).tobytes() == composed(X).tobytes()
+            U = c(X)
+            zero_signs.update(np.signbit(U[U == 0.0]).tolist())
+        x = np.array([0.3, -0.0])
+        assert fused(x).shape == (sys.n,)
+        assert fused(x).tobytes() == composed(x).tobytes()
+    assert zero_signs == {False, True}
 
 
 def test_fused_row_form_matches_field_bitwise():
@@ -282,6 +328,35 @@ def test_closed_loop_component_with_wrong_shape_raises(part, rows):
         InvalidInputError,
         match=rf"drift, actuation and controller returned shape .* for a block of {B} states; "
         rf"expected \({B}, 2\), \({B}, 2, 1\), \({B}, 1\)",
+    ):
+        F(x)
+
+
+@pytest.mark.parametrize("part", ["controller", "plant"])
+@pytest.mark.parametrize("rows", [None, 1, 4], ids=["one-state", "one-row", "four-rows"])
+def test_fused_plant_path_with_wrong_shape_raises(part, rows):
+    def drift(X):
+        return -X
+
+    actuation = ConstantActuation([[1.0], [0.0]])
+    parts = {
+        "controller": lambda X: np.zeros(X.shape[:-1] + (1,)),
+        "plant": lambda X, U: drift(X) + (actuation(X) @ U[:, :, None])[:, :, 0],
+    }
+    # answers a block with the shape of one of its states
+    real = parts[part]
+    parts[part] = lambda *args: real(*args)[0]
+    sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=actuation,
+                              fused=FusedPlant(parts["plant"], drift, actuation))
+    F = sys.closed_loop(parts["controller"])
+    x = np.full(2, 0.5) if rows is None else np.full((rows, 2), 0.5)
+    B = 1 if rows is None else rows
+    name, got, want = {
+        "controller": ("controller", r"\(1,\)", rf"\({B}, 1\)"),
+        "plant": ("fused plant", r"\(2,\)", rf"\({B}, 2\)"),
+    }[part]
+    with pytest.raises(
+        InvalidInputError, match=rf"{name} returned shape {got} for a block of {B} states; expected {want}"
     ):
         F(x)
 
