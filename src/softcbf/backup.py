@@ -84,8 +84,11 @@ class BackupProblem:
     Every callable takes one state (n,) or a block of states (B, n); the
     shapes below are for a block, and a wrong shape raises
     InvalidInputError (see `geometry.call_batched`).  h and h_b map a block
-    to (values (B,), gradients (B, n)).  k_b maps a block to inputs (B, m)
-    inside the admissible set and must be continuously differentiable.
+    to (values (B,), gradients (B, n)); the slice values of a flow from B
+    states call h once, on its N - 1 slices stacked into one
+    ((N - 1) * B, n) block, and h_b once, on the last.  k_b maps a block to
+    inputs (B, m) inside the admissible set and must be continuously
+    differentiable.
     jacobian, when given, is the analytic Jacobian (B, n, n) of the
     closed-loop field; otherwise central finite differences are used.
     bounding_box is the operating region used by sampling-based
@@ -227,6 +230,41 @@ def _rk4_row(f: Callable, x: tuple, h: float):
     return x_next, (x, x2, x3, x4)
 
 
+def _sensitivity_row(J: np.ndarray, S: list, h: float) -> list:
+    """The variational recursion of `integrate_flow_batch` over one slice
+    interval of a one-row flow: S is D_x phi as a flat list of n*n floats
+    and J the interval's (4*n_sub, n, n) stage Jacobians.  The elementwise
+    updates run on Python floats in the block body's order, so they give
+    its bits without numpy's per-call dispatch.  The products J_k @ T stay
+    np.matmul, as in the block body: its BLAS computes each entry with
+    fused multiply-adds that Python float arithmetic cannot reproduce, and
+    ndarray.dot differs from it on an n = 1 product of -0.0.
+    test_row_sensitivities_equal_block_sensitivities_bitwise keeps the two
+    bodies equal."""
+    n = J.shape[-1]
+    T, P = np.empty((n, n)), np.empty((n, n))
+    # each product writes its right factor into T and reads P back; written
+    # out, not in a helper, as a call per product costs about 2 % of a flow
+    T_flat, matmul, read = T.reshape(-1), np.matmul, P.reshape(-1).tolist
+    half, sixth = 0.5 * h, h / 6.0
+    Js = list(J)
+    for s in range(0, len(Js), 4):
+        T_flat[:] = S
+        matmul(Js[s], T, out=P)
+        k1 = read()
+        T_flat[:] = [a + half * k for a, k in zip(S, k1)]
+        matmul(Js[s + 1], T, out=P)
+        k2 = read()
+        T_flat[:] = [a + half * k for a, k in zip(S, k2)]
+        matmul(Js[s + 2], T, out=P)
+        k3 = read()
+        T_flat[:] = [a + h * k for a, k in zip(S, k3)]
+        matmul(Js[s + 3], T, out=P)
+        k4 = read()
+        S = [a + sixth * (p + 2.0 * q + 2.0 * r + t) for a, p, q, r, t in zip(S, k1, k2, k3, k4)]
+    return S
+
+
 def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):
     """Re-run slice interval i from its finite start X one RK4 step at a
     time and raise BlowUpError at the first step whose state is not
@@ -260,7 +298,10 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
 
     The value steps of a slice interval record their RK4 stage states; the
     Jacobian then runs once on all 4*n_sub*B of them (O(4*n_sub*B*n^2)
-    floats), and the sensitivity recursion over the interval's steps.
+    floats), and the sensitivity recursion over the interval's steps.  On
+    the row path the stage states go into a list, and the recursion
+    (`_sensitivity_row`) holds S as n*n Python floats: it calls numpy only
+    for the products J_k @ T, and gives the block recursion's bits.
 
     In a block of two or more rows, each row comes out bitwise the same
     whatever rows share the block, so marching and bisection may flow only
@@ -294,9 +335,10 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     if sensitivities:
         jac = _make_jacobian(prob, F, X)
         sens = np.empty((N, B, n, n))
-        S = np.broadcast_to(np.eye(n), (B, n, n)).copy()
-        sens[0] = S
-        # the stage states of each RK4 step of one slice interval
+        sens[0] = np.eye(n)
+        S = sens[0].copy() if row is None else sens[0, 0].ravel().tolist()
+        # the stage states of each RK4 step of one slice interval, which
+        # the row path lists in stage_rows instead
         stages = np.empty((n_sub, 4, B, n))
 
     # divergence is detected explicitly, so let overflow produce inf quietly
@@ -309,14 +351,17 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                         stages[s] = stage_states
                 states[i] = X
             else:
+                stage_rows = []
                 for s in range(n_sub):
                     x, stage_states = _rk4_row(row, x, h)
                     if sens is not None:
-                        stages[s, :, 0] = stage_states
+                        stage_rows += stage_states
                 states[i, 0] = x
             if not np.isfinite(states[i]).all():
                 _raise_blow_up(F, states[i - 1], h, n_sub, i)
-            if sens is not None:
+            if sens is None:
+                continue
+            if row is None:
                 for J in jac(stages.reshape(-1, n)).reshape(n_sub, 4, B, n, n):
                     k1s = J[0] @ S
                     k2s = J[1] @ (S + 0.5 * h * k1s)
@@ -324,6 +369,9 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                     k4s = J[3] @ (S + h * k3s)
                     S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                 sens[i] = S
+            else:
+                S = _sensitivity_row(jac(np.array(stage_rows)), S, h)
+                sens[i, 0].flat = S
 
     return BatchFlowResult(states=states, sensitivities=sens, stats=IntegratorStats(steps=(N - 1) * n_sub))
 
@@ -338,18 +386,26 @@ def integrate_flow(prob: BackupProblem, x0) -> FlowResult:
 def _slice_values_from_flow(prob: BackupProblem, states, sens):
     """Slice values (B, N) and pulled-back gradients (B, N, n) from batched
     flow output (N, B, n) / (N, B, n, n); the gradients are None when sens
-    is None."""
+    is None.  h runs once on the N - 1 slices stacked into one block, and
+    h_b once on the last."""
     N, B, n = states.shape
+    try:
+        v, g = call_batched(prob.h, states[:-1].reshape(-1, n), (), (n,))
+    except InvalidInputError:
+        # name the shape error on one slice's block of B states
+        call_batched(prob.h, states[0], (), (n,))
+        raise
+    v_b, g_b = call_batched(prob.h_b, states[-1], (), (n,))
     vals = np.empty((B, N))
-    grads = None if sens is None else np.empty((B, N, n))
-    for i in range(N):
-        fn = prob.h if i < N - 1 else prob.h_b
-        v, g = call_batched(fn, states[i], (), (n,))
-        vals[:, i] = v
-        if grads is not None:
-            # grad b_i = S_i^T grad_h(phi_i)
-            grads[:, i, :] = np.einsum("bji,bj->bi", sens[i], g)
-    return vals, grads
+    vals[:, :-1] = v.reshape(N - 1, B).T
+    vals[:, -1] = v_b
+    if sens is None:
+        return vals, None
+    G = np.empty((N, B, n))
+    G[:-1] = g.reshape(N - 1, B, n)
+    G[-1] = g_b
+    # grad b_i = S_i^T grad_h(phi_i)
+    return vals, np.einsum("sbji,sbj->bsi", sens, G)
 
 
 def slice_values_batch(prob: BackupProblem, X, gradients: bool = True):

@@ -236,7 +236,8 @@ def pendulum_backup() -> Benchmark:
         z = X[:, 0] + c * X[:, 1]
         w = X[:, 1]
         val = 1.0 - z**4 - (w / 1.5) ** 4
-        grad = np.stack([-4.0 * z**3, -4.0 * c * z**3 - 4.0 * w**3 / 1.5**4], axis=-1)
+        z3 = z**3
+        grad = np.stack([-4.0 * z3, -4.0 * c * z3 - 4.0 * w**3 / 1.5**4], axis=-1)
         return (float(val[0]), grad[0]) if single else (val, grad)
 
     def h_b(x):

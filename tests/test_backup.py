@@ -430,6 +430,148 @@ def test_row_flows_equal_one_row_block_flows_bitwise():
                 assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
 
 
+def row_form_problem(n):
+    """A problem whose closed loop is a fused field with a row form and an
+    analytic Jacobian: xdot = -x + 0.5 x^2 for n = 1, pendulum-backup for
+    n = 2, and a damped chain with a cubic spring for n = 3.  The drift is
+    the field, and each component adds the + 0.0 that the composed field's
+    einsum adds, so the fused field is the composed one bit for bit."""
+    if n == 2:
+        return get_benchmark("pendulum-backup").backup
+
+    if n == 1:
+        def field(x):
+            x = np.asarray(x, dtype=float)
+            return -x + 0.5 * x * x + 0.0
+
+        def row(x):
+            return (-x[0] + 0.5 * x[0] * x[0] + 0.0,)
+
+        def jacobian(X):
+            return (-1.0 + X)[:, :, None]
+    else:
+        def field(x):
+            x = np.asarray(x, dtype=float)
+            X = np.atleast_2d(x)
+            out = np.empty(X.shape)
+            out[:, 0] = X[:, 1] + 0.0
+            out[:, 1] = X[:, 2] + 0.0
+            out[:, 2] = -X[:, 0] - 2.0 * X[:, 1] - 2.0 * X[:, 2] - 0.5 * X[:, 0] * X[:, 0] * X[:, 0] + 0.0
+            return out[0] if x.ndim == 1 else out
+
+        def row(x):
+            a, b, c = x
+            return (b + 0.0, c + 0.0, -a - 2.0 * b - 2.0 * c - 0.5 * a * a * a + 0.0)
+
+        def jacobian(X):
+            J = np.zeros((X.shape[0], 3, 3))
+            J[:, 0, 1] = 1.0
+            J[:, 1, 2] = 1.0
+            J[:, 2, 0] = -1.0 - 1.5 * X[:, 0] * X[:, 0]
+            J[:, 2, 1:] = -2.0
+            return J
+
+    sys = ControlAffineSystem(n=n, m=1, drift=field, actuation=column_actuation([0.0] * n))
+    return BackupProblem(
+        sys=sys, k_b=zero_controller, h=quad_fn(1.0), h_b=quad_fn(0.25), T=1.0, dtau=0.25,
+        jacobian=jacobian, bounding_box=np.array([[-1.0, 1.0]] * n),
+        fused=FusedField(field, field, sys.actuation, zero_controller, row),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_sensitivities_equal_block_sensitivities_bitwise(n):
+    # the float recursion of a one-row flow (backup._sensitivity_row) against
+    # the numpy recursion of the same problem without a row form
+    rows = collections.Counter()
+    prob = row_form_problem(n)
+    row = prob.fused.row
+
+    def counted_row(x):
+        rows["row"] += 1
+        return row(x)
+
+    prob = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=counted_row))
+    blocks = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=None))
+    box = prob.bounding_box
+    rng = np.random.default_rng(7)
+    X = rng.uniform(box[:, 0], box[:, 1], size=(40, n))
+    zeros = rng.uniform(size=X.shape) < 0.2
+    X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    for x in X:
+        got = integrate_flow_batch(prob, x[None])
+        want = integrate_flow_batch(blocks, x[None])
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
+    assert rows["row"] == len(X) * (1 + 4 * got.stats.steps)
+
+
+def per_slice_values(prob, flow):
+    """Slice values and pulled-back gradients one slice at a time: h on
+    each slice's block, h_b on the last."""
+    N, B, n = flow.states.shape
+    vals = np.empty((B, N))
+    grads = np.empty((B, N, n))
+    for i in range(N):
+        v, g = (prob.h if i < N - 1 else prob.h_b)(flow.states[i])
+        vals[:, i] = v
+        if flow.sensitivities is not None:
+            grads[:, i] = np.einsum("bji,bj->bi", flow.sensitivities[i], g)
+    return vals, None if flow.sensitivities is None else grads
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 400])
+def test_stacked_slice_values_equal_per_slice_reference_bitwise(B):
+    prob = get_benchmark("pendulum-backup").backup
+    box = prob.bounding_box
+    rng = np.random.default_rng(B)
+    X = rng.uniform(box[:, 0], box[:, 1], size=(B, prob.sys.n))
+    zeros = rng.uniform(size=X.shape) < 0.1
+    X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    for gradients in (False, True):
+        want_vals, want_grads = per_slice_values(prob, integrate_flow_batch(prob, X, sensitivities=gradients))
+        vals, grads = softcbf.backup.slice_values_batch(prob, X, gradients=gradients)
+        assert vals.tobytes() == want_vals.tobytes()
+        if gradients:
+            assert grads.tobytes() == want_grads.tobytes()
+        else:
+            assert grads is None
+
+
+def test_blow_up_reports_time_on_the_row_path_with_sensitivities():
+    # xdot = x * x from 2 overflows in the second slice interval (see
+    # test_blow_up_reports_time), so the row path's sensitivity recursion
+    # has run over the first interval when the blow-up is found
+    rows = collections.Counter()
+
+    def square(x):
+        x = np.asarray(x, dtype=float)
+        return x * x
+
+    def square_row(x):
+        rows["row"] += 1
+        return (x[0] * x[0],)
+
+    def jacobian(X):
+        return (2.0 * X)[:, :, None]
+
+    sys = ControlAffineSystem(n=1, m=1, drift=square, actuation=column_actuation([0.0]))
+    prob = BackupProblem(
+        sys=sys, k_b=zero_controller, h=quad_fn(1.0), h_b=quad_fn(0.25), T=2.0, dtau=0.5,
+        jacobian=jacobian, bounding_box=np.array([[-3, 3]]),
+        fused=FusedField(square, square, sys.actuation, zero_controller, square_row),
+    )
+    blocks = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=None))
+    errors = []
+    for p in (prob, blocks):
+        with pytest.raises(BlowUpError) as err:
+            integrate_flow_batch(p, np.array([[2.0]]), sensitivities=True)
+        errors.append((str(err.value), err.value.time))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == 0.5300000000000002
+    assert rows["row"] > 4 * 50
+
+
 def test_fused_row_form_with_wrong_length_raises():
     def short_row(x):
         return prob.fused.row(x)[:1]
