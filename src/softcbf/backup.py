@@ -65,8 +65,9 @@ class FusedField:
     `row`, when given, maps one state as a tuple of n floats to n floats,
     bit for bit `field` on that one-row block; one-row flows call it.  Only
     + - * / may be Python float arithmetic; the rest goes through the
-    block's numpy kernels (np.dot for a one-row matmul, np.tanh, ...), since
-    `math` and a written-out dot differ in the last bit.  It must not raise
+    block's numpy kernels (a bound ndarray.dot for a one-row product, which
+    reaches the BLAS dot of the block's matmul, np.tanh, ...), since `math`
+    and a written-out dot differ in the last bit.  It must not raise
     on overflow: a square is `x * x`, as Python's float `**` raises.
     """
 
@@ -119,6 +120,8 @@ class BackupProblem:
     fused: Optional[FusedField] = None
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.T, self.dtau, self.h_max)):
+            raise DomainError(f"horizon {self.T}, slice interval {self.dtau} and h_max {self.h_max} must be finite")
         if self.T <= 0 or self.dtau <= 0:
             raise DomainError("horizon and slice interval must be positive")
         slices = self.T / self.dtau
@@ -126,6 +129,8 @@ class BackupProblem:
             raise InvalidInputError(
                 f"slice interval {self.dtau} does not divide the horizon {self.T}"
             )
+        if round(slices) < 1:
+            raise InvalidInputError(f"horizon {self.T} is shorter than one slice interval {self.dtau}")
         if self.h_max <= 0:
             raise DomainError("h_max must be positive")
         if self.bounding_box is not None:
@@ -219,14 +224,15 @@ def _rk4_row(f: Callable, x: tuple, h: float):
     same operations in the same order, so the same bits, without numpy's
     per-call dispatch.  test_row_flows_equal_one_row_block_flows_bitwise
     keeps the two bodies equal."""
+    half, sixth = 0.5 * h, h / 6.0
     k1 = f(x)
-    x2 = tuple([a + 0.5 * h * k for a, k in zip(x, k1)])
+    x2 = tuple([a + half * k for a, k in zip(x, k1)])
     k2 = f(x2)
-    x3 = tuple([a + 0.5 * h * k for a, k in zip(x, k2)])
+    x3 = tuple([a + half * k for a, k in zip(x, k2)])
     k3 = f(x3)
     x4 = tuple([a + h * k for a, k in zip(x, k3)])
     k4 = f(x4)
-    x_next = tuple([a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
+    x_next = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
     return x_next, (x, x2, x3, x4)
 
 
@@ -236,30 +242,35 @@ def _sensitivity_row(J: np.ndarray, S: list, h: float) -> list:
     and J the interval's (4*n_sub, n, n) stage Jacobians.  The elementwise
     updates run on Python floats in the block body's order, so they give
     its bits without numpy's per-call dispatch.  The products J_k @ T stay
-    np.matmul, as in the block body: its BLAS computes each entry with
-    fused multiply-adds that Python float arithmetic cannot reproduce, and
-    ndarray.dot differs from it on an n = 1 product of -0.0.
-    test_row_sensitivities_equal_block_sensitivities_bitwise keeps the two
-    bodies equal."""
+    BLAS calls, as in the block body: its gemm computes each entry with
+    fused multiply-adds that Python float arithmetic cannot reproduce.
+    For n >= 2 they go through ndarray.dot, the same gemm as np.matmul at
+    about a third of its dispatch; for n = 1 they stay np.matmul, as dot
+    then multiplies the two scalars and keeps the -0.0 that gemm's sum
+    turns into +0.0.
+    test_row_sensitivities_equal_block_sensitivities_bitwise and
+    test_sensitivity_row_matches_matmul_reference_on_signed_zeros keep the
+    two bodies equal."""
     n = J.shape[-1]
     T, P = np.empty((n, n)), np.empty((n, n))
     # each product writes its right factor into T and reads P back; written
     # out, not in a helper, as a call per product costs about 2 % of a flow
-    T_flat, matmul, read = T.reshape(-1), np.matmul, P.reshape(-1).tolist
+    T_flat, read = T.reshape(-1), P.reshape(-1).tolist
+    prod = np.matmul if n == 1 else np.ndarray.dot
     half, sixth = 0.5 * h, h / 6.0
     Js = list(J)
     for s in range(0, len(Js), 4):
         T_flat[:] = S
-        matmul(Js[s], T, out=P)
+        prod(Js[s], T, out=P)
         k1 = read()
         T_flat[:] = [a + half * k for a, k in zip(S, k1)]
-        matmul(Js[s + 1], T, out=P)
+        prod(Js[s + 1], T, out=P)
         k2 = read()
         T_flat[:] = [a + half * k for a, k in zip(S, k2)]
-        matmul(Js[s + 2], T, out=P)
+        prod(Js[s + 2], T, out=P)
         k3 = read()
         T_flat[:] = [a + h * k for a, k in zip(S, k3)]
-        matmul(Js[s + 3], T, out=P)
+        prod(Js[s + 3], T, out=P)
         k4 = read()
         S = [a + sixth * (p + 2.0 * q + 2.0 * r + t) for a, p, q, r, t in zip(S, k1, k2, k3, k4)]
     return S
@@ -301,12 +312,13 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     floats), and the sensitivity recursion over the interval's steps.  On
     the row path the stage states go into a list, and the recursion
     (`_sensitivity_row`) holds S as n*n Python floats: it calls numpy only
-    for the products J_k @ T, and gives the block recursion's bits.
+    for the products J_k @ T, through ndarray.dot for n >= 2 (np.matmul for
+    n = 1), and gives the block recursion's bits.
 
     In a block of two or more rows, each row comes out bitwise the same
     whatever rows share the block, so marching and bisection may flow only
     live rows.  A one-row block can differ in the last bit: numpy computes
-    a (1, n) @ (n,) product, like the pendulum's K.x, with dot, not gemv,
+    a (1, n) by (n,) product, like the pendulum's K.x, with dot, not gemv,
     and its Jacobian sees 4*n_sub rows, where a per-stage call saw one."""
     X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
     if X.shape[1] != prob.sys.n:

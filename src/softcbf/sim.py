@@ -14,6 +14,7 @@ hold-and-integrate error.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -65,6 +66,8 @@ class SimConfig:
     substeps: int = 10
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.dt, self.t_final, self.theta)):
+            raise InvalidInputError(f"dt {self.dt}, t_final {self.t_final} and theta {self.theta} must be finite")
         if self.dt <= 0 or self.t_final < self.dt:
             raise InvalidInputError("need dt > 0 and t_final >= dt")
         if self.theta <= 0:

@@ -250,7 +250,7 @@ def pendulum_backup() -> Benchmark:
 
     def k_b(x):
         x = np.asarray(x, dtype=float)
-        u = PENDULUM_U_MAX * np.tanh(-(x @ PENDULUM_K) / PENDULUM_U_MAX)
+        u = PENDULUM_U_MAX * np.tanh(-x.dot(PENDULUM_K) / PENDULUM_U_MAX)
         return u[..., None]
 
     def closed_loop(x):
@@ -259,13 +259,14 @@ def pendulum_backup() -> Benchmark:
         X = x[None] if x.ndim == 1 else x
         out = np.empty(X.shape)
         out[:, 0] = X[:, 1] + 0.0
-        out[:, 1] = np.sin(X[:, 0]) + (PENDULUM_U_MAX * np.tanh(-(X @ PENDULUM_K) / PENDULUM_U_MAX) + 0.0)
+        out[:, 1] = np.sin(X[:, 0]) + (PENDULUM_U_MAX * np.tanh(-X.dot(PENDULUM_K) / PENDULUM_U_MAX) + 0.0)
         return out[0] if x.ndim == 1 else out
 
     def closed_loop_row(x):
         # closed_loop on a tuple of floats, same operations in the same order;
-        # K.x, tanh and sin stay numpy calls (a written-out dot or math differ)
-        u = PENDULUM_U_MAX * float(np.tanh(-float(np.dot(PENDULUM_K, x)) / PENDULUM_U_MAX))
+        # K.x, tanh and sin stay numpy calls (a written-out dot or math differ),
+        # K.x through the bound ndarray.dot, which skips np.dot's dispatch
+        u = PENDULUM_U_MAX * float(np.tanh(-float(PENDULUM_K.dot(x)) / PENDULUM_U_MAX))
         return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
 
     def jac_closed_loop(x):
@@ -276,7 +277,7 @@ def pendulum_backup() -> Benchmark:
         J[..., 1, 0] = np.cos(x[..., 0])
         # np.square, not ** 2: on the scalar of one state ** 2 calls pow, which
         # can differ from the x * x of an array's ** 2 in the last bit
-        sech2 = 1.0 / np.square(np.cosh((x @ PENDULUM_K) / PENDULUM_U_MAX))
+        sech2 = 1.0 / np.square(np.cosh(x.dot(PENDULUM_K) / PENDULUM_U_MAX))
         J[..., 1, :] -= sech2[..., None] * PENDULUM_K
         return J
 

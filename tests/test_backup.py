@@ -11,6 +11,7 @@ from softcbf import (
     BackupProblem,
     BlowUpError,
     ControlAffineSystem,
+    DomainError,
     FusedField,
     FusedPlant,
     InvalidInputError,
@@ -100,6 +101,23 @@ def test_problem_validation():
         scalar_problem(T=-1.0)
     with pytest.raises(Exception):
         scalar_problem(dtau=0.3)  # does not divide T
+
+
+def test_horizon_shorter_than_one_slice_interval_raises():
+    # T/dtau rounds to 0 within the divisibility tolerance, which would
+    # leave a slice family of h_b alone
+    with pytest.raises(InvalidInputError, match="shorter than one slice interval"):
+        scalar_problem(T=1e-12, dtau=1.0)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [dict(T=math.nan), dict(T=math.inf), dict(dtau=math.inf), dict(dtau=math.nan), dict(h_max=math.nan), dict(h_max=math.inf)],
+    ids=["T-nan", "T-inf", "dtau-inf", "dtau-nan", "h_max-nan", "h_max-inf"],
+)
+def test_non_finite_horizon_step_or_slice_interval_raises(kw):
+    with pytest.raises(DomainError, match="must be finite"):
+        scalar_problem(**kw)
 
 
 def test_stationary_flow():
@@ -504,6 +522,39 @@ def test_row_sensitivities_equal_block_sensitivities_bitwise(n):
         assert got.states.tobytes() == want.states.tobytes()
         assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
     assert rows["row"] == len(X) * (1 + 4 * got.stats.steps)
+
+
+def matmul_sensitivity_recursion(J, S, h):
+    """The block body's variational recursion on one row: stacked
+    np.matmul products on (1, n, n) blocks."""
+    n = J.shape[-1]
+    S = np.array(S).reshape(1, n, n)
+    for Jk in J.reshape(-1, 4, 1, n, n):
+        k1s = Jk[0] @ S
+        k2s = Jk[1] @ (S + 0.5 * h * k1s)
+        k3s = Jk[2] @ (S + 0.5 * h * k2s)
+        k4s = Jk[3] @ (S + h * k3s)
+        S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+    return S.reshape(-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sensitivity_row_matches_matmul_reference_on_signed_zeros(n):
+    # a flow's S starts at the identity, so no flow test sees a product of
+    # a -0.0 entry on its own; here J and S hold exact +-0.0, which tells
+    # a gemm product (0.5 * -0.0 summed onto +0.0) from a scalar one (-0.0).
+    # One RK4 step per draw: a -0.0 of S reaches the output only when all
+    # four stage products keep it, so longer intervals seldom carry it.
+    rng = np.random.default_rng(11 + n)
+    h = 0.01
+    for _ in range(1000):
+        J = rng.standard_normal((4, n, n))
+        S = rng.standard_normal(n * n)
+        for M in (J, S):
+            zeros = rng.uniform(size=M.shape) < 0.4
+            M[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+        got = np.array(softcbf.backup._sensitivity_row(J, S.tolist(), h))
+        assert got.tobytes() == matmul_sensitivity_recursion(J, S, h).tobytes()
 
 
 def per_slice_values(prob, flow):

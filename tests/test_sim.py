@@ -34,6 +34,23 @@ def test_config_validation():
         scalar_cfg(infeasible_policy="panic")
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [dict(dt=np.nan), dict(t_final=np.inf), dict(t_final=np.nan), dict(theta=np.nan), dict(theta=np.inf)],
+    ids=["dt-nan", "t_final-inf", "t_final-nan", "theta-nan", "theta-inf"],
+)
+def test_non_finite_config_raises(kw):
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        scalar_cfg(**kw)
+
+
+def test_simulate_rejects_non_finite_theta(tmp_path, capsys):
+    argv = ["simulate", "--benchmark", "double-integrator-box", "--theta", "nan", "--t-final", "0.1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_deterministic_traces():
     bench = get_benchmark("scalar-stable")
     a = run(bench, scalar_cfg())
