@@ -460,28 +460,18 @@ def backup_barrier(prob: BackupProblem, flow: FlowResult, theta: float) -> Backu
 def slice_constraint_set(prob: BackupProblem) -> ConstraintSet:
     """The slice constraints packaged as a constraint family.
 
-    Each per-constraint evaluator integrates the flow from scratch; the
-    batch evaluator shares one integration across all N constraints, and
-    the value evaluator does the same without the flow sensitivities.  The
-    screen is b_0 = h, which needs no flow.
+    The batch evaluator shares one flow integration across all N
+    constraints, and the value evaluator does the same without the flow
+    sensitivities.  The screen is b_0 = h, which needs no flow.  Sampling
+    the family needs the problem's bounding box.
     """
-    if prob.bounding_box is None:
-        raise InvalidInputError("backup problem needs a bounding box for certification")
-
-    def make_eval(i):
-        def ev(x):
-            vals, grads = slice_values_batch(prob, np.asarray(x, dtype=float)[None, :])
-            return float(vals[0, i]), grads[0, i]
-
-        return ev
-
     return ConstraintSet(
         n=prob.sys.n,
-        evaluators=tuple(make_eval(i) for i in range(prob.N)),
         bounding_box=prob.bounding_box,
         batch_evaluator=lambda X: slice_values_batch(prob, X),
         value_evaluator=lambda X: slice_values_batch(prob, X, gradients=False)[0],
         screen=lambda X: prob.h(X)[0],
+        N=prob.N,
     )
 
 

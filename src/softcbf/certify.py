@@ -34,7 +34,7 @@ from .geometry import (
     call_batched,
     march_and_bisect,
 )
-from .softmin import softmin_block
+from .softmin import _check_theta, softmin_block
 
 __all__ = [
     "TailSpec",
@@ -212,8 +212,7 @@ def probe_boundary(
     `verify_certificate` adds the precondition.
     """
     box = _require_box(cs, "boundary probing")
-    if theta <= 0:
-        raise DomainError(f"theta must be positive, got {theta}")
+    theta = _check_theta(theta)
     rng = np.random.default_rng(seed)
     n_check = int(n_check)
 
@@ -285,7 +284,7 @@ def verify_certificate(
     Lie derivative found (positive everywhere is the certified prediction)
     and whether every boundary point stayed inside the sampled band.
     """
-    if not theta > cert.theta_star:
+    if not _check_theta(theta) > cert.theta_star:
         raise DomainError(
             f"theta={theta} does not exceed the certified threshold {cert.theta_star}"
         )

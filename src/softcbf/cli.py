@@ -41,7 +41,6 @@ class ScenarioConfig:
     theta_multiplier: float = 1.01
     n_check: int = 500
     activity_tolerance: Optional[float] = None
-    mfcq_tolerance: Optional[float] = None
     precondition_points: int = 3000
     precondition_tolerance: float = 1e-6
     t_final: float = 10.0
@@ -211,7 +210,7 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
         ("tube_rays_unconverged", tube.rays_unconverged),
     ]
 
-    mfcq = check_mfcq(tube, cfg.mfcq_tolerance)
+    mfcq = check_mfcq(tube, cfg.activity_tolerance)
     entries.append(("mfcq_checked", mfcq.n_checked))
     entries.append(("mfcq_passed", mfcq.passed))
     if not mfcq.passed:
@@ -296,6 +295,8 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
         print("error: sweep needs a nonempty theta list (--thetas)", file=_sys.stderr)
         return 1
     bench, cs, F = _certification_pieces(cfg)
+    # the configs check every theta before the csv is opened
+    sim_cfgs = [_sim_config(cfg, bench, theta) for theta in cfg.thetas]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"sweep-{bench.name}.csv"
@@ -304,7 +305,7 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
         reports = [probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
                    for theta in cfg.thetas]
         # one closed loop per theta, all advanced in lockstep
-        traces = run(bench, [_sim_config(cfg, bench, theta) for theta in cfg.thetas])
+        traces = run(bench, sim_cfgs)
         for theta, report, trace in zip(cfg.thetas, reports, traces):
             lie = report.min_lie if report.min_lie is not None else float("nan")
             fobj.write(
@@ -330,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float)
         p.add_argument("--theta-multiplier", dest="theta_multiplier", type=float)
         p.add_argument("--activity-tolerance", dest="activity_tolerance", type=float)
-        p.add_argument("--mfcq-tolerance", dest="mfcq_tolerance", type=float)
         p.add_argument("--out")
         p.set_defaults(fn=fn)
         if name in ("simulate", "sweep"):

@@ -79,46 +79,59 @@ def _checked_box(box, rows: int, what: str) -> np.ndarray:
 class ConstraintSet:
     """Family of N constraint functions with gradients on an n-dimensional state.
 
-    `evaluators[i]` maps a state x of shape (n,) to (h_i(x), grad_i(x)).
-    `bounding_box` (shape (n, 2), rows [lo, hi]) marks compact-mode: a box
-    believed to contain the safe set, required for any sampling operation.
-    `batch_evaluator`, when given, maps a block X of shape (B, n) to
-    (values (B, N), gradients (B, N, n)) and must agree with the
-    per-constraint evaluators; it exists purely so bulk sampling avoids a
-    Python loop.  `value_evaluator`, when given, maps a block to the values
-    (B, N) alone and must agree with the batch evaluator; level-set search,
-    which reads no gradients, uses it through `values`.  `screen`, when
-    given, maps a block to the values (B,) of one cheap member constraint
-    (see `screened_values`).  Like every callable the package evaluates on
-    blocks (see `call_batched`), all three take (B, n) and a wrong output
-    shape raises InvalidInputError.  Evaluators must be safe for concurrent
-    invocation.
+    A family is declared batch-first: `batch_evaluator` maps a block X of
+    shape (B, n) to (values (B, N), gradients (B, N, n)), and `N` gives its
+    size.  A family may instead be declared per constraint: `evaluators[i]`
+    maps one state (n,) to (h_i(x), grad_i(x)), and `N` is then
+    `len(evaluators)`.  Only such a family without a batch evaluator is
+    evaluated by a Python loop, over its evaluators and over the rows of a
+    block.  `bounding_box` (shape (n, 2), rows [lo, hi]) marks
+    compact-mode: a box believed to contain the safe set, required for any
+    sampling operation.  `value_evaluator`, when given, maps a block to the
+    values (B, N) alone and must agree with the batch evaluator; level-set
+    search, which reads no gradients, uses it through `values`.  `screen`,
+    when given, maps a block to the values (B,) of one cheap member
+    constraint (see `screened_values`).  Like every callable the package
+    evaluates on blocks (see `call_batched`), all three take (B, n) and a
+    wrong output shape raises InvalidInputError.  Evaluators must be safe
+    for concurrent invocation.
     """
 
     n: int
-    evaluators: tuple
+    evaluators: tuple = ()
     bounding_box: Optional[np.ndarray] = None
     batch_evaluator: Optional[Callable] = None
     value_evaluator: Optional[Callable] = None
     screen: Optional[Callable] = None
+    N: Optional[int] = None
 
     def __post_init__(self):
-        if self.n < 1 or len(self.evaluators) < 1:
+        if self.batch_evaluator is None and not self.evaluators:
+            raise InvalidInputError("need a batch evaluator or per-constraint evaluators")
+        if self.evaluators:
+            if self.N is not None and self.N != len(self.evaluators):
+                raise InvalidInputError(f"N = {self.N} but {len(self.evaluators)} evaluators given")
+            object.__setattr__(self, "N", len(self.evaluators))
+        elif self.N is None:
+            raise InvalidInputError("a family with only a batch evaluator needs its size N")
+        if self.n < 1 or self.N < 1:
             raise InvalidInputError("need n >= 1 and at least one constraint")
         if self.bounding_box is not None:
             object.__setattr__(self, "bounding_box", _checked_box(self.bounding_box, self.n, "bounding box"))
-
-    @property
-    def N(self) -> int:
-        return len(self.evaluators)
 
     @property
     def compact_mode(self) -> bool:
         return self.bounding_box is not None
 
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Values (N,) and gradients (N, n) at one state."""
+        """Values (N,) and gradients (N, n) at one state (n,): row 0 of
+        `evaluate_batch(x[None])` when the family has a batch evaluator."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise InvalidInputError(f"expected one state of shape ({self.n},), got {x.shape}")
+        if self.batch_evaluator is not None:
+            vals, grads = self.evaluate_batch(x[None])
+            return vals[0], grads[0]
         vals = np.empty(self.N)
         grads = np.empty((self.N, self.n))
         for i, ev in enumerate(self.evaluators):
@@ -431,12 +444,14 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     )
 
 
-def _activity_tolerances(h_hat: np.ndarray, tol: Optional[float]) -> np.ndarray:
-    """Per-sample activity tolerance: the value-scaled default when `tol`
-    is None, otherwise `tol` on every sample."""
-    if tol is None:
-        return default_activity_tolerance(h_hat)
-    return np.full(h_hat.shape, float(tol))
+def _activity(vals: np.ndarray, tol: Optional[float]):
+    """The pointwise minimum h_hat (B,) of values (B, N), the gaps
+    vals - h_hat (B, N), and the active mask (B, N): gap <= `tol`, where
+    None means the value-scaled default of each row."""
+    h_hat = vals.min(axis=1)
+    gaps = vals - h_hat[:, None]
+    tol = default_activity_tolerance(h_hat) if tol is None else np.full(h_hat.shape, float(tol))
+    return h_hat, gaps, gaps <= tol[:, None]
 
 
 def estimate_bounds(F: VectorField, tube: TubeSpec, tol: Optional[float] = None) -> CompactBounds:
@@ -451,9 +466,7 @@ def estimate_bounds(F: VectorField, tube: TubeSpec, tol: Optional[float] = None)
     Fx = call_batched(F, X, X.shape[1:])
     lie = np.einsum("bni,bi->bn", grads, Fx)
 
-    h_hat = vals.min(axis=1)
-    gaps = vals - h_hat[:, None]
-    active = gaps <= _activity_tolerances(h_hat, tol)[:, None]
+    _, gaps, active = _activity(vals, tol)
 
     M = float(np.abs(lie).max())
     lie_active = np.where(active, lie, np.inf)
@@ -529,20 +542,20 @@ def check_mfcq(tube: TubeSpec, tol: Optional[float] = None) -> MFCQReport:
     At each sample with h_hat close to zero, looks for a common ascent
     direction for all active gradients.  Failure means two active gradients
     point in (nearly) opposite directions, i.e. the boundary has a
-    degenerate kink there.
+    degenerate kink there.  `tol` is the activity tolerance, as in
+    `estimate_bounds`.
     """
     X, vals, grads = tube.samples, tube.values, tube.gradients
-    h_hat = vals.min(axis=1)
+    h_hat, _, active = _activity(vals, tol)
     near = h_hat <= tube.epsilon / 10.0
     if not near.any():
         order = np.argsort(h_hat)
         near = np.zeros(X.shape[0], dtype=bool)
         near[order[: min(10, X.shape[0])]] = True
 
-    tol_rows = _activity_tolerances(h_hat, tol)
     entries = []
     for b in np.flatnonzero(near):
-        act = np.flatnonzero(vals[b] - h_hat[b] <= tol_rows[b])
+        act = np.flatnonzero(active[b])
         g_act = grads[b][act]
         v, ok, margin = _mfcq_witness(g_act)
         pair = None

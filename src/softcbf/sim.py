@@ -22,7 +22,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import softmin as sm
-from .backup import rk4_step, slice_values_batch
+from .backup import rk4_step
 from .errors import InvalidInputError
 from .geometry import call_batched
 from .safety_filter import (
@@ -149,16 +149,9 @@ def _softmin_rows(vals, grads, theta):
 def _barrier_block(bench: Benchmark):
     """Return a function (X (B, n), theta (B,)) -> (soft values (B,), soft
     gradients (B, n), hard values (B,)) that evaluates a block in one call:
-    one batch evaluation of the family, or one flow with sensitivities of
-    the backup slices."""
-    if bench.backup is not None:
-        prob = bench.backup
-
-        def evaluate(X):
-            return slice_values_batch(prob, X)
-
-    else:
-        evaluate = bench.constraints.evaluate_batch
+    one batch evaluation of the benchmark's certification set, which on a
+    backup set is one flow with sensitivities of the slices."""
+    evaluate = bench.certification_set().evaluate_batch
 
     def eval_barrier(X, theta):
         vals, grads = evaluate(X)

@@ -65,20 +65,6 @@ class Benchmark:
         return self.constraints
 
 
-def _evaluators_of(batch: Callable, N: int) -> tuple:
-    """Per-constraint evaluators that read entry i of the batch evaluator on
-    a one-row block, so the two agree bitwise."""
-
-    def make_eval(i):
-        def ev(x):
-            vals, grads = batch(np.asarray(x, dtype=float)[None])
-            return float(vals[0, i]), grads[0, i]
-
-        return ev
-
-    return tuple(make_eval(i) for i in range(N))
-
-
 def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
     """Family h_i(x) = b_i + W_i . x with constant gradients W_i."""
     W = np.asarray(W, dtype=float)
@@ -94,10 +80,10 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
 
     return ConstraintSet(
         n=n,
-        evaluators=_evaluators_of(batch, N),
         bounding_box=np.asarray(box, dtype=float),
         batch_evaluator=batch,
         value_evaluator=values,
+        N=N,
     )
 
 
@@ -298,9 +284,7 @@ def pendulum_backup() -> Benchmark:
         v, g = h(np.atleast_2d(np.asarray(X, dtype=float)))
         return v[:, None], g[:, None, :]
 
-    constraints = ConstraintSet(
-        n=2, evaluators=(h,), bounding_box=box, batch_evaluator=batch
-    )
+    constraints = ConstraintSet(n=2, bounding_box=box, batch_evaluator=batch, N=1)
 
     def desired(x):
         # constant maximal push away from upright
@@ -428,10 +412,10 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
 
     constraints = ConstraintSet(
         n=2,
-        evaluators=_evaluators_of(batch, 2),
         bounding_box=np.array([[-1.1, 1.1], [-1.1, 1.1]]),
         batch_evaluator=batch,
         value_evaluator=values,
+        N=2,
     )
 
     mid = 1.0 - 0.5 * width

@@ -185,6 +185,13 @@ def test_verify_certificate_requires_theta_above_threshold():
         verify_certificate(cs, F, cert, 0.5 * cert.theta_star, 50, seed=0)
 
 
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), 0.0])
+def test_probe_boundary_rejects_theta_that_is_not_finite_positive(theta):
+    cs, F = disk_problem()
+    with pytest.raises(DomainError, match="theta must be a finite positive number"):
+        probe_boundary(cs, F, theta, 0.1, 10, seed=0)
+
+
 def test_probe_boundary_reports_negative_witnesses_for_unstable_field():
     cs, _ = disk_problem()
 

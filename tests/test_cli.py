@@ -43,6 +43,13 @@ def test_certify_scalar_stable_exit_zero(tmp_path):
     assert "config.seed" in report
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+def test_certify_rejects_a_non_finite_theta(tmp_path, capsys, theta):
+    assert main(["certify", "--benchmark", "scalar-stable", "--theta", theta,
+                 "--out", str(tmp_path)]) == 1
+    assert f"theta must be a finite positive number, got {theta}" in capsys.readouterr().err
+
+
 def test_certify_below_theta_star_is_not_a_certificate(tmp_path):
     out = tmp_path / "below"
     # theta_star is 15737.3 here; a boundary probe at theta = 100 finds only
@@ -68,7 +75,7 @@ def test_certify_unstable_exit_two(tmp_path):
 
 def test_certify_mfcq_failure_exit_three(tmp_path):
     code = main([
-        "certify", "--benchmark", "thin-annulus", "--mfcq-tolerance", "0.1",
+        "certify", "--benchmark", "thin-annulus", "--activity-tolerance", "0.1",
         "--out", str(tmp_path),
     ])
     assert code == 3
@@ -294,6 +301,13 @@ def test_sweep_csv(tmp_path):
 def test_sweep_requires_thetas(tmp_path):
     code = main(["sweep", "--benchmark", "scalar-stable", "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_sweep_rejects_a_non_finite_theta_before_writing(tmp_path):
+    code = main(["sweep", "--benchmark", "double-integrator-box", "--thetas", "nan 10",
+                 "--t-final", "0.1", "--out", str(tmp_path)])
+    assert code == 1
+    assert not (tmp_path / "sweep-double-integrator-box.csv").exists()
 
 
 def test_single_theta_sweep_consistent_with_simulate(tmp_path):

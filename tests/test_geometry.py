@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import softcbf.backup
 import softcbf.geometry
 from softcbf import (
     BackupProblem,
@@ -61,6 +62,11 @@ def scalar_set():
     return single_constraint_set(h1, 1, [[-1.2, 1.2]])
 
 
+def batch_interval(X):
+    X = np.atleast_2d(X)
+    return np.hstack([1.0 - X, 1.0 + X]), np.stack([-np.ones_like(X), np.ones_like(X)], axis=1)
+
+
 def test_constraint_set_validation():
     with pytest.raises(InvalidInputError):
         ConstraintSet(n=0, evaluators=(lambda x: (0.0, np.zeros(1)),))
@@ -70,6 +76,46 @@ def test_constraint_set_validation():
         ConstraintSet(
             n=1, evaluators=(lambda x: (0.0, np.zeros(1)),), bounding_box=[[1.0, -1.0]]
         )
+    # the size of a family is declared once: N for a batch-only family,
+    # the number of evaluators otherwise
+    assert ConstraintSet(n=1, batch_evaluator=batch_interval, N=2).N == 2
+    ev = lambda x: (0.0, np.zeros(1))  # noqa: E731
+    assert ConstraintSet(n=1, evaluators=(ev, ev), batch_evaluator=batch_interval).N == 2
+    with pytest.raises(InvalidInputError, match="needs its size N"):
+        ConstraintSet(n=1, batch_evaluator=batch_interval)
+    with pytest.raises(InvalidInputError, match="N = 3 but 2 evaluators"):
+        ConstraintSet(n=1, evaluators=(ev, ev), batch_evaluator=batch_interval, N=3)
+    with pytest.raises(InvalidInputError, match="batch evaluator or per-constraint evaluators"):
+        ConstraintSet(n=1, N=2)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3,), ()])
+def test_evaluate_takes_exactly_one_state(shape):
+    for cs in (get_benchmark("thin-annulus").constraints, box_faces()):
+        with pytest.raises(InvalidInputError, match=r"one state of shape \(2,\)"):
+            cs.evaluate(np.zeros(shape))
+
+
+def test_slice_family_evaluate_runs_one_flow(monkeypatch):
+    # one state of the batch-first slice family is one flow with
+    # sensitivities, not one per slice constraint, and it is the one-row
+    # block's evaluation bit for bit
+    cs = get_benchmark("pendulum-backup").certification_set()
+    real = softcbf.backup.integrate_flow_batch
+    flows = []
+
+    def counted(prob, X0, sensitivities=True):
+        flows.append((np.array(X0), sensitivities))
+        return real(prob, X0, sensitivities)
+
+    monkeypatch.setattr(softcbf.backup, "integrate_flow_batch", counted)
+    x = np.array([0.3, -0.4])
+    vals, grads = cs.evaluate(x)
+    assert len(flows) == 1 and flows[0][1] and flows[0][0].shape == (1, 2)
+    bvals, bgrads = cs.evaluate_batch(x[None])
+    assert vals.shape == (11,) and grads.shape == (11, 2)
+    assert vals.tobytes() == bvals[0].tobytes()
+    assert grads.tobytes() == bgrads[0].tobytes()
 
 
 def zero_field(X):

@@ -363,8 +363,8 @@ def test_fused_plant_path_with_wrong_shape_raises(part, rows):
 
 @pytest.mark.parametrize("name", benchmark_names())
 def test_evaluate_equals_a_one_row_batch_bitwise(name):
-    # the closed loop evaluates blocks, so the per-constraint evaluators must
-    # be the batch evaluator's rows, not a formula that rounds differently
+    # the closed loop evaluates blocks, so one state's evaluation must be the
+    # batch evaluator's row, not a formula that rounds differently
     cs = get_benchmark(name).constraints
     box = cs.bounding_box
     X = np.random.default_rng(2).uniform(box[:, 0], box[:, 1], size=(1000, cs.n))
