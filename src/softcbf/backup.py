@@ -154,6 +154,10 @@ class BackupProblem:
         return self.sys.closed_loop(self.k_b)
 
 
+# stage rows per Jacobian call of a block flow (whole RK4 steps, at least one)
+_JACOBIAN_ROWS = 8192
+
+
 def _make_jacobian(prob: BackupProblem, F: Callable, X: np.ndarray) -> Callable:
     """Jacobian of the closed-loop field on (B, n) blocks: the analytic one
     when supplied, otherwise central differences with a state-scaled step.
@@ -308,9 +312,10 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     the time of the step that blew up.
 
     The value steps of a slice interval record their RK4 stage states; the
-    Jacobian then runs once on all 4*n_sub*B of them (O(4*n_sub*B*n^2)
-    floats), and the sensitivity recursion over the interval's steps.  On
-    the row path the stage states go into a list, and the recursion
+    Jacobian then runs on groups of whole steps of at most _JACOBIAN_ROWS
+    stage rows (one call per interval while its 4*n_sub*B rows fit), each
+    followed by the sensitivity recursion over its steps.  On the row path
+    the stage states go into a list, and the recursion
     (`_sensitivity_row`) holds S as n*n Python floats: it calls numpy only
     for the products J_k @ T, through ndarray.dot for n >= 2 (np.matmul for
     n = 1), and gives the block recursion's bits.
@@ -352,6 +357,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         # the stage states of each RK4 step of one slice interval, which
         # the row path lists in stage_rows instead
         stages = np.empty((n_sub, 4, B, n))
+        group = max(1, _JACOBIAN_ROWS // (4 * B))
 
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
@@ -374,12 +380,13 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
             if sens is None:
                 continue
             if row is None:
-                for J in jac(stages.reshape(-1, n)).reshape(n_sub, 4, B, n, n):
-                    k1s = J[0] @ S
-                    k2s = J[1] @ (S + 0.5 * h * k1s)
-                    k3s = J[2] @ (S + 0.5 * h * k2s)
-                    k4s = J[3] @ (S + h * k3s)
-                    S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+                for g in range(0, n_sub, group):
+                    for J in jac(stages[g:g + group].reshape(-1, n)).reshape(-1, 4, B, n, n):
+                        k1s = J[0] @ S
+                        k2s = J[1] @ (S + 0.5 * h * k1s)
+                        k3s = J[2] @ (S + 0.5 * h * k2s)
+                        k4s = J[3] @ (S + h * k3s)
+                        S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
                 sens[i] = S
             else:
                 S = _sensitivity_row(jac(np.array(stage_rows)), S, h)

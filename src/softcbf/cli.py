@@ -19,7 +19,7 @@ import numpy as np
 
 from .backup import check_backup_preconditions
 from .certify import TailSpec, certify, probe_boundary, verify_certificate
-from .errors import NotStrictlySafeError, SoftCBFError
+from .errors import DomainError, NotStrictlySafeError, SoftCBFError
 from .geometry import check_mfcq, estimate_bounds, sample_tube
 from .safety_filter import ClassK
 from .sim import SAFETY_TOLERANCE, SimConfig, run
@@ -169,6 +169,8 @@ def _certification_pieces(cfg: ScenarioConfig):
 
 
 def cmd_certify(cfg: ScenarioConfig) -> int:
+    if cfg.theta is not None and not np.isfinite(cfg.theta):  # before any certification work
+        raise DomainError(f"theta must be a finite positive number, got {cfg.theta}")
     bench, cs, F = _certification_pieces(cfg)
     out = Path(cfg.out)
     report_path = out / f"certify-{bench.name}.txt"

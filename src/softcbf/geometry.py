@@ -508,7 +508,10 @@ class MFCQReport:
         return tuple(e for e in self.entries if not e.ok)
 
 
-def _mfcq_witness(grads: np.ndarray, margin: float = 1e-9, sweeps: int = 50):
+_MFCQ_MARGIN = 1e-9  # the relative margin a first guess must beat to skip the sweeps
+
+
+def _mfcq_witness(grads: np.ndarray, margin: float = _MFCQ_MARGIN, sweeps: int = 50):
     """Search for a direction v with grad_i . v > 0 for all rows.
 
     First guess: the sum of normalized gradients.  Fallback: a few sweeps
@@ -547,33 +550,36 @@ def check_mfcq(tube: TubeSpec, tol: Optional[float] = None) -> MFCQReport:
     """
     X, vals, grads = tube.samples, tube.values, tube.gradients
     h_hat, _, active = _activity(vals, tol)
-    near = h_hat <= tube.epsilon / 10.0
-    if not near.any():
-        order = np.argsort(h_hat)
-        near = np.zeros(X.shape[0], dtype=bool)
-        near[order[: min(10, X.shape[0])]] = True
+    idx = np.flatnonzero(h_hat <= tube.epsilon / 10.0)
+    if len(idx) == 0:
+        idx = np.sort(np.argsort(h_hat)[:10])
+
+    # _mfcq_witness's first guess for all samples with k active constraints
+    # at once: the stacked matmul gives each sample's gemv margins bit for
+    # bit (an einsum does not); only samples whose guess fails run the sweeps
+    counts = active[idx].sum(axis=1)
+    witness, margins = np.empty((len(idx), X.shape[1])), np.empty(len(idx))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in np.unique(counts):
+            rows = np.flatnonzero(counts == k)
+            g_act = grads[idx[rows]][active[idx[rows]]].reshape(len(rows), k, -1)
+            unit = g_act / np.linalg.norm(g_act, axis=2)[..., None]
+            witness[rows] = unit.sum(axis=1)
+            margins[rows] = (unit @ witness[rows][..., None])[..., 0].min(axis=1)
 
     entries = []
-    for b in np.flatnonzero(near):
+    for b, v, margin in zip(idx, witness, margins.tolist()):
         act = np.flatnonzero(active[b])
-        g_act = grads[b][act]
-        v, ok, margin = _mfcq_witness(g_act)
-        pair = None
-        if not ok and len(act) >= 2:
-            unit = g_act / np.linalg.norm(g_act, axis=1, keepdims=True)
-            cos = unit @ unit.T
-            i, j = divmod(int(np.argmin(cos)), len(act))
-            pair = (int(act[i]), int(act[j]))
-        entries.append(
-            MFCQEntry(
-                point=X[b].copy(),
-                active=tuple(int(i) for i in act),
-                ok=bool(ok),
-                witness=None if v is None else np.asarray(v, dtype=float),
-                violating_pair=pair,
-                margin=margin,
-            )
-        )
+        ok, pair = margin > _MFCQ_MARGIN, None
+        if not ok:
+            g_act = grads[b][act]
+            v, ok, margin = _mfcq_witness(g_act)
+            if not ok and len(act) >= 2:
+                unit = g_act / np.linalg.norm(g_act, axis=1, keepdims=True)
+                i, j = divmod(int(np.argmin(unit @ unit.T)), len(act))
+                pair = (int(act[i]), int(act[j]))
+        entries.append(MFCQEntry(point=X[b].copy(), active=tuple(act.tolist()), ok=bool(ok), witness=v,
+                                 violating_pair=pair, margin=margin))
     passed = all(e.ok for e in entries)
     return MFCQReport(passed=passed, n_checked=len(entries), entries=tuple(entries))
 

@@ -130,12 +130,13 @@ class ControlAffineSystem:
                 X = x[None] if x.ndim == 1 else x
                 B = X.shape[0]
                 u = controller(X)
-                if np.shape(u) != (B, m):
+                # .shape, not np.shape, on arrays: a third of its cost
+                if (u.shape if isinstance(u, np.ndarray) else np.shape(u)) != (B, m):
                     raise InvalidInputError(
                         f"controller returned shape {np.shape(u)} for a block of {B} states; expected {(B, m)}"
                     )
                 out = plant(X, u)
-                if np.shape(out) != (B, n):
+                if (out.shape if isinstance(out, np.ndarray) else np.shape(out)) != (B, n):
                     raise InvalidInputError(
                         f"fused plant returned shape {np.shape(out)} for a block of {B} states; expected {(B, n)}"
                     )
@@ -150,7 +151,9 @@ class ControlAffineSystem:
             # checked inline rather than through geometry.call_batched: this
             # body runs four times per RK4 step of every flow
             B = X.shape[0]
-            if np.shape(f0) != (B, n) or np.shape(g) != (B, n, m) or np.shape(u) != (B, m):
+            if ((f0.shape if isinstance(f0, np.ndarray) else np.shape(f0)) != (B, n)
+                    or (g.shape if isinstance(g, np.ndarray) else np.shape(g)) != (B, n, m)
+                    or (u.shape if isinstance(u, np.ndarray) else np.shape(u)) != (B, m)):
                 raise InvalidInputError(
                     f"drift, actuation and controller returned shape {np.shape(f0)}, "
                     f"{np.shape(g)}, {np.shape(u)} for a block of {B} states; "

@@ -235,8 +235,10 @@ def pendulum_backup() -> Benchmark:
         return (float(val[0]), grad[0]) if single else (val, grad)
 
     def k_b(x):
+        # K.x / -u_max, which IEEE division's sign symmetry makes bitwise
+        # -K.x / u_max, saves the negation ufunc here and in the fused forms
         x = np.asarray(x, dtype=float)
-        u = PENDULUM_U_MAX * np.tanh(-x.dot(PENDULUM_K) / PENDULUM_U_MAX)
+        u = PENDULUM_U_MAX * np.tanh(x.dot(PENDULUM_K) / -PENDULUM_U_MAX)
         return u[..., None]
 
     def closed_loop(x):
@@ -245,14 +247,14 @@ def pendulum_backup() -> Benchmark:
         X = x[None] if x.ndim == 1 else x
         out = np.empty(X.shape)
         out[:, 0] = X[:, 1] + 0.0
-        out[:, 1] = np.sin(X[:, 0]) + (PENDULUM_U_MAX * np.tanh(-X.dot(PENDULUM_K) / PENDULUM_U_MAX) + 0.0)
+        out[:, 1] = np.sin(X[:, 0]) + (PENDULUM_U_MAX * np.tanh(X.dot(PENDULUM_K) / -PENDULUM_U_MAX) + 0.0)
         return out[0] if x.ndim == 1 else out
 
     def closed_loop_row(x):
         # closed_loop on a tuple of floats, same operations in the same order;
         # K.x, tanh and sin stay numpy calls (a written-out dot or math differ),
         # K.x through the bound ndarray.dot, which skips np.dot's dispatch
-        u = PENDULUM_U_MAX * float(np.tanh(-float(PENDULUM_K.dot(x)) / PENDULUM_U_MAX))
+        u = PENDULUM_U_MAX * float(np.tanh(float(PENDULUM_K.dot(x)) / -PENDULUM_U_MAX))
         return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
 
     def jac_closed_loop(x):

@@ -864,3 +864,30 @@ def test_sensitivity_flow_calls_jacobian_once_per_slice(B):
     assert rows == [B] + [4 * n_sub * B] * (prob.N - 1)
     assert len(rows) == 11 and flow.stats.steps == 200
     assert flow.sensitivities.tobytes() == integrate_flow_batch(prob, X0).sensitivities.tobytes()
+
+
+def test_large_sensitivity_flow_calls_jacobian_on_whole_steps_within_budget():
+    # above the row budget each slice interval's Jacobian runs on groups of
+    # whole RK4 steps, which gives the per-stage reference bit for bit
+    prob = get_benchmark("pendulum-backup").backup
+    B, budget = 300, softcbf.backup._JACOBIAN_ROWS
+    n_sub = math.ceil(prob.dtau / prob.h_max)
+    assert 4 * B <= budget < 4 * n_sub * B
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return prob.jacobian(X)
+
+    box = prob.bounding_box
+    X0 = np.random.default_rng(6).uniform(box[:, 0], box[:, 1], size=(B, 2))
+    flow = integrate_flow_batch(dataclasses.replace(prob, jacobian=counted), X0)
+    assert rows[0] == B
+    assert all(r % (4 * B) == 0 and 0 < r <= budget for r in rows[1:])
+    intervals, acc = 0, 0
+    for r in rows[1:]:
+        acc += r
+        if acc == 4 * n_sub * B:
+            intervals, acc = intervals + 1, 0
+    assert (intervals, acc) == (prob.N - 1, 0) and len(rows) > prob.N
+    assert flow.sensitivities.tobytes() == per_stage_sensitivities(prob, X0).tobytes()

@@ -44,10 +44,17 @@ def test_certify_scalar_stable_exit_zero(tmp_path):
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf"])
-def test_certify_rejects_a_non_finite_theta(tmp_path, capsys, theta):
-    assert main(["certify", "--benchmark", "scalar-stable", "--theta", theta,
-                 "--out", str(tmp_path)]) == 1
-    assert f"theta must be a finite positive number, got {theta}" in capsys.readouterr().err
+def test_certify_rejects_a_non_finite_theta(tmp_path, capsys, monkeypatch, theta):
+    # rejected before the preconditions and the tube are computed
+    def never(*args, **kwargs):
+        raise AssertionError("certification ran")
+
+    monkeypatch.setattr(softcbf.cli, "sample_tube", never)
+    monkeypatch.setattr(softcbf.cli, "check_backup_preconditions", never)
+    for name in ("scalar-stable", "pendulum-backup"):
+        assert main(["certify", "--benchmark", name, "--theta", theta, "--out", str(tmp_path)]) == 1
+        assert f"theta must be a finite positive number, got {theta}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certify_below_theta_star_is_not_a_certificate(tmp_path):

@@ -749,3 +749,82 @@ def test_tube_carries_its_evaluation(monkeypatch):
     assert bounds == expected[0]
     assert (mfcq.passed, mfcq.n_checked) == (expected[1].passed, expected[1].n_checked)
     assert [e.active for e in mfcq.entries] == [e.active for e in expected[1].entries]
+
+
+def per_sample_mfcq_entries(tube):
+    """check_mfcq's entries computed one near sample at a time with
+    _mfcq_witness, as tuples (point, active, ok, witness, violating_pair,
+    margin)."""
+    h_hat, _, active = softcbf.geometry._activity(tube.values, None)
+    near = np.flatnonzero(h_hat <= tube.epsilon / 10.0)
+    if len(near) == 0:
+        near = np.sort(np.argsort(h_hat)[:10])
+    out = []
+    for b in near:
+        act = np.flatnonzero(active[b])
+        g_act = tube.gradients[b][act]
+        v, ok, margin = softcbf.geometry._mfcq_witness(g_act)
+        pair = None
+        if not ok and len(act) >= 2:
+            unit = g_act / np.linalg.norm(g_act, axis=1, keepdims=True)
+            i, j = divmod(int(np.argmin(unit @ unit.T)), len(act))
+            pair = (int(act[i]), int(act[j]))
+        out.append((tube.samples[b], tuple(int(i) for i in act), ok, v, pair, margin))
+    return out
+
+
+def assert_mfcq_matches_per_sample(tube):
+    report = check_mfcq(tube)
+    expected = per_sample_mfcq_entries(tube)
+    assert report.n_checked == len(expected) and report.passed == all(e[2] for e in expected)
+    for entry, (point, active, ok, witness, pair, margin) in zip(report.entries, expected):
+        assert entry.point.tobytes() == point.tobytes()
+        assert entry.active == active and type(entry.active[0]) is int
+        assert entry.ok is bool(ok) and entry.violating_pair == pair
+        if witness is None:
+            assert entry.witness is None
+        else:
+            assert entry.witness.tobytes() == np.asarray(witness, dtype=float).tobytes()
+        assert type(entry.margin) is float and np.float64(entry.margin).tobytes() == np.float64(margin).tobytes()
+    return report
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_mfcq_block_matches_per_sample_witness_on_benchmarks(name):
+    # the first guess for all near samples in one stacked matmul per active
+    # count gives every entry of the per-sample search, bit for bit
+    bench = get_benchmark(name)
+    density = 300.0 if bench.backup is not None else bench.cert_density
+    tube = sample_tube(bench.certification_set(), bench.cert_epsilon, density, seed=0)
+    assert_mfcq_matches_per_sample(tube)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_mfcq_block_matches_per_sample_witness_on_failing_samples():
+    # rows that pass the first guess, one that needs the sweeps, one with a
+    # zero active gradient and antiparallel active pairs, with 1 to 3 active
+    # constraints; the inactive third value sits far above
+    g = np.array([
+        [[1.0, 0.0], [0.0, 1.0], [5.0, 5.0]],
+        [[0.6, 0.8], [3.0, -1.0], [1.0, 1.0]],
+        [[1.0, 0.0], [1.0, 0.0], [-0.9, 0.1]],
+        [[0.0, 0.0], [1.0, 2.0], [1.0, 1.0]],
+        [[0.0, 0.0], [1.0, 2.0], [1.0, 1.0]],
+        [[1.0, 2.0], [-2.0, -4.0], [1.0, 1.0]],
+        [[1.0, 2.0], [0.5, 0.5], [-2.0, -4.0]],
+    ])
+    vals = np.array([
+        [0.0, 0.0, 1.0],
+        [0.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 1.0, 1.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0],
+    ])
+    X = np.arange(14.0).reshape(7, 2)
+    tube = softcbf.geometry.TubeSpec(1.0, X, 1.0, np.ones(3, dtype=bool), 0, vals, g)
+    report = assert_mfcq_matches_per_sample(tube)
+    assert [e.ok for e in report.entries] == [True, True, True, False, False, False, False]
+    assert report.entries[3].witness is None and report.entries[3].margin == -np.inf
+    assert report.entries[5].violating_pair == (0, 1) and report.entries[6].violating_pair == (0, 2)

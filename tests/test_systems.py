@@ -15,7 +15,7 @@ from softcbf import (
     thin_annulus,
 )
 from softcbf.safety_filter import ConstantActuation, FusedPlant
-from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P
+from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P, PENDULUM_U_MAX
 
 
 def test_registry():
@@ -274,6 +274,39 @@ def test_fused_row_form_matches_field_bitwise():
         out = row(tuple(x.tolist()))
         assert type(out) is tuple and all(type(v) is float for v in out)
         assert np.array(out).tobytes() == field(x[None])[0].tobytes()
+
+
+def test_pendulum_division_matches_the_negated_numerator_bitwise():
+    # k_b, the fused field and its row form compute tanh(K.x / -u_max); IEEE
+    # division is sign-symmetric, so that is bitwise the written
+    # u_max * tanh(-K.x / u_max), signed zeros included
+    prob = pendulum_backup().backup
+    K, U = PENDULUM_K, PENDULUM_U_MAX
+    X = np.random.default_rng(12).uniform(-4.0, 4.0, size=(100_000, 2))
+    tiny, huge = 5e-324, 1e300
+    X[:12] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [tiny, -tiny], [-tiny, 0.0],
+              [2.0 * tiny, -0.0], [huge, -huge], [-huge, 0.5], [huge, huge], [-huge, -huge], [1e-310, 1.0]]
+    assert np.isfinite(X.dot(K)).all() and (X[:4].dot(K) == 0.0).all()
+
+    def old_u(X):
+        return U * np.tanh(-X.dot(K) / U)
+
+    assert prob.k_b(X).tobytes() == old_u(X)[:, None].tobytes()
+    old = np.empty(X.shape)
+    old[:, 0] = X[:, 1] + 0.0
+    old[:, 1] = np.sin(X[:, 0]) + (old_u(X) + 0.0)
+    assert prob.fused.field(X).tobytes() == old.tobytes()
+
+    def old_row(x):
+        u = U * float(np.tanh(-float(K.dot(x)) / U))
+        return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
+
+    states = [tuple(x) for x in X.tolist()]
+    rows = np.array([prob.fused.row(x) for x in states])
+    assert rows.tobytes() == np.array([old_row(x) for x in states]).tobytes()
+    # K.x of +0.0 and -0.0: the division alone keeps the sign of the old form
+    for kx in (0.0, -0.0):
+        assert np.tanh(np.float64(kx) / -U).tobytes() == np.tanh(-np.float64(kx) / U).tobytes()
 
 
 @pytest.mark.parametrize("name", ["double-integrator-box", "pendulum-backup", "scalar-stable", "thin-annulus"])
