@@ -449,18 +449,11 @@ class BackupBarrier:
 
 def backup_barrier(prob: BackupProblem, flow: FlowResult, theta: float) -> BackupBarrier:
     """Slice values, pulled-back gradients, and their smooth minimum."""
-    vals, grads = _slice_values_from_flow(
-        prob, flow.states[:, None, :], flow.sensitivities[:, None, :, :]
-    )
-    b = vals[0]
-    gb = grads[0]
-    w = sm.softmin_weights(b, theta)
+    vals, grads = _slice_values_from_flow(prob, flow.states[:, None, :], flow.sensitivities[:, None, :, :])
+    theta = sm._check_theta(theta)
+    soft, grad = sm.softmin_rows(vals, grads, theta)
     return BackupBarrier(
-        b_values=b,
-        b_gradients=gb,
-        theta=float(theta),
-        soft_value=sm.softmin_value(b, theta),
-        soft_gradient=sm.softmin_gradient(gb, w),
+        b_values=vals[0], b_gradients=grads[0], theta=theta, soft_value=float(soft[0]), soft_gradient=grad[0],
     )
 
 
@@ -519,8 +512,13 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
         above tol there.
 
     Membership in (2) is decided with the numerically integrated flow, so
-    it inherits the integrator tolerance.
+    it inherits the integrator tolerance.  With no samples on the terminal
+    boundary, (1) and (3) fail; an empty reachable boundary is (2)'s
+    trivial case, which passes.  `tol` must be finite and positive.
     """
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"precondition tolerance must be finite and positive, got {tol}")
     X = np.atleast_2d(np.asarray(region_samples, dtype=float))
     F = prob.closed_loop()
     n = prob.sys.n
@@ -531,18 +529,19 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     on_sb = np.abs(hb_vals) <= tol
     lie_hb = np.einsum("bi,bi->b", hb_grads, Fx)
 
-    def result(name, mask, margins, note=""):
+    def result(name, mask, margins, empty_note, empty_passes=False):
         pts = int(mask.sum())
         if pts == 0:
-            return CheckResult(name, True, 0, None, (), note or "no samples in the check set")
+            return CheckResult(name, empty_passes, 0, None, (), empty_note)
         vals = margins[mask]
         bad = vals <= 0.0
         wit = tuple(
             (X[mask][k].copy(), float(vals[k])) for k in np.flatnonzero(bad)[:8]
         )
-        return CheckResult(name, not bad.any(), pts, float(vals.min()), wit, note)
+        return CheckResult(name, not bad.any(), pts, float(vals.min()), wit)
 
-    chk1 = result("backup-set inward flow", on_sb, lie_hb)
+    unsampled = "no samples on the terminal boundary; the condition is unchecked"
+    chk1 = result("backup-set inward flow", on_sb, lie_hb, unsampled)
 
     near_s = np.abs(h_vals) <= tol
     if near_s.any():
@@ -553,13 +552,12 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     else:
         reach = np.zeros_like(near_s)
     lie_h = np.einsum("bi,bi->b", h_grads, Fx)
-    note2 = ""
-    if not reach.any():
-        note2 = "reachable boundary empty on these samples; trivial case, check passes vacuously"
-    chk2 = result("reachable-boundary inward flow", reach, lie_h, note2)
+    chk2 = result("reachable-boundary inward flow", reach, lie_h,
+                  "reachable boundary empty on these samples; trivial case, check passes vacuously",
+                  empty_passes=True)
 
     grad_norms = np.linalg.norm(hb_grads, axis=1)
-    chk3 = result("terminal boundary regular value", on_sb, grad_norms - tol)
+    chk3 = result("terminal boundary regular value", on_sb, grad_norms - tol, unsampled)
 
     return BackupPreconditionReport(chk1, chk2, chk3)
 

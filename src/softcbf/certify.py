@@ -68,6 +68,8 @@ class TailSpec:
     r_inf: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.R, self.eta_at_R, self.C, self.p, self.r_inf)):
+            raise InvalidCertificateError(f"tail constants must be finite, got {self}")
         if not (self.R > 0 and self.eta_at_R > 0 and self.r_inf > 0):
             raise InvalidCertificateError(
                 f"R, eta_at_R, r_inf must be positive, got {self.R}, {self.eta_at_R}, {self.r_inf}"

@@ -114,6 +114,9 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         raise ConfigError(
             f"no benchmark selected; choose one of: {', '.join(benchmark_names())}"
         )
+    for key in ("seed", "n_check", "precondition_points"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -169,21 +172,21 @@ def _certification_pieces(cfg: ScenarioConfig):
 
 
 def cmd_certify(cfg: ScenarioConfig) -> int:
-    if cfg.theta is not None and not np.isfinite(cfg.theta):  # before any certification work
+    if cfg.theta is not None and not (np.isfinite(cfg.theta) and cfg.theta >= 0.0):  # before any certification work
         raise DomainError(f"theta must be a finite positive number, got {cfg.theta}")
+    tail = _tail_from(cfg)
     bench, cs, F = _certification_pieces(cfg)
-    out = Path(cfg.out)
-    report_path = out / f"certify-{bench.name}.txt"
+    report_path = Path(cfg.out) / f"certify-{bench.name}.txt"
     entries = [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
 
+    def finish(code: int, status: str, summary: Optional[str] = None) -> int:
+        entries.append(("exit_status", status))
+        write_report(report_path, entries, cfg)
+        print(f"{summary or status}; report: {report_path}")
+        return code
+
     if bench.backup is not None:
-        n_pts = cfg.precondition_points
-        if bench.precondition_sampler is not None:
-            samples = bench.precondition_sampler(n_pts, cfg.seed)
-        else:
-            box = bench.backup.bounding_box
-            rng = np.random.default_rng(cfg.seed)
-            samples = rng.uniform(box[:, 0], box[:, 1], size=(n_pts, bench.sys.n))
+        samples = bench.precondition_sampler(cfg.precondition_points, cfg.seed)
         pre = check_backup_preconditions(bench.backup, samples, cfg.precondition_tolerance)
         for chk in (pre.backup_set_safe, pre.reachable_boundary_safe, pre.regular_value):
             tag = chk.name.replace(" ", "_")
@@ -193,19 +196,12 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
             if chk.note:
                 entries.append((f"precondition.{tag}.note", chk.note))
         if not pre.passed:
-            entries.append(("exit_status", "backup preconditions failed"))
-            write_report(report_path, entries, cfg)
-            print(f"backup preconditions failed; report: {report_path}")
-            return 2
+            return finish(2, "backup preconditions failed")
 
-    try:
-        tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
-    except SoftCBFError as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return 1
-    entries.append(("tube_samples", len(tube)))
-    entries.append(("tube_constraint_coverage", tube.constraint_coverage.astype(int)))
+    tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
     entries += [
+        ("tube_samples", len(tube)),
+        ("tube_constraint_coverage", tube.constraint_coverage.astype(int)),
         ("tube_rays_requested", tube.rays_requested),
         ("tube_rays_located", tube.rays_located),
         ("tube_rays_abandoned", tube.rays_abandoned),
@@ -213,28 +209,21 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
     ]
 
     mfcq = check_mfcq(tube, cfg.activity_tolerance)
-    entries.append(("mfcq_checked", mfcq.n_checked))
-    entries.append(("mfcq_passed", mfcq.passed))
+    entries += [("mfcq_checked", mfcq.n_checked), ("mfcq_passed", mfcq.passed)]
     if not mfcq.passed:
         worst = mfcq.failures[0]
         entries.append(("mfcq_witness_point", worst.point))
         if worst.violating_pair is not None:
             entries.append(("mfcq_violating_pair", worst.violating_pair))
-        entries.append(("exit_status", "constraint qualification failed"))
-        write_report(report_path, entries, cfg)
-        print(f"constraint qualification failed; report: {report_path}")
-        return 3
+        return finish(3, "constraint qualification failed")
 
     try:
         bounds = estimate_bounds(F, tube, cfg.activity_tolerance)
     except NotStrictlySafeError as err:
-        entries.append(("exit_status", f"not strictly safe: {err}"))
-        write_report(report_path, entries, cfg)
-        print(f"not strictly safe; report: {report_path}")
-        return 2
+        return finish(2, f"not strictly safe: {err}", "not strictly safe")
     entries += [("M", bounds.M), ("r", bounds.r), ("d", bounds.d)]
 
-    cert = certify(bounds, _tail_from(cfg), cs.N)
+    cert = certify(bounds, tail, cs.N)
     entries += [
         ("theta_tube", cert.theta_tube),
         ("theta_core", cert.theta_core),
@@ -266,10 +255,7 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
         status, code = "sampled check below theta_star, not a certificate", 5
     else:
         status, code = "certified", 0
-    entries.append(("exit_status", status))
-    write_report(report_path, entries, cfg)
-    print(f"theta_star = {cert.theta_star:.6g} ({cert.kind}); report: {report_path}")
-    return code
+    return finish(code, status, f"theta_star = {cert.theta_star:.6g} ({cert.kind})")
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:

@@ -365,10 +365,10 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     """
     box = _require_box(cs, "tube sampling")
     epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if density <= 0.0:
-        raise DomainError(f"density must be positive, got {density}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
+    if not (math.isfinite(density) and density > 0.0):
+        raise DomainError(f"density must be finite and positive, got {density}")
     rng = np.random.default_rng(seed)
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     n_cand = max(512, int(math.ceil(density * volume)))
@@ -448,6 +448,8 @@ def _activity(vals: np.ndarray, tol: Optional[float]):
     """The pointwise minimum h_hat (B,) of values (B, N), the gaps
     vals - h_hat (B, N), and the active mask (B, N): gap <= `tol`, where
     None means the value-scaled default of each row."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"activity tolerance must be finite and nonnegative, got {tol}")
     h_hat = vals.min(axis=1)
     gaps = vals - h_hat[:, None]
     tol = default_activity_tolerance(h_hat) if tol is None else np.full(h_hat.shape, float(tol))

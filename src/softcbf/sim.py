@@ -53,7 +53,7 @@ class SimConfig:
 
     infeasible_policy decides what happens when the filter reports an
     infeasible constraint: 'halt' stops the run, 'backup-takeover'
-    permanently switches to the backup (or safe) controller, 'clip'
+    permanently switches to the benchmark's safe controller, 'clip'
     saturates the desired input and keeps going (unsound; logged).
     """
 
@@ -134,18 +134,6 @@ class SimTrace:
                    header=",".join(cols), comments="")
 
 
-def _softmin_rows(vals, grads, theta):
-    """Smooth minimum (B,) and its gradient (B, n) of each row of a block of
-    constraint values (B, N) and gradients (B, N, n); theta (B,) per row."""
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
-        raise InvalidInputError("constraint values and gradients must be finite")
-    if vals.shape[1] == 1:  # one constraint is its own smooth minimum
-        return vals[:, 0], grads[:, 0]
-    soft, w = sm.softmin_block(vals, theta)
-    # sum_i w_i grad_i as a stacked (1, N) @ (N, n) product, bitwise per row
-    return soft, (w[:, None, :] @ grads)[:, 0]
-
-
 def _barrier_block(bench: Benchmark):
     """Return a function (X (B, n), theta (B,)) -> (soft values (B,), soft
     gradients (B, n), hard values (B,)) that evaluates a block in one call:
@@ -155,7 +143,7 @@ def _barrier_block(bench: Benchmark):
 
     def eval_barrier(X, theta):
         vals, grads = evaluate(X)
-        soft, grad = _softmin_rows(vals, grads, theta)
+        soft, grad = sm.softmin_rows(vals, grads, theta)
         return soft, grad, vals.min(axis=1)
 
     return eval_barrier
@@ -254,11 +242,10 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
     notes = [""] * B
     near_singular = np.zeros(B, dtype=int)
     takeover = np.zeros(B, dtype=bool)
-    fallback_controller = bench.backup.k_b if bench.backup is not None else bench.safe_controller
     box = sys.input_box
 
     def fallback(x):
-        return np.asarray(fallback_controller(x), dtype=float).reshape(m)
+        return np.asarray(bench.safe_controller(x), dtype=float).reshape(m)
 
     # the rows still running, whose states X holds; `sel` indexes them in
     # the records, as a slice while every row runs

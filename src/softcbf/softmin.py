@@ -21,6 +21,7 @@ from .errors import DomainError, InvalidInputError
 
 __all__ = [
     "softmin_block",
+    "softmin_rows",
     "softmin_value",
     "softmin_weights",
     "softmin_gradient",
@@ -69,6 +70,18 @@ def softmin_block(vals: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarra
     e = np.exp(z - zmax)
     total = e.sum(axis=1, keepdims=True)
     return -(zmax[:, 0] + np.log(total[:, 0])) / theta, e / total
+
+
+def softmin_rows(vals: np.ndarray, grads: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Smooth minimum (B,) and gradient (B, n) of finite values (B, N) and
+    gradients (B, N, n), at one theta or one per row (B,); theta is unchecked."""
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
+        raise InvalidInputError("constraint values and gradients must be finite")
+    if vals.shape[1] == 1:  # one constraint is its own smooth minimum
+        return vals[:, 0], grads[:, 0]
+    soft, w = softmin_block(vals, theta)
+    # sum_i w_i grad_i as a stacked (1, N) @ (N, n) product, bitwise per row
+    return soft, (w[:, None, :] @ grads)[:, 0]
 
 
 def softmin_value(values, theta: float) -> float:

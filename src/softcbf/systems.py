@@ -35,7 +35,8 @@ __all__ = [
 class Benchmark:
     """A named system with a constraint family, a desired (possibly unsafe)
     controller for the filter to correct, and a safe controller whose
-    closed loop carries the certification."""
+    closed loop carries the certification and which takes over in `sim.run`
+    (a backup benchmark's is its backup controller)."""
 
     name: str
     sys: ControlAffineSystem
@@ -45,8 +46,9 @@ class Benchmark:
     x0_default: np.ndarray
     backup: Optional[BackupProblem] = None
     analytic: Optional[dict] = None
-    # (n, seed) -> states used by the backup precondition checks; should
-    # place points on the relevant boundaries plus a spread over the box
+    # (n, seed) -> states used by the backup precondition checks, required
+    # with a backup; should place points on the relevant boundaries plus a
+    # spread over the box
     precondition_sampler: Optional[Callable] = None
     # band width and sampling density that work well for this benchmark;
     # the band must be thin relative to the smallest constraint scale

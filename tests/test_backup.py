@@ -12,6 +12,7 @@ from softcbf import (
     BlowUpError,
     ControlAffineSystem,
     DomainError,
+    FlowResult,
     FusedField,
     FusedPlant,
     InvalidInputError,
@@ -24,7 +25,9 @@ from softcbf import (
     probe_boundary,
     sample_tube,
     slice_constraint_set,
+    softmin_gradient,
     softmin_value,
+    softmin_weights,
     theta_star_compact,
     verify_certificate,
 )
@@ -333,6 +336,35 @@ def test_sandwich_and_theta_monotonicity():
             assert hard >= 0
 
 
+@pytest.mark.gate
+def test_backup_barrier_matches_the_single_point_softmin_bitwise():
+    # backup_barrier's smooth minimum is the block form on its one row; it
+    # must give the checked single-point functions bit for bit, on pendulum
+    # states (some with exact +-0.0 coordinates) and on the scalar problem
+    rng = np.random.default_rng(3)
+    pendulum = get_benchmark("pendulum-backup").backup
+    box = pendulum.bounding_box
+    X = rng.uniform(box[:, 0], box[:, 1], size=(1500, 2))
+    X[:4] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]
+    rows = np.arange(4, 304)
+    X[rows, rng.integers(2, size=rows.size)] = rng.choice([0.0, -0.0], size=rows.size)
+    scalar = np.concatenate([np.linspace(-1.1, 1.1, 41), [0.0, -0.0]])[:, None]
+    checked = 0
+    for prob, X0 in ((pendulum, X), (scalar_problem(), scalar)):
+        flow = integrate_flow_batch(prob, X0)
+        for i in range(len(X0)):
+            row = FlowResult(flow.states[:, i], flow.sensitivities[:, i], flow.stats)
+            for theta in (2.0, 75.0, 7.5e4):
+                bb = backup_barrier(prob, row, theta)
+                b, gb = bb.b_values, bb.b_gradients
+                soft = softmin_value(b, theta)
+                grad = softmin_gradient(gb, softmin_weights(b, theta))
+                assert np.float64(bb.soft_value).tobytes() == np.float64(soft).tobytes()
+                assert bb.soft_gradient.tobytes() == grad.tobytes()
+                checked += 1
+    assert checked == 3 * (1500 + 43)
+
+
 def test_preconditions_pass_on_pendulum():
     bench = get_benchmark("pendulum-backup")
     samples = bench.precondition_sampler(1500, 0)
@@ -368,6 +400,26 @@ def test_preconditions_trivial_case_flagged():
     report = check_backup_preconditions(prob, samples, tol=1e-9)
     assert report.reachable_boundary_safe.passed
     assert "trivial" in report.reachable_boundary_safe.note
+
+
+def test_preconditions_fail_without_terminal_boundary_samples():
+    # (1) and (3) check nothing without a sample on the terminal boundary
+    # (|x| = 0.5 here) and fail; (2)'s empty set stays the trivial pass
+    prob = scalar_problem()
+    report = check_backup_preconditions(prob, np.linspace(-0.3, 0.3, 11)[:, None], tol=1e-9)
+    for chk in (report.backup_set_safe, report.regular_value):
+        assert not chk.passed and chk.n_points == 0
+        assert "no samples on the terminal boundary" in chk.note
+    assert report.reachable_boundary_safe.passed and not report.passed
+    report = check_backup_preconditions(prob, np.array([[-0.5], [0.5]]), tol=1e-9)
+    assert report.backup_set_safe.passed and report.regular_value.passed
+    assert report.backup_set_safe.n_points == 2
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_preconditions_reject_a_tolerance_that_is_not_finite_and_positive(tol):
+    with pytest.raises(DomainError, match="precondition tolerance must be finite and positive"):
+        check_backup_preconditions(scalar_problem(), np.array([[0.5]]), tol=tol)
 
 
 def test_certify_backup_scalar_end_to_end():
@@ -428,6 +480,7 @@ def test_fused_field_with_wrong_block_shape_raises():
         integrate_flow_batch(bad, np.zeros((3, 2)))
 
 
+@pytest.mark.gate
 def test_row_flows_equal_one_row_block_flows_bitwise():
     # the row path against the same problem without a row form, whose
     # one-row flows run rk4_step on (1, n) blocks of the fused field
@@ -497,6 +550,7 @@ def row_form_problem(n):
     )
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_sensitivities_equal_block_sensitivities_bitwise(n):
     # the float recursion of a one-row flow (backup._sensitivity_row) against
@@ -538,6 +592,7 @@ def matmul_sensitivity_recursion(J, S, h):
     return S.reshape(-1)
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sensitivity_row_matches_matmul_reference_on_signed_zeros(n):
     # a flow's S starts at the identity, so no flow test sees a product of
@@ -571,6 +626,7 @@ def per_slice_values(prob, flow):
     return vals, None if flow.sensitivities is None else grads
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("B", [1, 2, 7, 400])
 def test_stacked_slice_values_equal_per_slice_reference_bitwise(B):
     prob = get_benchmark("pendulum-backup").backup
@@ -824,6 +880,7 @@ def per_stage_sensitivities(prob, X0):
     return np.array(sens)
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize(
     "make_problem",
     [lambda: get_benchmark("pendulum-backup").backup, lambda: scalar_problem(jacobian=None)],
@@ -847,6 +904,7 @@ def test_sensitivities_match_per_stage_reference_bitwise(make_problem):
         np.testing.assert_allclose(flow.sensitivities, per_stage_sensitivities(prob, X0), rtol=0, atol=1e-15)
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("B", [1, 3])
 def test_sensitivity_flow_calls_jacobian_once_per_slice(B):
     prob = get_benchmark("pendulum-backup").backup
@@ -866,6 +924,7 @@ def test_sensitivity_flow_calls_jacobian_once_per_slice(B):
     assert flow.sensitivities.tobytes() == integrate_flow_batch(prob, X0).sensitivities.tobytes()
 
 
+@pytest.mark.gate
 def test_large_sensitivity_flow_calls_jacobian_on_whole_steps_within_budget():
     # above the row budget each slice interval's Jacobian runs on groups of
     # whole RK4 steps, which gives the per-stage reference bit for bit

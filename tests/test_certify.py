@@ -93,6 +93,15 @@ def test_tail_spec_validation():
         TailSpec(R=1.0, eta_at_R=1.0, C=1.0, p=1.0, r_inf=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("key", ["R", "eta_at_R", "C", "p", "r_inf"])
+def test_tail_spec_requires_finite_constants(key, value):
+    kw = dict(R=1.0, eta_at_R=1.0, C=1.0, p=1.0, r_inf=1.0)
+    kw[key] = value
+    with pytest.raises(InvalidCertificateError, match="tail constants must be finite"):
+        TailSpec(**kw)
+
+
 def test_certify_combines_terms():
     bounds = bounds_of(M=3.0, r=1.0, d=0.5, epsilon=0.1)
     compact_only = certify(bounds, None, 2)

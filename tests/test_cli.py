@@ -6,7 +6,7 @@ import pytest
 
 import softcbf.backup
 import softcbf.cli
-from softcbf.cli import ConfigError, ScenarioConfig, load_config, main, resolve_config
+from softcbf.cli import ConfigError, ScenarioConfig, build_parser, load_config, main, resolve_config
 from softcbf.geometry import ConstraintSet
 
 
@@ -43,7 +43,7 @@ def test_certify_scalar_stable_exit_zero(tmp_path):
     assert "config.seed" in report
 
 
-@pytest.mark.parametrize("theta", ["nan", "inf"])
+@pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
 def test_certify_rejects_a_non_finite_theta(tmp_path, capsys, monkeypatch, theta):
     # rejected before the preconditions and the tube are computed
     def never(*args, **kwargs):
@@ -55,6 +55,72 @@ def test_certify_rejects_a_non_finite_theta(tmp_path, capsys, monkeypatch, theta
         assert main(["certify", "--benchmark", name, "--theta", theta, "--out", str(tmp_path)]) == 1
         assert f"theta must be a finite positive number, got {theta}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+TAIL = "tail_R = 1\ntail_eta = 0.01\ntail_p = 1\ntail_r_inf = 0.5\n"
+
+# (benchmark, flags, config file, fragment of the error) of inputs that
+# certify refuses: each exits 1 with one error line and writes no report
+INVALID_CERTIFY_INPUTS = {
+    "epsilon-inf": ("double-integrator-box", ["--epsilon", "inf"], "", "epsilon must be finite"),
+    "density-nan": ("double-integrator-box", ["--density", "nan"], "", "density must be finite"),
+    "density-inf": ("double-integrator-box", ["--density", "inf"], "", "density must be finite"),
+    "activity-tolerance-nan": ("scalar-stable", ["--activity-tolerance", "nan"], "", "activity tolerance"),
+    "activity-tolerance-negative": ("scalar-stable", ["--activity-tolerance", "-1"], "", "activity tolerance"),
+    "seed-negative": ("scalar-stable", ["--seed", "-1"], "", "seed must be nonnegative"),
+    "theta-negative": ("pendulum-backup", ["--theta", "-1"], "", "theta must be a finite positive number"),
+    "n-check-negative": ("scalar-stable", [], "n_check = -1\n", "n_check must be nonnegative"),
+    "precondition-points-negative": (
+        "pendulum-backup", [], "precondition_points = -1\n", "precondition_points must be nonnegative"),
+    "precondition-tolerance-nan": (
+        "pendulum-backup", [], "precondition_tolerance = nan\n", "precondition tolerance must be finite"),
+    "tail-C-nan": ("scalar-stable", [], TAIL + "tail_C = nan\n", "tail constants must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_CERTIFY_INPUTS))
+def test_certify_refuses_invalid_inputs_with_one_error_line(tmp_path, capsys, case):
+    # an exception other than the package's own would escape main here
+    name, flags, config, message = INVALID_CERTIFY_INPUTS[case]
+    cfg_file = tmp_path / "case.cfg"
+    cfg_file.write_text(config)
+    out = tmp_path / "out"
+    code = main(["certify", "--benchmark", name, "--config", str(cfg_file), *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("points", [0, 1])
+def test_certify_fails_without_a_precondition_sample_on_the_terminal_boundary(tmp_path, capsys, points):
+    # pendulum's sampler puts a third of its points on the terminal boundary,
+    # so none at 0 or 1 point: checks (1) and (3) fail before any tube work
+    cfg_file = tmp_path / "points.cfg"
+    cfg_file.write_text(f"precondition_points = {points}\n")
+    out = tmp_path / "out"
+    code = main(["certify", "--benchmark", "pendulum-backup", "--config", str(cfg_file), "--out", str(out)])
+    assert code == 2
+    path = out / "certify-pendulum-backup.txt"
+    assert capsys.readouterr().out == f"backup preconditions failed; report: {path}\n"
+    report = read_report(path)
+    assert report["exit_status"] == "backup preconditions failed"
+    for tag in ("backup-set_inward_flow", "terminal_boundary_regular_value"):
+        assert report[f"precondition.{tag}"] == "FAIL"
+        assert "no samples on the terminal boundary" in report[f"precondition.{tag}.note"]
+    assert report["precondition.reachable-boundary_inward_flow"] == "pass"
+    assert not [key for key in report if key.startswith("tube_")]
+
+
+@pytest.mark.parametrize("key", ["seed", "n_check", "precondition_points"])
+def test_resolve_config_rejects_a_negative_count(tmp_path, key):
+    cfg_file = tmp_path / "counts.cfg"
+    cfg_file.write_text(f"benchmark = scalar-stable\n{key} = -1\n")
+    with pytest.raises(ConfigError, match=f"{key} must be nonnegative, got -1"):
+        resolve_config(build_parser().parse_args(["certify", "--config", str(cfg_file)]))
+    cfg_file.write_text(f"benchmark = scalar-stable\n{key} = 0\n")
+    assert getattr(resolve_config(build_parser().parse_args(["certify", "--config", str(cfg_file)])), key) == 0
 
 
 def test_certify_below_theta_star_is_not_a_certificate(tmp_path):
@@ -194,6 +260,7 @@ SEED0_TUBE_COVERAGE = {
 }
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("name", sorted(SEED0_CERTIFICATES))
 def test_certify_reproduces_seed0_certificate(tmp_path, name):
     if name == "pendulum-backup":

@@ -10,6 +10,7 @@ from softcbf import (
     CompactBounds,
     ConstraintSet,
     ControlAffineSystem,
+    DomainError,
     EmptyTubeError,
     InvalidCertificateError,
     InvalidInputError,
@@ -96,6 +97,7 @@ def test_evaluate_takes_exactly_one_state(shape):
             cs.evaluate(np.zeros(shape))
 
 
+@pytest.mark.gate
 def test_slice_family_evaluate_runs_one_flow(monkeypatch):
     # one state of the batch-first slice family is one flow with
     # sensitivities, not one per slice constraint, and it is the one-row
@@ -190,6 +192,24 @@ def test_sample_tube_requires_box_and_valid_params():
         sample_tube(disk, -0.1, 100.0, 0)
     with pytest.raises(Exception):
         sample_tube(disk, 0.1, 0.0, 0)
+
+
+@pytest.mark.parametrize("epsilon, density", [(np.nan, 100.0), (np.inf, 100.0), (0.1, np.nan), (0.1, np.inf)])
+def test_sample_tube_rejects_a_non_finite_band_or_density(epsilon, density):
+    with pytest.raises(DomainError, match="must be finite and positive"):
+        sample_tube(unit_disk(), epsilon, density, 0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_activity_tolerance_must_be_finite_and_nonnegative(tol):
+    tube = sample_tube(unit_disk(), 0.1, 600.0, seed=0)
+    with pytest.raises(DomainError, match="activity tolerance must be finite and nonnegative"):
+        check_mfcq(tube, tol)
+    with pytest.raises(DomainError, match="activity tolerance must be finite and nonnegative"):
+        estimate_bounds(lambda X: -X, tube, tol)
+    # at zero only the minimizing constraint is active
+    assert check_mfcq(tube, 0.0).passed
+    assert estimate_bounds(lambda X: -X, tube, 0.0).r > 0
 
 
 @pytest.mark.parametrize("box", [[[-np.inf, np.inf]], [[-1.0, np.inf]]], ids=["open", "half-open"])
@@ -568,6 +588,7 @@ def march_case(name):
     return level, starts, level(starts), dirs, kwargs
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("name", ["pendulum", "box-faces", "thin-annulus"])
 def test_march_matches_one_step_reference_bitwise(name):
     level, starts, start_levels, dirs, kwargs = march_case(name)
@@ -619,6 +640,7 @@ def reference_bisect_to_band(level, inside, inside_levels, outside, band, max_it
     return inside[done]
 
 
+@pytest.mark.gate
 def test_bisection_drops_collapsed_brackets(monkeypatch):
     # boundary rays of the disk-and-slab set's smooth minimum at theta = 60,
     # bisected to a band of width 1e-300: on many rays no float lies in it,
@@ -668,6 +690,7 @@ def test_bisection_drops_collapsed_brackets(monkeypatch):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(blocks, expected))
 
 
+@pytest.mark.gate
 def test_sample_tube_coverage_retry_lands_on_the_missed_face():
     # at density 1 the random pass finds no band sample owned by the corner
     # cut (constraint 4); the retry bisects from candidates it owns toward
@@ -789,6 +812,7 @@ def assert_mfcq_matches_per_sample(tube):
     return report
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("name", benchmark_names())
 def test_mfcq_block_matches_per_sample_witness_on_benchmarks(name):
     # the first guess for all near samples in one stacked matmul per active
@@ -799,6 +823,7 @@ def test_mfcq_block_matches_per_sample_witness_on_benchmarks(name):
     assert_mfcq_matches_per_sample(tube)
 
 
+@pytest.mark.gate
 @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
 def test_mfcq_block_matches_per_sample_witness_on_failing_samples():
     # rows that pass the first guess, one that needs the sweeps, one with a

@@ -195,6 +195,7 @@ def test_boxed_clips_desired_outside_box():
     np.testing.assert_allclose(out.u, [1.0])
 
 
+@pytest.mark.gate
 def test_boxed_matches_grid_oracle():
     rng = np.random.default_rng(1)
     checked = 0
@@ -226,6 +227,7 @@ def test_boxed_matches_grid_oracle():
     assert checked > 50
 
 
+@pytest.mark.gate
 def test_boxed_free_projection_is_the_unconstrained_projection():
     # instances whose free projection stays in the box: the boxed filter
     # returns the unconstrained filter's outcome bit for bit

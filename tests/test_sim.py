@@ -217,6 +217,7 @@ def test_backup_benchmark_short_run():
 FIXED_TRACES = json.loads((Path(__file__).parent / "fixed_traces.json").read_text())
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("name", sorted(FIXED_TRACES))
 def test_simulate_reproduces_fixed_traces(name):
     rec = FIXED_TRACES[name]
@@ -259,6 +260,7 @@ def mixed_block(bench, t_final=2.0):
     return cfgs
 
 
+@pytest.mark.gate
 @pytest.mark.filterwarnings("ignore:initial state is inside the hard set")
 @pytest.mark.parametrize(
     "name", ["double-integrator-box", "scalar-stable", "scalar-unstable", "thin-annulus"])
@@ -271,6 +273,7 @@ def test_lockstep_rows_equal_single_runs_bitwise(name):
         assert_same_trace(trace, run(bench, cfg))
 
 
+@pytest.mark.gate
 def test_lockstep_backup_rows_stay_within_1e_12_of_single_runs():
     # the rows share one flow per step, which may round differently in the
     # last bit from a one-row flow
@@ -288,6 +291,7 @@ def test_lockstep_backup_rows_stay_within_1e_12_of_single_runs():
             np.testing.assert_array_equal(getattr(trace, field), getattr(single, field))
 
 
+@pytest.mark.gate
 def test_lockstep_halt_truncates_only_its_row():
     bench = get_benchmark("scalar-unstable")
     sys = dataclasses.replace(bench.sys, actuation=lambda x: _zero_actuation(x))
@@ -301,6 +305,7 @@ def test_lockstep_halt_truncates_only_its_row():
         assert_same_trace(trace, run(dead, cfg))
 
 
+@pytest.mark.gate
 def test_lockstep_configs_must_share_the_clock():
     bench = get_benchmark("scalar-stable")
     for other in (scalar_cfg(dt=0.02), scalar_cfg(t_final=1.0), scalar_cfg(substeps=5)):
@@ -335,6 +340,7 @@ def test_filter_record_marks_infeasible_steps():
     assert np.all(trace.multiplier[:-1][trace.modified[:-1]] > 0.0)
 
 
+@pytest.mark.gate
 def test_sweep_min_h_soft_matches_simulate(tmp_path):
     thetas = [3.0, 47.0, 9000.0]
     common = ["--benchmark", "double-integrator-box", "--t-final", "2", "--out", str(tmp_path)]

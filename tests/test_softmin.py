@@ -11,7 +11,7 @@ from softcbf import (
     softmin_value,
     softmin_weights,
 )
-from softcbf.softmin import softmin_block
+from softcbf.softmin import softmin_block, softmin_rows
 
 # frozen with an independent 50-digit evaluation (mpmath)
 SOFTMIN_01_THETA1 = -0.31326168751822283405
@@ -166,6 +166,37 @@ def test_block_kernel_matches_single_point_functions_bitwise(theta):
     for b in range(vals.shape[0]):
         assert soft[b] == softmin_value(vals[b], theta)
         np.testing.assert_array_equal(w[b], softmin_weights(vals[b], theta))
+
+
+@pytest.mark.parametrize("N", [2, 3, 11])
+def test_softmin_rows_match_single_point_functions_bitwise(N):
+    # value and gradient of each row, at one theta and at one per row, with
+    # exact +-0.0 in the gradients to tell the summation orders apart
+    rng = np.random.default_rng(N)
+    vals = rng.normal(scale=1e-2, size=(200, N))
+    grads = rng.normal(size=(200, N, 3))
+    zeros = rng.uniform(size=grads.shape) < 0.4
+    grads[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    grads[0, :, 0] = -0.0
+    thetas = rng.choice([2.0, 75.0, 7.5e4], size=200)
+    for theta in (75.0, thetas):
+        soft, grad = softmin_rows(vals, grads, theta)
+        for b in range(len(vals)):
+            t = theta if np.ndim(theta) == 0 else theta[b]
+            assert soft[b].tobytes() == np.float64(softmin_value(vals[b], t)).tobytes()
+            ref = softmin_gradient(grads[b], softmin_weights(vals[b], t))
+            assert grad[b].tobytes() == ref.tobytes()
+
+
+def test_softmin_rows_of_one_constraint_are_the_constraint():
+    vals = np.array([[0.5], [-0.0]])
+    grads = np.array([[[1.0, -0.0]], [[-2.0, 3.0]]])
+    soft, grad = softmin_rows(vals, grads, 10.0)
+    assert soft.tobytes() == vals[:, 0].tobytes()
+    assert grad.tobytes() == grads[:, 0].tobytes()
+    grads[1, 0, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        softmin_rows(vals, grads, 10.0)
 
 
 def test_default_activity_tolerance_scales_with_value():

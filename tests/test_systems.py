@@ -193,6 +193,7 @@ def test_closed_loop_field_shapes_and_rows(name):
             np.testing.assert_allclose(single, row, rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.gate
 def test_fused_closed_loop_matches_composed_bitwise():
     # compared as bytes, since == takes -0.0 for +0.0: the composed field's
     # einsum turns a -0.0 component into +0.0, and the fused field must too
@@ -215,6 +216,7 @@ def test_fused_closed_loop_matches_composed_bitwise():
     assert fused(x).tobytes() == composed(x).tobytes()
 
 
+@pytest.mark.gate
 def test_fused_plant_matches_composed_bitwise():
     # the fused plant serves any controller: the backup controller, a wrapped
     # one (a step clock's or a call counter's), the desired controller and
@@ -257,6 +259,7 @@ def test_fused_plant_matches_composed_bitwise():
     assert zero_signs == {False, True}
 
 
+@pytest.mark.gate
 def test_fused_row_form_matches_field_bitwise():
     # the row form on a tuple of floats against the fused field on the same
     # state as a one-row block, as bytes, over box states, states where tanh
@@ -276,6 +279,7 @@ def test_fused_row_form_matches_field_bitwise():
         assert np.array(out).tobytes() == field(x[None])[0].tobytes()
 
 
+@pytest.mark.gate
 def test_pendulum_division_matches_the_negated_numerator_bitwise():
     # k_b, the fused field and its row form compute tanh(K.x / -u_max); IEEE
     # division is sign-symmetric, so that is bitwise the written
@@ -394,6 +398,7 @@ def test_fused_plant_path_with_wrong_shape_raises(part, rows):
         F(x)
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("name", benchmark_names())
 def test_evaluate_equals_a_one_row_batch_bitwise(name):
     # the closed loop evaluates blocks, so one state's evaluation must be the
