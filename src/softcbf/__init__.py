@@ -62,6 +62,7 @@ from .backup import (
     BackupPreconditionReport,
     FlowResult,
     FusedField,
+    ValueForms,
     backup_barrier,
     check_backup_preconditions,
     integrate_flow,

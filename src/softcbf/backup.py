@@ -33,6 +33,7 @@ from .safety_filter import ControlAffineSystem
 __all__ = [
     "BackupProblem",
     "FusedField",
+    "ValueForms",
     "IntegratorStats",
     "FlowResult",
     "BatchFlowResult",
@@ -79,6 +80,18 @@ class FusedField:
 
 
 @dataclass(frozen=True)
+class ValueForms:
+    """Values-only forms of the very h and h_b named in the last two fields:
+    `h_value` and `h_b_value` map a block (B, n) to (B,), bit for bit h(X)[0]
+    and h_b(X)[0], sign of zero included (see `BackupProblem.value_forms`)."""
+
+    h_value: Callable
+    h_b_value: Callable
+    h: Callable
+    h_b: Callable
+
+
+@dataclass(frozen=True)
 class BackupProblem:
     """Backup certification problem.
 
@@ -100,12 +113,16 @@ class BackupProblem:
     on one-row flows when it has one.
     It applies only while sys.drift, sys.actuation and k_b are the very
     objects it was declared for: a `dataclasses.replace` that swaps any of
-    them falls back to `sys.closed_loop(k_b)`.  With only k_b swapped, such
-    as by a wrapper that counts its calls, that is one k_b call and one
-    call of the system's fused plant when it has one (see
-    `ControlAffineSystem`); with the drift or the actuation swapped, it is
-    the composed field, which calls all three.  `closed_loop()` applies
-    these rules.
+    them, such as a wrapper that counts k_b's calls, falls back to
+    `sys.closed_loop(k_b)`, which takes the system's fused plant while that
+    applies (see `ControlAffineSystem`).  `closed_loop()` applies these
+    rules; a flow checks `sys.closed_loop(k_b)` on its first RK4 step only.
+
+    value_forms, when given, serve the reads of h and h_b that take no
+    gradient (see ValueForms): slice values without sensitivities, the
+    slice screen and the reachability test of `check_backup_preconditions`.
+    Like `fused`, they apply only while h and h_b are the very objects they
+    were declared for; otherwise those reads take h(X)[0] and h_b(X)[0].
     """
 
     sys: ControlAffineSystem
@@ -118,6 +135,7 @@ class BackupProblem:
     h_max: float = 1e-2
     bounding_box: Optional[np.ndarray] = None
     fused: Optional[FusedField] = None
+    value_forms: Optional[ValueForms] = None
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.T, self.dtau, self.h_max)):
@@ -147,11 +165,22 @@ class BackupProblem:
     def closed_loop(self) -> Callable:
         """The closed-loop field x -> drift(x) + actuation(x) @ k_b(x): the
         fused field while it applies, `sys.closed_loop(k_b)` otherwise."""
+        return self._flow_fields()[0]
+
+    def _flow_fields(self) -> tuple:
+        """`closed_loop()` and the field of a flow's later RK4 steps."""
         f = self.fused
         if (f is not None and f.drift is self.sys.drift
                 and f.actuation is self.sys.actuation and f.k_b is self.k_b):
-            return f.field
-        return self.sys.closed_loop(self.k_b)
+            return f.field, f.field
+        return self.sys._closed_loop_fields(self.k_b)
+
+    def _value_fns(self) -> tuple:
+        """h and h_b as values-only block functions X -> (B,)."""
+        v, n = self.value_forms, self.sys.n
+        if v is not None and v.h is self.h and v.h_b is self.h_b:
+            return v.h_value, v.h_b_value
+        return [lambda X, f=f: call_batched(f, X, (), (n,))[0] for f in (self.h, self.h_b)]
 
 
 # stage rows per Jacobian call of a block flow (whole RK4 steps, at least one)
@@ -303,7 +332,8 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
 
     The field is `prob.closed_loop()`: the problem's fused field when it
     applies, whose shape is checked once on the initial block, or
-    `sys.closed_loop(k_b)`, which checks its shapes at every call.  A one-row
+    `sys.closed_loop(k_b)`, checked on the first RK4 step only: the later
+    steps, finite differences and a blow-up re-run skip its checks.  A one-row
     block on a fused field with a row form runs its value steps on the row
     form (`_rk4_row`), bit for bit, once it returns n floats on the initial
     state.  Finiteness is tested once per slice interval: a non-finite
@@ -323,15 +353,14 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     In a block of two or more rows, each row comes out bitwise the same
     whatever rows share the block, so marching and bisection may flow only
     live rows.  A one-row block can differ in the last bit: numpy computes
-    a (1, n) by (n,) product, like the pendulum's K.x, with dot, not gemv,
-    and its Jacobian sees 4*n_sub rows, where a per-stage call saw one."""
+    a (1, n) by (n,) product, like the pendulum's K.x, with dot, not gemv."""
     X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
     if X.shape[1] != prob.sys.n:
         raise InvalidInputError(f"states must have dimension {prob.sys.n}")
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
-    F = prob.closed_loop()
+    F, F_rest = prob._flow_fields()
     row = None
     if prob.fused is not None and F is prob.fused.field:
         call_batched(F, X, (n,))
@@ -350,7 +379,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     states[0] = X
     sens = None
     if sensitivities:
-        jac = _make_jacobian(prob, F, X)
+        jac = _make_jacobian(prob, F_rest, X)
         sens = np.empty((N, B, n, n))
         sens[0] = np.eye(n)
         S = sens[0].copy() if row is None else sens[0, 0].ravel().tolist()
@@ -365,6 +394,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
             if row is None:
                 for s in range(n_sub):
                     X, stage_states = rk4_step(F, X, h)
+                    F = F_rest
                     if sens is not None:
                         stages[s] = stage_states
                 states[i] = X
@@ -376,7 +406,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                         stage_rows += stage_states
                 states[i, 0] = x
             if not np.isfinite(states[i]).all():
-                _raise_blow_up(F, states[i - 1], h, n_sub, i)
+                _raise_blow_up(F_rest, states[i - 1], h, n_sub, i)
             if sens is None:
                 continue
             if row is None:
@@ -405,24 +435,25 @@ def integrate_flow(prob: BackupProblem, x0) -> FlowResult:
 def _slice_values_from_flow(prob: BackupProblem, states, sens):
     """Slice values (B, N) and pulled-back gradients (B, N, n) from batched
     flow output (N, B, n) / (N, B, n, n); the gradients are None when sens
-    is None.  h runs once on the N - 1 slices stacked into one block, and
-    h_b once on the last."""
+    is None, and h and h_b then run values-only (`BackupProblem.value_forms`).
+    h runs once on the N - 1 slices stacked into one block, h_b on the last."""
     N, B, n = states.shape
+    h, h_b, tails = (prob.h, prob.h_b, ((), (n,))) if sens is not None else (*prob._value_fns(), ((),))
     try:
-        v, g = call_batched(prob.h, states[:-1].reshape(-1, n), (), (n,))
+        v = call_batched(h, states[:-1].reshape(-1, n), *tails)
     except InvalidInputError:
         # name the shape error on one slice's block of B states
-        call_batched(prob.h, states[0], (), (n,))
+        call_batched(h, states[0], *tails)
         raise
-    v_b, g_b = call_batched(prob.h_b, states[-1], (), (n,))
+    v_b = call_batched(h_b, states[-1], *tails)
+    if sens is not None:
+        (v, g), (v_b, g_b) = v, v_b
     vals = np.empty((B, N))
     vals[:, :-1] = v.reshape(N - 1, B).T
     vals[:, -1] = v_b
     if sens is None:
         return vals, None
-    G = np.empty((N, B, n))
-    G[:-1] = g.reshape(N - 1, B, n)
-    G[-1] = g_b
+    G = np.concatenate([g.reshape(N - 1, B, n), g_b[None]])
     # grad b_i = S_i^T grad_h(phi_i)
     return vals, np.einsum("sbji,sbj->bsi", sens, G)
 
@@ -462,15 +493,15 @@ def slice_constraint_set(prob: BackupProblem) -> ConstraintSet:
 
     The batch evaluator shares one flow integration across all N
     constraints, and the value evaluator does the same without the flow
-    sensitivities.  The screen is b_0 = h, which needs no flow.  Sampling
-    the family needs the problem's bounding box.
+    sensitivities.  The screen is b_0 = h, values-only, which needs no
+    flow.  Sampling the family needs the problem's bounding box.
     """
     return ConstraintSet(
         n=prob.sys.n,
         bounding_box=prob.bounding_box,
         batch_evaluator=lambda X: slice_values_batch(prob, X),
         value_evaluator=lambda X: slice_values_batch(prob, X, gradients=False)[0],
-        screen=lambda X: prob.h(X)[0],
+        screen=prob._value_fns()[0],
         N=prob.N,
     )
 
@@ -546,7 +577,7 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     near_s = np.abs(h_vals) <= tol
     if near_s.any():
         flow = integrate_flow_batch(prob, X[near_s], sensitivities=False)
-        hb_T, _ = call_batched(prob.h_b, flow.states[-1], (), (n,))
+        hb_T = call_batched(prob._value_fns()[1], flow.states[-1], ())
         reach = np.zeros_like(near_s)
         reach[np.flatnonzero(near_s)[hb_T >= 0.0]] = True
     else:

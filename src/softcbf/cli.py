@@ -20,7 +20,7 @@ import numpy as np
 from .backup import check_backup_preconditions
 from .certify import TailSpec, certify, probe_boundary, verify_certificate
 from .errors import DomainError, NotStrictlySafeError, SoftCBFError
-from .geometry import check_mfcq, estimate_bounds, sample_tube
+from .geometry import _check_activity_tolerance, _check_band, check_mfcq, estimate_bounds, sample_tube
 from .safety_filter import ClassK
 from .sim import SAFETY_TOLERANCE, SimConfig, run
 from .systems import benchmark_names, get_benchmark
@@ -174,8 +174,10 @@ def _certification_pieces(cfg: ScenarioConfig):
 def cmd_certify(cfg: ScenarioConfig) -> int:
     if cfg.theta is not None and not (np.isfinite(cfg.theta) and cfg.theta >= 0.0):  # before any certification work
         raise DomainError(f"theta must be a finite positive number, got {cfg.theta}")
+    _check_activity_tolerance(cfg.activity_tolerance)
     tail = _tail_from(cfg)
     bench, cs, F = _certification_pieces(cfg)
+    _check_band(cfg.epsilon, cfg.density)
     report_path = Path(cfg.out) / f"certify-{bench.name}.txt"
     entries = [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
 
@@ -262,6 +264,8 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
     bench, cs, F = _certification_pieces(cfg)
     theta = cfg.theta
     if theta is None:
+        _check_band(cfg.epsilon, cfg.density)
+        _check_activity_tolerance(cfg.activity_tolerance)
         tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
         bounds = estimate_bounds(F, tube, cfg.activity_tolerance)
         cert = certify(bounds, _tail_from(cfg), cs.N)

@@ -56,15 +56,20 @@ def call_batched(fn: Callable, X: np.ndarray, *tails: tuple):
     """
     out = fn(X)
     arrays = [out] if len(tails) == 1 else list(out)
-    got = [np.shape(a) for a in arrays]
-    expected = [(X.shape[0],) + tuple(t) for t in tails]
-    if got != expected:
-        raise InvalidInputError(
-            f"{getattr(fn, '__qualname__', fn)} returned shape {', '.join(map(str, got))} for a "
-            f"block of {X.shape[0]} states; expected {', '.join(map(str, expected))}"
-        )
+    _check_shapes(getattr(fn, "__qualname__", fn), arrays, [(X.shape[0],) + tuple(t) for t in tails])
     arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
     return arrays[0] if len(tails) == 1 else arrays
+
+
+def _check_shapes(what, arrays, expected: list) -> None:
+    """Raise InvalidInputError naming `what` unless `arrays` have the
+    `expected` shapes, the first of which starts with the block's B."""
+    got = [a.shape if isinstance(a, np.ndarray) else np.shape(a) for a in arrays]
+    if got != expected:
+        raise InvalidInputError(
+            f"{what} returned shape {', '.join(map(str, got))} for a block of {expected[0][0]} "
+            f"states; expected {', '.join(map(str, expected))}"
+        )
 
 
 def _checked_box(box, rows: int, what: str) -> np.ndarray:
@@ -352,6 +357,20 @@ def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, marg
     return located, int(found.sum())
 
 
+def _check_band(epsilon: float, density: float) -> float:
+    """epsilon as a float, once it and the density are finite and positive."""
+    epsilon = float(epsilon)
+    for name, v in (("epsilon", epsilon), ("density", density)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise DomainError(f"{name} must be finite and positive, got {v}")
+    return epsilon
+
+
+def _check_activity_tolerance(tol: Optional[float]) -> None:
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"activity tolerance must be finite and nonnegative, got {tol}")
+
+
 def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) -> TubeSpec:
     """Sample the band {0 <= h_hat <= epsilon} inside the bounding box.
 
@@ -364,11 +383,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     final samples are evaluated once, with gradients, on the tube.
     """
     box = _require_box(cs, "tube sampling")
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise DomainError(f"epsilon must be finite and positive, got {epsilon}")
-    if not (math.isfinite(density) and density > 0.0):
-        raise DomainError(f"density must be finite and positive, got {density}")
+    epsilon = _check_band(epsilon, density)
     rng = np.random.default_rng(seed)
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     n_cand = max(512, int(math.ceil(density * volume)))
@@ -448,8 +463,7 @@ def _activity(vals: np.ndarray, tol: Optional[float]):
     """The pointwise minimum h_hat (B,) of values (B, N), the gaps
     vals - h_hat (B, N), and the active mask (B, N): gap <= `tol`, where
     None means the value-scaled default of each row."""
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"activity tolerance must be finite and nonnegative, got {tol}")
+    _check_activity_tolerance(tol)
     h_hat = vals.min(axis=1)
     gaps = vals - h_hat[:, None]
     tol = default_activity_tolerance(h_hat) if tol is None else np.full(h_hat.shape, float(tol))
@@ -525,19 +539,13 @@ def _mfcq_witness(grads: np.ndarray, margin: float = _MFCQ_MARGIN, sweeps: int =
         return None, False, -np.inf
     unit = grads / norms[:, None]
     v = unit.sum(axis=0)
-
-    def rel_margin(v):
-        return float((unit @ v).min())
-
-    if rel_margin(v) > margin:
-        return v, True, rel_margin(v)
     for _ in range(sweeps):
         dots = unit @ v
         j = int(dots.argmin())
         if dots[j] > margin:
             break
         v = v + (2.0 * margin - dots[j]) * unit[j]
-    m = rel_margin(v)
+    m = float((unit @ v).min())
     return v, m > 0.0, m
 
 

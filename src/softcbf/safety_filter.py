@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _checked_box
+from .geometry import _check_shapes, _checked_box
 
 __all__ = [
     "ConstantActuation",
@@ -120,6 +120,11 @@ class ControlAffineSystem:
         state (n,) or a block (B, n), on the fused plant while it applies.
         The controller follows the same contract as the dynamics, returning
         (B, m) on a block; every output shape is checked at every call."""
+        return self._closed_loop_fields(controller)[0]
+
+    def _closed_loop_fields(self, controller: Callable) -> tuple:
+        """`closed_loop(controller)` and the same composition on (B, n)
+        blocks without its checks, for a flow's RK4 steps after its first."""
         n, m = self.n, self.m
         p = self.fused
         if p is not None and p.drift is self.drift and p.actuation is self.actuation:
@@ -128,41 +133,24 @@ class ControlAffineSystem:
             def F(x):
                 x = np.asarray(x, dtype=float)
                 X = x[None] if x.ndim == 1 else x
-                B = X.shape[0]
                 u = controller(X)
-                # .shape, not np.shape, on arrays: a third of its cost
-                if (u.shape if isinstance(u, np.ndarray) else np.shape(u)) != (B, m):
-                    raise InvalidInputError(
-                        f"controller returned shape {np.shape(u)} for a block of {B} states; expected {(B, m)}"
-                    )
+                _check_shapes("controller", [u], [(len(X), m)])
                 out = plant(X, u)
-                if (out.shape if isinstance(out, np.ndarray) else np.shape(out)) != (B, n):
-                    raise InvalidInputError(
-                        f"fused plant returned shape {np.shape(out)} for a block of {B} states; expected {(B, n)}"
-                    )
+                _check_shapes("fused plant", [out], [(len(X), n)])
                 return out[0] if x.ndim == 1 else out
 
-            return F
+            return F, lambda X: plant(X, controller(X))
 
         def F(x):
             x = np.asarray(x, dtype=float)
             X = x[None] if x.ndim == 1 else x
             f0, g, u = self.drift(X), self.actuation(X), controller(X)
-            # checked inline rather than through geometry.call_batched: this
-            # body runs four times per RK4 step of every flow
-            B = X.shape[0]
-            if ((f0.shape if isinstance(f0, np.ndarray) else np.shape(f0)) != (B, n)
-                    or (g.shape if isinstance(g, np.ndarray) else np.shape(g)) != (B, n, m)
-                    or (u.shape if isinstance(u, np.ndarray) else np.shape(u)) != (B, m)):
-                raise InvalidInputError(
-                    f"drift, actuation and controller returned shape {np.shape(f0)}, "
-                    f"{np.shape(g)}, {np.shape(u)} for a block of {B} states; "
-                    f"expected {(B, n)}, {(B, n, m)}, {(B, m)}"
-                )
+            B = len(X)
+            _check_shapes("drift, actuation and controller", [f0, g, u], [(B, n), (B, n, m), (B, m)])
             out = f0 + np.einsum("bij,bj->bi", g, u)
             return out[0] if x.ndim == 1 else out
 
-        return F
+        return F, lambda X: self.drift(X) + np.einsum("bij,bj->bi", self.actuation(X), controller(X))
 
 
 @dataclass(frozen=True)

@@ -125,5 +125,6 @@ def softmin_gradient(gradients, weights) -> np.ndarray:
         raise InvalidInputError("gradients and weights must be finite")
     if abs(w.sum() - 1.0) > 1e-6:
         raise InvalidInputError(f"weights must sum to 1, got {w.sum()!r}")
-    return w @ g
+    # one weight returns the row as given, like softmin_rows; w @ g turns -0.0 into +0.0
+    return g[0].copy() if w.size == 1 else w @ g
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .backup import BackupProblem, FusedField, slice_constraint_set
+from .backup import BackupProblem, FusedField, ValueForms, slice_constraint_set
 from .errors import InvalidInputError
 from .geometry import ConstraintSet
 from .safety_filter import ConstantActuation, ControlAffineSystem, FusedPlant
@@ -217,22 +217,28 @@ def pendulum_backup() -> Benchmark:
 
     c = PENDULUM_SHEAR
 
+    # values-only forms of h and h_b on a block, which h and h_b call
+    def h_value(X):
+        z = X[:, 0] + c * X[:, 1]
+        return 1.0 - z**4 - (X[:, 1] / 1.5) ** 4
+
+    def h_b_value(X):
+        return PENDULUM_HB_LEVEL - np.einsum("bi,ij,bj->b", X, PENDULUM_P, X)
+
     def h(x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x)
-        z = X[:, 0] + c * X[:, 1]
-        w = X[:, 1]
-        val = 1.0 - z**4 - (w / 1.5) ** 4
-        z3 = z**3
-        grad = np.stack([-4.0 * z3, -4.0 * c * z3 - 4.0 * w**3 / 1.5**4], axis=-1)
+        val = h_value(X)
+        z3 = (X[:, 0] + c * X[:, 1]) ** 3
+        grad = np.stack([-4.0 * z3, -4.0 * c * z3 - 4.0 * X[:, 1] ** 3 / 1.5**4], axis=-1)
         return (float(val[0]), grad[0]) if single else (val, grad)
 
     def h_b(x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         X = np.atleast_2d(x)
-        val = PENDULUM_HB_LEVEL - np.einsum("bi,ij,bj->b", X, PENDULUM_P, X)
+        val = h_b_value(X)
         grad = -2.0 * X @ PENDULUM_P
         return (float(val[0]), grad[0]) if single else (val, grad)
 
@@ -282,6 +288,7 @@ def pendulum_backup() -> Benchmark:
         jacobian=jac_closed_loop,
         bounding_box=box,
         fused=FusedField(closed_loop, drift, actuation, k_b, row=closed_loop_row),
+        value_forms=ValueForms(h_value, h_b_value, h, h_b),
     )
 
     def batch(X):

@@ -950,3 +950,135 @@ def test_large_sensitivity_flow_calls_jacobian_on_whole_steps_within_budget():
             intervals, acc = intervals + 1, 0
     assert (intervals, acc) == (prob.N - 1, 0) and len(rows) > prob.N
     assert flow.sensitivities.tobytes() == per_stage_sensitivities(prob, X0).tobytes()
+
+
+@pytest.mark.gate
+def test_pendulum_value_forms_equal_h_and_h_b_bitwise():
+    # the values-only forms must give h(X)[0] and h_b(X)[0] bit for bit,
+    # signed zeros included, at every block size a flow or screen uses
+    prob = get_benchmark("pendulum-backup").backup
+    forms = prob.value_forms
+    assert forms.h is prob.h and forms.h_b is prob.h_b
+    rng = np.random.default_rng(19)
+    box = prob.bounding_box
+    X = rng.uniform(box[:, 0], box[:, 1], size=(20_000, 2))
+    zeros = rng.uniform(size=X.shape) < 0.1
+    X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    X[:4] = [[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]]
+    for rows in (1, 2, 1000):
+        for start in range(0, len(X), rows):
+            block = X[start:start + rows]
+            assert forms.h_value(block).tobytes() == prob.h(block)[0].tobytes()
+            assert forms.h_b_value(block).tobytes() == prob.h_b(block)[0].tobytes()
+
+
+def test_value_forms_serve_every_gradient_free_read_of_h_and_h_b():
+    bench = get_benchmark("pendulum-backup")
+    prob = bench.backup
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(X):
+            calls[name] += 1
+            return fn(X)
+
+        return wrapper
+
+    h, h_b = counted("h", prob.h), counted("h_b", prob.h_b)
+    forms = softcbf.backup.ValueForms(prob.value_forms.h_value, prob.value_forms.h_b_value, h, h_b)
+    declared = dataclasses.replace(prob, h=h, h_b=h_b, value_forms=forms)
+    box = prob.bounding_box
+    X = np.random.default_rng(7).uniform(box[:, 0], box[:, 1], size=(64, 2))
+
+    # a values-only slice evaluation and the slice screen read no gradient
+    values, grads = softcbf.backup.slice_values_batch(declared, X, gradients=False)
+    assert grads is None
+    screened = slice_constraint_set(declared).screened_values(X)
+    assert calls == {}
+    assert values.tobytes() == softcbf.backup.slice_values_batch(prob, X)[0].tobytes()
+    assert (screened[:, 0] < 0.0).any() and not (screened[:, 0] < 0.0).all()
+
+    # the preconditions read h and h_b with gradients once, on the samples;
+    # the reachability test of check (2) reads h_b's values alone
+    samples = bench.precondition_sampler(300, 0)
+    report = check_backup_preconditions(declared, samples)
+    assert calls == {"h": 1, "h_b": 1}
+    assert report.reachable_boundary_safe.n_points > 0
+    plain = check_backup_preconditions(prob, samples)
+    for name in ("backup_set_safe", "reachable_boundary_safe", "regular_value"):
+        chk, want = getattr(report, name), getattr(plain, name)
+        assert (chk.passed, chk.n_points, chk.min_margin) == (want.passed, want.n_points, want.min_margin)
+
+    # swapping h, as a call tracer does, puts every read back on h and h_b
+    calls.clear()
+    swapped = dataclasses.replace(declared, h=counted("new h", h))
+    again, _ = softcbf.backup.slice_values_batch(swapped, X, gradients=False)
+    assert calls == {"new h": 1, "h": 1, "h_b": 1}
+    assert again.tobytes() == values.tobytes()
+    assert slice_constraint_set(swapped).screened_values(X).tobytes() == screened.tobytes()
+
+
+def flow_paths(prob):
+    """The pendulum problem on the fused-plant path and on the composed
+    path, each paired with a reference that runs the checked
+    `sys.closed_loop(k_b)` at every RK4 stage (as the fused field it is
+    declared as)."""
+    plant = dataclasses.replace(prob, fused=None)
+    composed = dataclasses.replace(plant, sys=dataclasses.replace(prob.sys, fused=None))
+    out = {}
+    for name, p in (("fused-plant", plant), ("composed", composed)):
+        checked = FusedField(p.sys.closed_loop(p.k_b), p.sys.drift, p.sys.actuation, p.k_b)
+        out[name] = (p, dataclasses.replace(p, fused=checked))
+    return out
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("path", ["fused-plant", "composed"])
+@pytest.mark.parametrize("B", [2, 400])
+def test_unchecked_flow_steps_equal_the_checked_field_bitwise(path, B):
+    prob, reference = flow_paths(get_benchmark("pendulum-backup").backup)[path]
+    assert prob.fused is None and (prob.sys.fused is None) == (path == "composed")
+    box = prob.bounding_box
+    X0 = np.random.default_rng(B).uniform(box[:, 0], box[:, 1], size=(B, 2))
+    X0[0] = [0.0, -0.0]
+    for jacobian in (prob.jacobian, None):
+        # the finite-difference Jacobian calls the unchecked field as well
+        p = dataclasses.replace(prob, jacobian=jacobian)
+        want = integrate_flow_batch(dataclasses.replace(reference, jacobian=jacobian), X0)
+        got = integrate_flow_batch(p, X0)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
+        assert integrate_flow_batch(p, X0, sensitivities=False).states.tobytes() == want.states.tobytes()
+
+
+@pytest.mark.parametrize("path", ["fused-plant", "composed"])
+@pytest.mark.parametrize("rows", [1, 4])
+def test_backup_controller_with_wrong_shape_raises_in_a_flow(path, rows):
+    prob, _ = flow_paths(get_benchmark("pendulum-backup").backup)[path]
+
+    def k_flat(X):
+        # answers a block with inputs (B,), not (B, 1)
+        return prob.k_b(X)[:, 0]
+
+    bad = dataclasses.replace(prob, k_b=k_flat)
+    X0 = np.full((rows, 2), 0.1)
+    message = {
+        "fused-plant": rf"controller returned shape \({rows},\) for a block of {rows} states; expected \({rows}, 1\)",
+        "composed": rf"drift, actuation and controller returned shape \({rows}, 2\), \({rows}, 2, 1\), \({rows},\) "
+                    rf"for a block of {rows} states; expected \({rows}, 2\), \({rows}, 2, 1\), \({rows}, 1\)",
+    }[path]
+    for sensitivities in (True, False):
+        with pytest.raises(InvalidInputError, match=message):
+            integrate_flow_batch(bad, X0, sensitivities=sensitivities)
+
+    # called directly, the field checks every call, not only the first
+    calls = []
+
+    def k_late(X):
+        calls.append(1)
+        return prob.k_b(X) if len(calls) == 1 else k_flat(X)
+
+    F = prob.sys.closed_loop(k_late)
+    F(X0)
+    with pytest.raises(InvalidInputError, match=message):
+        F(X0)

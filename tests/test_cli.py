@@ -475,3 +475,64 @@ def test_cli_flags_override_config(tmp_path):
     assert cfg.benchmark == "scalar-stable"
     assert cfg.epsilon == 0.05  # flag wins
     assert cfg.seed == 3  # file value kept
+
+
+# inputs that certification refuses before any work: (flags, fragment of the error)
+EARLY_REFUSED_INPUTS = {
+    "activity-tolerance-nan": (["--activity-tolerance", "nan"], "activity tolerance must be finite"),
+    "activity-tolerance-negative": (["--activity-tolerance", "-1"], "activity tolerance must be finite"),
+    "density-nan": (["--density", "nan"], "density must be finite"),
+    "density-inf": (["--density", "inf"], "density must be finite"),
+    "epsilon-inf": (["--epsilon", "inf"], "epsilon must be finite"),
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("case", sorted(EARLY_REFUSED_INPUTS))
+def test_certification_inputs_are_refused_before_any_certification_work(tmp_path, capsys, monkeypatch, command, case):
+    def never(*args, **kwargs):
+        raise AssertionError("certification work started")
+
+    monkeypatch.setattr(softcbf.cli, "check_backup_preconditions", never)
+    monkeypatch.setattr(softcbf.cli, "sample_tube", never)
+    flags, message = EARLY_REFUSED_INPUTS[case]
+    out = tmp_path / "out"
+    assert main([command, "--benchmark", "pendulum-backup", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+# the seed-0 certificate of pendulum-backup at its default size, the one
+# perfbench's certify-pendulum times
+SEED0_PENDULUM_FULL_SIZE = {
+    "theta_star": 73444.492044431332, "M": 6.7844221347139486,
+    "r": 0.084848644700887627, "d": 9.2475818117943032e-05,
+    "verify_min_lie": 0.093514775396122296, "tube_samples": 1262,
+}
+
+
+@pytest.mark.gate
+def test_certify_reproduces_the_full_size_seed0_pendulum_certificate(tmp_path, monkeypatch):
+    def report_lines(out):
+        code = main(["certify", "--benchmark", "pendulum-backup", "--seed", "0", "--out", str(out)])
+        assert code == 0
+        lines = (out / "certify-pendulum-backup.txt").read_text().splitlines()
+        return [line for line in lines if not line.startswith("config.out = ")]
+
+    plain = report_lines(tmp_path / "plain")
+    report = read_report(tmp_path / "plain" / "certify-pendulum-backup.txt")
+    for key, value in SEED0_PENDULUM_FULL_SIZE.items():
+        assert float(report[key]) == pytest.approx(value, rel=1e-12), key
+
+    # a wrapped k_b, like perfbench's step clock, takes the fused plant and
+    # must write the same report
+    real = softcbf.cli.get_benchmark
+
+    def get_benchmark(name):
+        bench = real(name)
+        k_b = bench.backup.k_b
+        return dataclasses.replace(bench, backup=dataclasses.replace(bench.backup, k_b=lambda x: k_b(x)))
+
+    monkeypatch.setattr(softcbf.cli, "get_benchmark", get_benchmark)
+    assert report_lines(tmp_path / "wrapped") == plain

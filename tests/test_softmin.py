@@ -168,7 +168,7 @@ def test_block_kernel_matches_single_point_functions_bitwise(theta):
         np.testing.assert_array_equal(w[b], softmin_weights(vals[b], theta))
 
 
-@pytest.mark.parametrize("N", [2, 3, 11])
+@pytest.mark.parametrize("N", [1, 2, 3, 11])
 def test_softmin_rows_match_single_point_functions_bitwise(N):
     # value and gradient of each row, at one theta and at one per row, with
     # exact +-0.0 in the gradients to tell the summation orders apart
