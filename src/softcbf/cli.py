@@ -2,7 +2,9 @@
 filtered closed loop, and sweep the smoothing parameter.
 
 Outputs are plain key-value report files and CSV traces so external tools
-can plot them.  Exit codes: 0 success, 1 bad configuration, 2 strict
+can plot them.  `simulate` without --theta certifies as `certify` does and
+runs at theta_multiplier·θ*; a failed step exits with certify's code and
+writes no trace.  Exit codes: 0 success, 1 bad configuration, 2 strict
 safety fails on samples, 3 constraint qualification fails, 4 a simulated
 trace violated the safety tolerance, 5 `certify --theta` at or below
 theta_star passed its sampled boundary check, which is not a certificate.
@@ -18,7 +20,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .backup import check_backup_preconditions
-from .certify import TailSpec, certify, probe_boundary, verify_certificate
+from .certify import TailSpec, ThetaCertificate, certify, probe_boundary, verify_certificate
 from .errors import DomainError, NotStrictlySafeError, SoftCBFError
 from .geometry import _check_activity_tolerance, _check_band, check_mfcq, estimate_bounds, sample_tube
 from .safety_filter import ClassK
@@ -30,8 +32,8 @@ __all__ = ["ScenarioConfig", "main", "cmd_certify", "cmd_simulate", "cmd_sweep"]
 
 @dataclass
 class ScenarioConfig:
-    """Resolved run configuration; every key is overridable from a
-    `key = value` config file and from the command line."""
+    """Resolved run configuration.  A `key = value` config file sets any
+    key; the command line only those with a flag in `build_parser`."""
 
     benchmark: str = ""
     epsilon: Optional[float] = None  # default: the benchmark's preferred width
@@ -111,9 +113,7 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
         if value is not None:
             setattr(cfg, key, value)
     if not cfg.benchmark:
-        raise ConfigError(
-            f"no benchmark selected; choose one of: {', '.join(benchmark_names())}"
-        )
+        raise ConfigError(f"no benchmark selected; choose one of: {', '.join(benchmark_names())}")
     for key in ("seed", "n_check", "precondition_points"):
         if getattr(cfg, key) < 0:
             raise ConfigError(f"{key} must be nonnegative, got {getattr(cfg, key)}")
@@ -122,10 +122,9 @@ def resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
 def _tail_from(cfg: ScenarioConfig) -> Optional[TailSpec]:
     vals = [cfg.tail_R, cfg.tail_eta, cfg.tail_C, cfg.tail_p, cfg.tail_r_inf]
-    given = [v is not None for v in vals]
-    if not any(given):
+    if all(v is None for v in vals):
         return None
-    if not all(given):
+    if None in vals:
         raise ConfigError("tail parameters must be given together: tail_R, tail_eta, tail_C, tail_p, tail_r_inf")
     return TailSpec(R=cfg.tail_R, eta_at_R=cfg.tail_eta, C=cfg.tail_C, p=cfg.tail_p, r_inf=cfg.tail_r_inf)
 
@@ -162,30 +161,24 @@ def write_report(path: Path, entries: list, cfg: ScenarioConfig) -> None:
 
 def _certification_pieces(cfg: ScenarioConfig):
     bench = get_benchmark(cfg.benchmark)
-    if cfg.epsilon is None:
-        cfg.epsilon = bench.cert_epsilon
-    if cfg.density is None:
-        cfg.density = bench.cert_density
-    cs = bench.certification_set()
-    F = bench.closed_loop_field()
-    return bench, cs, F
+    cfg.epsilon = bench.cert_epsilon if cfg.epsilon is None else cfg.epsilon
+    cfg.density = bench.cert_density if cfg.density is None else cfg.density
+    return bench, bench.certification_set(), bench.closed_loop_field()
 
 
-def cmd_certify(cfg: ScenarioConfig) -> int:
-    if cfg.theta is not None and not (np.isfinite(cfg.theta) and cfg.theta >= 0.0):  # before any certification work
+def _certify_steps(cfg: ScenarioConfig, entries: list):
+    """Certification as `certify` and `simulate` without --theta run it.
+    Refuses a bad θ, activity tolerance, ε, density or tail spec before any
+    work, then runs each step, appending its report entries.  Returns
+    (bench, cs, F, outcome); outcome is the certificate, or the (exit code,
+    status, summary) of the step that failed."""
+    if cfg.theta is not None and not (np.isfinite(cfg.theta) and cfg.theta >= 0.0):
         raise DomainError(f"theta must be a finite positive number, got {cfg.theta}")
     _check_activity_tolerance(cfg.activity_tolerance)
     tail = _tail_from(cfg)
     bench, cs, F = _certification_pieces(cfg)
     _check_band(cfg.epsilon, cfg.density)
-    report_path = Path(cfg.out) / f"certify-{bench.name}.txt"
-    entries = [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
-
-    def finish(code: int, status: str, summary: Optional[str] = None) -> int:
-        entries.append(("exit_status", status))
-        write_report(report_path, entries, cfg)
-        print(f"{summary or status}; report: {report_path}")
-        return code
+    entries += [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
 
     if bench.backup is not None:
         samples = bench.precondition_sampler(cfg.precondition_points, cfg.seed)
@@ -198,17 +191,12 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
             if chk.note:
                 entries.append((f"precondition.{tag}.note", chk.note))
         if not pre.passed:
-            return finish(2, "backup preconditions failed")
+            return bench, cs, F, (2, "backup preconditions failed", None)
 
     tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
-    entries += [
-        ("tube_samples", len(tube)),
-        ("tube_constraint_coverage", tube.constraint_coverage.astype(int)),
-        ("tube_rays_requested", tube.rays_requested),
-        ("tube_rays_located", tube.rays_located),
-        ("tube_rays_abandoned", tube.rays_abandoned),
-        ("tube_rays_unconverged", tube.rays_unconverged),
-    ]
+    entries += [("tube_samples", len(tube)), ("tube_constraint_coverage", tube.constraint_coverage.astype(int))]
+    entries += [(f"tube_rays_{k}", getattr(tube, f"rays_{k}"))
+                for k in ("requested", "located", "abandoned", "unconverged")]
 
     mfcq = check_mfcq(tube, cfg.activity_tolerance)
     entries += [("mfcq_checked", mfcq.n_checked), ("mfcq_passed", mfcq.passed)]
@@ -217,27 +205,41 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
         entries.append(("mfcq_witness_point", worst.point))
         if worst.violating_pair is not None:
             entries.append(("mfcq_violating_pair", worst.violating_pair))
-        return finish(3, "constraint qualification failed")
+        return bench, cs, F, (3, "constraint qualification failed", None)
 
     try:
         bounds = estimate_bounds(F, tube, cfg.activity_tolerance)
     except NotStrictlySafeError as err:
-        return finish(2, f"not strictly safe: {err}", "not strictly safe")
+        return bench, cs, F, (2, f"not strictly safe: {err}", "not strictly safe")
     entries += [("M", bounds.M), ("r", bounds.r), ("d", bounds.d)]
 
     cert = certify(bounds, tail, cs.N)
-    entries += [
-        ("theta_tube", cert.theta_tube),
-        ("theta_core", cert.theta_core),
-        ("theta_star", cert.theta_star),
-        ("kind", cert.kind),
-    ]
+    entries += [(k, getattr(cert, k)) for k in ("theta_tube", "theta_core", "theta_star", "kind")]
     if cert.theta_tail is not None:
         entries.append(("theta_tail", cert.theta_tail))
+    return bench, cs, F, cert
 
+
+def _operating_theta(cfg: ScenarioConfig, cert: ThetaCertificate) -> float:
+    """--theta, else theta_multiplier·θ*; 1 where both are 0 (one constraint)."""
     theta = cfg.theta if cfg.theta is not None else cfg.theta_multiplier * cert.theta_star
-    if cert.theta_star == 0.0 and theta == 0.0:
-        theta = 1.0
+    return 1.0 if cert.theta_star == 0.0 and theta == 0.0 else theta
+
+
+def cmd_certify(cfg: ScenarioConfig) -> int:
+    entries = []
+    bench, cs, F, cert = _certify_steps(cfg, entries)
+    report_path = Path(cfg.out) / f"certify-{bench.name}.txt"
+
+    def finish(code: int, status: str, summary: Optional[str] = None) -> int:
+        entries.append(("exit_status", status))
+        write_report(report_path, entries, cfg)
+        print(f"{summary or status}; report: {report_path}")
+        return code
+
+    if not isinstance(cert, ThetaCertificate):
+        return finish(*cert)
+    theta = _operating_theta(cfg, cert)
     below = theta <= cert.theta_star
     if below:
         report = probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
@@ -251,7 +253,9 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
         ("verify_min_lie", report.min_lie if report.min_lie is not None else "n/a"),
         ("verify_containment", report.containment_ok),
     ]
-    if not report.all_positive:
+    if report.n_located == 0:
+        status, code = "verification located no boundary point", 2
+    elif not report.all_positive:
         status, code = "verification found nonpositive witnesses", 2
     elif below:
         status, code = "sampled check below theta_star, not a certificate", 5
@@ -261,15 +265,14 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:
-    bench, cs, F = _certification_pieces(cfg)
-    theta = cfg.theta
-    if theta is None:
-        _check_band(cfg.epsilon, cfg.density)
-        _check_activity_tolerance(cfg.activity_tolerance)
-        tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
-        bounds = estimate_bounds(F, tube, cfg.activity_tolerance)
-        cert = certify(bounds, _tail_from(cfg), cs.N)
-        theta = cfg.theta_multiplier * max(cert.theta_star, 1e-9)
+    if cfg.theta is not None:
+        bench, theta = get_benchmark(cfg.benchmark), cfg.theta
+    else:
+        bench, _, _, cert = _certify_steps(cfg, [])
+        if not isinstance(cert, ThetaCertificate):  # (exit code, status, summary)
+            print(f"{cert[1]}; no trace written")
+            return cert[0]
+        theta = _operating_theta(cfg, cert)
     trace = run(bench, _sim_config(cfg, bench, theta))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -284,8 +287,7 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
 
 def cmd_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.thetas:
-        print("error: sweep needs a nonempty theta list (--thetas)", file=_sys.stderr)
-        return 1
+        raise ConfigError("sweep needs a nonempty theta list (--thetas)")
     bench, cs, F = _certification_pieces(cfg)
     # the configs check every theta before the csv is opened
     sim_cfgs = [_sim_config(cfg, bench, theta) for theta in cfg.thetas]
@@ -336,13 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-    except (ConfigError, OSError) as err:
-        print(f"error: {err}", file=_sys.stderr)
-        return 1
-    try:
-        return args.fn(cfg)
-    except SoftCBFError as err:
+        return args.fn(resolve_config(args))
+    except (SoftCBFError, OSError) as err:
         print(f"error: {err}", file=_sys.stderr)
         return 1
 

@@ -245,7 +245,10 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
     box = sys.input_box
 
     def fallback(x):
-        return np.asarray(bench.safe_controller(x), dtype=float).reshape(m)
+        u = np.asarray(bench.safe_controller(x), dtype=float)
+        if u.shape != (m,):
+            raise InvalidInputError(f"safe controller returned shape {u.shape} for one state; expected {(m,)}")
+        return u
 
     # the rows still running, whose states X holds; `sel` indexes them in
     # the records, as a slice while every row runs
@@ -271,7 +274,7 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
             rows, Xa, soft_a, grad_a = live[act], X[act], soft[act], grad[act]
         stop = []  # positions in live that halt at this step
         if len(Xa):
-            u_des = np.asarray(bench.desired_controller(Xa), dtype=float).reshape(len(Xa), m)
+            u_des = call_batched(bench.desired_controller, Xa, (m,))
             a, c = barrier_block(sys, grad_a, Xa)
             rhs = np.array([
                 make_rhs(cfgs[i].alpha, h,

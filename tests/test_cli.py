@@ -123,6 +123,18 @@ def test_resolve_config_rejects_a_negative_count(tmp_path, key):
     assert getattr(resolve_config(build_parser().parse_args(["certify", "--config", str(cfg_file)])), key) == 0
 
 
+def test_certify_without_a_located_boundary_point_says_so(tmp_path):
+    # no verification ray at all: nothing was found, positive or not
+    cfg_file = tmp_path / "none.cfg"
+    cfg_file.write_text("n_check = 0\n")
+    out = tmp_path / "out"
+    assert main(["certify", "--benchmark", "scalar-stable", "--config", str(cfg_file), "--out", str(out)]) == 2
+    report = read_report(out / "certify-scalar-stable.txt")
+    assert report["verify_boundary_points"] == "0"
+    assert report["verify_min_lie"] == "n/a"
+    assert report["exit_status"] == "verification located no boundary point"
+
+
 def test_certify_below_theta_star_is_not_a_certificate(tmp_path):
     out = tmp_path / "below"
     # theta_star is 15737.3 here; a boundary probe at theta = 100 finds only
@@ -347,6 +359,79 @@ def test_compact_certify_evaluates_gradients_only_where_they_are_read(name, tmp_
     assert rows == [int(report["tube_samples"]), int(report["verify_boundary_points"])]
 
 
+# certification steps that fail: (benchmark, flags, config file, exit code)
+FAILED_STEPS = {
+    "preconditions": ("pendulum-backup", [], "precondition_points = 0\n", 2),
+    "mfcq": ("thin-annulus", ["--activity-tolerance", "0.1"], "", 3),
+    "strict-safety": ("scalar-unstable", [], "", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILED_STEPS))
+def test_simulate_exits_with_certify_code_when_a_step_fails(tmp_path, capsys, monkeypatch, case):
+    name, flags, config, code = FAILED_STEPS[case]
+    cfg_file = tmp_path / "case.cfg"
+    cfg_file.write_text(config)
+    argv = ["--benchmark", name, "--config", str(cfg_file), *flags]
+    if case == "preconditions":
+        # refused before the tube
+        def never(*args, **kwargs):
+            raise AssertionError("sample_tube ran")
+
+        monkeypatch.setattr(softcbf.cli, "sample_tube", never)
+    assert main(["certify", *argv, "--out", str(tmp_path / "certify")]) == code
+    status = read_report(tmp_path / "certify" / f"certify-{name}.txt")["exit_status"]
+    capsys.readouterr()
+    out = tmp_path / "simulate"
+    assert main(["simulate", *argv, "--t-final", "0.1", "--out", str(out)]) == code
+    printed = capsys.readouterr()
+    assert printed.out == f"{status}; no trace written\n"
+    assert printed.err == ""
+    assert not out.exists()
+
+
+CERTIFICATION_STEPS = ("check_backup_preconditions", "sample_tube", "check_mfcq", "estimate_bounds", "certify")
+
+
+def test_simulate_certifies_with_the_steps_of_certify(tmp_path, monkeypatch):
+    calls = []
+    for step in CERTIFICATION_STEPS:
+        def recorded(*args, _real=getattr(softcbf.cli, step), _step=step, **kwargs):
+            calls.append(_step)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(softcbf.cli, step, recorded)
+    assert certify_quick_pendulum(tmp_path)[0] == 0
+    assert calls == list(CERTIFICATION_STEPS)
+    calls.clear()
+    cfg_file = tmp_path / "quick.cfg"
+    assert main(["simulate", "--benchmark", "pendulum-backup", "--seed", "0", "--density", "30",
+                 "--config", str(cfg_file), "--t-final", "0.05", "--out", str(tmp_path)]) == 0
+    assert calls == list(CERTIFICATION_STEPS)
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("name", sorted(SEED0_CERTIFICATES))
+def test_simulate_runs_at_the_multiplier_times_certify_theta_star(tmp_path, monkeypatch, name):
+    cfg_file = tmp_path / "quick.cfg"
+    cfg_file.write_text(QUICK_PENDULUM_CONFIG)
+    argv = ["--benchmark", name, "--seed", "0", "--config", str(cfg_file), "--out", str(tmp_path)]
+    if name == "pendulum-backup":
+        argv += ["--density", "30"]
+    assert main(["certify", *argv]) == 0
+    report = read_report(tmp_path / f"certify-{name}.txt")
+    thetas = []
+    real = softcbf.cli.run
+
+    def run(bench, cfg):
+        thetas.append(cfg.theta)
+        return real(bench, cfg)
+
+    monkeypatch.setattr(softcbf.cli, "run", run)
+    assert main(["simulate", *argv, "--t-final", "0.1"]) == 0
+    assert thetas == [1.01 * float(report["theta_star"])] == [float(report["verify_theta"])]
+
+
 def test_simulate_explicit_theta(tmp_path):
     code = main([
         "simulate", "--benchmark", "scalar-stable", "--theta", "30",
@@ -372,9 +457,19 @@ def test_sweep_csv(tmp_path):
             assert float(row[1]) > 0
 
 
-def test_sweep_requires_thetas(tmp_path):
+def test_sweep_requires_thetas(tmp_path, capsys):
     code = main(["sweep", "--benchmark", "scalar-stable", "--out", str(tmp_path)])
     assert code == 1
+    assert capsys.readouterr().err == "error: sweep needs a nonempty theta list (--thetas)\n"
+
+
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, capsys):
+    # --out names a file, so the report directory cannot be made
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["certify", "--benchmark", "scalar-stable", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_sweep_rejects_a_non_finite_theta_before_writing(tmp_path):
@@ -477,13 +572,16 @@ def test_cli_flags_override_config(tmp_path):
     assert cfg.seed == 3  # file value kept
 
 
-# inputs that certification refuses before any work: (flags, fragment of the error)
+# inputs that certification refuses before any work: (flags, config file,
+# fragment of the error)
 EARLY_REFUSED_INPUTS = {
-    "activity-tolerance-nan": (["--activity-tolerance", "nan"], "activity tolerance must be finite"),
-    "activity-tolerance-negative": (["--activity-tolerance", "-1"], "activity tolerance must be finite"),
-    "density-nan": (["--density", "nan"], "density must be finite"),
-    "density-inf": (["--density", "inf"], "density must be finite"),
-    "epsilon-inf": (["--epsilon", "inf"], "epsilon must be finite"),
+    "activity-tolerance-nan": (["--activity-tolerance", "nan"], "", "activity tolerance must be finite"),
+    "activity-tolerance-negative": (["--activity-tolerance", "-1"], "", "activity tolerance must be finite"),
+    "density-nan": (["--density", "nan"], "", "density must be finite"),
+    "density-inf": (["--density", "inf"], "", "density must be finite"),
+    "epsilon-inf": (["--epsilon", "inf"], "", "epsilon must be finite"),
+    "tail-partial": ([], "tail_R = 1\n", "tail parameters must be given together"),
+    "tail-C-nan": ([], TAIL + "tail_C = nan\n", "tail constants must be finite"),
 }
 
 
@@ -495,9 +593,12 @@ def test_certification_inputs_are_refused_before_any_certification_work(tmp_path
 
     monkeypatch.setattr(softcbf.cli, "check_backup_preconditions", never)
     monkeypatch.setattr(softcbf.cli, "sample_tube", never)
-    flags, message = EARLY_REFUSED_INPUTS[case]
+    flags, config, message = EARLY_REFUSED_INPUTS[case]
+    cfg_file = tmp_path / "case.cfg"
+    cfg_file.write_text(config)
     out = tmp_path / "out"
-    assert main([command, "--benchmark", "pendulum-backup", *flags, "--out", str(out)]) == 1
+    argv = [command, "--benchmark", "pendulum-backup", "--config", str(cfg_file), *flags, "--out", str(out)]
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not out.exists() or list(out.iterdir()) == []

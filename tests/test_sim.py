@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,31 @@ def test_lockstep_configs_must_share_the_clock():
             run(bench, [scalar_cfg(), other])
     with pytest.raises(InvalidInputError):
         run(bench, [])
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_desired_controller_output_of_the_wrong_shape_raises(rows):
+    # checked on the one block call run makes: a (1,) output reshapes
+    # silently into one row of (1, 1), and not into (2, 1)
+    bench = get_benchmark("double-integrator-box")
+    bad = dataclasses.replace(bench, desired_controller=lambda X: np.zeros(1))
+    cfgs = [SimConfig(x0=np.zeros(2), t_final=0.1, dt=0.01, theta=2e4)] * rows
+    message = f"returned shape (1,) for a block of {rows} states; expected ({rows}, 1)"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        run(bad, cfgs)
+
+
+@pytest.mark.parametrize("u", [np.zeros((1, 1)), np.zeros(2)], ids=["1x1", "2"])
+def test_safe_controller_output_of_the_wrong_shape_raises_on_takeover(u):
+    # no actuation: the first filter step is infeasible and the safe
+    # controller takes over on one state, whose input must have shape (m,)
+    bench = get_benchmark("scalar-unstable")
+    sys = dataclasses.replace(bench.sys, actuation=lambda x: _zero_actuation(x))
+    dead = dataclasses.replace(bench, sys=sys, safe_controller=lambda x: u)
+    cfg = scalar_cfg(x0=np.array([0.9]), theta=4.0, t_final=0.1)
+    message = f"safe controller returned shape {u.shape} for one state; expected (1,)"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        run(dead, cfg)
 
 
 def test_filter_record_marks_infeasible_steps():
