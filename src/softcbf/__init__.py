@@ -32,6 +32,7 @@ from .geometry import (
     sample_tube,
 )
 from .certify import (
+    ProbeReports,
     TailSpec,
     ThetaCertificate,
     VerificationReport,

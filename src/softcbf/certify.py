@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "TailSpec",
     "ThetaCertificate",
     "VerificationReport",
+    "ProbeReports",
     "theta_star_compact",
     "theta_star_tail",
     "certify",
@@ -191,15 +192,29 @@ class VerificationReport:
         return self.boundary_found and self.min_lie is not None and self.min_lie > 0.0
 
 
+class ProbeReports(tuple):
+    """The VerificationReport of each theta of one lockstep probe, with its
+    ray counts summed over them, so the call reports them as a one-theta
+    call does."""
+
+    @property
+    def n_requested(self) -> int:
+        return sum(r.n_requested for r in self)
+
+    @property
+    def n_located(self) -> int:
+        return sum(r.n_located for r in self)
+
+
 def probe_boundary(
     cs: ConstraintSet,
     F: VectorField,
-    theta: float,
+    theta: Union[float, Sequence[float]],
     epsilon: float,
     n_check: int,
     seed: int,
     boundary_tol: float = 1e-10,
-) -> VerificationReport:
+) -> Union[VerificationReport, ProbeReports]:
     """Locate points on the zero level set of the smooth minimum and
     evaluate its Lie derivative there.
 
@@ -212,64 +227,86 @@ def probe_boundary(
     `ConstraintSet.screened_values`.  No threshold precondition is imposed
     here, which makes the routine usable for sweeps across the threshold;
     `verify_certificate` adds the precondition.
+
+    `theta` is one value, giving one VerificationReport, or a sequence,
+    giving a ProbeReports with one report per value; one value is probed as
+    the one-element sequence.  The values are probed in lockstep: the
+    interior pool is drawn and screened once, the rays of every value go
+    through one `march_and_bisect`, each point at its ray's theta, and all
+    located points through one evaluation.  Each value's starts and
+    directions come from a generator seeded with `seed` and advanced past
+    the pool draw, as if it were probed alone, so its report is that of a
+    one-value call; only where that call would evaluate a lone row can a
+    level differ, in its last bit (see `march_and_bisect`).
     """
     box = _require_box(cs, "boundary probing")
-    theta = _check_theta(theta)
+    thetas = np.array([_check_theta(t) for t in np.ravel(theta)])
     rng = np.random.default_rng(seed)
     n_check = int(n_check)
 
-    def soft_level(X):
-        return softmin_block(cs.screened_values(X), theta)[0]
-
-    # interior pool
+    # interior pool, screened once; each theta's level is its smooth minimum
     n_pool = max(4 * n_check, 256)
     pool = rng.uniform(box[:, 0], box[:, 1], size=(n_pool, cs.n))
-    pool_level = soft_level(pool)
-    interior = np.flatnonzero(pool_level > 0.0)
-    located = np.empty((0, cs.n))
-    n_crossed = 0
-    if interior.size > 0:
-        starts = interior[rng.choice(interior.size, size=n_check, replace=True)]
-        dirs = rng.normal(size=(n_check, cs.n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pool_vals = cs.screened_values(pool)
+    after_pool = rng.bit_generator.state
+    starts, start_levels, dirs, owners = [], [], [], []
+    for j, t in enumerate(thetas):
+        pool_level = softmin_block(pool_vals, t)[0]
+        interior = np.flatnonzero(pool_level > 0.0)
+        if interior.size == 0:
+            continue
+        rng.bit_generator.state = after_pool
+        chosen = interior[rng.choice(interior.size, size=n_check, replace=True)]
+        d = rng.normal(size=(n_check, cs.n))
+        dirs.append(d / np.linalg.norm(d, axis=1, keepdims=True))
+        starts.append(pool[chosen])
+        start_levels.append(pool_level[chosen])
+        owners.append(np.full(n_check, j))
+    owner = np.concatenate(owners) if owners else np.empty(0, dtype=int)
+    located, rays, crossed = np.empty((0, cs.n)), np.empty(0, dtype=int), np.empty(0, dtype=bool)
+    if owner.size:
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-        located, n_crossed = march_and_bisect(
-            soft_level, pool[starts], pool_level[starts], dirs, step=0.04 * scale,
+        located, rays, crossed = march_and_bisect(
+            lambda X, r: softmin_block(cs.screened_values(X), thetas[owner[r]])[0],
+            np.vstack(starts), np.concatenate(start_levels), np.vstack(dirs), step=0.04 * scale,
             n_steps=60, box=box, margin=0.5 * scale, band=(0.0, boundary_tol), max_iter=100,
         )
-    counts = dict(
-        n_requested=n_check, n_located=int(located.shape[0]),
-        n_abandoned=n_check - n_crossed, n_unconverged=n_crossed - int(located.shape[0]),
-    )
-    if located.shape[0] == 0:
-        return VerificationReport(
-            theta=float(theta), epsilon=float(epsilon), **counts, boundary_found=False,
-            min_lie=None, argmin_point=None, nonpositive=(), containment_ok=False,
-            max_h_hat=None, min_h_hat=None,
+    who = owner[rays]
+    if located.shape[0]:
+        vals, grads = cs.evaluate_batch(located)
+        Fx = call_batched(F, located, (cs.n,))
+        # Lie derivative of the smooth minimum: weighted sum of per-constraint rows
+        _, w = softmin_block(vals, thetas[who])
+        lie = np.sum(w * np.einsum("bni,bi->bn", grads, Fx), axis=1)
+        h_hat = vals.min(axis=1)
+
+    reports = []
+    for j, t in enumerate(thetas.tolist()):
+        mine = np.flatnonzero(who == j)
+        n_crossed = int(np.count_nonzero(crossed[owner == j]))
+        base = dict(
+            theta=t, epsilon=float(epsilon), n_requested=n_check, n_located=mine.size,
+            n_abandoned=n_check - n_crossed, n_unconverged=n_crossed - mine.size,
         )
-
-    vals, grads = cs.evaluate_batch(located)
-    Fx = call_batched(F, located, (cs.n,))
-    # Lie derivative of the smooth minimum: weighted sum of per-constraint rows
-    _, w = softmin_block(vals, theta)
-    lie = np.sum(w * np.einsum("bni,bi->bn", grads, Fx), axis=1)
-
-    h_hat = vals.min(axis=1)
-    bad = lie <= 0.0
-    i_min = int(lie.argmin())
-    containment_ok = bool(np.all(h_hat >= 0.0) and np.all(h_hat <= epsilon + 1e-9))
-    return VerificationReport(
-        theta=float(theta),
-        epsilon=float(epsilon),
-        **counts,
-        boundary_found=True,
-        min_lie=float(lie[i_min]),
-        argmin_point=located[i_min].copy(),
-        nonpositive=tuple((located[b].copy(), float(lie[b])) for b in np.flatnonzero(bad)),
-        containment_ok=containment_ok,
-        max_h_hat=float(h_hat.max()),
-        min_h_hat=float(h_hat.min()),
-    )
+        if mine.size == 0:
+            reports.append(VerificationReport(
+                **base, boundary_found=False, min_lie=None, argmin_point=None, nonpositive=(),
+                containment_ok=False, max_h_hat=None, min_h_hat=None,
+            ))
+            continue
+        pts, lie_j, h_j = located[mine], lie[mine], h_hat[mine]
+        i_min = int(lie_j.argmin())
+        reports.append(VerificationReport(
+            **base,
+            boundary_found=True,
+            min_lie=float(lie_j[i_min]),
+            argmin_point=pts[i_min].copy(),
+            nonpositive=tuple((pts[b].copy(), float(lie_j[b])) for b in np.flatnonzero(lie_j <= 0.0)),
+            containment_ok=bool(np.all(h_j >= 0.0) and np.all(h_j <= epsilon + 1e-9)),
+            max_h_hat=float(h_j.max()),
+            min_h_hat=float(h_j.min()),
+        ))
+    return reports[0] if np.ndim(theta) == 0 else ProbeReports(reports)
 
 
 def verify_certificate(

@@ -25,6 +25,7 @@ from .errors import DomainError, NotStrictlySafeError, SoftCBFError
 from .geometry import _check_activity_tolerance, _check_band, check_mfcq, estimate_bounds, sample_tube
 from .safety_filter import ClassK
 from .sim import SAFETY_TOLERANCE, SimConfig, run
+from .softmin import _check_theta
 from .systems import benchmark_names, get_benchmark
 
 __all__ = ["ScenarioConfig", "main", "cmd_certify", "cmd_simulate", "cmd_sweep"]
@@ -177,6 +178,8 @@ def _certify_steps(cfg: ScenarioConfig, entries: list):
     _check_activity_tolerance(cfg.activity_tolerance)
     tail = _tail_from(cfg)
     bench, cs, F = _certification_pieces(cfg)
+    if cfg.theta is not None and cs.N > 1:  # θ = 0 runs at 1 only where θ* = 0, i.e. N = 1
+        _check_theta(cfg.theta)
     _check_band(cfg.epsilon, cfg.density)
     entries += [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
 
@@ -289,16 +292,17 @@ def cmd_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.thetas:
         raise ConfigError("sweep needs a nonempty theta list (--thetas)")
     bench, cs, F = _certification_pieces(cfg)
-    # the configs check every theta before the csv is opened
+    # the configs check every theta, and ε and the density are checked,
+    # before the csv is opened
     sim_cfgs = [_sim_config(cfg, bench, theta) for theta in cfg.thetas]
+    _check_band(cfg.epsilon, cfg.density)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"sweep-{bench.name}.csv"
     with open(csv_path, "w") as fobj:
         fobj.write("theta,min_boundary_lie,min_h_soft,infeasible_count\n")
-        reports = [probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
-                   for theta in cfg.thetas]
-        # one closed loop per theta, all advanced in lockstep
+        # one boundary probe and one closed loop per theta, each set in lockstep
+        reports = probe_boundary(cs, F, cfg.thetas, cfg.epsilon, cfg.n_check, cfg.seed)
         traces = run(bench, sim_cfgs)
         for theta, report, trace in zip(cfg.thetas, reports, traces):
             lie = report.min_lie if report.min_lie is not None else float("nan")

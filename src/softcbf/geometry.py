@@ -253,36 +253,40 @@ def _require_box(cs: ConstraintSet, what: str) -> np.ndarray:
 def bisect_to_band(level, inside, inside_levels, outside, band, max_iter):
     """Bisect between rows of `inside` (level >= 0, given as `inside_levels`)
     and `outside` (level < 0) points until the inside endpoint has level in
-    band = (lo, hi).
+    band = (lo, hi).  `level(X, rows)` maps a block of points (B, n), and
+    the row each point bisects (B,), to their levels (B,).
 
     Only the midpoints of rows that have not converged are evaluated in
-    each round.  Returns the converged inside points; rows still outside
-    the band after `max_iter` rounds are dropped, and so is a row whose
-    bracket has collapsed to adjacent floats: its midpoint equals one of
-    its endpoints, so no further round could move it.
+    each round, in row order.  The brackets of these live rows are kept in
+    compact arrays, filtered in order as rows converge or drop.  Returns
+    the converged inside points and their rows, ascending; rows still
+    outside the band after `max_iter` rounds are dropped, and so is a row
+    whose bracket has collapsed to adjacent floats: its midpoint equals one
+    of its endpoints, so no further round could move it.
     """
     lo, hi = band
-    inside = inside.copy()
-    outside = outside.copy()
-    h_in = np.array(inside_levels, dtype=float)
+    h_in = np.asarray(inside_levels, dtype=float)
     done = (h_in >= lo) & (h_in <= hi)
-    live = ~done
+    points = inside.copy()
+    rows = np.flatnonzero(~done)
+    a, b = inside[rows], outside[rows]
     for _ in range(max_iter):
-        rows = np.flatnonzero(live)
-        mid = 0.5 * (inside[rows] + outside[rows])
-        moved = ~(np.all(mid == inside[rows], axis=1) | np.all(mid == outside[rows], axis=1))
-        live[rows[~moved]] = False
-        rows, mid = rows[moved], mid[moved]
+        mid = 0.5 * (a + b)
+        moved = ~(np.all(mid == a, axis=1) | np.all(mid == b, axis=1))
+        if not moved.all():
+            rows, a, b, mid = rows[moved], a[moved], b[moved], mid[moved]
         if rows.size == 0:
             break
-        h_mid = level(mid)
+        h_mid = level(mid, rows)
         go_in = h_mid >= 0.0
-        inside[rows[go_in]] = mid[go_in]
-        outside[rows[~go_in]] = mid[~go_in]
-        h_in[rows[go_in]] = h_mid[go_in]
-        done[rows] = (h_in[rows] >= lo) & (h_in[rows] <= hi)
-        live[rows] = ~done[rows]
-    return inside[done]
+        conv = go_in & (h_mid >= lo) & (h_mid <= hi)
+        done[rows[conv]] = True
+        points[rows[conv]] = mid[conv]
+        keep = ~conv
+        rows = rows[keep]
+        a = np.where(go_in[:, None], mid, a)[keep]
+        b = np.where(go_in[:, None], b, mid)[keep]
+    return points[done], np.flatnonzero(done)
 
 
 def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, margin, band, max_iter):
@@ -293,10 +297,11 @@ def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, marg
     turns negative; the crossing is then bisected back until the inside
     endpoint has level in `band` (see `bisect_to_band`).  A ray that leaves `box`
     widened by `margin` on every side before crossing, or that has not
-    crossed after `n_steps` steps, is abandoned.  `level` maps a block (B, n)
-    to (B,).
+    crossed after `n_steps` steps, is abandoned.  `level(X, rays)` maps a
+    block of points (B, n), and the ray each point lies on (B,), to their
+    levels (B,), so rays may follow different level sets.
 
-    No call of `level` holds more than one point per ray.  With L of the R
+    No call of `level` holds more points than there are rays.  With L of the R
     rays still marching, each evaluates its next min(R // L, steps left)
     points in one call, up to its first point outside the widened box, so
     the calls stay full as rays drop out; points past a crossing are
@@ -307,9 +312,9 @@ def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, marg
     are bitwise those of a one-step march; only where that march would
     evaluate a lone ray can a level differ, in its last bit.
 
-    Returns the located points and the number of rays that crossed; the
-    crossed rays that are not located stayed outside `band` for `max_iter`
-    rounds.
+    Returns the located points, the ray of each (ascending) and the mask
+    (R,) of the rays that crossed; the crossed rays that are not located
+    stayed outside `band` for `max_iter` rounds.
     """
     lo_box = box[:, 0] - margin
     hi_box = box[:, 1] + margin
@@ -338,7 +343,7 @@ def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, marg
         evaluated = np.ones_like(in_box)
         evaluated[1:] = ~np.logical_or.accumulate(~in_box, axis=0)[:-1]
         h = np.full(in_box.shape, np.nan)
-        h[evaluated] = level(pts[evaluated])
+        h[evaluated] = level(pts[evaluated], np.broadcast_to(rows, in_box.shape)[evaluated])
         neg = h < 0.0
         crossed = neg.any(axis=0)
         first = np.where(crossed, neg.argmax(axis=0), K)
@@ -353,8 +358,11 @@ def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, marg
         h_inside[rows[kept]] = h[last[kept], cols[kept]]
         probe[rows] = pts[-1]
         live[rows] = ~crossed & in_box.all(axis=0)
-    located = bisect_to_band(level, inside[found], h_inside[found], outside[found], band, max_iter)
-    return located, int(found.sum())
+    rays = np.flatnonzero(found)
+    located, conv = bisect_to_band(
+        lambda X, r: level(X, rays[r]), inside[rays], h_inside[rays], outside[rays], band, max_iter
+    )
+    return located, rays[conv], found
 
 
 def _check_band(epsilon: float, density: float) -> float:
@@ -388,7 +396,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     n_cand = max(512, int(math.ceil(density * volume)))
 
-    def level(X):
+    def level(X, _rays):
         return cs.screened_values(X).min(axis=1)
 
     cand = rng.uniform(box[:, 0], box[:, 1], size=(n_cand, cs.n))
@@ -408,10 +416,11 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
         dirs = rng.normal(size=(n_rays, cs.n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         scale = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-        refined, n_crossed = march_and_bisect(
+        refined, _, crossed = march_and_bisect(
             level, cand[starts], h_hat[starts], dirs, step=0.05 * scale,
             n_steps=40, box=box, margin=0.0, band=(0.0, epsilon / 10.0), max_iter=80,
         )
+        n_crossed = int(crossed.sum())
 
     samples = np.vstack([accepted, refined]) if refined.size else accepted
     if samples.shape[0] == 0:
@@ -440,7 +449,7 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
             if out_pool.shape[0] == 0:
                 continue
             outs = out_pool[rng.choice(out_pool.shape[0], size=owned.shape[0])]
-            pts = bisect_to_band(level, cand[owned], h_hat[owned], outs, (0.0, epsilon), 80)
+            pts, _ = bisect_to_band(level, cand[owned], h_hat[owned], outs, (0.0, epsilon), 80)
             if pts.shape[0]:
                 v_p = cs.values(pts)
                 hit = v_p.argmin(axis=1) == i

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import softcbf.backup
 from softcbf import (
     CompactBounds,
     ConstraintSet,
     DomainError,
     InvalidCertificateError,
+    ProbeReports,
     TailSpec,
     certify,
     probe_boundary,
     sample_tube,
     estimate_bounds,
+    get_benchmark,
     theta_star_compact,
     theta_star_tail,
     verify_certificate,
@@ -263,3 +266,81 @@ def test_containment_at_tube_threshold():
     assert report.boundary_found
     assert report.min_h_hat >= 0.0
     assert report.max_h_hat <= 0.1 + 1e-9
+
+
+def report_fields(report):
+    # every field of a VerificationReport, arrays and floats as their bytes
+    def raw(x):
+        return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+    return (
+        report.theta, report.epsilon, report.n_requested, report.n_located, report.n_abandoned,
+        report.n_unconverged, report.boundary_found, raw(report.min_lie), raw(report.argmin_point),
+        tuple((raw(p), raw(v)) for p, v in report.nonpositive), report.containment_ok,
+        raw(report.max_h_hat), raw(report.min_h_hat),
+    )
+
+
+def sweep_compact_thetas(seed):
+    # the theta list perfbench's sweep-compact workload draws for a seed
+    rng = np.random.default_rng(seed)
+    exps = np.linspace(math.log10(3.0), 5.0, 6)
+    exps[1:-1] += rng.uniform(-0.3, 0.3, 4)
+    return [float(t) for t in 10.0**exps]
+
+
+def assert_list_probe_is_one_theta_probes(bench, thetas, n_check, seed):
+    cs, F = bench.certification_set(), bench.closed_loop_field()
+    reports = probe_boundary(cs, F, thetas, bench.cert_epsilon, n_check, seed)
+    assert isinstance(reports, ProbeReports) and len(reports) == len(thetas)
+    single = [probe_boundary(cs, F, t, bench.cert_epsilon, n_check, seed) for t in thetas]
+    assert [report_fields(r) for r in reports] == [report_fields(r) for r in single]
+    assert reports.n_requested == len(thetas) * n_check
+    assert reports.n_located == sum(r.n_located for r in single)
+    return reports
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("seed", range(10))
+def test_probe_of_a_theta_list_equals_one_theta_probes(seed):
+    assert_list_probe_is_one_theta_probes(
+        get_benchmark("double-integrator-box"), sweep_compact_thetas(seed), 500, seed)
+
+
+@pytest.mark.gate
+def test_probe_of_a_theta_list_with_a_repeated_and_an_interior_free_theta():
+    # at theta = 0.01 the smooth minimum is negative on the whole box, so
+    # no ray starts; its report still counts every requested ray
+    bench = get_benchmark("double-integrator-box")
+    reports = assert_list_probe_is_one_theta_probes(bench, [300.0, 0.01, 300.0, 2e4], 200, 3)
+    assert not reports[1].boundary_found and reports[1].n_abandoned == 200
+    assert report_fields(reports[0]) == report_fields(reports[2])
+    assert all(r.boundary_found for r in reports[::2])
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("seed", range(3))
+def test_pendulum_probe_of_a_theta_list_shares_its_pool_and_flows(seed, monkeypatch):
+    bench = get_benchmark("pendulum-backup")
+    thetas = [3000.0, 75000.0, 1e6]
+    real = softcbf.backup.integrate_flow_batch
+    flows = []
+
+    def counted(prob, X0, *args, **kwargs):
+        flows.append(np.array(X0))
+        return real(prob, X0, *args, **kwargs)
+
+    monkeypatch.setattr(softcbf.backup, "integrate_flow_batch", counted)
+    assert_list_probe_is_one_theta_probes(bench, thetas, 30, seed)
+    # the list call's flows come first, then those of the three one-theta calls
+    box = bench.certification_set().bounding_box
+    pool = {x.tobytes() for x in np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(256, 2))}
+
+    def pool_flows(group):
+        return sum(all(x.tobytes() in pool for x in X0) for X0 in group)
+
+    firsts = [i for i, X0 in enumerate(flows) if pool_flows([X0])]
+    assert len(firsts) == 1 + len(thetas)
+    lockstep, single = flows[: firsts[1]], flows[firsts[1]:]
+    assert pool_flows(lockstep) == 1
+    assert len(lockstep) < len(single) / 2

@@ -7,7 +7,10 @@ import pytest
 import softcbf.backup
 import softcbf.cli
 from softcbf.cli import ConfigError, ScenarioConfig, build_parser, load_config, main, resolve_config
+from softcbf.certify import probe_boundary
 from softcbf.geometry import ConstraintSet
+from softcbf.sim import run
+from softcbf.systems import get_benchmark
 
 
 def read_report(path):
@@ -55,6 +58,28 @@ def test_certify_rejects_a_non_finite_theta(tmp_path, capsys, monkeypatch, theta
         assert main(["certify", "--benchmark", name, "--theta", theta, "--out", str(tmp_path)]) == 1
         assert f"theta must be a finite positive number, got {theta}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_certify_refuses_theta_zero_before_any_work_where_theta_star_is_positive(tmp_path, capsys, monkeypatch):
+    # theta = 0 runs verification at 1 only where theta_star = 0, which
+    # takes one constraint; with more it is refused before any work
+    def never(*args, **kwargs):
+        raise AssertionError("certification ran")
+
+    real = softcbf.backup.integrate_flow_batch
+    flows = []
+
+    def counted(*args, **kwargs):
+        flows.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(softcbf.backup, "integrate_flow_batch", counted)
+    monkeypatch.setattr(softcbf.cli, "sample_tube", never)
+    monkeypatch.setattr(softcbf.cli, "check_backup_preconditions", never)
+    for name in ("pendulum-backup", "double-integrator-box"):
+        assert main(["certify", "--benchmark", name, "--theta", "0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: theta must be a finite positive number, got 0.0\n"
+    assert flows == [] and list(tmp_path.iterdir()) == []
 
 
 TAIL = "tail_R = 1\ntail_eta = 0.01\ntail_p = 1\ntail_r_inf = 0.5\n"
@@ -477,6 +502,36 @@ def test_sweep_rejects_a_non_finite_theta_before_writing(tmp_path):
                  "--t-final", "0.1", "--out", str(tmp_path)])
     assert code == 1
     assert not (tmp_path / "sweep-double-integrator-box.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--epsilon", "0"], ["--density", "nan"]])
+def test_sweep_refuses_a_bad_band_before_writing(tmp_path, capsys, flags):
+    # epsilon enters the containment check of every probe report
+    code = main(["sweep", "--benchmark", "double-integrator-box", "--thetas", "100,20000", *flags,
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1 and err.startswith("error: ")
+    assert "must be finite and positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.gate
+def test_pendulum_sweep_writes_the_rows_of_one_theta_probes_and_run(tmp_path):
+    thetas = [3000.0, 75000.0, 1e6]
+    cfg_file = tmp_path / "quick.cfg"
+    cfg_file.write_text("n_check = 30\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--benchmark", "pendulum-backup", "--config", str(cfg_file),
+                 "--thetas", "3000,75000,1e6", "--t-final", "0.05", "--out", str(out)]) == 0
+    bench = get_benchmark("pendulum-backup")
+    cs, F = bench.certification_set(), bench.closed_loop_field()
+    cfg = ScenarioConfig(benchmark=bench.name, t_final=0.05)
+    traces = run(bench, [softcbf.cli._sim_config(cfg, bench, t) for t in thetas])
+    lines = ["theta,min_boundary_lie,min_h_soft,infeasible_count"]
+    for t, trace in zip(thetas, traces):
+        lie = probe_boundary(cs, F, t, bench.cert_epsilon, 30, 0).min_lie
+        lines.append(f"{t:.17g},{lie:.17g},{trace.min_h_soft:.17g},{int(trace.infeasible.sum())}")
+    assert (out / "sweep-pendulum-backup.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_single_theta_sweep_consistent_with_simulate(tmp_path):

@@ -448,12 +448,12 @@ def test_march_and_bisect_evaluates_only_live_rows():
     band = (0.0, 1e-6)
     calls = []
 
-    def level(X):
+    def level(X, rays):
         h = 1.0 - X[:, 0]
         calls.append((X.copy(), h.copy()))
         return h
 
-    located, _ = march_and_bisect(level, starts, start_levels, dirs, step=0.1, n_steps=100,
+    located, _, _ = march_and_bisect(level, starts, start_levels, dirs, step=0.1, n_steps=100,
                                   box=box, margin=0.0, band=band, max_iter=60)
     assert located.shape == (4, 1)
     np.testing.assert_array_less(1.0 - 1e-6 - 1e-15, located[:, 0])
@@ -495,14 +495,15 @@ def test_march_and_bisect_counts_the_rays_that_crossed():
     starts, start_levels, dirs = five_ray_line()
     box = np.array([[-2.0, 2.0]])
     kwargs = dict(step=0.1, n_steps=100, box=box, margin=0.0, band=(0.0, 1e-6))
-    located, n_crossed = march_and_bisect(lambda X: 1.0 - X[:, 0], starts, start_levels, dirs,
-                                          max_iter=60, **kwargs)
+    located, rays, crossed = march_and_bisect(lambda X, r: 1.0 - X[:, 0], starts, start_levels,
+                                              dirs, max_iter=60, **kwargs)
     # the left-going ray is abandoned, the other four cross and converge
-    assert (n_crossed, located.shape[0]) == (4, 4)
+    assert crossed.tolist() == [True, True, True, True, False]
+    assert (located.shape[0], rays.tolist()) == (4, [0, 1, 2, 3])
     # three bisection rounds bring none of the four into the band
-    located, n_crossed = march_and_bisect(lambda X: 1.0 - X[:, 0], starts, start_levels, dirs,
-                                          max_iter=3, **kwargs)
-    assert n_crossed == 4 and located.shape[0] < n_crossed
+    located, rays, crossed = march_and_bisect(lambda X, r: 1.0 - X[:, 0], starts, start_levels,
+                                              dirs, max_iter=3, **kwargs)
+    assert crossed.sum() == 4 and located.shape[0] == rays.size < 4
 
 
 def one_step_march(level, starts, start_levels, dirs, step, n_steps, box, margin, band, max_iter):
@@ -525,7 +526,7 @@ def one_step_march(level, starts, start_levels, dirs, step, n_steps, box, margin
         rounds.append(rows.size)
         probe[rows] = probe[rows] + step * dirs[rows]
         pts = probe[rows]
-        h = level(pts)
+        h = level(pts, rows)
         crossed = h < 0.0
         outside[rows[crossed]] = pts[crossed]
         found[rows[crossed]] = True
@@ -534,7 +535,9 @@ def one_step_march(level, starts, start_levels, dirs, step, n_steps, box, margin
         h_inside[rows[still]] = h[still]
         in_box = np.all((pts >= lo_box) & (pts <= hi_box), axis=1)
         live[rows] = ~crossed & in_box
-    located = bisect_to_band(level, inside[found], h_inside[found], outside[found], band, max_iter)
+    rays = np.flatnonzero(found)
+    located, _ = bisect_to_band(lambda X, r: level(X, rays[r]), inside[found], h_inside[found],
+                                outside[found], band, max_iter)
     return located, int(found.sum()), rounds
 
 
@@ -565,14 +568,14 @@ def march_case(name):
     if name == "pendulum":
         cs = get_benchmark("pendulum-backup").certification_set()
 
-        def level(X):
+        def level(X, rays=None):
             return softmin_block(cs.screened_values(X), 3000.0)[0]
 
         n_rays, scale_step, n_steps, margin, band, max_iter = 24, 0.04, 60, 0.5, (0.0, 1e-10), 100
     else:
         cs = box_faces() if name == "box-faces" else get_benchmark("thin-annulus").certification_set()
 
-        def level(X):
+        def level(X, rays=None):
             return cs.screened_values(X).min(axis=1)
 
         n_rays, scale_step, n_steps, margin, band, max_iter = 64, 0.05, 40, 0.0, (0.0, 1e-3), 80
@@ -594,25 +597,47 @@ def test_march_matches_one_step_reference_bitwise(name):
     level, starts, start_levels, dirs, kwargs = march_case(name)
 
     def recorded(blocks):
-        def fn(X):
+        def fn(X, rays):
             blocks.append(X.shape[0])
-            return level(X)
+            return level(X, rays)
 
         return fn
 
     blocks, ref_blocks = [], []
-    located, n_crossed = march_and_bisect(recorded(blocks), starts, start_levels, dirs, **kwargs)
+    located, _, crossed = march_and_bisect(recorded(blocks), starts, start_levels, dirs, **kwargs)
+    n_crossed = int(crossed.sum())
     ref, ref_crossed, rounds = one_step_march(recorded(ref_blocks), starts, start_levels, dirs, **kwargs)
     assert located.shape[0] > 0
     assert located.tobytes() == ref.tobytes()
     assert n_crossed == ref_crossed
-    # never more than one point per ray in a call
+    # never more points in a call than there are rays
     assert max(blocks) <= starts.shape[0]
     # rays cross at different steps, so some round before the reference's
     # last has at most half the rays live: the budgeted march takes two or
     # more steps there, and saves calls (the bisection calls are the same)
     assert any(live <= starts.shape[0] // 2 for live in rounds[:-1])
     assert len(blocks) < len(ref_blocks)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "box-faces"])
+def test_level_gets_the_ray_of_every_point(name):
+    # march and bisection points are starts[r] + t * dirs[r] with t > 0 on
+    # the ray r they are tagged with
+    level, starts, start_levels, dirs, kwargs = march_case(name)
+    calls = []
+
+    def recorded(X, rays):
+        calls.append((X.copy(), rays.copy()))
+        return level(X, rays)
+
+    located, rays, crossed = march_and_bisect(recorded, starts, start_levels, dirs, **kwargs)
+    assert located.shape[0] > 0 and np.all(crossed[rays])
+    for X, r in calls + [(located, rays)]:
+        assert r.shape == (X.shape[0],)
+        offset = X - starts[r]
+        t = np.einsum("bi,bi->b", offset, dirs[r])
+        assert np.all(t > 0.0)
+        np.testing.assert_allclose(offset, t[:, None] * dirs[r], rtol=0, atol=1e-12 * (1 + t.max()))
 
 
 def reference_bisect_to_band(level, inside, inside_levels, outside, band, max_iter, rounds):
@@ -631,13 +656,13 @@ def reference_bisect_to_band(level, inside, inside_levels, outside, band, max_it
         mid = 0.5 * (inside[rows] + outside[rows])
         collapsed = np.all(mid == inside[rows], axis=1) | np.all(mid == outside[rows], axis=1)
         rounds.append((mid, collapsed))
-        h_mid = level(mid)
+        h_mid = level(mid, rows)
         go_in = h_mid >= 0.0
         inside[rows[go_in]] = mid[go_in]
         outside[rows[~go_in]] = mid[~go_in]
         h_in[rows[go_in]] = h_mid[go_in]
         done[rows] = (h_in[rows] >= lo) & (h_in[rows] <= hi)
-    return inside[done]
+    return inside[done], np.flatnonzero(done)
 
 
 @pytest.mark.gate
@@ -650,7 +675,7 @@ def test_bisection_drops_collapsed_brackets(monkeypatch):
     rng = np.random.default_rng(0)
     pool = rng.uniform(box[:, 0], box[:, 1], size=(800, 2))
 
-    def level(X):
+    def level(X, rays=None):
         return softmin_block(cs.screened_values(X), 60.0)[0]
 
     pool_level = level(pool)
@@ -664,13 +689,14 @@ def test_bisection_drops_collapsed_brackets(monkeypatch):
     def run(bisect):
         blocks = []
 
-        def recorded(X):
+        def recorded(X, rays):
             blocks.append(X.copy())
-            return level(X)
+            return level(X, rays)
 
         monkeypatch.setattr(softcbf.geometry, "bisect_to_band", bisect)
-        located, n_crossed = march_and_bisect(recorded, pool[starts], pool_level[starts], dirs, **kwargs)
-        return located, n_crossed, blocks
+        located, _, crossed = march_and_bisect(recorded, pool[starts], pool_level[starts], dirs,
+                                               **kwargs)
+        return located, int(crossed.sum()), blocks
 
     located, n_crossed, blocks = run(bisect_to_band)
     rounds = []
