@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -24,8 +24,7 @@ from .certify import TailSpec, ThetaCertificate, certify, probe_boundary, verify
 from .errors import DomainError, NotStrictlySafeError, SoftCBFError
 from .geometry import _check_activity_tolerance, _check_band, check_mfcq, estimate_bounds, sample_tube
 from .safety_filter import ClassK
-from .sim import SAFETY_TOLERANCE, SimConfig, run
-from .softmin import _check_theta
+from .sim import SAFETY_TOLERANCE, SimConfig, _as_block, run
 from .systems import benchmark_names, get_benchmark
 
 __all__ = ["ScenarioConfig", "main", "cmd_certify", "cmd_simulate", "cmd_sweep"]
@@ -131,7 +130,8 @@ def _tail_from(cfg: ScenarioConfig) -> Optional[TailSpec]:
 
 
 def _sim_config(cfg: ScenarioConfig, bench, theta: float) -> SimConfig:
-    return SimConfig(
+    """The closed-loop settings at θ, checked against the benchmark's plant."""
+    return _as_block(SimConfig(
         x0=np.asarray(cfg.x0, dtype=float) if cfg.x0 is not None else bench.x0_default,
         t_final=cfg.t_final,
         dt=cfg.dt,
@@ -139,7 +139,7 @@ def _sim_config(cfg: ScenarioConfig, bench, theta: float) -> SimConfig:
         alpha=ClassK(kind=cfg.alpha_kind, kappa=cfg.alpha_kappa, scale=cfg.alpha_scale),
         infeasible_policy=cfg.infeasible_policy,
         substeps=cfg.substeps,
-    )
+    ), bench.sys.n)[0]
 
 
 def _fmt(value) -> str:
@@ -169,17 +169,18 @@ def _certification_pieces(cfg: ScenarioConfig):
 
 def _certify_steps(cfg: ScenarioConfig, entries: list):
     """Certification as `certify` and `simulate` without --theta run it.
-    Refuses a bad θ, activity tolerance, ε, density or tail spec before any
-    work, then runs each step, appending its report entries.  Returns
-    (bench, cs, F, outcome); outcome is the certificate, or the (exit code,
-    status, summary) of the step that failed."""
-    if cfg.theta is not None and not (np.isfinite(cfg.theta) and cfg.theta >= 0.0):
-        raise DomainError(f"theta must be a finite positive number, got {cfg.theta}")
+    Refuses a bad θ or theta_multiplier, activity tolerance, ε, density or
+    tail spec before any work, then runs each step, appending its report
+    entries.  Returns (bench, cs, F, outcome); outcome is the certificate,
+    or the (exit code, status, summary) of the step that failed."""
     _check_activity_tolerance(cfg.activity_tolerance)
     tail = _tail_from(cfg)
     bench, cs, F = _certification_pieces(cfg)
-    if cfg.theta is not None and cs.N > 1:  # θ = 0 runs at 1 only where θ* = 0, i.e. N = 1
-        _check_theta(cfg.theta)
+    # θ is --theta, else theta_multiplier·θ*; 0 runs at 1 only where θ* = 0, i.e. N = 1
+    key = "theta" if cfg.theta is not None else "theta_multiplier"
+    value = float(getattr(cfg, key))
+    if not (np.isfinite(value) and value >= 0.0) or (value == 0.0 and cs.N > 1):
+        raise DomainError(f"{key} must be a finite positive number, got {value}")
     _check_band(cfg.epsilon, cfg.density)
     entries += [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
 
@@ -268,21 +269,23 @@ def cmd_certify(cfg: ScenarioConfig) -> int:
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:
-    if cfg.theta is not None:
-        bench, theta = get_benchmark(cfg.benchmark), cfg.theta
-    else:
+    # the closed-loop settings are checked before any certification work,
+    # at a stand-in θ where --theta is not given
+    bench = get_benchmark(cfg.benchmark)
+    sim_cfg = _sim_config(cfg, bench, 1.0 if cfg.theta is None else cfg.theta)
+    if cfg.theta is None:
         bench, _, _, cert = _certify_steps(cfg, [])
         if not isinstance(cert, ThetaCertificate):  # (exit code, status, summary)
             print(f"{cert[1]}; no trace written")
             return cert[0]
-        theta = _operating_theta(cfg, cert)
-    trace = run(bench, _sim_config(cfg, bench, theta))
+        sim_cfg = replace(sim_cfg, theta=_operating_theta(cfg, cert))
+    trace = run(bench, sim_cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"trace-{bench.name}.csv"
     trace.to_csv(str(csv_path))
     print(
-        f"simulated {trace.times[-1]:.3g}s at theta={theta:.6g}: min_h_soft={trace.min_h_soft:.3e},"
+        f"simulated {trace.times[-1]:.3g}s at theta={sim_cfg.theta:.6g}: min_h_soft={trace.min_h_soft:.3e},"
         f" infeasible steps={int(trace.infeasible.sum())}; trace: {csv_path}"
     )
     return 0 if trace.min_h_soft >= SAFETY_TOLERANCE else 4

@@ -88,9 +88,10 @@ class ConstraintSet:
     shape (B, n) to (values (B, N), gradients (B, N, n)), and `N` gives its
     size.  A family may instead be declared per constraint: `evaluators[i]`
     maps one state (n,) to (h_i(x), grad_i(x)), and `N` is then
-    `len(evaluators)`.  Only such a family without a batch evaluator is
-    evaluated by a Python loop, over its evaluators and over the rows of a
-    block.  `bounding_box` (shape (n, 2), rows [lo, hi]) marks
+    `len(evaluators)`.  Either way a family evaluates one way, a block at a
+    time through `evaluate_batch`: the batch evaluator when there is one,
+    else a loop over the rows of the block and, in each, over the
+    evaluators.  `bounding_box` (shape (n, 2), rows [lo, hi]) marks
     compact-mode: a box believed to contain the safe set, required for any
     sampling operation.  `value_evaluator`, when given, maps a block to the
     values (B, N) alone and must agree with the batch evaluator; level-set
@@ -130,30 +131,32 @@ class ConstraintSet:
 
     def evaluate(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Values (N,) and gradients (N, n) at one state (n,): row 0 of
-        `evaluate_batch(x[None])` when the family has a batch evaluator."""
+        `evaluate_batch(x[None])`."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise InvalidInputError(f"expected one state of shape ({self.n},), got {x.shape}")
-        if self.batch_evaluator is not None:
-            vals, grads = self.evaluate_batch(x[None])
-            return vals[0], grads[0]
-        vals = np.empty(self.N)
-        grads = np.empty((self.N, self.n))
-        for i, ev in enumerate(self.evaluators):
-            v, g = ev(x)
-            vals[i] = v
-            grads[i] = np.asarray(g, dtype=float)
-        return vals, grads
+        vals, grads = self.evaluate_batch(x[None])
+        return vals[0], grads[0]
 
     def evaluate_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Values (B, N) and gradients (B, N, n) at a block of states."""
+        """Values (B, N) and gradients (B, N, n) at a block of states: one
+        call of the batch evaluator, or of `_per_constraint` where the
+        family has none."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.batch_evaluator is not None:
-            return call_batched(self.batch_evaluator, X, (self.N,), (self.N, self.n))
+        return call_batched(self.batch_evaluator or self._per_constraint, X, (self.N,), (self.N, self.n))
+
+    def _per_constraint(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """The batch evaluator of a family declared per constraint: each
+        row of X, then each evaluator on that one state."""
+        if X.shape[1:] != (self.n,):
+            raise InvalidInputError(f"expected states of shape (B, {self.n}), got {X.shape}")
         vals = np.empty((X.shape[0], self.N))
         grads = np.empty((X.shape[0], self.N, self.n))
         for b, x in enumerate(X):
-            vals[b], grads[b] = self.evaluate(x)
+            for i, ev in enumerate(self.evaluators):
+                v, g = ev(x)
+                vals[b, i] = v
+                grads[b, i] = np.asarray(g, dtype=float)
         return vals, grads
 
     def values(self, X) -> np.ndarray:

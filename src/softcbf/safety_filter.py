@@ -170,8 +170,8 @@ class ClassK:
     def __post_init__(self):
         if self.kind not in ("linear", "cubic", "tanh"):
             raise InvalidInputError(f"unknown class-K kind {self.kind!r}")
-        if self.kappa <= 0 or self.scale <= 0:
-            raise InvalidInputError("class-K parameters must be positive")
+        if not (0 < self.kappa < math.inf and 0 < self.scale < math.inf):
+            raise InvalidInputError(f"class-K kappa {self.kappa} and scale {self.scale} must be finite and positive")
 
     @property
     def unbounded(self) -> bool:

@@ -66,12 +66,12 @@ class SimConfig:
     substeps: int = 10
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.dt, self.t_final, self.theta)):
-            raise InvalidInputError(f"dt {self.dt}, t_final {self.t_final} and theta {self.theta} must be finite")
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_final)):
+            raise InvalidInputError(f"dt {self.dt} and t_final {self.t_final} must be finite")
         if self.dt <= 0 or self.t_final < self.dt:
             raise InvalidInputError("need dt > 0 and t_final >= dt")
-        if self.theta <= 0:
-            raise InvalidInputError("theta must be positive")
+        if not (math.isfinite(self.theta) and self.theta > 0):
+            raise InvalidInputError(f"theta must be finite and positive, got {self.theta}")
         if self.infeasible_policy not in ("halt", "backup-takeover", "clip"):
             raise InvalidInputError(f"unknown infeasible policy {self.infeasible_policy!r}")
         if self.substeps < 1:
@@ -172,13 +172,16 @@ def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) ->
     return X
 
 
-def _as_block(cfg: Union[SimConfig, Sequence[SimConfig]]) -> list:
+def _as_block(cfg: Union[SimConfig, Sequence[SimConfig]], n: int) -> list:
+    """The configs to run in lockstep on an n-dimensional plant, checked."""
     cfgs = [cfg] if isinstance(cfg, SimConfig) else list(cfg)
     if not cfgs:
         raise InvalidInputError("need at least one config")
     clock = {(c.dt, c.t_final, c.substeps) for c in cfgs}
     if len(clock) > 1:
         raise InvalidInputError("configs run in lockstep must share dt, t_final and substeps")
+    if any(c.x0.size != n for c in cfgs):
+        raise InvalidInputError(f"x0 must have dimension {n}")
     return cfgs
 
 
@@ -197,9 +200,7 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
     last bits (see `integrate_flow_batch`).
     """
     sys = bench.sys
-    cfgs = _as_block(cfg)
-    if any(c.x0.size != sys.n for c in cfgs):
-        raise InvalidInputError(f"x0 must have dimension {sys.n}")
+    cfgs = _as_block(cfg, sys.n)
     B, n, m = len(cfgs), sys.n, sys.m
     eval_barrier = _barrier_block(bench)
     theta = np.array([c.theta for c in cfgs])
@@ -226,17 +227,20 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
     dt, substeps = cfgs[0].dt, cfgs[0].substeps
     n_steps = int(round(cfgs[0].t_final / dt))
     times = np.arange(n_steps + 1) * dt
-    # recorded as [step, row]; each trace takes its column
-    states = np.empty((n_steps + 1, B, n))
-    controls = np.zeros((n_steps + 1, B, m))
-    h_soft = np.empty((n_steps + 1, B))
-    h_hard = np.empty((n_steps + 1, B))
-    modified = np.zeros((n_steps + 1, B), dtype=bool)
-    infeasible = np.zeros((n_steps + 1, B), dtype=bool)
-    # the filter's outcome at every step; ""/NaN where it did not run
-    filter_status = np.full((n_steps + 1, B), "", dtype="<U10")
-    slack = np.full((n_steps + 1, B), np.nan)
-    multiplier = np.full((n_steps + 1, B), np.nan)
+    # the per-step records, keyed by SimTrace field and recorded as
+    # [step, row]; each trace takes its column
+    records = {
+        "states": np.empty((n_steps + 1, B, n)),
+        "controls": np.zeros((n_steps + 1, B, m)),
+        "h_soft": np.empty((n_steps + 1, B)),
+        "h_hard": np.empty((n_steps + 1, B)),
+        "modified": np.zeros((n_steps + 1, B), dtype=bool),
+        "infeasible": np.zeros((n_steps + 1, B), dtype=bool),
+        # the filter's outcome at every step; ""/NaN where it did not run
+        "filter_status": np.full((n_steps + 1, B), "", dtype="<U10"),
+        "slack": np.full((n_steps + 1, B), np.nan),
+        "multiplier": np.full((n_steps + 1, B), np.nan),
+    }
 
     ends = np.full(B, n_steps + 1)  # rows recorded per trace
     notes = [""] * B
@@ -256,11 +260,11 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
     for k in range(n_steps + 1):
         if k > 0:
             soft, grad, hard = eval_barrier(X, theta_live)
-        states[k, sel] = X
-        h_soft[k, sel] = soft
-        h_hard[k, sel] = hard
+        records["states"][k, sel] = X
+        records["h_soft"][k, sel] = soft
+        records["h_hard"][k, sel] = hard
         if k == n_steps:
-            controls[k, sel] = controls[k - 1, sel] if k > 0 else 0.0
+            records["controls"][k, sel] = records["controls"][k - 1, sel] if k > 0 else 0.0
             break
 
         # act: the positions in live whose input is filtered; rows: their records
@@ -286,12 +290,12 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
             else:
                 out = filter_unconstrained_block(a, c, rhs, u_des)
             U[act] = out.u
-            filter_status[k, rows] = out.qp_status
-            slack[k, rows] = out.constraint_value
-            multiplier[k, rows] = out.multiplier
+            records["filter_status"][k, rows] = out.qp_status
+            records["slack"][k, rows] = out.constraint_value
+            records["multiplier"][k, rows] = out.multiplier
             ok = out.qp_status != "infeasible"
             acted = out.modified & ok
-            modified[k, rows] = acted
+            records["modified"][k, rows] = acted
             # the closed-form projection is discontinuous where the input
             # direction nearly vanishes: count the steps that acted there
             near_singular[rows] += acted & (
@@ -299,7 +303,7 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
             for j in np.flatnonzero(~ok):
                 p = np.arange(live.size)[act][j]  # the position in live of filtered row j
                 i = live[p]
-                infeasible[k, i] = True
+                records["infeasible"][k, i] = True
                 policy = cfgs[i].infeasible_policy
                 if policy == "halt":
                     notes[i] = f"halted on infeasible filter at t={times[k]:.6g}"
@@ -311,7 +315,7 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
                 else:  # clip
                     notes[i] = notes[i] or "clip policy applied on infeasible steps (unsound)"
                     U[p] = np.clip(u_des[j], box[:, 0], box[:, 1]) if box is not None else u_des[j]
-        controls[k, sel] = U
+        records["controls"][k, sel] = U
 
         if stop:
             keep = np.ones(live.size, dtype=bool)
@@ -330,20 +334,12 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
             sel, theta_live = live, theta[live]
 
     traces = []
-    for i in range(B):
-        e = ends[i]
-        trace_h = np.ascontiguousarray(h_soft[:e, i])
+    for i, e in enumerate(ends):
+        cols = {name: np.ascontiguousarray(rec[:e, i]) for name, rec in records.items()}
+        trace_h = cols["h_soft"]
         traces.append(SimTrace(
             times=times[:e],
-            states=np.ascontiguousarray(states[:e, i]),
-            controls=np.ascontiguousarray(controls[:e, i]),
-            h_soft=trace_h,
-            h_hard=np.ascontiguousarray(h_hard[:e, i]),
-            modified=np.ascontiguousarray(modified[:e, i]),
-            infeasible=np.ascontiguousarray(infeasible[:e, i]),
-            filter_status=np.ascontiguousarray(filter_status[:e, i]),
-            slack=np.ascontiguousarray(slack[:e, i]),
-            multiplier=np.ascontiguousarray(multiplier[:e, i]),
+            **cols,
             min_h_soft=float(trace_h.min()) if trace_h.size else float("nan"),
             violations=[(float(t), float(v)) for t, v in zip(times, trace_h) if v < 0.0],
             truncated=bool(e < n_steps + 1),

@@ -130,11 +130,6 @@ def double_integrator_box() -> Benchmark:
         x = np.asarray(x, dtype=float)
         return -3.0 * (x[..., 0:1] - 3.0) - 3.0 * x[..., 1:2]
 
-    def closed_loop(x):
-        X = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.stack([X[:, 1], -(X[:, 0] + 2.0 * X[:, 1])], axis=-1)
-        return out[0] if np.asarray(x).ndim == 1 else out
-
     def lie_rows(x):
         # per-constraint Lie derivatives under the safe closed loop
         X = np.atleast_2d(np.asarray(x, dtype=float))
@@ -149,7 +144,7 @@ def double_integrator_box() -> Benchmark:
         desired_controller=desired,
         safe_controller=safe,
         x0_default=np.zeros(2),
-        analytic={"closed_loop": closed_loop, "lie_rows": lie_rows},
+        analytic={"lie_rows": lie_rows},
         cert_epsilon=0.05,
         cert_density=2000.0,
     )
@@ -359,7 +354,6 @@ def _scalar_benchmark(name: str, stable: bool) -> Benchmark:
     if stable:
         analytic = {
             "flow": lambda x, t: np.asarray(x, dtype=float) * np.exp(-t),
-            "sensitivity": lambda t: np.exp(-t),
             # under u = 0: L h1 = x, L h2 = -x
             "lie_rows": lambda x: np.stack(
                 [np.atleast_1d(np.asarray(x, dtype=float))[..., 0],

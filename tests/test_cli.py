@@ -504,6 +504,16 @@ def test_sweep_rejects_a_non_finite_theta_before_writing(tmp_path):
     assert not (tmp_path / "sweep-double-integrator-box.csv").exists()
 
 
+def test_sweep_refuses_an_x0_of_the_wrong_dimension_before_writing(tmp_path, capsys):
+    cfg_file = tmp_path / "x0.cfg"
+    cfg_file.write_text("x0 = 0 0 0\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--benchmark", "double-integrator-box", "--config", str(cfg_file),
+                 "--thetas", "100,20000", "--t-final", "0.1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: x0 must have dimension 2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--epsilon", "inf"], ["--epsilon", "0"], ["--density", "nan"]])
 def test_sweep_refuses_a_bad_band_before_writing(tmp_path, capsys, flags):
     # epsilon enters the containment check of every probe report
@@ -600,6 +610,17 @@ def test_config_file_unknown_key_rejected(tmp_path):
     assert main(["certify", "--config", str(cfg_file)]) == 1
 
 
+def test_config_file_bad_value_rejected(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("benchmark = scalar-stable\nseed = abc\n")
+    with pytest.raises(ConfigError, match=r"bad.cfg:2: bad value for 'seed': invalid literal for int"):
+        load_config(str(cfg_file))
+    assert main(["certify", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad value for 'seed'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_malformed_line(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("benchmark scalar-stable\n")
@@ -637,18 +658,37 @@ EARLY_REFUSED_INPUTS = {
     "epsilon-inf": (["--epsilon", "inf"], "", "epsilon must be finite"),
     "tail-partial": ([], "tail_R = 1\n", "tail parameters must be given together"),
     "tail-C-nan": ([], TAIL + "tail_C = nan\n", "tail constants must be finite"),
+    "theta-multiplier-nan": (["--theta-multiplier", "nan"], "", "theta_multiplier must be a finite positive number"),
+    "theta-multiplier-negative": (["--theta-multiplier", "-1"], "", "theta_multiplier must be a finite positive"),
+    # theta_star > 0 here (N = 11), so a zero multiplier would give theta = 0
+    "theta-multiplier-zero": (["--theta-multiplier", "0"], "", "theta_multiplier must be a finite positive"),
+}
+
+# closed-loop settings, which only simulate reads: refused before any
+# certification work, so before theta is known, and the error must not
+# name it
+SIMULATE_REFUSED_INPUTS = {
+    "dt-zero": (["--dt", "0"], "", "need dt > 0"),
+    "t-final-nan": (["--t-final", "nan"], "", "t_final nan must be finite"),
+    "infeasible-policy": ([], "infeasible_policy = foo\n", "unknown infeasible policy 'foo'"),
+    "alpha-kind": ([], "alpha_kind = quartic\n", "unknown class-K kind 'quartic'"),
+    "alpha-kappa-nan": ([], "alpha_kappa = nan\n", "class-K kappa nan and scale 1.0 must be finite"),
+    "x0-3d": ([], "x0 = 0 0 0\n", "x0 must have dimension 2"),
 }
 
 
-@pytest.mark.parametrize("command", ["certify", "simulate"])
-@pytest.mark.parametrize("case", sorted(EARLY_REFUSED_INPUTS))
+@pytest.mark.parametrize("command, case", [
+    pytest.param(command, case, id=f"{case}-{command}")
+    for table, commands in ((EARLY_REFUSED_INPUTS, ("certify", "simulate")), (SIMULATE_REFUSED_INPUTS, ("simulate",)))
+    for case in sorted(table) for command in commands
+])
 def test_certification_inputs_are_refused_before_any_certification_work(tmp_path, capsys, monkeypatch, command, case):
     def never(*args, **kwargs):
         raise AssertionError("certification work started")
 
     monkeypatch.setattr(softcbf.cli, "check_backup_preconditions", never)
     monkeypatch.setattr(softcbf.cli, "sample_tube", never)
-    flags, config, message = EARLY_REFUSED_INPUTS[case]
+    flags, config, message = {**EARLY_REFUSED_INPUTS, **SIMULATE_REFUSED_INPUTS}[case]
     cfg_file = tmp_path / "case.cfg"
     cfg_file.write_text(config)
     out = tmp_path / "out"
@@ -656,6 +696,7 @@ def test_certification_inputs_are_refused_before_any_certification_work(tmp_path
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert case not in SIMULATE_REFUSED_INPUTS or "theta" not in err
     assert not out.exists() or list(out.iterdir()) == []
 
 

@@ -97,6 +97,27 @@ def test_evaluate_takes_exactly_one_state(shape):
             cs.evaluate(np.zeros(shape))
 
 
+def test_a_per_constraint_family_refuses_a_block_of_the_wrong_width():
+    # its evaluators take one row at a time, so the width is checked first
+    with pytest.raises(InvalidInputError, match=r"states of shape \(B, 2\), got \(3, 1\)"):
+        box_faces().evaluate_batch(np.zeros((3, 1)))
+
+
+def test_a_replaced_family_evaluates_its_new_evaluators():
+    # the per-constraint loop is picked at call time, so it reads the
+    # evaluators of the family it is called on (perfbench's tracer
+    # replaces them)
+    cs = box_faces()
+    shifted = dataclasses.replace(
+        cs, evaluators=tuple(lambda x, ev=ev: (ev(x)[0] + 1.0, ev(x)[1]) for ev in cs.evaluators))
+    X = np.array([[0.1, -0.2], [0.5, 0.3]])
+    vals, grads = cs.evaluate_batch(X)
+    new_vals, new_grads = shifted.evaluate_batch(X)
+    np.testing.assert_array_equal(new_vals, vals + 1.0)
+    np.testing.assert_array_equal(new_grads, grads)
+    assert shifted.evaluate(X[1])[0].tobytes() == new_vals[1].tobytes()
+
+
 @pytest.mark.gate
 def test_slice_family_evaluate_runs_one_flow(monkeypatch):
     # one state of the batch-first slice family is one flow with

@@ -306,6 +306,30 @@ def test_lockstep_halt_truncates_only_its_row():
         assert_same_trace(trace, run(dead, cfg))
 
 
+def test_a_plant_state_that_turns_non_finite_truncates_only_its_row():
+    # xdot = x^2 + u blows up at t = 1/x0 from x0 > 0: from 10 inside the
+    # run, from 0.5 after it; the box is wide enough that the filter never
+    # acts before the state overflows
+    bench = get_benchmark("scalar-stable")
+    sys = dataclasses.replace(bench.sys, drift=lambda x: np.square(np.asarray(x, dtype=float)))
+    W, b = np.array([[1.0], [-1.0]]), np.array([1.0, 1e300])
+
+    def batch(X):
+        X = np.atleast_2d(X)
+        return b + X @ W.T, np.broadcast_to(W, (len(X), 2, 1)).copy()
+
+    wide = dataclasses.replace(bench, sys=sys, constraints=ConstraintSet(n=1, batch_evaluator=batch, N=2))
+    cfgs = [scalar_cfg(x0=np.array([x0]), t_final=0.2) for x0 in (10.0, 0.5)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blown, partner = run(wide, cfgs)
+        single = run(wide, cfgs[1])
+    assert blown.truncated and len(blown) == 11
+    assert blown.note == "plant state became non-finite after t=0.1"
+    assert np.isfinite(blown.states).all() and not blown.modified.any()
+    assert not partner.truncated and len(partner) == 21
+    assert_same_trace(partner, single)
+
+
 @pytest.mark.gate
 def test_lockstep_configs_must_share_the_clock():
     bench = get_benchmark("scalar-stable")
