@@ -55,10 +55,10 @@ class FusedField:
     """A closed-loop field computed in one pass, declared for the drift,
     actuation and backup controller it fuses.
 
-    `field` follows the closed-loop contract, one state (n,) or a block
-    (B, n), and must equal `sys.closed_loop(k_b)` bit for bit on finite
-    states, including the sign of zero; a flow checks its shape once, on
-    its initial block.
+    `field` follows the closed-loop contract, a block (B, n) to (B, n), and
+    must equal `sys.closed_loop(k_b)` bit for bit on finite states,
+    including the sign of zero; a flow checks its shape once, on its
+    initial block.
     The next three fields are the very objects `field` fuses; a
     BackupProblem uses it only while its own are these (see
     `BackupProblem.closed_loop`).
@@ -95,14 +95,13 @@ class ValueForms:
 class BackupProblem:
     """Backup certification problem.
 
-    Every callable takes one state (n,) or a block of states (B, n); the
-    shapes below are for a block, and a wrong shape raises
-    InvalidInputError (see `geometry.call_batched`).  h and h_b map a block
-    to (values (B,), gradients (B, n)); the slice values of a flow from B
-    states call h once, on its N - 1 slices stacked into one
-    ((N - 1) * B, n) block, and h_b once, on the last.  k_b maps a block to
-    inputs (B, m) inside the admissible set and must be continuously
-    differentiable.
+    Every callable maps a block of states (B, n) and is never called on
+    one state (n,); a wrong output shape raises InvalidInputError (see
+    `geometry.call_batched`).  h and h_b map a block to (values (B,),
+    gradients (B, n)); the slice values of a flow from B states call h
+    once, on its N - 1 slices stacked into one ((N - 1) * B, n) block, and
+    h_b once, on the last.  k_b maps a block to inputs (B, m) inside the
+    admissible set and must be continuously differentiable.
     jacobian, when given, is the analytic Jacobian (B, n, n) of the
     closed-loop field; otherwise central finite differences are used.
     bounding_box is the operating region used by sampling-based

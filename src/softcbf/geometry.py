@@ -41,7 +41,7 @@ __all__ = [
     "bisect_to_band",
 ]
 
-# callable x -> xdot on one state (n,) or a block of states (B, n)
+# callable X -> Xdot on a block of states (B, n)
 VectorField = Callable[[np.ndarray], np.ndarray]
 
 
@@ -59,6 +59,14 @@ def call_batched(fn: Callable, X: np.ndarray, *tails: tuple):
     _check_shapes(getattr(fn, "__qualname__", fn), arrays, [(X.shape[0],) + tuple(t) for t in tails])
     arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
     return arrays[0] if len(tails) == 1 else arrays
+
+
+def _as_states(X, n: int) -> np.ndarray:
+    """X as a float block, checked to be states of shape (B, n)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise InvalidInputError(f"expected states of shape (B, {n}), got {X.shape}")
+    return X
 
 
 def _check_shapes(what, arrays, expected: list) -> None:
@@ -100,7 +108,9 @@ class ConstraintSet:
     constraint (see `screened_values`).  Like every callable the package
     evaluates on blocks (see `call_batched`), all three take (B, n) and a
     wrong output shape raises InvalidInputError.  Evaluators must be safe
-    for concurrent invocation.
+    for concurrent invocation.  `evaluate_batch`, `values` and
+    `screened_values` refuse states that are not (B, n) with
+    InvalidInputError; `evaluate` takes one state (n,).
     """
 
     n: int
@@ -142,14 +152,12 @@ class ConstraintSet:
         """Values (B, N) and gradients (B, N, n) at a block of states: one
         call of the batch evaluator, or of `_per_constraint` where the
         family has none."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as_states(X, self.n)
         return call_batched(self.batch_evaluator or self._per_constraint, X, (self.N,), (self.N, self.n))
 
     def _per_constraint(self, X) -> tuple[np.ndarray, np.ndarray]:
         """The batch evaluator of a family declared per constraint: each
         row of X, then each evaluator on that one state."""
-        if X.shape[1:] != (self.n,):
-            raise InvalidInputError(f"expected states of shape (B, {self.n}), got {X.shape}")
         vals = np.empty((X.shape[0], self.N))
         grads = np.empty((X.shape[0], self.N, self.n))
         for b, x in enumerate(X):
@@ -162,7 +170,7 @@ class ConstraintSet:
     def values(self, X) -> np.ndarray:
         """Values (B, N) at a block of states, from the value evaluator when
         there is one and from `evaluate_batch` otherwise."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as_states(X, self.n)
         if self.value_evaluator is not None:
             return call_batched(self.value_evaluator, X, (self.N,))
         return self.evaluate_batch(X)[0]
@@ -173,7 +181,7 @@ class ConstraintSet:
         is not evaluated: each of its entries holds that value, which keeps
         the signs of its minimum and smooth minimum.  Without a screen this
         is `values`."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _as_states(X, self.n)
         if self.screen is None:
             return self.values(X)
         s = call_batched(self.screen, X, ())

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _check_shapes, _checked_box
+from .geometry import _as_states, _check_shapes, _checked_box
 
 __all__ = [
     "ConstantActuation",
@@ -46,9 +46,9 @@ __all__ = [
 
 class ConstantActuation:
     """Actuation g(x) = G that does not depend on the state, as a callable
-    that follows the system contract: one state (n,) gives G (n, m), a block
-    (B, n) gives (B, n, m).  Because it is constant, the closed-loop
-    simulation evaluates it once per control step, not at every RK4 stage.
+    that follows the system contract: a block (B, n) gives (B, n, m).
+    Because it is constant, the closed-loop simulation evaluates it once
+    per control step, not at every RK4 stage.
     """
 
     def __init__(self, G):
@@ -57,13 +57,11 @@ class ConstantActuation:
         # largest B seen: far cheaper than a np.broadcast_to call per RK4 stage
         self._block = np.broadcast_to(self.G, (1,) + self.G.shape)
 
-    def __call__(self, x):
-        if np.ndim(x) == 1:
-            return self.G
+    def __call__(self, X):
         view = self._block  # read once: another thread may swap in a shorter one
-        if len(view) < len(x):
-            view = self._block = np.broadcast_to(self.G, (len(x),) + self.G.shape)
-        return view[: len(x)]
+        if len(view) < len(X):
+            view = self._block = np.broadcast_to(self.G, (len(X),) + self.G.shape)
+        return view[: len(X)]
 
 
 @dataclass(frozen=True)
@@ -86,12 +84,13 @@ class FusedPlant:
 class ControlAffineSystem:
     """Dynamics xdot = drift(x) + actuation(x) @ u with an optional box input set.
 
-    drift maps (n,) -> (n,) and a block (B, n) -> (B, n); actuation maps
-    (n,) -> (n, m) and (B, n) -> (B, n, m).  The package calls them once per
-    block and never falls back to a loop over rows; the closed-loop field
-    built from them (`closed_loop`) raises InvalidInputError when either,
-    or the controller, returns the wrong shape for a block.  An actuation
-    that does not depend on the state is best given as a ConstantActuation.
+    drift maps a block of states (B, n) to (B, n) and actuation maps it to
+    (B, n, m); neither is called on one state (n,).  The package calls them
+    once per block and never falls back to a loop over rows; the closed-loop
+    field built from them (`closed_loop`) raises InvalidInputError when
+    either, or the controller, returns the wrong shape for a block.  An
+    actuation that does not depend on the state is best given as a
+    ConstantActuation.
     input_box, when present, is (m, 2) rows [lo, hi].
 
     fused, when given, is a FusedPlant.  While its drift and actuation are
@@ -116,10 +115,10 @@ class ControlAffineSystem:
             object.__setattr__(self, "input_box", _checked_box(self.input_box, self.m, "input box"))
 
     def closed_loop(self, controller: Callable) -> Callable[[np.ndarray], np.ndarray]:
-        """Vector field x -> drift(x) + actuation(x) @ controller(x) on one
-        state (n,) or a block (B, n), on the fused plant while it applies.
-        The controller follows the same contract as the dynamics, returning
-        (B, m) on a block; every output shape is checked at every call."""
+        """Vector field X -> drift(X) + actuation(X) @ controller(X) on a
+        block (B, n), on the fused plant while it applies.  The controller
+        follows the same contract as the dynamics, returning (B, m); the
+        input and every output shape are checked at every call."""
         return self._closed_loop_fields(controller)[0]
 
     def _closed_loop_fields(self, controller: Callable) -> tuple:
@@ -130,25 +129,22 @@ class ControlAffineSystem:
         if p is not None and p.drift is self.drift and p.actuation is self.actuation:
             plant = p.plant
 
-            def F(x):
-                x = np.asarray(x, dtype=float)
-                X = x[None] if x.ndim == 1 else x
+            def F(X):
+                X = _as_states(X, n)
                 u = controller(X)
                 _check_shapes("controller", [u], [(len(X), m)])
                 out = plant(X, u)
                 _check_shapes("fused plant", [out], [(len(X), n)])
-                return out[0] if x.ndim == 1 else out
+                return out
 
             return F, lambda X: plant(X, controller(X))
 
-        def F(x):
-            x = np.asarray(x, dtype=float)
-            X = x[None] if x.ndim == 1 else x
+        def F(X):
+            X = _as_states(X, n)
             f0, g, u = self.drift(X), self.actuation(X), controller(X)
             B = len(X)
             _check_shapes("drift, actuation and controller", [f0, g, u], [(B, n), (B, n, m), (B, m)])
-            out = f0 + np.einsum("bij,bj->bi", g, u)
-            return out[0] if x.ndim == 1 else out
+            return f0 + np.einsum("bij,bj->bi", g, u)
 
         return F, lambda X: self.drift(X) + np.einsum("bij,bj->bi", self.actuation(X), controller(X))
 
@@ -230,11 +226,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _lie_coefficients(grad_h, g, f0):
-    # a = g^T grad_h as the stacked (1, n) @ (n, m) product of each row
-    return (grad_h[:, None, :] @ g)[:, 0], _rowdot(grad_h, f0)
-
-
 def barrier_block(sys: ControlAffineSystem, grad_h, X) -> tuple[np.ndarray, np.ndarray]:
     """`barrier_row` for each row of a block: gradients and states (B, n) give
     a (B, m) and c (B,), each row bitwise the one-row result.  The dynamics
@@ -242,7 +233,8 @@ def barrier_block(sys: ControlAffineSystem, grad_h, X) -> tuple[np.ndarray, np.n
     `barrier_row` is the checked one-row entry point."""
     g = np.asarray(sys.actuation(X), dtype=float).reshape(len(X), sys.n, sys.m)
     f0 = np.asarray(sys.drift(X), dtype=float).reshape(len(X), sys.n)
-    return _lie_coefficients(grad_h, g, f0)
+    # a = g^T grad_h as the stacked (1, n) @ (n, m) product of each row
+    return (grad_h[:, None, :] @ g)[:, 0], _rowdot(grad_h, f0)
 
 
 def barrier_row(sys: ControlAffineSystem, grad_h, x) -> tuple[np.ndarray, float]:
@@ -254,9 +246,7 @@ def barrier_row(sys: ControlAffineSystem, grad_h, x) -> tuple[np.ndarray, float]
         raise InvalidInputError(f"expected shape ({sys.n},) for gradient and state")
     if not (np.all(np.isfinite(grad_h)) and np.all(np.isfinite(x))):
         raise InvalidInputError("gradient and state must be finite")
-    g = np.asarray(sys.actuation(x), dtype=float).reshape(1, sys.n, sys.m)
-    f0 = np.asarray(sys.drift(x), dtype=float).reshape(1, sys.n)
-    a, c = _lie_coefficients(grad_h[None], g, f0)
+    a, c = barrier_block(sys, grad_h[None], x[None])
     return a[0], float(c[0])
 
 

@@ -249,10 +249,8 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
     box = sys.input_box
 
     def fallback(x):
-        u = np.asarray(bench.safe_controller(x), dtype=float)
-        if u.shape != (m,):
-            raise InvalidInputError(f"safe controller returned shape {u.shape} for one state; expected {(m,)}")
-        return u
+        # one call per taken row, on its one-row block
+        return call_batched(bench.safe_controller, x[None], (m,))[0]
 
     # the rows still running, whose states X holds; `sel` indexes them in
     # the records, as a slice while every row runs

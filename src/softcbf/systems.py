@@ -1,8 +1,8 @@
 """Benchmark systems with analytic structure for oracle checks.
 
-All dynamics, controller and constraint callables accept a single state of
-shape (n,) or a block of shape (B, n), as the package requires (see
-`geometry.call_batched`); constraint families ship a batch evaluator.  Numeric
+All dynamics, controller and constraint callables map a block of states of
+shape (B, n), as the package requires (see `geometry.call_batched`); none
+takes one state (n,).  Constraint families ship a batch evaluator.  Numeric
 constants (LQR gain and cost-to-go matrix for the pendulum backup
 controller) are frozen in the source for cross-platform determinism; see
 scripts/derive_pendulum_lqr.py for the one-off derivation.
@@ -74,10 +74,9 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
     N, n = W.shape
 
     def values(X):
-        return b[None, :] + np.atleast_2d(X) @ W.T
+        return b[None, :] + X @ W.T
 
     def batch(X):
-        X = np.atleast_2d(X)
         return values(X), np.broadcast_to(W, (X.shape[0], N, n)).copy()
 
     return ConstraintSet(
@@ -110,10 +109,9 @@ def double_integrator_box() -> Benchmark:
     filter activity.
     """
 
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        out[..., 0] = x[..., 1]
+    def drift(X):
+        out = np.zeros(X.shape)
+        out[:, 0] = X[:, 1]
         return out
 
     sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=ConstantActuation([[0.0], [1.0]]))
@@ -122,17 +120,14 @@ def double_integrator_box() -> Benchmark:
     b = np.array([1.0, 1.0, 1.5, 1.5])
     constraints = _affine_constraints(W, b, [[-2.6, 2.6], [-1.6, 1.6]])
 
-    def safe(x):
-        x = np.asarray(x, dtype=float)
-        return -(x[..., 0:1] + 2.0 * x[..., 1:2])
+    def safe(X):
+        return -(X[:, 0:1] + 2.0 * X[:, 1:2])
 
-    def desired(x):
-        x = np.asarray(x, dtype=float)
-        return -3.0 * (x[..., 0:1] - 3.0) - 3.0 * x[..., 1:2]
+    def desired(X):
+        return -3.0 * (X[:, 0:1] - 3.0) - 3.0 * X[:, 1:2]
 
-    def lie_rows(x):
+    def lie_rows(X):
         # per-constraint Lie derivatives under the safe closed loop
-        X = np.atleast_2d(np.asarray(x, dtype=float))
         s = X[:, 0] + X[:, 1]
         pv = X[:, 0] + 2.0 * X[:, 1]
         return np.stack([s, -s, pv, -pv], axis=-1)
@@ -184,11 +179,10 @@ def pendulum_backup() -> Benchmark:
     11 slice constraints.
     """
 
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        out[..., 0] = x[..., 1]
-        out[..., 1] = np.sin(x[..., 0])
+    def drift(X):
+        out = np.empty(X.shape)
+        out[:, 0] = X[:, 1]
+        out[:, 1] = np.sin(X[:, 0])
         return out
 
     def plant(X, U):
@@ -220,38 +214,26 @@ def pendulum_backup() -> Benchmark:
     def h_b_value(X):
         return PENDULUM_HB_LEVEL - np.einsum("bi,ij,bj->b", X, PENDULUM_P, X)
 
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        val = h_value(X)
+    def h(X):
         z3 = (X[:, 0] + c * X[:, 1]) ** 3
         grad = np.stack([-4.0 * z3, -4.0 * c * z3 - 4.0 * X[:, 1] ** 3 / 1.5**4], axis=-1)
-        return (float(val[0]), grad[0]) if single else (val, grad)
+        return h_value(X), grad
 
-    def h_b(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        val = h_b_value(X)
-        grad = -2.0 * X @ PENDULUM_P
-        return (float(val[0]), grad[0]) if single else (val, grad)
+    def h_b(X):
+        return h_b_value(X), -2.0 * X @ PENDULUM_P
 
-    def k_b(x):
+    def k_b(X):
         # K.x / -u_max, which IEEE division's sign symmetry makes bitwise
         # -K.x / u_max, saves the negation ufunc here and in the fused forms
-        x = np.asarray(x, dtype=float)
-        u = PENDULUM_U_MAX * np.tanh(x.dot(PENDULUM_K) / -PENDULUM_U_MAX)
-        return u[..., None]
+        u = PENDULUM_U_MAX * np.tanh(X.dot(PENDULUM_K) / -PENDULUM_U_MAX)
+        return u[:, None]
 
-    def closed_loop(x):
+    def closed_loop(X):
         # plant(X, k_b(X)) with k_b written inline
-        x = np.asarray(x, dtype=float)
-        X = x[None] if x.ndim == 1 else x
         out = np.empty(X.shape)
         out[:, 0] = X[:, 1] + 0.0
         out[:, 1] = np.sin(X[:, 0]) + (PENDULUM_U_MAX * np.tanh(X.dot(PENDULUM_K) / -PENDULUM_U_MAX) + 0.0)
-        return out[0] if x.ndim == 1 else out
+        return out
 
     def closed_loop_row(x):
         # closed_loop on a tuple of floats, same operations in the same order;
@@ -260,16 +242,14 @@ def pendulum_backup() -> Benchmark:
         u = PENDULUM_U_MAX * float(np.tanh(float(PENDULUM_K.dot(x)) / -PENDULUM_U_MAX))
         return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
 
-    def jac_closed_loop(x):
+    def jac_closed_loop(X):
         # d/dx [w, sin(a) + umax*tanh(-K.x/umax)]
-        x = np.asarray(x, dtype=float)
-        J = np.zeros(x.shape[:-1] + (2, 2))
-        J[..., 0, 1] = 1.0
-        J[..., 1, 0] = np.cos(x[..., 0])
-        # np.square, not ** 2: on the scalar of one state ** 2 calls pow, which
-        # can differ from the x * x of an array's ** 2 in the last bit
-        sech2 = 1.0 / np.square(np.cosh(x.dot(PENDULUM_K) / PENDULUM_U_MAX))
-        J[..., 1, :] -= sech2[..., None] * PENDULUM_K
+        J = np.zeros((len(X), 2, 2))
+        J[:, 0, 1] = 1.0
+        J[:, 1, 0] = np.cos(X[:, 0])
+        # sech^2 by np.square: x * x on each row, as an array's ** 2 is
+        sech2 = 1.0 / np.square(np.cosh(X.dot(PENDULUM_K) / PENDULUM_U_MAX))
+        J[:, 1, :] -= sech2[:, None] * PENDULUM_K
         return J
 
     box = np.array([[-1.7, 1.7], [-1.6, 1.6]])
@@ -287,14 +267,14 @@ def pendulum_backup() -> Benchmark:
     )
 
     def batch(X):
-        v, g = h(np.atleast_2d(np.asarray(X, dtype=float)))
+        v, g = h(X)
         return v[:, None], g[:, None, :]
 
     constraints = ConstraintSet(n=2, bounding_box=box, batch_evaluator=batch, N=1)
 
-    def desired(x):
+    def desired(X):
         # constant maximal push away from upright
-        return np.full(np.shape(x)[:-1] + (1,), PENDULUM_U_MAX)
+        return np.full((len(X), 1), PENDULUM_U_MAX)
 
     chol = np.linalg.cholesky(PENDULUM_P)
 
@@ -336,30 +316,26 @@ def pendulum_backup() -> Benchmark:
 def _scalar_benchmark(name: str, stable: bool) -> Benchmark:
     sign = -1.0 if stable else 1.0
 
-    def drift(x):
-        return sign * np.asarray(x, dtype=float)
+    def drift(X):
+        return sign * X
 
     sys = ControlAffineSystem(n=1, m=1, drift=drift, actuation=ConstantActuation([[1.0]]))
     constraints = _affine_constraints(
         np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]), [[-1.3, 1.3]]
     )
 
-    def safe(x):
-        return np.zeros(np.shape(x)[:-1] + (1,))
+    def safe(X):
+        return np.zeros((len(X), 1))
 
-    def desired(x):
-        return -1.5 * (np.asarray(x, dtype=float)[..., 0:1] - 2.0)
+    def desired(X):
+        return -1.5 * (X[:, 0:1] - 2.0)
 
     analytic = None
     if stable:
         analytic = {
-            "flow": lambda x, t: np.asarray(x, dtype=float) * np.exp(-t),
+            "flow": lambda X, t: X * np.exp(-t),
             # under u = 0: L h1 = x, L h2 = -x
-            "lie_rows": lambda x: np.stack(
-                [np.atleast_1d(np.asarray(x, dtype=float))[..., 0],
-                 -np.atleast_1d(np.asarray(x, dtype=float))[..., 0]],
-                axis=-1,
-            ),
+            "lie_rows": lambda X: np.concatenate([X, -X], axis=1),
         }
 
     return Benchmark(
@@ -400,19 +376,16 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
     if not 0 < width < 1:
         raise InvalidInputError("width must be in (0, 1)")
 
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x)
+    def drift(X):
+        return np.zeros_like(X)
 
     sys = ControlAffineSystem(n=2, m=2, drift=drift, actuation=ConstantActuation(np.eye(2)))
 
     def values(X):
-        X = np.atleast_2d(X)
         r2 = np.einsum("bi,bi->b", X, X)
         return np.stack([1.0 - r2, r2 - (1.0 - width)], axis=-1)
 
     def batch(X):
-        X = np.atleast_2d(X)
         return values(X), np.stack([-2.0 * X, 2.0 * X], axis=1)
 
     constraints = ConstraintSet(
@@ -425,18 +398,13 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
 
     mid = 1.0 - 0.5 * width
 
-    def safe(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
+    def safe(X):
         r2 = np.einsum("bi,bi->b", X, X)
-        u = -4.0 * X * (r2 - mid)[:, None]
-        return u[0] if single else u
+        return -4.0 * X * (r2 - mid)[:, None]
 
-    def desired(x):
+    def desired(X):
         # adversarial radial push toward the outer ring
-        x = np.asarray(x, dtype=float)
-        return 2.0 * x
+        return 2.0 * X
 
     return Benchmark(
         name="thin-annulus",

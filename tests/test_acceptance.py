@@ -233,24 +233,15 @@ def test_criterion_6_flow_and_sensitivity_oracles():
 
     t0 = time.time()
 
-    def zero_k(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(1) if x.ndim == 1 else np.zeros((x.shape[0], 1))
+    def zero_k(X):
+        return np.zeros((X.shape[0], 1))
 
-    def no_g(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.zeros((x.shape[0], 1))
-        return np.zeros((x.shape[0], x.shape[1], 1))
+    def no_g(X):
+        return np.zeros(X.shape + (1,))
 
     def quad(level):
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            single = x.ndim == 1
-            X = np.atleast_2d(x)
-            val = level - np.einsum("bi,bi->b", X, X)
-            grad = -2.0 * X
-            return (float(val[0]), grad[0]) if single else (val, grad)
+        def fn(X):
+            return level - np.einsum("bi,bi->b", X, X), -2.0 * X
 
         return fn
 

@@ -33,33 +33,24 @@ from softcbf import (
 )
 
 
-def zero_controller(x):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(1) if x.ndim == 1 else np.zeros((x.shape[0], 1))
+def zero_controller(X):
+    return np.zeros((X.shape[0], 1))
 
 
 def column_actuation(col):
     col = np.asarray(col, dtype=float).reshape(-1, 1)
 
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return col
-        return np.broadcast_to(col, (x.shape[0],) + col.shape)
+    def g(X):
+        return np.broadcast_to(col, (X.shape[0],) + col.shape)
 
     return g
 
 
 def quad_fn(level, scale=1.0):
-    """x -> (level - scale*|x|^2, gradient), batched."""
+    """X -> (level - scale*|x|^2, gradient) on a block (B, n)."""
 
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        val = level - scale * np.einsum("bi,bi->b", X, X)
-        grad = -2.0 * scale * X
-        return (float(val[0]), grad[0]) if single else (val, grad)
+    def fn(X):
+        return level - scale * np.einsum("bi,bi->b", X, X), -2.0 * scale * X
 
     return fn
 
@@ -438,9 +429,8 @@ def test_certify_backup_scalar_end_to_end():
 
 
 def test_safe_set_function_with_wrong_block_shape_raises():
-    def h_single(x):
+    def h_single(X):
         # answers a block of states with a single state's value and gradient
-        X = np.atleast_2d(np.asarray(x, dtype=float))
         return 1.0 - X[0] @ X[0], -2.0 * X[0]
 
     prob = scalar_problem(h=h_single)
@@ -449,10 +439,10 @@ def test_safe_set_function_with_wrong_block_shape_raises():
 
 
 def test_flow_callable_with_wrong_block_shape_raises():
-    def drift_single(x):
+    def drift_single(X):
         # answers a block with the drift of its first state, which would
         # otherwise broadcast silently over the block
-        return -np.atleast_2d(np.asarray(x, dtype=float))[0]
+        return -X[0]
 
     def jacobian_single(x):
         return -np.ones((1, 1))
@@ -469,9 +459,9 @@ def test_flow_callable_with_wrong_block_shape_raises():
 
 
 def test_fused_field_with_wrong_block_shape_raises():
-    def field_single(x):
+    def field_single(X):
         # answers a block with the field of its first state
-        return prob.fused.field(np.atleast_2d(x)[0])
+        return prob.fused.field(X[:1])[0]
 
     prob = get_benchmark("pendulum-backup").backup
     bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, field=field_single))
@@ -521,14 +511,12 @@ def row_form_problem(n):
         def jacobian(X):
             return (-1.0 + X)[:, :, None]
     else:
-        def field(x):
-            x = np.asarray(x, dtype=float)
-            X = np.atleast_2d(x)
+        def field(X):
             out = np.empty(X.shape)
             out[:, 0] = X[:, 1] + 0.0
             out[:, 1] = X[:, 2] + 0.0
             out[:, 2] = -X[:, 0] - 2.0 * X[:, 1] - 2.0 * X[:, 2] - 0.5 * X[:, 0] * X[:, 0] * X[:, 0] + 0.0
-            return out[0] if x.ndim == 1 else out
+            return out
 
         def row(x):
             a, b, c = x

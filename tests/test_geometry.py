@@ -64,7 +64,6 @@ def scalar_set():
 
 
 def batch_interval(X):
-    X = np.atleast_2d(X)
     return np.hstack([1.0 - X, 1.0 + X]), np.stack([-np.ones_like(X), np.ones_like(X)], axis=1)
 
 
@@ -281,7 +280,7 @@ def test_estimate_bounds_stable_scalar():
     # the analytic Lie derivative at the band is 2 x^2 (about 2 near |x| = 1)
     cs = scalar_set()
     tube = sample_tube(cs, 0.05, 3000.0, seed=0)
-    bounds = estimate_bounds(lambda x: -np.atleast_2d(x) if np.ndim(x) > 1 else -x, tube)
+    bounds = estimate_bounds(lambda X: -X, tube)
     assert bounds.r == pytest.approx(2.0, rel=0.1)
     assert bounds.M == pytest.approx(2.0, rel=0.1)
     assert bounds.M >= bounds.r > 0
@@ -409,9 +408,9 @@ def test_field_with_wrong_block_shape_raises():
     cs = scalar_interval()
     tube = sample_tube(cs, 0.1, 2000.0, seed=0)
 
-    def F(x):
+    def F(X):
         # answers a block with a single state's shape
-        return -np.atleast_2d(x)[0]
+        return -X[0]
 
     with pytest.raises(InvalidInputError, match=r"shape \(1,\).*expected \(\d+, 1\)"):
         estimate_bounds(F, tube)

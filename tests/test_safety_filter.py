@@ -100,7 +100,7 @@ def test_barrier_row_single_integrator():
 def test_barrier_row_linear_system():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     B = np.array([[0.0], [1.0]])
-    sys = ControlAffineSystem(n=2, m=1, drift=lambda x: A @ x, actuation=lambda x: B)
+    sys = ControlAffineSystem(n=2, m=1, drift=lambda X: X @ A.T, actuation=lambda X: np.broadcast_to(B, (len(X), 2, 1)))
     a, c = barrier_row(sys, np.array([1.0, 0.0]), np.array([0.0, 2.0]))
     np.testing.assert_array_equal(a, [0.0])
     assert c == 2.0
@@ -108,7 +108,7 @@ def test_barrier_row_linear_system():
 
 def test_barrier_row_zero_gradient():
     sys = ControlAffineSystem(
-        n=2, m=1, drift=lambda x: np.ones(2), actuation=lambda x: np.array([[1.0], [1.0]])
+        n=2, m=1, drift=lambda X: np.ones((len(X), 2)), actuation=lambda X: np.ones((len(X), 2, 1))
     )
     a, c = barrier_row(sys, np.zeros(2), np.ones(2))
     np.testing.assert_array_equal(a, [0.0])

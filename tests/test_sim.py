@@ -81,7 +81,7 @@ def test_safe_desired_controller_is_untouched():
     h = cfg.dt / cfg.substeps
     for k in range(len(trace) - 1):
         np.testing.assert_array_equal(trace.states[k], x)
-        u = np.asarray(bench.safe_controller(x), dtype=float).reshape(1)
+        u = bench.safe_controller(x[None])[0]
         np.testing.assert_array_equal(trace.controls[k], u)
         for _ in range(cfg.substeps):
             k1 = -x + u
@@ -117,11 +117,8 @@ def test_halt_policy_truncates():
     assert not trace.infeasible.any()
 
 
-def _zero_actuation(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return np.zeros((1, 1))
-    return np.zeros((x.shape[0], 1, 1))
+def _zero_actuation(X):
+    return np.zeros((len(X), 1, 1))
 
 
 def test_halt_policy_on_genuinely_infeasible_step():
@@ -315,7 +312,6 @@ def test_a_plant_state_that_turns_non_finite_truncates_only_its_row():
     W, b = np.array([[1.0], [-1.0]]), np.array([1.0, 1e300])
 
     def batch(X):
-        X = np.atleast_2d(X)
         return b + X @ W.T, np.broadcast_to(W, (len(X), 2, 1)).copy()
 
     wide = dataclasses.replace(bench, sys=sys, constraints=ConstraintSet(n=1, batch_evaluator=batch, N=2))
@@ -352,15 +348,16 @@ def test_desired_controller_output_of_the_wrong_shape_raises(rows):
         run(bad, cfgs)
 
 
-@pytest.mark.parametrize("u", [np.zeros((1, 1)), np.zeros(2)], ids=["1x1", "2"])
+@pytest.mark.parametrize("u", [np.zeros(1), np.zeros(2)], ids=["1", "2"])
 def test_safe_controller_output_of_the_wrong_shape_raises_on_takeover(u):
     # no actuation: the first filter step is infeasible and the safe
-    # controller takes over on one state, whose input must have shape (m,)
+    # controller takes over on the one-row block of that state, whose input
+    # must have shape (1, m)
     bench = get_benchmark("scalar-unstable")
     sys = dataclasses.replace(bench.sys, actuation=lambda x: _zero_actuation(x))
     dead = dataclasses.replace(bench, sys=sys, safe_controller=lambda x: u)
     cfg = scalar_cfg(x0=np.array([0.9]), theta=4.0, t_final=0.1)
-    message = f"safe controller returned shape {u.shape} for one state; expected (1,)"
+    message = f"returned shape {u.shape} for a block of 1 states; expected (1, 1)"
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         run(dead, cfg)
 
@@ -409,7 +406,6 @@ def test_one_constraint_family_is_its_own_smooth_minimum():
     W, b = np.array([[-1.0]]), np.array([1.0])
 
     def batch(X):
-        X = np.atleast_2d(X)
         return b + X @ W.T, np.broadcast_to(W, (len(X), 1, 1)).copy()
 
     cs = ConstraintSet(

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from softcbf import (
     double_integrator_box,
     get_benchmark,
     integrate_flow,
+    integrate_flow_batch,
     pendulum_backup,
     scalar_stable,
     thin_annulus,
@@ -51,7 +53,7 @@ def test_double_integrator_closed_loop_lie_rows():
     # on the shear face the inward rate equals the shear coordinate itself
     on_face = np.array([[0.3, 0.7]])  # p + v = 1
     _, g = bench.constraints.evaluate_batch(on_face)
-    lie_face = float(np.einsum("ni,i->n", g[0], F(on_face[0]))[0])
+    lie_face = float(np.einsum("ni,i->n", g[0], F(on_face)[0])[0])
     assert lie_face == pytest.approx(1.0)
 
 
@@ -83,13 +85,11 @@ def test_double_integrator_strict_safety_margins_on_faces():
 def test_scalar_benchmark_closed_forms():
     bench = scalar_stable()
     assert bench.analytic is not None
-    x = np.array([0.8])
-    flow = integrate_flow(
-        _as_backup(bench), x
-    )
-    np.testing.assert_allclose(flow.states[-1], bench.analytic["flow"](x, 1.0), atol=1e-9)
+    X = np.array([[0.8]])
+    flow = integrate_flow_batch(_as_backup(bench), X)
+    np.testing.assert_allclose(flow.states[-1], bench.analytic["flow"](X, 1.0), atol=1e-9)
     # Lie rows under u = 0: +x for the upper face, -x for the lower
-    np.testing.assert_allclose(bench.analytic["lie_rows"](x), [0.8, -0.8])
+    np.testing.assert_allclose(bench.analytic["lie_rows"](X), [[0.8, -0.8]])
 
 
 def _as_backup(bench):
@@ -97,13 +97,8 @@ def _as_backup(bench):
     # shared integrator can be exercised against the analytic flow
     from softcbf import BackupProblem
 
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        X = np.atleast_2d(x)
-        val = 1.0 - X[:, 0]
-        grad = np.full((X.shape[0], 1), -1.0)
-        return (float(val[0]), grad[0]) if single else (val, grad)
+    def h(X):
+        return 1.0 - X[:, 0], np.full((X.shape[0], 1), -1.0)
 
     return BackupProblem(
         sys=bench.sys, k_b=bench.safe_controller, h=h, h_b=h, T=1.0, dtau=0.5,
@@ -129,8 +124,8 @@ def test_pendulum_backup_setup():
     prob = bench.backup
     assert prob.N == 11
     # the upright equilibrium is inside the terminal set and stays put
-    val, _ = prob.h_b(np.zeros(2))
-    assert val == pytest.approx(PENDULUM_HB_LEVEL)
+    val, _ = prob.h_b(np.zeros((1, 2)))
+    assert val[0] == pytest.approx(PENDULUM_HB_LEVEL)
     flow = integrate_flow(prob, np.zeros(2))
     np.testing.assert_allclose(flow.states[-1], np.zeros(2), atol=1e-12)
     # backup controller respects the input box everywhere
@@ -140,27 +135,22 @@ def test_pendulum_backup_setup():
     assert np.all(np.abs(u) <= 3.0)
     # the set has the stated half-widths: angle 1.0 on the zero-rate slice,
     # rate 1.5 attained where the sheared coordinate vanishes
-    h_val, _ = prob.h(np.array([1.0, 0.0]))
-    assert h_val == pytest.approx(0.0, abs=1e-12)
-    h_val, _ = prob.h(np.array([-0.6, 1.5]))
-    assert h_val == pytest.approx(0.0, abs=1e-12)
+    h_val, _ = prob.h(np.array([[1.0, 0.0], [-0.6, 1.5]]))
+    np.testing.assert_allclose(h_val, 0.0, atol=1e-12)
 
 
 def test_pendulum_jacobian_matches_finite_differences():
     bench = pendulum_backup()
     prob = bench.backup
     F = prob.sys.closed_loop(prob.k_b)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        x = rng.uniform(-1.5, 1.5, size=2)
-        J = prob.jacobian(x)
-        step = 1e-6
-        fd = np.empty((2, 2))
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            fd[:, k] = (F(x + e) - F(x - e)) / (2 * step)
-        np.testing.assert_allclose(J, fd, atol=1e-8)
+    X = np.random.default_rng(2).uniform(-1.5, 1.5, size=(10, 2))
+    step = 1e-6
+    fd = np.empty((10, 2, 2))
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = step
+        fd[:, :, k] = (F(X + e) - F(X - e)) / (2 * step)
+    np.testing.assert_allclose(prob.jacobian(X), fd, atol=1e-8)
 
 
 def test_annulus_constraints_and_width():
@@ -185,12 +175,10 @@ def test_closed_loop_field_shapes_and_rows(name):
         block = F(X)
         assert block.shape == (9, n)
         for x, row in zip(X, block):
-            single = F(x)
-            assert single.shape == (n,)
-            # one state is a one-row block, bit for bit
-            assert single.tobytes() == F(x[None])[0].tobytes()
+            one_row = F(x[None])
+            assert one_row.shape == (1, n)
             # a one-row block may round K.x differently from a larger one
-            np.testing.assert_allclose(single, row, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(one_row[0], row, rtol=1e-14, atol=1e-15)
 
 
 @pytest.mark.gate
@@ -211,9 +199,8 @@ def test_fused_closed_loop_matches_composed_bitwise():
         zeros = rng.uniform(size=X.shape) < 0.2
         X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
         assert fused(X).tobytes() == composed(X).tobytes()
-    x = np.array([0.3, -0.0])
-    assert fused(x).shape == (prob.sys.n,)
-    assert fused(x).tobytes() == composed(x).tobytes()
+    X = np.array([[0.3, -0.0]])
+    assert fused(X).tobytes() == composed(X).tobytes()
 
 
 @pytest.mark.gate
@@ -253,9 +240,8 @@ def test_fused_plant_matches_composed_bitwise():
             assert fused(X).tobytes() == composed(X).tobytes()
             U = c(X)
             zero_signs.update(np.signbit(U[U == 0.0]).tolist())
-        x = np.array([0.3, -0.0])
-        assert fused(x).shape == (sys.n,)
-        assert fused(x).tobytes() == composed(x).tobytes()
+        X = np.array([[0.3, -0.0]])
+        assert fused(X).tobytes() == composed(X).tobytes()
     assert zero_signs == {False, True}
 
 
@@ -313,30 +299,9 @@ def test_pendulum_division_matches_the_negated_numerator_bitwise():
         assert np.tanh(np.float64(kx) / -U).tobytes() == np.tanh(-np.float64(kx) / U).tobytes()
 
 
-@pytest.mark.parametrize("name", ["double-integrator-box", "pendulum-backup", "scalar-stable", "thin-annulus"])
-def test_one_state_matches_a_one_row_block_bitwise(name):
-    # the plant step and the backup takeover call these on one state, the
-    # flows on blocks; a one-state shortcut such as a numpy scalar's ** 2
-    # (pow, not x * x) would break this in the last bit for a few states
-    bench = get_benchmark(name)
-    fns = [bench.sys.drift, bench.sys.actuation, bench.safe_controller, bench.desired_controller]
-    if bench.backup is not None:
-        fns += [bench.backup.k_b, bench.backup.jacobian]
-    box = bench.constraints.bounding_box
-    size = 20000 if bench.backup is not None else 1000
-    X = np.random.default_rng(1).uniform(2 * box[:, 0], 2 * box[:, 1], size=(size, bench.sys.n))
-    for fn in fns:
-        single = np.array([fn(x) for x in X])
-        rows = np.array([fn(x[None])[0] for x in X])
-        assert single.shape == rows.shape
-        assert single.tobytes() == rows.tobytes(), fn.__name__
-
-
 def test_constant_actuation_shapes():
     gmat = np.array([[0.0], [1.0]])
     g = ConstantActuation(gmat)
-    np.testing.assert_array_equal(g(np.zeros(2)), gmat)
-    assert g(np.zeros(2)).shape == (2, 1)
     # B grows, shrinks, then grows past the largest block seen so far
     for B in (1, 5, 3, 1000, 7):
         block = g(np.zeros((B, 2)))
@@ -359,14 +324,17 @@ def test_closed_loop_component_with_wrong_shape_raises(part, rows):
     parts[part] = lambda X, real=good[part]: real(X)[0]
     sys = ControlAffineSystem(n=2, m=1, drift=parts["drift"], actuation=parts["actuation"])
     F = sys.closed_loop(parts["controller"])
-    x = np.full(2, 0.5) if rows is None else np.full((rows, 2), 0.5)
-    B = 1 if rows is None else rows
+    if rows is None:
+        # one state is refused before any component is called
+        with pytest.raises(InvalidInputError, match=r"expected states of shape \(B, 2\), got \(2,\)"):
+            F(np.full(2, 0.5))
+        return
     with pytest.raises(
         InvalidInputError,
-        match=rf"drift, actuation and controller returned shape .* for a block of {B} states; "
-        rf"expected \({B}, 2\), \({B}, 2, 1\), \({B}, 1\)",
+        match=rf"drift, actuation and controller returned shape .* for a block of {rows} states; "
+        rf"expected \({rows}, 2\), \({rows}, 2, 1\), \({rows}, 1\)",
     ):
-        F(x)
+        F(np.full((rows, 2), 0.5))
 
 
 @pytest.mark.parametrize("part", ["controller", "plant"])
@@ -386,16 +354,19 @@ def test_fused_plant_path_with_wrong_shape_raises(part, rows):
     sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=actuation,
                               fused=FusedPlant(parts["plant"], drift, actuation))
     F = sys.closed_loop(parts["controller"])
-    x = np.full(2, 0.5) if rows is None else np.full((rows, 2), 0.5)
-    B = 1 if rows is None else rows
+    if rows is None:
+        # one state is refused before the controller or the plant is called
+        with pytest.raises(InvalidInputError, match=r"expected states of shape \(B, 2\), got \(2,\)"):
+            F(np.full(2, 0.5))
+        return
     name, got, want = {
-        "controller": ("controller", r"\(1,\)", rf"\({B}, 1\)"),
-        "plant": ("fused plant", r"\(2,\)", rf"\({B}, 2\)"),
+        "controller": ("controller", r"\(1,\)", rf"\({rows}, 1\)"),
+        "plant": ("fused plant", r"\(2,\)", rf"\({rows}, 2\)"),
     }[part]
     with pytest.raises(
-        InvalidInputError, match=rf"{name} returned shape {got} for a block of {B} states; expected {want}"
+        InvalidInputError, match=rf"{name} returned shape {got} for a block of {rows} states; expected {want}"
     ):
-        F(x)
+        F(np.full((rows, 2), 0.5))
 
 
 @pytest.mark.gate
@@ -411,3 +382,14 @@ def test_evaluate_equals_a_one_row_batch_bitwise(name):
         bvals, bgrads = cs.evaluate_batch(x[None])
         assert vals.tobytes() == bvals[0].tobytes()
         assert grads.tobytes() == bgrads[0].tobytes()
+
+
+@pytest.mark.parametrize("method", ["evaluate_batch", "values", "screened_values"])
+@pytest.mark.parametrize("name", benchmark_names())
+def test_certification_set_refuses_states_that_are_not_a_block_of_width_n(name, method):
+    # one check for every family, batch-first or not, before any evaluator
+    # runs: numpy's own errors, or values of the wrong width, otherwise
+    cs = get_benchmark(name).certification_set()
+    for X in (np.zeros((3, cs.n + 1)), np.zeros(cs.n), np.zeros((1, 3, cs.n))):
+        with pytest.raises(InvalidInputError, match=re.escape(f"expected states of shape (B, {cs.n}), got {X.shape}")):
+            getattr(cs, method)(X)
