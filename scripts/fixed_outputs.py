@@ -15,7 +15,9 @@ Runs, each into OUTDIR/<run>/:
     and the eCBF report of a tail certificate (scalar-stable);
   - simulate-<benchmark>: a 2 s certified simulate trace of every benchmark
     that certifies;
-  - sweep-double-integrator-box: a sweep CSV over six θ.
+  - sweep-double-integrator-box: a sweep CSV over six θ, and the same sweep
+    at seeds 1–9 (sweep-double-integrator-box-seed<S>), whose boundary probes
+    draw other rays.
 
 OUTDIR/runs.txt lists each run's command line, exit code and printed lines,
 warnings included.  Every occurrence of OUTDIR's absolute path, in the files
@@ -49,8 +51,10 @@ def runs() -> list:
     ]
     out += [(f"simulate-{b}", b, ["simulate", "--seed", "0", "--t-final", "2"], None)
             for b in benchmark_names() if b != "scalar-unstable"]
-    out.append(("sweep-double-integrator-box", "double-integrator-box",
-                ["sweep", "--thetas", "3,40,500,6000,20000,100000"], None))
+    sweep = ["sweep", "--thetas", "3,40,500,6000,20000,100000"]
+    out.append(("sweep-double-integrator-box", "double-integrator-box", sweep, None))
+    out += [(f"sweep-double-integrator-box-seed{s}", "double-integrator-box", sweep + ["--seed", str(s)], None)
+            for s in range(1, 10)]
     return out
 
 

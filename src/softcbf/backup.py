@@ -19,6 +19,7 @@ slice values never require interpolation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import softmin as sm
 from .errors import BlowUpError, DomainError, InvalidInputError
-from .geometry import ConstraintSet, _checked_box, call_batched
+from .geometry import ConstraintSet, _as_states, _checked_box, call_batched
 from .safety_filter import ControlAffineSystem
 
 __all__ = [
@@ -238,17 +239,36 @@ class BatchFlowResult:
     stats: IntegratorStats
 
 
+_TWO = sm._constant(2.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _rk4_constants(h: float) -> tuple:
+    """0.5 * h, h and h / 6.0 as read-only 0-d float64 arrays (see
+    `softmin._constant`), made once per step size."""
+    return sm._constant(0.5 * h), sm._constant(h), sm._constant(h / 6.0)
+
+
 def rk4_step(F: Callable, X: np.ndarray, h: float):
     """One classical RK4 step of xdot = F(x) from X: returns the next state
-    and the four stage states (X, X2, X3, X4) at which F was evaluated."""
+    and the four stage states (X, X2, X3, X4) at which F was evaluated.
+
+    The coefficients 0.5 * h, h, h / 6.0 and 2.0 are read-only 0-d float64
+    arrays, cached per h, which skip the conversion a Python float costs at
+    every ufunc call.  X and F's outputs must be float64, as they are in
+    every flow and plant step of the package; the step then has the bits of
+    Python-float coefficients.  Under NEP 50 a 0-d float64 array is a strong
+    operand, so on a field that returns float32 the products k * coefficient
+    are float64, not rounded to float32 as a Python float would leave them."""
+    half, h, sixth = _rk4_constants(h)
     k1 = F(X)
-    X2 = X + 0.5 * h * k1
+    X2 = X + half * k1
     k2 = F(X2)
-    X3 = X + 0.5 * h * k2
+    X3 = X + half * k2
     k3 = F(X3)
     X4 = X + h * k3
     k4 = F(X4)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (X, X2, X3, X4)
+    return X + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4), (X, X2, X3, X4)
 
 
 def _rk4_row(f: Callable, x: tuple, h: float):
@@ -386,6 +406,9 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         # the row path lists in stage_rows instead
         stages = np.empty((n_sub, 4, B, n))
         group = max(1, _JACOBIAN_ROWS // (4 * B))
+        # rk4_step's coefficients; S and each J @ S are float64 whatever
+        # the Jacobian's dtype
+        c_half, c_h, c_sixth = _rk4_constants(h)
 
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
@@ -412,10 +435,10 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                 for g in range(0, n_sub, group):
                     for J in jac(stages[g:g + group].reshape(-1, n)).reshape(-1, 4, B, n, n):
                         k1s = J[0] @ S
-                        k2s = J[1] @ (S + 0.5 * h * k1s)
-                        k3s = J[2] @ (S + 0.5 * h * k2s)
-                        k4s = J[3] @ (S + h * k3s)
-                        S = S + (h / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+                        k2s = J[1] @ (S + c_half * k1s)
+                        k3s = J[2] @ (S + c_half * k2s)
+                        k4s = J[3] @ (S + c_h * k3s)
+                        S = S + c_sixth * (k1s + _TWO * k2s + _TWO * k3s + k4s)
                 sens[i] = S
             else:
                 S = _sensitivity_row(jac(np.array(stage_rows)), S, h)
@@ -549,9 +572,9 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"precondition tolerance must be finite and positive, got {tol}")
-    X = np.atleast_2d(np.asarray(region_samples, dtype=float))
-    F = prob.closed_loop()
     n = prob.sys.n
+    X = _as_states(np.atleast_2d(region_samples), n)
+    F = prob.closed_loop()
     hb_vals, hb_grads = call_batched(prob.h_b, X, (), (n,))
     h_vals, h_grads = call_batched(prob.h, X, (), (n,))
     Fx = call_batched(F, X, (n,))

@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
     NotStrictlySafeError,
 )
-from .softmin import default_activity_tolerance
+from .softmin import _fold, default_activity_tolerance
 
 __all__ = [
     "ConstraintSet",
@@ -283,7 +283,7 @@ def bisect_to_band(level, inside, inside_levels, outside, band, max_iter):
     a, b = inside[rows], outside[rows]
     for _ in range(max_iter):
         mid = 0.5 * (a + b)
-        moved = ~(np.all(mid == a, axis=1) | np.all(mid == b, axis=1))
+        moved = ~(_fold(np.logical_and, mid == a) | _fold(np.logical_and, mid == b))
         if not moved.all():
             rows, a, b, mid = rows[moved], a[moved], b[moved], mid[moved]
         if rows.size == 0:
@@ -349,7 +349,7 @@ def march_and_bisect(level, starts, start_levels, dirs, step, n_steps, box, marg
         for k in range(K):
             p = p + delta
             pts[k] = p
-        in_box = np.all((pts >= lo_box) & (pts <= hi_box), axis=2)
+        in_box = _fold(np.logical_and, (pts >= lo_box) & (pts <= hi_box))
         # a ray's points up to and including its first one outside the box
         evaluated = np.ones_like(in_box)
         evaluated[1:] = ~np.logical_or.accumulate(~in_box, axis=0)[:-1]
@@ -407,12 +407,14 @@ def sample_tube(cs: ConstraintSet, epsilon: float, density: float, seed: int) ->
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     n_cand = max(512, int(math.ceil(density * volume)))
 
+    # h_hat is only compared, where -0.0 and +0.0 (and NaNs of either sign)
+    # agree, so the fold's tie rule (see softmin._fold) changes no decision
     def level(X, _rays):
-        return cs.screened_values(X).min(axis=1)
+        return _fold(np.minimum, cs.screened_values(X))
 
     cand = rng.uniform(box[:, 0], box[:, 1], size=(n_cand, cs.n))
     vals = cs.screened_values(cand)
-    h_hat = vals.min(axis=1)
+    h_hat = _fold(np.minimum, vals)
     band = (h_hat >= 0.0) & (h_hat <= epsilon)
     accepted = cand[band]
 

@@ -48,7 +48,9 @@ class ConstantActuation:
     """Actuation g(x) = G that does not depend on the state, as a callable
     that follows the system contract: a block (B, n) gives (B, n, m).
     Because it is constant, the closed-loop simulation evaluates it once
-    per control step, not at every RK4 stage.
+    per control step, not at every RK4 stage.  The blocks are read-only;
+    the affine constraint families of `softcbf.systems` return their
+    gradients through one.
     """
 
     def __init__(self, G):
@@ -229,24 +231,37 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def barrier_block(sys: ControlAffineSystem, grad_h, X) -> tuple[np.ndarray, np.ndarray]:
     """`barrier_row` for each row of a block: gradients and states (B, n) give
     a (B, m) and c (B,), each row bitwise the one-row result.  The dynamics
-    are called once, on the block.  Inputs are not validated here;
-    `barrier_row` is the checked one-row entry point."""
-    g = np.asarray(sys.actuation(X), dtype=float).reshape(len(X), sys.n, sys.m)
-    f0 = np.asarray(sys.drift(X), dtype=float).reshape(len(X), sys.n)
+    are called once, on the block.  Neither the inputs nor the dynamics'
+    output shapes are checked here, as this is the closed loop's hot path
+    and `sim.run` checks the dynamics once per run; `barrier_row` is the
+    checked one-row entry point."""
+    return _barrier_terms(sys, grad_h, sys.actuation(X), sys.drift(X))
+
+
+def _barrier_terms(sys: ControlAffineSystem, grad_h, g, f0) -> tuple[np.ndarray, np.ndarray]:
+    """a (B, m) and c (B,) from gradients (B, n) and the actuation and drift
+    outputs on their states."""
+    g = np.asarray(g, dtype=float).reshape(len(grad_h), sys.n, sys.m)
+    f0 = np.asarray(f0, dtype=float).reshape(len(grad_h), sys.n)
     # a = g^T grad_h as the stacked (1, n) @ (n, m) product of each row
     return (grad_h[:, None, :] @ g)[:, 0], _rowdot(grad_h, f0)
 
 
 def barrier_row(sys: ControlAffineSystem, grad_h, x) -> tuple[np.ndarray, float]:
     """Coefficients of the barrier inequality: a = g(x)^T grad_h, c = grad_h . f0(x),
-    so that the Lie derivative under input u is c + a.u."""
+    so that the Lie derivative under input u is c + a.u.  The dynamics are
+    called on the one-row block x[None], and their outputs must have the
+    block shapes (1, n, m) and (1, n)."""
     grad_h = np.asarray(grad_h, dtype=float)
     x = np.asarray(x, dtype=float)
     if grad_h.shape != (sys.n,) or x.shape != (sys.n,):
         raise InvalidInputError(f"expected shape ({sys.n},) for gradient and state")
     if not (np.all(np.isfinite(grad_h)) and np.all(np.isfinite(x))):
         raise InvalidInputError("gradient and state must be finite")
-    a, c = barrier_block(sys, grad_h[None], x[None])
+    X = x[None]
+    g, f0 = sys.actuation(X), sys.drift(X)
+    _check_shapes("actuation and drift", [g, f0], [(1, sys.n, sys.m), (1, sys.n)])
+    a, c = _barrier_terms(sys, grad_h[None], g, f0)
     return a[0], float(c[0])
 
 

@@ -298,7 +298,7 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
             # direction nearly vanishes: count the steps that acted there
             near_singular[rows] += acted & (
                 np.sqrt(_rowdot(a, a)) < 1e-6 * (1.0 + np.sqrt(_rowdot(u_des, u_des))))
-            for j in np.flatnonzero(~ok):
+            for j in () if ok.all() else np.flatnonzero(~ok):
                 p = np.arange(live.size)[act][j]  # the position in live of filtered row j
                 i = live[p]
                 records["infeasible"][k, i] = True

@@ -18,6 +18,7 @@ from .backup import BackupProblem, FusedField, ValueForms, slice_constraint_set
 from .errors import InvalidInputError
 from .geometry import ConstraintSet
 from .safety_filter import ConstantActuation, ControlAffineSystem, FusedPlant
+from .softmin import _constant
 
 __all__ = [
     "Benchmark",
@@ -76,8 +77,12 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
     def values(X):
         return b[None, :] + X @ W.T
 
+    # W on every row of a block, as a read-only zero-stride slice: a
+    # ConstantActuation is any state-independent block of that kind
+    gradients = ConstantActuation(W)
+
     def batch(X):
-        return values(X), np.broadcast_to(W, (X.shape[0], N, n)).copy()
+        return values(X), gradients(X)
 
     return ConstraintSet(
         n=n,
@@ -163,6 +168,8 @@ PENDULUM_HB_LEVEL = 0.05
 # shear of the safe-set coordinates; keeps the inward-flow condition
 # non-degenerate where the boundary crosses the zero-velocity axis
 PENDULUM_SHEAR = 0.4
+# operands of the fused plant and closed loop, whose other side is float64
+_ZERO, _U_MAX, _NEG_U_MAX = (_constant(v) for v in (0.0, PENDULUM_U_MAX, -PENDULUM_U_MAX))
 
 
 def pendulum_backup() -> Benchmark:
@@ -188,10 +195,11 @@ def pendulum_backup() -> Benchmark:
     def plant(X, U):
         # drift(X) + g @ U in one pass, bit for bit: the composed field's
         # einsum adds an exact +0.0 to both components (g = [[0], [1]]),
-        # which turns a -0.0 into +0.0, so the two + 0.0 terms stay
+        # which turns a -0.0 into +0.0, so the two + 0.0 terms stay; the
+        # constants are 0-d float64 arrays (see softmin._constant)
         out = np.empty(X.shape)
-        out[:, 0] = X[:, 1] + 0.0
-        out[:, 1] = np.sin(X[:, 0]) + (U[:, 0] + 0.0)
+        out[:, 0] = X[:, 1] + _ZERO
+        out[:, 1] = np.sin(X[:, 0]) + (U[:, 0] + _ZERO)
         return out
 
     actuation = ConstantActuation([[0.0], [1.0]])
@@ -231,8 +239,8 @@ def pendulum_backup() -> Benchmark:
     def closed_loop(X):
         # plant(X, k_b(X)) with k_b written inline
         out = np.empty(X.shape)
-        out[:, 0] = X[:, 1] + 0.0
-        out[:, 1] = np.sin(X[:, 0]) + (PENDULUM_U_MAX * np.tanh(X.dot(PENDULUM_K) / -PENDULUM_U_MAX) + 0.0)
+        out[:, 0] = X[:, 1] + _ZERO
+        out[:, 1] = np.sin(X[:, 0]) + (_U_MAX * np.tanh(X.dot(PENDULUM_K) / _NEG_U_MAX) + _ZERO)
         return out
 
     def closed_loop_row(x):

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import softcbf.backup
+import softcbf.sim
 from softcbf import (
     BackupProblem,
     BlowUpError,
@@ -405,6 +406,12 @@ def test_preconditions_fail_without_terminal_boundary_samples():
     report = check_backup_preconditions(prob, np.array([[-0.5], [0.5]]), tol=1e-9)
     assert report.backup_set_safe.passed and report.regular_value.passed
     assert report.backup_set_safe.n_points == 2
+
+
+def test_preconditions_refuse_samples_of_the_wrong_width():
+    prob = get_benchmark("pendulum-backup").backup
+    with pytest.raises(InvalidInputError, match=r"expected states of shape \(B, 2\), got \(3, 3\)"):
+        check_backup_preconditions(prob, np.zeros((3, 3)))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
@@ -1070,3 +1077,43 @@ def test_backup_controller_with_wrong_shape_raises_in_a_flow(path, rows):
     F(X0)
     with pytest.raises(InvalidInputError, match=message):
         F(X0)
+
+
+def rk4_reference(F, X, h):
+    """rk4_step with Python-float coefficients, as it was first written."""
+    k1 = F(X)
+    X2 = X + 0.5 * h * k1
+    k2 = F(X2)
+    X3 = X + 0.5 * h * k2
+    k3 = F(X3)
+    X4 = X + h * k3
+    k4 = F(X4)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (X, X2, X3, X4)
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("B", [1, 2, 550])
+def test_rk4_step_matches_python_float_coefficients_bitwise(B):
+    # the 0-d coefficients against Python floats, on the pendulum's fused
+    # field and on the double integrator's plant with a held input, at the
+    # flow's step and at sim step sizes, with signed zeros in the states
+    pendulum = get_benchmark("pendulum-backup")
+    plant = get_benchmark("double-integrator-box").sys
+    rng = np.random.default_rng(B)
+    for trial in range(20):
+        X = rng.uniform(-1.6, 1.6, size=(B, 2))
+        zeros = rng.uniform(size=X.shape) < 0.2
+        X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+        U = rng.choice([0.0, -0.0, 1.5, -2.25], size=(B, 1))
+        held = (plant.actuation(X) @ U[:, :, None])[:, :, 0]
+        for F in (pendulum.backup.closed_loop(), lambda X: plant.drift(X) + held):
+            for h in (0.01, 0.02 / 3, 0.001, 0.1 / 7):
+                got, want = softcbf.backup.rk4_step(F, X, h), rk4_reference(F, X, h)
+                assert got[0].tobytes() == want[0].tobytes()
+                for g, w in zip(got[1], want[1]):
+                    assert g.tobytes() == w.tobytes()
+        dt, substeps = 0.01, 10
+        want = X
+        for _ in range(substeps):
+            want, _ = rk4_reference(lambda X: plant.drift(X) + held, want, dt / substeps)
+        assert softcbf.sim._plant_block(plant, X, U, dt, substeps).tobytes() == want.tobytes()

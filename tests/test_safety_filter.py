@@ -90,7 +90,7 @@ def test_make_rhs():
 
 def test_barrier_row_single_integrator():
     sys = ControlAffineSystem(
-        n=2, m=2, drift=lambda x: np.zeros(2), actuation=lambda x: np.eye(2)
+        n=2, m=2, drift=lambda X: np.zeros((len(X), 2)), actuation=lambda X: np.broadcast_to(np.eye(2), (len(X), 2, 2))
     )
     a, c = barrier_row(sys, np.array([1.0, 0.0]), np.zeros(2))
     np.testing.assert_array_equal(a, [1.0, 0.0])
@@ -113,6 +113,15 @@ def test_barrier_row_zero_gradient():
     a, c = barrier_row(sys, np.zeros(2), np.ones(2))
     np.testing.assert_array_equal(a, [0.0])
     assert c == 0.0
+
+
+def test_barrier_row_refuses_dynamics_that_ignore_the_block():
+    # a drift of (n,) and an actuation of (n, m) whatever the block reshape
+    # to the one-row shapes, so only a check of the outputs catches them
+    sys = ControlAffineSystem(n=2, m=1, drift=lambda X: np.ones(2), actuation=lambda X: np.ones((2, 1)))
+    with pytest.raises(InvalidInputError, match=r"actuation and drift returned shape \(2, 1\), \(2,\) "
+                       r"for a block of 1 states; expected \(1, 2, 1\), \(1, 2\)"):
+        barrier_row(sys, np.array([1.0, 1.0]), np.zeros(2))
 
 
 def test_unconstrained_projection_example():

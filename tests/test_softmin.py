@@ -11,7 +11,7 @@ from softcbf import (
     softmin_value,
     softmin_weights,
 )
-from softcbf.softmin import softmin_block, softmin_rows
+from softcbf.softmin import _fold, softmin_block, softmin_rows
 
 # frozen with an independent 50-digit evaluation (mpmath)
 SOFTMIN_01_THETA1 = -0.31326168751822283405
@@ -206,3 +206,60 @@ def test_default_activity_tolerance_scales_with_value():
     np.testing.assert_array_equal(
         default_activity_tolerance(h), [default_activity_tolerance(v) for v in h]
     )
+
+
+def mixed_block(rng, B, N):
+    """A (B, N) block of ties, signed zeros, infinities, NaNs of both signs
+    and normal values."""
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, -1.0, 2.5])
+    a = rng.choice(specials, size=(B, N))
+    normal = rng.uniform(size=(B, N)) < 0.3
+    a[normal] = rng.normal(size=normal.sum())
+    return a
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("B", [1, 6, 3000])
+def test_column_fold_matches_numpy_row_reductions(B):
+    # bit for bit, except the sign of a zero extreme from a row holding both
+    # zeros there, which numpy's vectorised reduce picks by CPU while the
+    # fold keeps the earlier column, and the sign of a NaN
+    rng = np.random.default_rng(B)
+    for N in range(1, 17):
+        a = mixed_block(rng, B, N)
+        for op, ref in ((np.minimum, a.min(axis=1)), (np.maximum, a.max(axis=1))):
+            got = _fold(op, a)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)  # NaN equals NaN, +0.0 equals -0.0
+            differ = got.view(np.int64) != ref.view(np.int64)
+            zero_tie = (ref == 0.0) & ((a == 0.0) & np.signbit(a)).any(axis=1) & \
+                ((a == 0.0) & ~np.signbit(a)).any(axis=1)
+            assert not (differ & ~zero_tie & ~np.isnan(ref)).any(), (op.__name__, N)
+        mask = rng.uniform(size=(B, N)) < 0.9
+        assert _fold(np.logical_and, mask).tobytes() == np.all(mask, axis=1).tobytes()
+    # the last axis of a (K, L, n) block, as in a ray march's box test
+    mask = rng.uniform(size=(5, B, 2)) < 0.8
+    assert _fold(np.logical_and, mask).tobytes() == np.all(mask, axis=2).tobytes()
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("B", [1, 6, 3000])
+def test_softmin_block_matches_the_row_max_kernel_bitwise_on_zero_ties(B):
+    # the kernel with numpy's row max, as it was written before the fold:
+    # the sign of a zero maximum must not reach any output bit
+    def reference(vals, theta):
+        z = -(theta[:, None] if np.ndim(theta) else theta) * vals
+        zmax = z.max(axis=1, keepdims=True)
+        e = np.exp(z - zmax)
+        total = e.sum(axis=1, keepdims=True)
+        return -(zmax[:, 0] + np.log(total[:, 0])) / theta, e / total
+
+    rng = np.random.default_rng(B + 1)
+    for N in (1, 2, 4, 9, 11, 16, 17):
+        vals = rng.choice([0.0, -0.0, 1e-3, 2.0], size=(B, N))
+        normal = rng.uniform(size=(B, N)) < 0.3
+        vals[normal] = np.abs(rng.normal(scale=1e-2, size=normal.sum()))
+        for theta in (3.0, 7.5e4, rng.choice([2.0, 75.0, 7.5e4], size=B)):
+            got, want = softmin_block(vals, theta), reference(vals, theta)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), N

@@ -393,3 +393,19 @@ def test_certification_set_refuses_states_that_are_not_a_block_of_width_n(name, 
     for X in (np.zeros((3, cs.n + 1)), np.zeros(cs.n), np.zeros((1, 3, cs.n))):
         with pytest.raises(InvalidInputError, match=re.escape(f"expected states of shape (B, {cs.n}), got {X.shape}")):
             getattr(cs, method)(X)
+
+
+def test_affine_gradient_block_is_read_only_and_equals_the_copy():
+    # the double integrator's family returns a read-only zero-stride slice
+    # for every block size, equal bit for bit to the copy it replaced
+    cs = double_integrator_box().constraints
+    W = np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
+    rng = np.random.default_rng(3)
+    for B in (5, 3, 40, 1, 40):
+        X = rng.uniform(-2.0, 2.0, size=(B, 2))
+        vals, grads = cs.batch_evaluator(X)
+        assert grads.shape == (B, 4, 2) and not grads.flags.writeable
+        assert grads.tobytes() == np.broadcast_to(W, (B, 4, 2)).copy().tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            grads[0, 0, 0] = 1.0
+        assert cs.evaluate_batch(X)[1].tobytes() == grads.tobytes()
