@@ -15,6 +15,9 @@ Runs, each into OUTDIR/<run>/:
     and the eCBF report of a tail certificate (scalar-stable);
   - simulate-<benchmark>: a 2 s certified simulate trace of every benchmark
     that certifies;
+  - simulate-pendulum-backup-theta75000: a 1 s pendulum-backup trace at a
+    fixed θ, which skips certification, so its 101 backup flows are all
+    one-row flows on the row path;
   - sweep-double-integrator-box: a sweep CSV over six θ, and the same sweep
     at seeds 1–9 (sweep-double-integrator-box-seed<S>), whose boundary probes
     draw other rays.
@@ -51,6 +54,8 @@ def runs() -> list:
     ]
     out += [(f"simulate-{b}", b, ["simulate", "--seed", "0", "--t-final", "2"], None)
             for b in benchmark_names() if b != "scalar-unstable"]
+    out.append(("simulate-pendulum-backup-theta75000", "pendulum-backup",
+                ["simulate", "--theta", "75000", "--t-final", "1"], None))
     sweep = ["sweep", "--thetas", "3,40,500,6000,20000,100000"]
     out.append(("sweep-double-integrator-box", "double-integrator-box", sweep, None))
     out += [(f"sweep-double-integrator-box-seed{s}", "double-integrator-box", sweep + ["--seed", str(s)], None)

@@ -64,13 +64,18 @@ class FusedField:
     BackupProblem uses it only while its own are these (see
     `BackupProblem.closed_loop`).
 
-    `row`, when given, maps one state as a tuple of n floats to n floats,
-    bit for bit `field` on that one-row block; one-row flows call it.  Only
-    + - * / may be Python float arithmetic; the rest goes through the
-    block's numpy kernels (a bound ndarray.dot for a one-row product, which
-    reaches the BLAS dot of the block's matmul, np.tanh, ...), since `math`
-    and a written-out dot differ in the last bit.  It must not raise
-    on overflow: a square is `x * x`, as Python's float `**` raises.
+    `row`, when given, maps one state as a tuple of n floats to a tuple
+    (or list) of n floats, bit for bit `field` on that one-row block.
+    One-row flows call it four times per RK4 step from the straight-line
+    kernel generated for their n (see `_row_kernels`), which unpacks each
+    output into n local floats: the initial state's output is checked to be
+    n floats, and any later output of another length raises
+    InvalidInputError.  Only + - * / may be Python float arithmetic; the
+    rest goes through the block's numpy kernels (a bound ndarray.dot for a
+    one-row product, which reaches the BLAS dot of the block's matmul,
+    np.tanh, ...), since `math` and a written-out dot differ in the last
+    bit.  It must not raise on overflow: a square is `x * x`, as Python's
+    float `**` raises.
     """
 
     field: Callable
@@ -271,61 +276,87 @@ def rk4_step(F: Callable, X: np.ndarray, h: float):
     return X + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4), (X, X2, X3, X4)
 
 
-def _rk4_row(f: Callable, x: tuple, h: float):
-    """`rk4_step` on one state as a tuple of floats, for a row form f: the
-    same operations in the same order, so the same bits, without numpy's
-    per-call dispatch.  test_row_flows_equal_one_row_block_flows_bitwise
-    keeps the two bodies equal."""
-    half, sixth = 0.5 * h, h / 6.0
-    k1 = f(x)
-    x2 = tuple([a + half * k for a, k in zip(x, k1)])
-    k2 = f(x2)
-    x3 = tuple([a + half * k for a, k in zip(x, k2)])
-    k3 = f(x3)
-    x4 = tuple([a + h * k for a, k in zip(x, k3)])
-    k4 = f(x4)
-    x_next = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
-    return x_next, (x, x2, x3, x4)
+def _check_row_length(f: Callable, out, n: int):
+    """Raise InvalidInputError when the output `out` of row form f does not
+    hold n values; the generated RK4 kernel calls this on a ValueError."""
+    if len(out) != n:
+        raise InvalidInputError(
+            f"{getattr(f, '__qualname__', f)} returned {len(out)} values for one state; expected {n} floats"
+        ) from None
 
 
-def _sensitivity_row(J: np.ndarray, S: list, h: float) -> list:
-    """The variational recursion of `integrate_flow_batch` over one slice
-    interval of a one-row flow: S is D_x phi as a flat list of n*n floats
-    and J the interval's (4*n_sub, n, n) stage Jacobians.  The elementwise
-    updates run on Python floats in the block body's order, so they give
-    its bits without numpy's per-call dispatch.  The products J_k @ T stay
-    BLAS calls, as in the block body: its gemm computes each entry with
-    fused multiply-adds that Python float arithmetic cannot reproduce.
-    For n >= 2 they go through ndarray.dot, the same gemm as np.matmul at
-    about a third of its dispatch; for n = 1 they stay np.matmul, as dot
-    then multiplies the two scalars and keeps the -0.0 that gemm's sum
-    turns into +0.0.
+@functools.lru_cache(maxsize=None)
+def _row_kernels(n: int) -> tuple:
+    """The one-row kernels of `integrate_flow_batch` for state dimension n,
+    generated from n alone by one compile/exec (as dataclasses writes an
+    __init__), so one implementation serves every n with no per-element
+    loop: each state component, stage slope and entry of S is a local name.
+
+    rk4_row(f, x, h) is `rk4_step` on one state as a tuple of floats, for a
+    row form f: the same operations in the same order, so the same bits,
+    without numpy's per-call dispatch.  It returns the next state and the
+    four stage states as one flat tuple of 4*n floats.  A stage output that
+    does not unpack into n values raises InvalidInputError; a ValueError
+    raised in f itself propagates unchanged.
+
+    sensitivity_row(J, S, h) runs the variational recursion over one slice
+    interval, with S = D_x phi as n*n floats and J the interval's
+    (4*n_sub, n, n) stage Jacobians, and returns the new S as a tuple.  The
+    elementwise updates run on Python floats in the block body's order;
+    the products J_k @ T stay BLAS calls on one reused (n, n) buffer T,
+    written through a memoryview and read back from P, as the block body's
+    gemm computes each entry with fused multiply-adds that Python float
+    arithmetic cannot reproduce.  For n >= 2 they go through ndarray.dot,
+    the same gemm as np.matmul at about a third of its dispatch; for n = 1
+    they stay np.matmul, as dot then multiplies the two scalars and keeps
+    the -0.0 that gemm's sum turns into +0.0.
+
+    test_row_kernels_equal_reference_loop_bodies_bitwise,
+    test_row_flows_equal_one_row_block_flows_bitwise,
     test_row_sensitivities_equal_block_sensitivities_bitwise and
     test_sensitivity_row_matches_matmul_reference_on_signed_zeros keep the
-    two bodies equal."""
-    n = J.shape[-1]
-    T, P = np.empty((n, n)), np.empty((n, n))
-    # each product writes its right factor into T and reads P back; written
-    # out, not in a helper, as a call per product costs about 2 % of a flow
-    T_flat, read = T.reshape(-1), P.reshape(-1).tolist
-    prod = np.matmul if n == 1 else np.ndarray.dot
-    half, sixth = 0.5 * h, h / 6.0
-    Js = list(J)
-    for s in range(0, len(Js), 4):
-        T_flat[:] = S
-        prod(Js[s], T, out=P)
-        k1 = read()
-        T_flat[:] = [a + half * k for a, k in zip(S, k1)]
-        prod(Js[s + 1], T, out=P)
-        k2 = read()
-        T_flat[:] = [a + half * k for a, k in zip(S, k2)]
-        prod(Js[s + 2], T, out=P)
-        k3 = read()
-        T_flat[:] = [a + h * k for a, k in zip(S, k3)]
-        prod(Js[s + 3], T, out=P)
-        k4 = read()
-        S = [a + sixth * (p + 2.0 * q + 2.0 * r + t) for a, p, q, r, t in zip(S, k1, k2, k3, k4)]
-    return S
+    kernels equal to the loop bodies they replace and to the block bodies."""
+    # names("x") is "x0, x1," for n = 2; each(form) is form once per component
+    def names(stem, k=n):
+        return ", ".join(f"{stem}{i}" for i in range(k)) + ","
+
+    def each(form, k=n, sep="; "):
+        return sep.join(form.format(i) for i in range(k))
+
+    # k holds the row form's latest output (x before its first), so after a
+    # ValueError a k of n values means the error came from inside f
+    m = n * n
+    source = f"""
+def rk4_row(f, x, h):
+    half = 0.5 * h; sixth = h / 6.0
+    {names("x")} = k = x
+    try:
+        k = f(x); {names("a")} = k; {each("y{0} = x{0} + half * a{0}")}
+        k = f(({names("y")})); {names("b")} = k; {each("z{0} = x{0} + half * b{0}")}
+        k = f(({names("z")})); {names("c")} = k; {each("w{0} = x{0} + h * c{0}")}
+        k = f(({names("w")})); {names("d")} = k
+    except ValueError:
+        check_row_length(f, k, {n}); raise
+    x_next = {each("x{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", sep=", ")},
+    return x_next, ({" ".join(names(stem) for stem in "xyzw")})
+
+def sensitivity_row(J, S, h):
+    half = 0.5 * h; sixth = h / 6.0
+    T, P = empty(({n}, {n})), empty(({n}, {n}))
+    t, p = memoryview(T.reshape(-1)), memoryview(P.reshape(-1))
+    {names("s", m)} = S
+    for J1, J2, J3, J4 in zip(*[iter(J)] * 4):
+        {each("t[{0}] = s{0}", m)}; prod(J1, T, out=P); {names("a", m)} = p
+        {each("t[{0}] = s{0} + half * a{0}", m)}; prod(J2, T, out=P); {names("b", m)} = p
+        {each("t[{0}] = s{0} + half * b{0}", m)}; prod(J3, T, out=P); {names("c", m)} = p
+        {each("t[{0}] = s{0} + h * c{0}", m)}; prod(J4, T, out=P); {names("d", m)} = p
+        {names("s", m)} = {each("s{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", m, ", ")},
+    return {names("s", m)}
+"""
+    scope = {"check_row_length": _check_row_length, "empty": np.empty,
+             "prod": np.matmul if n == 1 else np.ndarray.dot}
+    exec(compile(source, f"<softcbf row kernels n={n}>", "exec"), scope)
+    return scope["rk4_row"], scope["sensitivity_row"]
 
 
 def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):
@@ -354,20 +385,21 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     `sys.closed_loop(k_b)`, checked on the first RK4 step only: the later
     steps, finite differences and a blow-up re-run skip its checks.  A one-row
     block on a fused field with a row form runs its value steps on the row
-    form (`_rk4_row`), bit for bit, once it returns n floats on the initial
-    state.  Finiteness is tested once per slice interval: a non-finite
-    state stays non-finite under the later RK4 updates, so the interval is
-    then re-run step by step on the block field to raise BlowUpError with
-    the time of the step that blew up.
+    form through the generated kernel for its n (`_row_kernels`), bit for
+    bit, once it returns n floats on the initial state.  Finiteness is
+    tested once per slice interval: a non-finite state stays non-finite
+    under the later RK4 updates, so the interval is then re-run step by
+    step on the block field to raise BlowUpError with the time of the step
+    that blew up.
 
     The value steps of a slice interval record their RK4 stage states; the
     Jacobian then runs on groups of whole steps of at most _JACOBIAN_ROWS
     stage rows (one call per interval while its 4*n_sub*B rows fit), each
     followed by the sensitivity recursion over its steps.  On the row path
-    the stage states go into a list, and the recursion
-    (`_sensitivity_row`) holds S as n*n Python floats: it calls numpy only
-    for the products J_k @ T, through ndarray.dot for n >= 2 (np.matmul for
-    n = 1), and gives the block recursion's bits.
+    the stage states go into one flat list of floats, and the generated
+    recursion holds S as n*n Python floats: it calls numpy only for the
+    products J_k @ T, through ndarray.dot for n >= 2 (np.matmul for n = 1),
+    and gives the block recursion's bits.
 
     In a block of two or more rows, each row comes out bitwise the same
     whatever rows share the block, so marching and bisection may flow only
@@ -390,6 +422,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                 raise InvalidInputError(
                     f"{getattr(row, '__qualname__', row)} returned {out!r} for one state; expected {n} floats"
                 )
+            rk4_row, sensitivity_row = _row_kernels(n)
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
@@ -423,7 +456,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
             else:
                 stage_rows = []
                 for s in range(n_sub):
-                    x, stage_states = _rk4_row(row, x, h)
+                    x, stage_states = rk4_row(row, x, h)
                     if sens is not None:
                         stage_rows += stage_states
                 states[i, 0] = x
@@ -441,7 +474,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                         S = S + c_sixth * (k1s + _TWO * k2s + _TWO * k3s + k4s)
                 sens[i] = S
             else:
-                S = _sensitivity_row(jac(np.array(stage_rows)), S, h)
+                S = sensitivity_row(jac(np.array(stage_rows).reshape(-1, n)), S, h)
                 sens[i, 0].flat = S
 
     return BatchFlowResult(states=states, sensitivities=sens, stats=IntegratorStats(steps=(N - 1) * n_sub))

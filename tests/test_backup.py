@@ -548,7 +548,7 @@ def row_form_problem(n):
 @pytest.mark.gate
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_row_sensitivities_equal_block_sensitivities_bitwise(n):
-    # the float recursion of a one-row flow (backup._sensitivity_row) against
+    # the float recursion of a one-row flow (backup._row_kernels) against
     # the numpy recursion of the same problem without a row form
     rows = collections.Counter()
     prob = row_form_problem(n)
@@ -603,8 +603,102 @@ def test_sensitivity_row_matches_matmul_reference_on_signed_zeros(n):
         for M in (J, S):
             zeros = rng.uniform(size=M.shape) < 0.4
             M[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
-        got = np.array(softcbf.backup._sensitivity_row(J, S.tolist(), h))
+        got = np.array(softcbf.backup._row_kernels(n)[1](J, S.tolist(), h))
         assert got.tobytes() == matmul_sensitivity_recursion(J, S, h).tobytes()
+
+
+def reference_rk4_row(f, x, h):
+    """The row RK4 step as a loop over the components (the row path's
+    earlier body, kept here as the kernels' reference)."""
+    half, sixth = 0.5 * h, h / 6.0
+    k1 = f(x)
+    x2 = tuple([a + half * k for a, k in zip(x, k1)])
+    k2 = f(x2)
+    x3 = tuple([a + half * k for a, k in zip(x, k2)])
+    k3 = f(x3)
+    x4 = tuple([a + h * k for a, k in zip(x, k3)])
+    k4 = f(x4)
+    x_next = tuple([a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)])
+    return x_next, (x, x2, x3, x4)
+
+
+def reference_sensitivity_row(J, S, h):
+    """The row sensitivity recursion as a loop over the entries of S (the
+    row path's earlier body, kept here as the kernels' reference)."""
+    n = J.shape[-1]
+    T, P = np.empty((n, n)), np.empty((n, n))
+    T_flat, read = T.reshape(-1), P.reshape(-1).tolist
+    prod = np.matmul if n == 1 else np.ndarray.dot
+    half, sixth = 0.5 * h, h / 6.0
+    Js = list(J)
+    for s in range(0, len(Js), 4):
+        T_flat[:] = S
+        prod(Js[s], T, out=P)
+        k1 = read()
+        T_flat[:] = [a + half * k for a, k in zip(S, k1)]
+        prod(Js[s + 1], T, out=P)
+        k2 = read()
+        T_flat[:] = [a + half * k for a, k in zip(S, k2)]
+        prod(Js[s + 2], T, out=P)
+        k3 = read()
+        T_flat[:] = [a + h * k for a, k in zip(S, k3)]
+        prod(Js[s + 3], T, out=P)
+        k4 = read()
+        S = [a + sixth * (p + 2.0 * q + 2.0 * r + t) for a, p, q, r, t in zip(S, k1, k2, k3, k4)]
+    return S
+
+
+# signed zeros, infinities, NaN, subnormals and values whose products overflow
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, 1e-320, 1e300, -3e307]
+
+
+def special_draws(rng, shape, rate):
+    """Normal draws, each replaced by one of SPECIAL_FLOATS with probability rate."""
+    out = rng.standard_normal(shape)
+    mask = rng.uniform(size=shape) < rate
+    out[mask] = rng.choice(SPECIAL_FLOATS, size=mask.sum())
+    return out
+
+
+def scripted_row(slopes):
+    """A row form that returns the given slopes in turn, whatever the state."""
+    it = iter(slopes)
+    return lambda x: tuple(next(it))
+
+
+def float_bits(values):
+    """The bytes of values as float64, with every NaN made math.nan.  The
+    sum of two NaNs keeps either one's sign, and which one can change when
+    CPython specialises a float addition after a few runs of the same code,
+    so a NaN's sign bit does not tell two implementations apart."""
+    out = np.array(values, dtype=float)
+    out[np.isnan(out)] = math.nan
+    return out.tobytes()
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
+    # the row form answers from a script of drawn slopes, so special values
+    # reach every stage; both bodies see the same script
+    rk4_row, sensitivity_row = softcbf.backup._row_kernels(n)
+    rng = np.random.default_rng(100 + n)
+    for _ in range(300):
+        # a rare special value leaves most of a long recursion finite
+        rate = float(rng.choice([0.01, 0.05, 0.3]))
+        h = float(rng.choice([0.01, 0.2 / 3, 0.5, rng.uniform(1e-4, 1.0)]))
+        x = tuple(special_draws(rng, n, rate).tolist())
+        slopes = special_draws(rng, (4, n), rate).tolist()
+        x_next, stages = rk4_row(scripted_row(slopes), x, h)
+        want_next, want_stages = reference_rk4_row(scripted_row(slopes), x, h)
+        assert float_bits(x_next) == float_bits(want_next)
+        assert float_bits(stages) == float_bits(want_stages)
+
+        J = special_draws(rng, (4 * int(rng.integers(1, 4)), n, n), rate)
+        S = special_draws(rng, n * n, rate).tolist()
+        with np.errstate(all="ignore"):
+            got, want = sensitivity_row(J, S, h), reference_sensitivity_row(J, S, h)
+        assert float_bits(got) == float_bits(want)
 
 
 def per_slice_values(prob, flow):
@@ -684,6 +778,41 @@ def test_fused_row_form_with_wrong_length_raises():
         integrate_flow_batch(bad, np.zeros((1, 2)))
     # only a one-row flow takes the row path and checks the row form
     integrate_flow_batch(bad, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("sensitivities", [False, True])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_row_form_that_changes_length_after_its_first_call_raises(extra, sensitivities):
+    # the initial check sees n floats; a later stage's output of another
+    # length must not be truncated (longer) or reach K.dot (shorter)
+    calls = collections.Counter()
+
+    def drifting_row(x):
+        calls["row"] += 1
+        out = prob.fused.row(x)
+        return out if calls["row"] < 3 else out + (0.0,) if extra > 0 else out[:1]
+
+    prob = get_benchmark("pendulum-backup").backup
+    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=drifting_row))
+    with pytest.raises(InvalidInputError, match=rf"drifting_row returned {2 + extra} values for one state; expected 2"):
+        integrate_flow_batch(bad, np.full((1, 2), 0.01), sensitivities=sensitivities)
+
+
+def test_value_error_inside_a_row_form_propagates_unchanged():
+    calls = collections.Counter()
+    failure = ValueError("row form failed")
+
+    def failing_row(x):
+        calls["row"] += 1
+        if calls["row"] == 6:
+            raise failure
+        return prob.fused.row(x)
+
+    prob = get_benchmark("pendulum-backup").backup
+    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=failing_row))
+    with pytest.raises(ValueError) as err:
+        integrate_flow_batch(bad, np.full((1, 2), 0.01))
+    assert err.value is failure
 
 
 def test_fused_field_applies_only_to_the_callables_it_was_declared_for():

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -225,6 +227,43 @@ def test_simulate_reproduces_fixed_traces(name):
     assert trace.controls.tolist() == rec["controls"]
     assert trace.h_soft.tolist() == rec["h_soft"]
     assert trace.min_h_soft == rec["min_h_soft"]
+
+
+# SHA-256 of the states, controls and h_soft bytes of 1 s pendulum-backup
+# closed loops at theta = 75000, from x0 drawn uniformly in the disc of
+# radius 0.08 at seeds 0-4 (perfbench's simulate-pendulum inputs): every
+# step runs a one-row flow with sensitivities on the row path
+PENDULUM_ROW_PATH_DIGESTS = [
+    ("7194a72583a6feb19a00f642ba7277f407e0e2f2a854a75a9336d8577fc6bf2c",
+     "a3eebebf337a0a8bad5932eaef6e09ead473ddcbcd2f15c1f1b9535889e06537",
+     "49e4615edaee034e1391ff190b594990bc060d1bfb8e700776724aa183929927"),
+    ("dfe9d48ec08fce968f852f86f8800844e6848ed91d0a3142b2509d0de18e7dfa",
+     "1e5e2b49675f25b8f013ad08522e20bbd489aa2be86a9e8e925171eb9bf0c659",
+     "4181ac4f5a95ad3abbebadd1beffd842a3fb17e50686ef5315527f230739bea3"),
+    ("c3eabf31dac5fa209c4ee847597805e27564407a28bde20c4f6d08ac2f598408",
+     "750bbe97c37dd788796201a28698086fbe929769a659dd08b71c49ee672f1c76",
+     "fab33a5ca84ddb0c54deb01558f26cf990fbc09f7f4113da795f5d74112874ff"),
+    ("8650c07b5a493d71f9ffe38c5b795e1b5fb21053303b75b3c6dd43dd4fd5e4e6",
+     "2959e0c5b916299baa0f7ece410dae7d7f08f0024b8502057a34c2eb1ca0406c",
+     "957bbfb20d7f2e87df9638d259d174a381a078ed6a9c92aa1dc09d73729c2e17"),
+    ("6de6922467806be7bbda367a88d1ff875283a82acae3a99c4455943bd1e24bcf",
+     "d73de47e0dd3aa98ab3b5559c040260368f78a884057d9c7d4a98cf63f881105",
+     "704a8bf1bc42ac75adacea53a8fed2f1fa0c0ce1314d9f48484b0c3baa78df57"),
+]
+
+
+@pytest.mark.gate
+def test_pendulum_row_path_closed_loops_match_recorded_digests():
+    bench = get_benchmark("pendulum-backup")
+    for seed, want in enumerate(PENDULUM_ROW_PATH_DIGESTS):
+        rng = np.random.default_rng(seed)
+        radius = 0.08 * math.sqrt(rng.uniform())
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        x0 = np.array([radius * math.cos(angle), radius * math.sin(angle)])
+        trace = run(bench, SimConfig(x0=x0, t_final=1.0, dt=0.01, theta=75000.0))
+        assert len(trace) == 101
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (trace.states, trace.controls, trace.h_soft))
+        assert got == want, seed
 
 
 def assert_same_trace(a, b):
