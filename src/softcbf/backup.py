@@ -74,8 +74,13 @@ class FusedField:
     rest goes through the block's numpy kernels (a bound ndarray.dot for a
     one-row product, which reaches the BLAS dot of the block's matmul,
     np.tanh, ...), since `math` and a written-out dot differ in the last
-    bit.  It must not raise on overflow: a square is `x * x`, as Python's
-    float `**` raises.
+    bit.  A product's operand should be a fresh float64 array filled by
+    item assignment, not the state tuple, which numpy converts at every
+    call: the pendulum's K.dot took 0.77 against 0.81 us a call on the
+    array, and 1.23 against 1.33 us while the host ran slow (2-vCPU host,
+    numpy 2.4.6, best of 15 interleaved rounds).  A buffer shared across
+    calls would not be thread-safe.  It must not raise on overflow: a
+    square is `x * x`, as Python's float `**` raises.
     """
 
     field: Callable
@@ -276,6 +281,16 @@ def rk4_step(F: Callable, X: np.ndarray, h: float):
     return X + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4), (X, X2, X3, X4)
 
 
+def _check_first_row(f: Callable, x: tuple, n: int):
+    """Raise InvalidInputError unless row form f maps the initial state x,
+    a tuple of n floats, to a tuple or list of n floats."""
+    out = f(x)
+    if not (isinstance(out, (tuple, list)) and len(out) == n and all(isinstance(v, float) for v in out)):
+        raise InvalidInputError(
+            f"{getattr(f, '__qualname__', f)} returned {out!r} for one state; expected {n} floats"
+        )
+
+
 def _check_row_length(f: Callable, out, n: int):
     """Raise InvalidInputError when the output `out` of row form f does not
     hold n values; the generated RK4 kernel calls this on a ValueError."""
@@ -310,6 +325,12 @@ def _row_kernels(n: int) -> tuple:
     the same gemm as np.matmul at about a third of its dispatch; for n = 1
     they stay np.matmul, as dot then multiplies the two scalars and keeps
     the -0.0 that gemm's sum turns into +0.0.
+
+    held_row(f, g) is the row form x -> f(x) + g for a row form f and a
+    constant row g of n floats, added component by component like the
+    block sum drift(X) + held of a plant step (see `sim._plant_block`).  An
+    output of f that does not unpack into n values raises
+    InvalidInputError naming f.
 
     test_row_kernels_equal_reference_loop_bodies_bitwise,
     test_row_flows_equal_one_row_block_flows_bitwise,
@@ -352,11 +373,22 @@ def sensitivity_row(J, S, h):
         {each("t[{0}] = s{0} + h * c{0}", m)}; prod(J4, T, out=P); {names("d", m)} = p
         {names("s", m)} = {each("s{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", m, ", ")},
     return {names("s", m)}
+
+def held_row(f, g):
+    {names("g")} = g
+    def f_held(x):
+        k = f(x)
+        try:
+            {names("d")} = k
+        except ValueError:
+            check_row_length(f, k, {n}); raise
+        return {each("d{0} + g{0}", sep=", ")},
+    return f_held
 """
     scope = {"check_row_length": _check_row_length, "empty": np.empty,
              "prod": np.matmul if n == 1 else np.ndarray.dot}
     exec(compile(source, f"<softcbf row kernels n={n}>", "exec"), scope)
-    return scope["rk4_row"], scope["sensitivity_row"]
+    return scope["rk4_row"], scope["sensitivity_row"], scope["held_row"]
 
 
 def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):
@@ -396,8 +428,12 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     Jacobian then runs on groups of whole steps of at most _JACOBIAN_ROWS
     stage rows (one call per interval while its 4*n_sub*B rows fit), each
     followed by the sensitivity recursion over its steps.  On the row path
-    the stage states go into one flat list of floats, and the generated
-    recursion holds S as n*n Python floats: it calls numpy only for the
+    the stage states of the whole flow go into one flat list of floats, and
+    once every interval has passed the finiteness test the Jacobian runs on
+    groups of whole steps across interval ends, up to _JACOBIAN_ROWS stage
+    rows (one call for the pendulum's 800): a block of two or more rows
+    gives each row the same bits.  The generated recursion then holds S as
+    n*n Python floats, one call per interval: it calls numpy only for the
     products J_k @ T, through ndarray.dot for n >= 2 (np.matmul for n = 1),
     and gives the block recursion's bits.
 
@@ -417,12 +453,9 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         call_batched(F, X, (n,))
         if B == 1 and prob.fused.row is not None:
             row, x = prob.fused.row, tuple(X[0].tolist())
-            out = row(x)
-            if not (isinstance(out, (tuple, list)) and len(out) == n and all(isinstance(v, float) for v in out)):
-                raise InvalidInputError(
-                    f"{getattr(row, '__qualname__', row)} returned {out!r} for one state; expected {n} floats"
-                )
-            rk4_row, sensitivity_row = _row_kernels(n)
+            _check_first_row(row, x, n)
+            rk4_row, sensitivity_row, _ = _row_kernels(n)
+            stage_rows = []
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
@@ -436,7 +469,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         sens[0] = np.eye(n)
         S = sens[0].copy() if row is None else sens[0, 0].ravel().tolist()
         # the stage states of each RK4 step of one slice interval, which
-        # the row path lists in stage_rows instead
+        # the row path lists in stage_rows for the whole flow instead
         stages = np.empty((n_sub, 4, B, n))
         group = max(1, _JACOBIAN_ROWS // (4 * B))
         # rk4_step's coefficients; S and each J @ S are float64 whatever
@@ -454,7 +487,6 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                         stages[s] = stage_states
                 states[i] = X
             else:
-                stage_rows = []
                 for s in range(n_sub):
                     x, stage_states = rk4_row(row, x, h)
                     if sens is not None:
@@ -462,19 +494,25 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                 states[i, 0] = x
             if not np.isfinite(states[i]).all():
                 _raise_blow_up(F_rest, states[i - 1], h, n_sub, i)
-            if sens is None:
+            if sens is None or row is not None:
                 continue
-            if row is None:
-                for g in range(0, n_sub, group):
-                    for J in jac(stages[g:g + group].reshape(-1, n)).reshape(-1, 4, B, n, n):
-                        k1s = J[0] @ S
-                        k2s = J[1] @ (S + c_half * k1s)
-                        k3s = J[2] @ (S + c_half * k2s)
-                        k4s = J[3] @ (S + c_h * k3s)
-                        S = S + c_sixth * (k1s + _TWO * k2s + _TWO * k3s + k4s)
-                sens[i] = S
-            else:
-                S = sensitivity_row(jac(np.array(stage_rows).reshape(-1, n)), S, h)
+            for g in range(0, n_sub, group):
+                for J in jac(stages[g:g + group].reshape(-1, n)).reshape(-1, 4, B, n, n):
+                    k1s = J[0] @ S
+                    k2s = J[1] @ (S + c_half * k1s)
+                    k3s = J[2] @ (S + c_half * k2s)
+                    k4s = J[3] @ (S + c_h * k3s)
+                    S = S + c_sixth * (k1s + _TWO * k2s + _TWO * k3s + k4s)
+            sens[i] = S
+        if row is not None and sens is not None:
+            # once every interval is finite: whole RK4 steps across interval
+            # ends, up to _JACOBIAN_ROWS stage rows per call
+            A = np.array(stage_rows).reshape(-1, n)
+            size = 4 * group
+            Js = [jac(A[r:r + size]) for r in range(0, len(A), size)]
+            J = Js[0] if len(Js) == 1 else np.concatenate(Js)
+            for i in range(1, N):
+                S = sensitivity_row(J[4 * n_sub * (i - 1):4 * n_sub * i], S, h)
                 sens[i, 0].flat = S
 
     return BatchFlowResult(states=states, sensitivities=sens, stats=IntegratorStats(steps=(N - 1) * n_sub))

@@ -75,11 +75,18 @@ class FusedPlant:
     composed `drift(X) + einsum("bij,bj->bi", actuation(X), U)` on finite
     states and inputs, including the sign of zero: the einsum adds an exact
     +0.0 to every component.
+
+    `drift_row`, when given, is `drift` on one state: it maps a tuple of n
+    floats to a tuple (or list) of n floats, bit for bit `drift` on that
+    one-row block, under the rules of a `FusedField.row`.  `sim.run` steps
+    a one-row block on it, with the held input added, while `actuation`
+    is a ConstantActuation (see `sim._plant_block`).
     """
 
     plant: Callable
     drift: Callable
     actuation: Callable
+    drift_row: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -123,12 +130,19 @@ class ControlAffineSystem:
         input and every output shape are checked at every call."""
         return self._closed_loop_fields(controller)[0]
 
+    def _fused_plant(self) -> Optional[FusedPlant]:
+        """`fused` while its drift and actuation are this system's, else None."""
+        p = self.fused
+        if p is not None and p.drift is self.drift and p.actuation is self.actuation:
+            return p
+        return None
+
     def _closed_loop_fields(self, controller: Callable) -> tuple:
         """`closed_loop(controller)` and the same composition on (B, n)
         blocks without its checks, for a flow's RK4 steps after its first."""
         n, m = self.n, self.m
-        p = self.fused
-        if p is not None and p.drift is self.drift and p.actuation is self.actuation:
+        p = self._fused_plant()
+        if p is not None:
             plant = p.plant
 
             def F(X):

@@ -15,6 +15,7 @@ hold-and-integrate error.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -22,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import softmin as sm
-from .backup import rk4_step
+from .backup import _check_first_row, _row_kernels, rk4_step
 from .errors import InvalidInputError
 from .geometry import call_batched
 from .safety_filter import (
@@ -74,9 +75,16 @@ class SimConfig:
             raise InvalidInputError(f"theta must be finite and positive, got {self.theta}")
         if self.infeasible_policy not in ("halt", "backup-takeover", "clip"):
             raise InvalidInputError(f"unknown infeasible policy {self.infeasible_policy!r}")
-        if self.substeps < 1:
+        s = self.substeps
+        if not (isinstance(s, numbers.Integral) or (isinstance(s, numbers.Real) and float(s).is_integer())):
+            raise InvalidInputError(f"substeps must be an integer, got {s!r}")
+        if s < 1:
             raise InvalidInputError("substeps must be >= 1")
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
+        object.__setattr__(self, "substeps", int(s))
+        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        if not np.isfinite(x0).all():
+            raise InvalidInputError(f"x0 must be finite, got {x0}")
+        object.__setattr__(self, "x0", x0)
 
 
 @dataclass
@@ -154,10 +162,26 @@ def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) ->
     U held.  `run` checks the dynamics' block shapes once, so they are called
     directly here.  Each row's held input g(x) u is a stacked matmul, bitwise
     the one-row g @ u; a ConstantActuation's is the same at every RK4 stage,
-    so it is computed once."""
+    so it is computed once.
+
+    A one-row block on a ConstantActuation whose system declares a drift row
+    form (`FusedPlant.drift_row`, while the fused plant applies) runs its
+    RK4 substeps on Python floats through the generated `rk4_row`, on the
+    drift row plus the held row, bit for bit the block step: the drift row
+    is checked to return n floats on the initial state."""
     U = U[:, :, None]
+    h = dt / substeps
     if isinstance(sys.actuation, ConstantActuation):
         held = (sys.actuation(X) @ U)[:, :, 0]
+        plant = sys._fused_plant()
+        if len(X) == 1 and plant is not None and plant.drift_row is not None:
+            n, x = X.shape[1], tuple(X[0].tolist())
+            _check_first_row(plant.drift_row, x, n)
+            rk4_row, _, held_row = _row_kernels(n)
+            f = held_row(plant.drift_row, held[0].tolist())
+            for _ in range(substeps):
+                x, _ = rk4_row(f, x, h)
+            return np.array([x])
 
         def f(X):
             return sys.drift(X) + held
@@ -166,7 +190,6 @@ def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) ->
         def f(X):
             return sys.drift(X) + (sys.actuation(X) @ U)[:, :, 0]
 
-    h = dt / substeps
     for _ in range(substeps):
         X, _ = rk4_step(f, X, h)
     return X

@@ -202,6 +202,16 @@ def pendulum_backup() -> Benchmark:
         out[:, 1] = np.sin(X[:, 0]) + (U[:, 0] + _ZERO)
         return out
 
+    # the row forms' numpy functions and constants as closure names, which
+    # cost less per call than module globals and attributes
+    empty, sin, tanh, k_dot = np.empty, np.sin, np.tanh, PENDULUM_K.dot
+    u_max, neg_u_max = PENDULUM_U_MAX, -PENDULUM_U_MAX
+
+    def drift_row(x):
+        # drift on a tuple of floats; sin stays a numpy call (math.sin may differ)
+        x0, x1 = x
+        return (x1, float(sin(x0)))
+
     actuation = ConstantActuation([[0.0], [1.0]])
     sys = ControlAffineSystem(
         n=2,
@@ -209,7 +219,7 @@ def pendulum_backup() -> Benchmark:
         drift=drift,
         actuation=actuation,
         input_box=np.array([[-PENDULUM_U_MAX, PENDULUM_U_MAX]]),
-        fused=FusedPlant(plant, drift, actuation),
+        fused=FusedPlant(plant, drift, actuation, drift_row),
     )
 
     c = PENDULUM_SHEAR
@@ -246,9 +256,15 @@ def pendulum_backup() -> Benchmark:
     def closed_loop_row(x):
         # closed_loop on a tuple of floats, same operations in the same order;
         # K.x, tanh and sin stay numpy calls (a written-out dot or math differ),
-        # K.x through the bound ndarray.dot, which skips np.dot's dispatch
-        u = PENDULUM_U_MAX * float(np.tanh(float(PENDULUM_K.dot(x)) / -PENDULUM_U_MAX))
-        return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
+        # K.x through the bound ndarray.dot, which skips np.dot's dispatch, on
+        # a float64 array, which numpy need not convert as it does a tuple;
+        # a fresh one per call, as a shared buffer is not thread-safe
+        x0, x1 = x
+        a = empty(2)
+        a[0] = x0
+        a[1] = x1
+        u = u_max * float(tanh(float(k_dot(a)) / neg_u_max))
+        return (x1 + 0.0, float(sin(x0)) + (u + 0.0))
 
     def jac_closed_loop(X):
         # d/dx [w, sin(a) + umax*tanh(-K.x/umax)]

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
 import math
+import threading
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -681,7 +683,7 @@ def float_bits(values):
 def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
     # the row form answers from a script of drawn slopes, so special values
     # reach every stage; both bodies see the same script
-    rk4_row, sensitivity_row = softcbf.backup._row_kernels(n)
+    rk4_row, sensitivity_row, _ = softcbf.backup._row_kernels(n)
     rng = np.random.default_rng(100 + n)
     for _ in range(300):
         # a rare special value leaves most of a long recursion finite
@@ -736,8 +738,8 @@ def test_stacked_slice_values_equal_per_slice_reference_bitwise(B):
 
 def test_blow_up_reports_time_on_the_row_path_with_sensitivities():
     # xdot = x * x from 2 overflows in the second slice interval (see
-    # test_blow_up_reports_time), so the row path's sensitivity recursion
-    # has run over the first interval when the blow-up is found
+    # test_blow_up_reports_time), so the row path has listed the first
+    # interval's stage states for its Jacobian when the blow-up is found
     rows = collections.Counter()
 
     def square(x):
@@ -1041,10 +1043,14 @@ def test_sensitivity_flow_calls_jacobian_once_per_slice(B):
     n_sub = math.ceil(prob.dtau / prob.h_max)
     X0 = np.linspace(-0.3, 0.3, 2 * B).reshape(B, 2)
     flow = integrate_flow_batch(dataclasses.replace(prob, jacobian=counted), X0)
-    # the shape check on the initial block, then one call per slice interval
-    # on the 4 stage states of each of its n_sub RK4 steps
-    assert rows == [B] + [4 * n_sub * B] * (prob.N - 1)
-    assert len(rows) == 11 and flow.stats.steps == 200
+    # the shape check on the initial block, then on a block one call per
+    # slice interval on the 4 stage states of each of its n_sub RK4 steps,
+    # and on the row path one call on the stage states of the whole flow
+    if B == 1:
+        assert rows == [1, 4 * n_sub * (prob.N - 1)]
+    else:
+        assert rows == [B] + [4 * n_sub * B] * (prob.N - 1)
+    assert len(rows) == (2 if B == 1 else 11) and flow.stats.steps == 200
     assert flow.sensitivities.tobytes() == integrate_flow_batch(prob, X0).sensitivities.tobytes()
 
 
@@ -1246,3 +1252,59 @@ def test_rk4_step_matches_python_float_coefficients_bitwise(B):
         for _ in range(substeps):
             want, _ = rk4_reference(lambda X: plant.drift(X) + held, want, dt / substeps)
         assert softcbf.sim._plant_block(plant, X, U, dt, substeps).tobytes() == want.tobytes()
+
+
+@pytest.mark.gate
+def test_one_row_flows_in_two_threads_give_the_single_thread_bits():
+    # the row form builds a fresh K.x operand at every call and the kernels
+    # keep their buffers per call, so concurrent one-row flows share no state
+    prob = get_benchmark("pendulum-backup").backup
+    box = prob.bounding_box
+    starts = [np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(12, 2)) for seed in (31, 32)]
+
+    def flows(X0):
+        return [integrate_flow_batch(prob, x[None], sensitivities=k % 2 == 0) for k, x in enumerate(X0)]
+
+    def bits(results):
+        return [(r.states.tobytes(), None if r.sensitivities is None else r.sensitivities.tobytes()) for r in results]
+
+    want = [bits(flows(X0)) for X0 in starts]
+    got = [None, None]
+    barrier = threading.Barrier(2)
+
+    def worker(k):
+        barrier.wait(timeout=30)
+        got[k] = bits(flows(starts[k]))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)  # switch threads every few bytecodes
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+def test_row_flow_jacobian_groups_whole_steps_across_interval_ends(monkeypatch):
+    # below the row budget the row path's Jacobian calls take whole RK4
+    # steps across interval ends; the recursion gives the same bits
+    prob = get_benchmark("pendulum-backup").backup
+    rows = []
+
+    def counted(X):
+        rows.append(len(X))
+        return prob.jacobian(X)
+
+    X0 = np.array([[0.21, -0.34]])
+    want = integrate_flow_batch(prob, X0)
+    monkeypatch.setattr(softcbf.backup, "_JACOBIAN_ROWS", 4 * 7 + 3)
+    flow = integrate_flow_batch(dataclasses.replace(prob, jacobian=counted), X0)
+    steps = flow.stats.steps
+    assert rows == [1] + [4 * 7] * (steps // 7) + [4 * (steps % 7)]
+    assert flow.sensitivities.tobytes() == want.sensitivities.tobytes()
+    assert flow.states.tobytes() == want.states.tobytes()

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import softcbf.backup
+import softcbf.sim
 from softcbf import (
     ClassK,
     ConstraintSet,
@@ -451,3 +454,116 @@ def test_one_constraint_family_is_its_own_smooth_minimum():
         n=1, evaluators=(lambda x: (float(b[0] - x[0]), -np.ones(1)),), batch_evaluator=batch)
     trace = run(dataclasses.replace(bench, constraints=cs), scalar_cfg(theta=0.37, t_final=0.5))
     assert trace.h_soft.tobytes() == trace.h_hard.tobytes()
+
+
+@pytest.mark.parametrize("substeps", [2.5, math.nan, math.inf, "10"])
+def test_non_integral_substeps_raise(substeps):
+    with pytest.raises(InvalidInputError, match="substeps must be an integer"):
+        scalar_cfg(substeps=substeps)
+
+
+def test_integral_float_substeps_run_as_an_int():
+    cfg = scalar_cfg(substeps=5.0, t_final=0.05)
+    assert cfg.substeps == 5 and isinstance(cfg.substeps, int)
+    got = run(get_benchmark("scalar-stable"), cfg)
+    want = run(get_benchmark("scalar-stable"), scalar_cfg(substeps=5, t_final=0.05))
+    assert_same_trace(got, want)
+
+
+@pytest.mark.parametrize("x0", [[math.nan, 0.0], [0.0, -math.inf]], ids=["nan", "-inf"])
+def test_non_finite_x0_raises_naming_x0(x0):
+    with pytest.raises(InvalidInputError, match="x0 must be finite"):
+        SimConfig(x0=np.array(x0), t_final=0.1, dt=0.01, theta=10.0)
+
+
+def plant_specials(edge):
+    """+-0.0, subnormals of both signs and the box edges +-edge."""
+    return [0.0, -0.0, 5e-324, -5e-324, -1e-310, edge, -edge]
+
+
+def plant_draws(rng, size, scale, edge):
+    """Uniform draws in [-scale, scale] with plant_specials(edge) mixed in."""
+    out = rng.uniform(-scale, scale, size=size)
+    special = rng.uniform(size=size) < 0.3
+    out[special] = rng.choice(plant_specials(edge), size=special.sum())
+    return out
+
+
+@pytest.mark.gate
+def test_one_row_plant_row_path_equals_block_plant_bitwise():
+    # sim._plant_block on one row runs on the pendulum's drift row form;
+    # without the fused plant it runs the numpy block step on the same row
+    calls = collections.Counter()
+    bench = get_benchmark("pendulum-backup")
+    sys = bench.sys
+    drift_row = sys.fused.drift_row
+
+    def counted_row(x):
+        calls["row"] += 1
+        return drift_row(x)
+
+    rowed = dataclasses.replace(sys, fused=dataclasses.replace(sys.fused, drift_row=counted_row))
+    blocks = dataclasses.replace(sys, fused=None)
+    box, u_max = bench.backup.bounding_box, sys.input_box[0, 1]
+    # every combination of special entries, then random draws with some
+    corners = np.array(list(itertools.product(
+        plant_specials(box[0, 1]), plant_specials(box[1, 1]), plant_specials(u_max))))
+    rng = np.random.default_rng(21)
+    X = np.vstack([corners[:, :2], np.column_stack([plant_draws(rng, 300, box[k, 1], box[k, 1]) for k in range(2)])])
+    U = np.vstack([corners[:, 2:], plant_draws(rng, (300, 1), u_max, u_max)])
+    for x, u in zip(X, U):
+        got = softcbf.sim._plant_block(rowed, x[None], u[None], 0.01, 10)
+        want = softcbf.sim._plant_block(blocks, x[None], u[None], 0.01, 10)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes(), (x, u)
+    # the initial check, then four calls per RK4 substep
+    assert calls["row"] == len(X) * (1 + 4 * 10)
+    # the rows of one block give the same bits
+    assert softcbf.sim._plant_block(rowed, X, U, 0.01, 10).tobytes() == np.concatenate(
+        [softcbf.sim._plant_block(rowed, x[None], u[None], 0.01, 10) for x, u in zip(X, U)]).tobytes()
+
+
+def test_drift_row_applies_only_to_the_drift_and_actuation_it_was_declared_for():
+    calls = collections.Counter()
+    bench = get_benchmark("pendulum-backup")
+    sys = bench.sys
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    plant = dataclasses.replace(sys.fused, drift_row=counted("row", sys.fused.drift_row))
+    X, U = np.array([[0.3, -0.2]]), np.array([[1.5]])
+    want = softcbf.sim._plant_block(sys, X, U, 0.01, 10)
+    for swapped in (dict(drift=counted("drift", sys.drift)),
+                    dict(actuation=softcbf.ConstantActuation(sys.actuation.G))):
+        other = dataclasses.replace(sys, fused=plant, **swapped)
+        assert softcbf.sim._plant_block(other, X, U, 0.01, 10).tobytes() == want.tobytes()
+    assert calls == {"drift": 40}
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("later", [False, True], ids=["initial", "later"])
+@pytest.mark.parametrize("extra", [1, -1])
+def test_drift_row_form_of_the_wrong_length_raises_naming_it(extra, later):
+    calls = collections.Counter()
+    bench = get_benchmark("pendulum-backup")
+    sys = bench.sys
+
+    def wrong_row(x):
+        calls["row"] += 1
+        out = sys.fused.drift_row(x)
+        if later and calls["row"] < 4:
+            return out
+        return out + (0.0,) if extra > 0 else out[:1]
+
+    bad = dataclasses.replace(sys, fused=dataclasses.replace(sys.fused, drift_row=wrong_row))
+    match = (rf"wrong_row returned {2 + extra} values for one state; expected 2" if later
+             else r"wrong_row returned \(.+\) for one state; expected 2 floats")
+    with pytest.raises(InvalidInputError, match=match):
+        softcbf.sim._plant_block(bad, np.full((1, 2), 0.01), np.ones((1, 1)), 0.01, 10)
+    # a block of two rows does not take the row path
+    softcbf.sim._plant_block(bad, np.full((2, 2), 0.01), np.ones((2, 1)), 0.01, 10)
