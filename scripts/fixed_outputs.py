@@ -20,7 +20,10 @@ Runs, each into OUTDIR/<run>/:
     one-row flows on the row path;
   - sweep-double-integrator-box: a sweep CSV over six θ, and the same sweep
     at seeds 1–9 (sweep-double-integrator-box-seed<S>), whose boundary probes
-    draw other rays.
+    draw other rays;
+  - sweep-double-integrator-box-12: a sweep over twelve θ, one lockstep
+    block above `sim._PLANT_ROWS` rows, so its plant steps take the numpy
+    block step while the six-θ sweeps take the row path.
 
 OUTDIR/runs.txt lists each run's command line, exit code and printed lines,
 warnings included.  Every occurrence of OUTDIR's absolute path, in the files
@@ -60,6 +63,8 @@ def runs() -> list:
     out.append(("sweep-double-integrator-box", "double-integrator-box", sweep, None))
     out += [(f"sweep-double-integrator-box-seed{s}", "double-integrator-box", sweep + ["--seed", str(s)], None)
             for s in range(1, 10)]
+    out.append(("sweep-double-integrator-box-12", "double-integrator-box",
+                ["sweep", "--thetas", "3,10,40,150,500,2000,6000,12000,20000,50000,100000,300000"], None))
     return out
 
 

@@ -326,11 +326,13 @@ def _row_kernels(n: int) -> tuple:
     they stay np.matmul, as dot then multiplies the two scalars and keeps
     the -0.0 that gemm's sum turns into +0.0.
 
-    held_row(f, g) is the row form x -> f(x) + g for a row form f and a
-    constant row g of n floats, added component by component like the
-    block sum drift(X) + held of a plant step (see `sim._plant_block`).  An
-    output of f that does not unpack into n values raises
-    InvalidInputError naming f.
+    plant_row(f, x, g, h, substeps) is a plant step's `substeps` RK4 steps
+    of size h on one state x, a tuple of n floats, for the row form
+    x -> f(x) + g of a drift row f and a held row g of n floats (see
+    `sim._plant_block`): each stage adds g to f's output component by
+    component, like the block sum drift(X) + held, then runs `rk4_step`'s
+    operations in its order.  It returns the final state as a tuple and
+    builds no stage tuples.  Its errors are rk4_row's.
 
     test_row_kernels_equal_reference_loop_bodies_bitwise,
     test_row_flows_equal_one_row_block_flows_bitwise,
@@ -374,21 +376,28 @@ def sensitivity_row(J, S, h):
         {names("s", m)} = {each("s{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", m, ", ")},
     return {names("s", m)}
 
-def held_row(f, g):
+def plant_row(f, x, g, h, substeps):
+    half = 0.5 * h; sixth = h / 6.0
     {names("g")} = g
-    def f_held(x):
-        k = f(x)
-        try:
-            {names("d")} = k
-        except ValueError:
-            check_row_length(f, k, {n}); raise
-        return {each("d{0} + g{0}", sep=", ")},
-    return f_held
+    {names("x")} = k = x
+    try:
+        for _ in range(substeps):
+            k = f(({names("x")})); {names("a")} = k; {each("a{0} += g{0}")}
+            {each("y{0} = x{0} + half * a{0}")}
+            k = f(({names("y")})); {names("b")} = k; {each("b{0} += g{0}")}
+            {each("z{0} = x{0} + half * b{0}")}
+            k = f(({names("z")})); {names("c")} = k; {each("c{0} += g{0}")}
+            {each("w{0} = x{0} + h * c{0}")}
+            k = f(({names("w")})); {names("d")} = k; {each("d{0} += g{0}")}
+            {names("x")} = {each("x{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", sep=", ")},
+    except ValueError:
+        check_row_length(f, k, {n}); raise
+    return {names("x")}
 """
     scope = {"check_row_length": _check_row_length, "empty": np.empty,
              "prod": np.matmul if n == 1 else np.ndarray.dot}
     exec(compile(source, f"<softcbf row kernels n={n}>", "exec"), scope)
-    return scope["rk4_row"], scope["sensitivity_row"], scope["held_row"]
+    return scope["rk4_row"], scope["sensitivity_row"], scope["plant_row"]
 
 
 def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):

@@ -79,8 +79,9 @@ class FusedPlant:
     `drift_row`, when given, is `drift` on one state: it maps a tuple of n
     floats to a tuple (or list) of n floats, bit for bit `drift` on that
     one-row block, under the rules of a `FusedField.row`.  `sim.run` steps
-    a one-row block on it, with the held input added, while `actuation`
-    is a ConstantActuation (see `sim._plant_block`).
+    each row of a block of up to `sim._PLANT_ROWS` rows on it, with the
+    row's held input added, while `actuation` is a ConstantActuation (see
+    `sim._plant_block`).
     """
 
     plant: Callable

@@ -52,6 +52,8 @@ SAFETY_TOLERANCE = -1e-6
 class SimConfig:
     """Closed-loop run settings.
 
+    t_final must be a whole number of control steps dt, to 1e-9 relative,
+    and the run takes that many steps.
     infeasible_policy decides what happens when the filter reports an
     infeasible constraint: 'halt' stops the run, 'backup-takeover'
     permanently switches to the benchmark's safe controller, 'clip'
@@ -71,6 +73,9 @@ class SimConfig:
             raise InvalidInputError(f"dt {self.dt} and t_final {self.t_final} must be finite")
         if self.dt <= 0 or self.t_final < self.dt:
             raise InvalidInputError("need dt > 0 and t_final >= dt")
+        steps = self.t_final / self.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise InvalidInputError(f"t_final {self.t_final} is not a whole number of control steps dt {self.dt}")
         if not (math.isfinite(self.theta) and self.theta > 0):
             raise InvalidInputError(f"theta must be finite and positive, got {self.theta}")
         if self.infeasible_policy not in ("halt", "backup-takeover", "clip"):
@@ -157,6 +162,11 @@ def _barrier_block(bench: Benchmark):
     return eval_barrier
 
 
+# lockstep rows up to which a plant step on a drift row form runs row by
+# row on Python floats; larger blocks take the numpy block step
+_PLANT_ROWS = 8
+
+
 def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) -> np.ndarray:
     """Integrate every row of X over one control step with its input row of
     U held.  `run` checks the dynamics' block shapes once, so they are called
@@ -164,24 +174,23 @@ def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) ->
     the one-row g @ u; a ConstantActuation's is the same at every RK4 stage,
     so it is computed once.
 
-    A one-row block on a ConstantActuation whose system declares a drift row
-    form (`FusedPlant.drift_row`, while the fused plant applies) runs its
-    RK4 substeps on Python floats through the generated `rk4_row`, on the
-    drift row plus the held row, bit for bit the block step: the drift row
-    is checked to return n floats on the initial state."""
+    A block of 1 to _PLANT_ROWS rows on a ConstantActuation whose system
+    declares a drift row form (`FusedPlant.drift_row`, while the fused plant
+    applies) runs each row's RK4 substeps in one call of the generated
+    `plant_row`, on Python floats, on the drift row plus the row's held
+    input, bit for bit the block step: the drift row is checked to return
+    n floats on the block's first state."""
     U = U[:, :, None]
     h = dt / substeps
     if isinstance(sys.actuation, ConstantActuation):
         held = (sys.actuation(X) @ U)[:, :, 0]
         plant = sys._fused_plant()
-        if len(X) == 1 and plant is not None and plant.drift_row is not None:
-            n, x = X.shape[1], tuple(X[0].tolist())
-            _check_first_row(plant.drift_row, x, n)
-            rk4_row, _, held_row = _row_kernels(n)
-            f = held_row(plant.drift_row, held[0].tolist())
-            for _ in range(substeps):
-                x, _ = rk4_row(f, x, h)
-            return np.array([x])
+        if 0 < len(X) <= _PLANT_ROWS and plant is not None and plant.drift_row is not None:
+            f, n = plant.drift_row, X.shape[1]
+            rows = X.tolist()
+            _check_first_row(f, tuple(rows[0]), n)
+            plant_row = _row_kernels(n)[2]
+            return np.array([plant_row(f, x, g, h, substeps) for x, g in zip(rows, held.tolist())])
 
         def f(X):
             return sys.drift(X) + held

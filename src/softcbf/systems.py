@@ -93,6 +93,10 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
     )
 
 
+# operands of the fused plants and closed loop, whose other side is float64
+_ZERO = _constant(0.0)
+
+
 # ---------------------------------------------------------------------------
 # double integrator in a sheared box
 # ---------------------------------------------------------------------------
@@ -119,7 +123,22 @@ def double_integrator_box() -> Benchmark:
         out[:, 0] = X[:, 1]
         return out
 
-    sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=ConstantActuation([[0.0], [1.0]]))
+    def plant(X, U):
+        # drift(X) + g @ U in one pass, bit for bit: the composed field's
+        # einsum adds an exact +0.0 to both components (g = [[0], [1]]), so
+        # the velocity component is 0.0 + (u + 0.0), which is u + 0.0
+        out = np.empty(X.shape)
+        out[:, 0] = X[:, 1] + _ZERO
+        out[:, 1] = U[:, 0] + _ZERO
+        return out
+
+    def drift_row(x):
+        x0, x1 = x
+        return (x1, 0.0)
+
+    actuation = ConstantActuation([[0.0], [1.0]])
+    sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=actuation,
+                              fused=FusedPlant(plant, drift, actuation, drift_row))
 
     W = np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5, 1.5])
@@ -168,8 +187,7 @@ PENDULUM_HB_LEVEL = 0.05
 # shear of the safe-set coordinates; keeps the inward-flow condition
 # non-degenerate where the boundary crosses the zero-velocity axis
 PENDULUM_SHEAR = 0.4
-# operands of the fused plant and closed loop, whose other side is float64
-_ZERO, _U_MAX, _NEG_U_MAX = (_constant(v) for v in (0.0, PENDULUM_U_MAX, -PENDULUM_U_MAX))
+_U_MAX, _NEG_U_MAX = _constant(PENDULUM_U_MAX), _constant(-PENDULUM_U_MAX)
 
 
 def pendulum_backup() -> Benchmark:

@@ -624,6 +624,16 @@ def reference_rk4_row(f, x, h):
     return x_next, (x, x2, x3, x4)
 
 
+def reference_held_row(f, g):
+    """The row form x -> f(x) + g, component by component (the body the
+    plant row path stepped with rk4_row before its kernel, kept here as
+    plant_row's reference)."""
+    def f_held(x):
+        return tuple([d + c for d, c in zip(f(x), g)])
+
+    return f_held
+
+
 def reference_sensitivity_row(J, S, h):
     """The row sensitivity recursion as a loop over the entries of S (the
     row path's earlier body, kept here as the kernels' reference)."""
@@ -683,8 +693,10 @@ def float_bits(values):
 def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
     # the row form answers from a script of drawn slopes, so special values
     # reach every stage; both bodies see the same script
-    rk4_row, sensitivity_row, _ = softcbf.backup._row_kernels(n)
+    rk4_row, sensitivity_row, plant_row = softcbf.backup._row_kernels(n)
     rng = np.random.default_rng(100 + n)
+    # the plant step's held rows and slopes, from a stream of their own
+    plant_rng = np.random.default_rng(200 + n)
     for _ in range(300):
         # a rare special value leaves most of a long recursion finite
         rate = float(rng.choice([0.01, 0.05, 0.3]))
@@ -695,6 +707,16 @@ def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
         want_next, want_stages = reference_rk4_row(scripted_row(slopes), x, h)
         assert float_bits(x_next) == float_bits(want_next)
         assert float_bits(stages) == float_bits(want_stages)
+
+        # a plant step: its substeps of rk4_row on the drift row plus g
+        g = tuple(special_draws(plant_rng, n, rate).tolist())
+        for substeps in (1, int(plant_rng.integers(2, 10)), 10):
+            slopes = special_draws(plant_rng, (4 * substeps, n), rate).tolist()
+            got = plant_row(scripted_row(slopes), x, g, h, substeps)
+            f, want = reference_held_row(scripted_row(slopes), g), x
+            for _ in range(substeps):
+                want, _ = rk4_row(f, want, h)
+            assert type(got) is tuple and float_bits(got) == float_bits(want)
 
         J = special_draws(rng, (4 * int(rng.integers(1, 4)), n, n), rate)
         S = special_draws(rng, n * n, rate).tolist()

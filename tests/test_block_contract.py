@@ -54,7 +54,8 @@ def guarded(bench):
     g = blocks_only
     sys = bench.sys
     drift, actuation = g(sys.drift), g(sys.actuation)
-    plant = sys.fused and FusedPlant(g(sys.fused.plant), drift, actuation)
+    # the drift row maps one state as a tuple of floats by design
+    plant = sys.fused and FusedPlant(g(sys.fused.plant), drift, actuation, sys.fused.drift_row)
     sys = dataclasses.replace(sys, drift=drift, actuation=actuation, fused=plant)
     cs = bench.constraints
     cs = dataclasses.replace(cs, batch_evaluator=g(cs.batch_evaluator),

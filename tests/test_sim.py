@@ -50,6 +50,23 @@ def test_non_finite_config_raises(kw):
         scalar_cfg(**kw)
 
 
+@pytest.mark.parametrize("t_final, dt", [(1.0, 0.6), (1.0, 0.3), (1e300, 1e-300)])
+def test_t_final_that_dt_does_not_divide_raises_naming_both(t_final, dt):
+    # 1.0 / 0.6 and 1.0 / 0.3 used to round to 2 and 3 steps: traces that
+    # ended at t = 1.2 and t = 0.9; the last ratio overflows to inf
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"t_final {t_final} is not a whole number of control steps dt {dt}")):
+        scalar_cfg(t_final=t_final, dt=dt)
+
+
+@pytest.mark.parametrize("t_final, dt", [(1.0, 0.1), (0.3, 0.1), (0.7, 0.1)])
+def test_t_final_a_whole_number_of_steps_to_rounding_is_accepted(t_final, dt):
+    # t_final / dt is 2.9999999999999996 for (0.3, 0.1) and 6.999999999999999
+    # for (0.7, 0.1): off a whole number by rounding alone
+    trace = run(get_benchmark("scalar-stable"), scalar_cfg(t_final=t_final, dt=dt))
+    assert len(trace) == round(t_final / dt) + 1
+
+
 def test_simulate_rejects_non_finite_theta(tmp_path, capsys):
     argv = ["simulate", "--benchmark", "double-integrator-box", "--theta", "nan", "--t-final", "0.1", "--out", str(tmp_path)]
     assert main(argv) == 1
@@ -345,6 +362,19 @@ def test_lockstep_halt_truncates_only_its_row():
         assert_same_trace(trace, run(dead, cfg))
 
 
+def test_rows_that_all_halt_at_one_step_leave_an_empty_plant_block():
+    # outward drift with no actuation, as a ConstantActuation under a fused
+    # plant with a drift row: every row halts at the first step, so that
+    # step's plant block is empty and must not take the row path
+    bench = get_benchmark("scalar-unstable")
+    drift, actuation = bench.sys.drift, softcbf.ConstantActuation([[0.0]])
+    plant = softcbf.FusedPlant(lambda X, U: drift(X) + (actuation(X) @ U[:, :, None])[:, :, 0],
+                               drift, actuation, lambda x: (x[0],))
+    dead = dataclasses.replace(bench, sys=dataclasses.replace(bench.sys, actuation=actuation, fused=plant))
+    cfgs = [scalar_cfg(x0=np.array([x0]), theta=4.0, t_final=1.0, infeasible_policy="halt") for x0 in (0.9, -0.9)]
+    assert [(t.truncated, len(t)) for t in run(dead, cfgs)] == [(True, 1), (True, 1)]
+
+
 def test_a_plant_state_that_turns_non_finite_truncates_only_its_row():
     # xdot = x^2 + u blows up at t = 1/x0 from x0 > 0: from 10 inside the
     # run, from 0.5 after it; the box is wide enough that the filter never
@@ -489,12 +519,20 @@ def plant_draws(rng, size, scale, edge):
     return out
 
 
+# the row-form benchmarks with the largest input magnitude their rows take:
+# the pendulum's input bound, and about the double integrator's desired
+# input on the corners of its box (|-3 (p - 3) - 3 v| <= 21.6)
+ROW_FORM_PLANTS = {"pendulum-backup": 3.0, "double-integrator-box": 21.6}
+
+
 @pytest.mark.gate
-def test_one_row_plant_row_path_equals_block_plant_bitwise():
-    # sim._plant_block on one row runs on the pendulum's drift row form;
-    # without the fused plant it runs the numpy block step on the same row
+@pytest.mark.parametrize("name", ROW_FORM_PLANTS)
+def test_plant_row_path_equals_block_plant_bitwise(name):
+    # sim._plant_block on a block of up to _PLANT_ROWS rows runs each row on
+    # the drift row form; without the fused plant it runs the numpy block
+    # step on the same rows
     calls = collections.Counter()
-    bench = get_benchmark("pendulum-backup")
+    bench = get_benchmark(name)
     sys = bench.sys
     drift_row = sys.fused.drift_row
 
@@ -504,21 +542,27 @@ def test_one_row_plant_row_path_equals_block_plant_bitwise():
 
     rowed = dataclasses.replace(sys, fused=dataclasses.replace(sys.fused, drift_row=counted_row))
     blocks = dataclasses.replace(sys, fused=None)
-    box, u_max = bench.backup.bounding_box, sys.input_box[0, 1]
+    box, u_max = bench.constraints.bounding_box, ROW_FORM_PLANTS[name]
     # every combination of special entries, then random draws with some
     corners = np.array(list(itertools.product(
         plant_specials(box[0, 1]), plant_specials(box[1, 1]), plant_specials(u_max))))
     rng = np.random.default_rng(21)
     X = np.vstack([corners[:, :2], np.column_stack([plant_draws(rng, 300, box[k, 1], box[k, 1]) for k in range(2)])])
     U = np.vstack([corners[:, 2:], plant_draws(rng, (300, 1), u_max, u_max)])
-    for x, u in zip(X, U):
-        got = softcbf.sim._plant_block(rowed, x[None], u[None], 0.01, 10)
-        want = softcbf.sim._plant_block(blocks, x[None], u[None], 0.01, 10)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes(), (x, u)
-    # the initial check, then four calls per RK4 substep
-    assert calls["row"] == len(X) * (1 + 4 * 10)
-    # the rows of one block give the same bits
+    P = softcbf.sim._PLANT_ROWS
+    for B in range(1, P + 2):
+        for r in range(0, len(X), B):
+            Xb, Ub = X[r:r + B], U[r:r + B]
+            calls.clear()
+            got = softcbf.sim._plant_block(rowed, Xb, Ub, 0.01, 10)
+            # the initial check on the block's first row, then four calls
+            # per RK4 substep and row; a block above _PLANT_ROWS rows takes
+            # the block step, which never calls the row form
+            assert calls["row"] == (1 + len(Xb) * 4 * 10 if len(Xb) <= P else 0)
+            want = softcbf.sim._plant_block(blocks, Xb, Ub, 0.01, 10)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (Xb, Ub)
+    # the rows of one block give the same bits, whichever path they take
     assert softcbf.sim._plant_block(rowed, X, U, 0.01, 10).tobytes() == np.concatenate(
         [softcbf.sim._plant_block(rowed, x[None], u[None], 0.01, 10) for x, u in zip(X, U)]).tobytes()
 
@@ -546,17 +590,20 @@ def test_drift_row_applies_only_to_the_drift_and_actuation_it_was_declared_for()
 
 
 @pytest.mark.gate
+@pytest.mark.parametrize("rows", [1, softcbf.sim._PLANT_ROWS])
 @pytest.mark.parametrize("later", [False, True], ids=["initial", "later"])
 @pytest.mark.parametrize("extra", [1, -1])
-def test_drift_row_form_of_the_wrong_length_raises_naming_it(extra, later):
+def test_drift_row_form_of_the_wrong_length_raises_naming_it(extra, later, rows):
     calls = collections.Counter()
     bench = get_benchmark("pendulum-backup")
     sys = bench.sys
+    # a later wrong output comes in the last row's first RK4 substep
+    wrong_from = 4 + 4 * 10 * (rows - 1)
 
     def wrong_row(x):
         calls["row"] += 1
         out = sys.fused.drift_row(x)
-        if later and calls["row"] < 4:
+        if later and calls["row"] < wrong_from:
             return out
         return out + (0.0,) if extra > 0 else out[:1]
 
@@ -564,6 +611,8 @@ def test_drift_row_form_of_the_wrong_length_raises_naming_it(extra, later):
     match = (rf"wrong_row returned {2 + extra} values for one state; expected 2" if later
              else r"wrong_row returned \(.+\) for one state; expected 2 floats")
     with pytest.raises(InvalidInputError, match=match):
-        softcbf.sim._plant_block(bad, np.full((1, 2), 0.01), np.ones((1, 1)), 0.01, 10)
-    # a block of two rows does not take the row path
-    softcbf.sim._plant_block(bad, np.full((2, 2), 0.01), np.ones((2, 1)), 0.01, 10)
+        softcbf.sim._plant_block(bad, np.full((rows, 2), 0.01), np.ones((rows, 1)), 0.01, 10)
+    assert calls["row"] == (wrong_from if later else 1)
+    # a block above _PLANT_ROWS rows does not take the row path
+    rows = softcbf.sim._PLANT_ROWS + 1
+    softcbf.sim._plant_block(bad, np.full((rows, 2), 0.01), np.ones((rows, 1)), 0.01, 10)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -243,6 +244,32 @@ def test_fused_plant_matches_composed_bitwise():
         X = np.array([[0.3, -0.0]])
         assert fused(X).tobytes() == composed(X).tobytes()
     assert zero_signs == {False, True}
+
+
+@pytest.mark.gate
+def test_double_integrator_fused_plant_and_drift_row_match_the_composed_forms_bitwise():
+    # every combination of signed zeros, subnormals, the box edges and
+    # inputs as large as the desired controller's on the box, then random
+    # draws with them mixed in, compared as bytes
+    sys = double_integrator_box().sys
+    assert sys._fused_plant() is sys.fused
+    specials = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.6, -2.6, 1.6, -1.6, 21.6, -21.6]
+    rng = np.random.default_rng(17)
+    draws = rng.uniform(-3.0, 3.0, size=(600, 3))
+    mixed = rng.uniform(size=draws.shape) < 0.3
+    draws[mixed] = rng.choice(specials, size=mixed.sum())
+    XU = np.vstack([list(itertools.product(specials, repeat=3)), draws])
+    X, U = XU[:, :2].copy(), XU[:, 2:].copy()
+    for B in (1, 2, 7, len(X)):
+        for r in range(0, len(X), B):
+            Xb, Ub = X[r:r + B], U[r:r + B]
+            want = sys.drift(Xb) + np.einsum("bij,bj->bi", sys.actuation(Xb), Ub)
+            assert sys.fused.plant(Xb, Ub).tobytes() == want.tobytes(), (Xb, Ub)
+    # the drift row on a tuple of floats against drift on a one-row block
+    for x in X:
+        got = sys.fused.drift_row(tuple(x.tolist()))
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == sys.drift(x[None])[0].tobytes(), x
 
 
 @pytest.mark.gate
