@@ -18,6 +18,10 @@ Runs, each into OUTDIR/<run>/:
   - simulate-pendulum-backup-theta75000: a 1 s pendulum-backup trace at a
     fixed θ, which skips certification, so its 101 backup flows are all
     one-row flows on the row path;
+  - simulate-double-integrator-box-cubic and -tanh: 2 s traces at a fixed θ
+    with a cubic and a tanh relaxation (kappa ≠ 1), set in the config file,
+    whose filter right-hand sides take `make_rhs` row by row, where a linear
+    relaxation's take one block call;
   - sweep-double-integrator-box: a sweep CSV over six θ, and the same sweep
     at seeds 1–9 (sweep-double-integrator-box-seed<S>), whose boundary probes
     draw other rays;
@@ -43,6 +47,10 @@ from softcbf.systems import benchmark_names
 
 PLACEHOLDER = "<OUTDIR>"
 TAIL_CONFIG = "tail_R = 1\ntail_eta = 0.01\ntail_C = 1\ntail_p = 1\ntail_r_inf = 0.5\n"
+ALPHA_CONFIGS = {
+    "cubic": "alpha_kind = cubic\nalpha_kappa = 2.5\n",
+    "tanh": "alpha_kind = tanh\nalpha_kappa = 0.7\nalpha_scale = 3\n",
+}
 
 
 def runs() -> list:
@@ -59,6 +67,8 @@ def runs() -> list:
             for b in benchmark_names() if b != "scalar-unstable"]
     out.append(("simulate-pendulum-backup-theta75000", "pendulum-backup",
                 ["simulate", "--theta", "75000", "--t-final", "1"], None))
+    out += [(f"simulate-double-integrator-box-{kind}", "double-integrator-box",
+             ["simulate", "--theta", "20000", "--t-final", "2"], config) for kind, config in ALPHA_CONFIGS.items()]
     sweep = ["sweep", "--thetas", "3,40,500,6000,20000,100000"]
     out.append(("sweep-double-integrator-box", "double-integrator-box", sweep, None))
     out += [(f"sweep-double-integrator-box-seed{s}", "double-integrator-box", sweep + ["--seed", str(s)], None)

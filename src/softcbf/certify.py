@@ -93,6 +93,15 @@ class ThetaCertificate:
     kind: str  # "CBF" for compact sets, "eCBF" when a tail term is present
 
 
+def _finite_term(term: str, value: float, **constants) -> float:
+    """`value` of a threshold term, checked to be finite: a certificate
+    whose constants overflow the term certifies no theta."""
+    if not math.isfinite(value):
+        named = ", ".join(f"{k}={v!r}" for k, v in constants.items())
+        raise InvalidCertificateError(f"{term} is not finite ({value}) for {named}")
+    return value
+
+
 def theta_star_compact(bounds: CompactBounds, N: int) -> ThetaCertificate:
     """Threshold for a compact set from sampled band constants.
 
@@ -111,11 +120,16 @@ def theta_star_compact(bounds: CompactBounds, N: int) -> ThetaCertificate:
         theta_tube = 0.0
         theta_core = 0.0
     else:
-        theta_tube = math.log(N) / bounds.epsilon
+        theta_tube = _finite_term("theta_tube = log(N) / epsilon", math.log(N) / bounds.epsilon,
+                                  N=N, epsilon=bounds.epsilon)
         if math.isinf(bounds.d):
             theta_core = 0.0
         else:
-            theta_core = math.log(N * (bounds.r + bounds.M) / bounds.r) / bounds.d
+            theta_core = _finite_term(
+                "theta_core = log(N (r + M) / r) / d",
+                math.log(N * (bounds.r + bounds.M) / bounds.r) / bounds.d,
+                N=N, r=bounds.r, M=bounds.M, d=bounds.d,
+            )
     return ThetaCertificate(
         theta_tube=theta_tube,
         theta_core=theta_core,
@@ -139,8 +153,15 @@ def theta_star_tail(tail: TailSpec, N: int) -> float:
         raise InvalidCertificateError(f"N must be >= 1, got {N}")
     if N == 1:
         return 0.0
-    grow = tail.r_inf + tail.C * (1.0 + tail.R) ** tail.p
-    return math.log((N - 1) * grow / tail.r_inf) / tail.eta_at_R
+    try:
+        grow = tail.r_inf + tail.C * (1.0 + tail.R) ** tail.p
+        theta = math.log((N - 1) * grow / tail.r_inf) / tail.eta_at_R
+    except OverflowError:  # float ** raises where the power overflows
+        theta = math.inf
+    return _finite_term(
+        "theta_tail = log((N - 1) (r_inf + C (1 + R)^p) / r_inf) / eta_at_R", theta,
+        N=N, R=tail.R, C=tail.C, p=tail.p, r_inf=tail.r_inf, eta_at_R=tail.eta_at_R,
+    )
 
 
 def certify(bounds: CompactBounds, tail: Optional[TailSpec], N: int) -> ThetaCertificate:

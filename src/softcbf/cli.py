@@ -20,7 +20,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from .backup import check_backup_preconditions
-from .certify import TailSpec, ThetaCertificate, certify, probe_boundary, verify_certificate
+from .certify import TailSpec, ThetaCertificate, certify, probe_boundary, theta_star_tail, verify_certificate
 from .errors import DomainError, NotStrictlySafeError, SoftCBFError
 from .geometry import _check_activity_tolerance, _check_band, check_mfcq, estimate_bounds, sample_tube
 from .safety_filter import ClassK
@@ -182,6 +182,8 @@ def _certify_steps(cfg: ScenarioConfig, entries: list):
     if not (np.isfinite(value) and value >= 0.0) or (value == 0.0 and cs.N > 1):
         raise DomainError(f"{key} must be a finite positive number, got {value}")
     _check_band(cfg.epsilon, cfg.density)
+    if tail is not None:  # a tail term that overflows refuses the spec here
+        theta_star_tail(tail, cs.N)
     entries += [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
 
     if bench.backup is not None:

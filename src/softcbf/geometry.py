@@ -45,6 +45,15 @@ __all__ = [
 VectorField = Callable[[np.ndarray], np.ndarray]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _is_block(a, B: int, tail) -> bool:
+    """Whether `a` is a float64 ndarray of shape (B, *tail), which
+    `call_batched` returns as it is."""
+    return type(a) is np.ndarray and a.dtype is _FLOAT64 and a.shape == (B, *tail)
+
+
 def call_batched(fn: Callable, X: np.ndarray, *tails: tuple):
     """Call `fn` once on the block X of shape (B, n) and check its output.
 
@@ -55,8 +64,18 @@ def call_batched(fn: Callable, X: np.ndarray, *tails: tuple):
     raised by `fn` propagate unchanged.
     """
     out = fn(X)
-    arrays = [out] if len(tails) == 1 else list(out)
-    _check_shapes(getattr(fn, "__qualname__", fn), arrays, [(X.shape[0],) + tuple(t) for t in tails])
+    B = X.shape[0]
+    # the common case, float64 arrays of the expected shapes, is checked
+    # without the lists and copies of the general check
+    if len(tails) == 1:
+        if _is_block(out, B, tails[0]):
+            return out
+        arrays = [out]
+    else:
+        if type(out) is tuple and len(out) == len(tails) and all(map(_is_block, out, (B,) * len(tails), tails)):
+            return out
+        arrays = list(out)
+    _check_shapes(getattr(fn, "__qualname__", fn), arrays, [(B,) + tuple(t) for t in tails])
     arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
     return arrays[0] if len(tails) == 1 else arrays
 

@@ -282,6 +282,10 @@ def barrier_row(sys: ControlAffineSystem, grad_h, x) -> tuple[np.ndarray, float]
 
 # dtype of a block's qp_status: long enough for "infeasible"
 _STATUS = "<U10"
+# the block filters' internal status codes: a code indexes this table, whose
+# last entry, "", is the status `sim.run` records where the filter did not run
+_STATUS_NAMES = np.array(["analytic", "clipped", "infeasible", ""], dtype=_STATUS)
+_CLIPPED, _INFEASIBLE = 1, 2  # and 0, analytic
 
 
 def _one_row(a, c, rhs, u_des):
@@ -302,36 +306,65 @@ def _first(block: FilterOutcome) -> FilterOutcome:
     )
 
 
+def _outcome(u, slack, modified, codes, multiplier, infeasible) -> FilterOutcome:
+    """The FilterOutcome of a block filter's internal rows."""
+    return FilterOutcome(u=u, constraint_value=slack, modified=modified, qp_status=_STATUS_NAMES[codes],
+                         multiplier=multiplier)
+
+
+def _unconstrained_rows(a, c, rhs, u_des, nrm2) -> tuple:
+    """`filter_unconstrained_block` given nrm2 = _rowdot(a, a), as the tuple
+    (u, slack, modified, status codes, multiplier, infeasible), where the
+    codes index _STATUS_NAMES and `infeasible` is the mask of the rows with
+    status infeasible, or None when there is none."""
+    au = _rowdot(a, u_des)
+    slack = c + au - rhs
+    gap = rhs - c - au
+    short = ~(slack >= 0.0)
+    moved = short & (nrm2 != 0.0)
+    if moved.all():
+        # every row moves, as on almost every closed-loop step: np.where(moved,
+        # x, y) is then x, so the rows are bitwise those of the masked form
+        lam = gap / nrm2
+        over = np.isinf(lam)
+        if not over.any():
+            u = u_des + lam[:, None] * a
+            return u, c + _rowdot(a, u) - rhs, moved, np.zeros(len(u), np.int8), lam, None
+    else:
+        # lam is 0 on the rows that keep u_des; where() keeps them bitwise
+        lam = np.where(moved, gap, 0.0) / np.where(moved, nrm2, 1.0)
+        over = np.isinf(lam)
+    # where a.a is tiny against the shortfall (a subnormal, say), lam
+    # overflows: no finite step along a meets the constraint, so the row is
+    # infeasible, as where a = 0
+    if over.any():
+        moved &= ~over
+        lam[over] = 0.0
+    dead = short & ~moved
+    u = np.where(moved[:, None], u_des + lam[:, None] * a, u_des)
+    codes = np.zeros(len(u), np.int8)
+    codes[dead] = _INFEASIBLE
+    return (u, np.where(moved, c + _rowdot(a, u) - rhs, slack), moved, codes, np.where(dead, math.inf, lam),
+            dead if dead.any() else None)
+
+
 def filter_unconstrained_block(a, c, rhs, u_des) -> FilterOutcome:
     """`filter_unconstrained` for each row of a block: a and u_des (B, m), c
     and rhs (B,).  The outcome's fields hold one entry per row, each bitwise
     the one-row result.  Inputs are not validated here."""
-    au = _rowdot(a, u_des)
-    slack = c + au - rhs
-    short = ~(slack >= 0.0)
-    status = np.full(len(au), "analytic", dtype=_STATUS)
-    nrm2 = _rowdot(a, a)
-    moved = short & (nrm2 != 0.0)
-    dead = short & ~moved
-    status[dead] = "infeasible"
-    # lam is 0 on the rows that keep u_des; where() keeps them bitwise
-    lam = np.where(moved, rhs - c - au, 0.0) / np.where(moved, nrm2, 1.0)
-    u = np.where(moved[:, None], u_des + lam[:, None] * a, u_des)
-    return FilterOutcome(
-        u=u,
-        constraint_value=np.where(moved, c + _rowdot(a, u) - rhs, slack),
-        modified=moved,
-        qp_status=status,
-        multiplier=np.where(dead, math.inf, lam),
-    )
+    return _outcome(*_unconstrained_rows(a, c, rhs, u_des, _rowdot(a, a)))
 
 
 def filter_unconstrained(a, c: float, rhs: float, u_des) -> FilterOutcome:
     """Project u_des onto the half-space a.u >= rhs - c (inputs unconstrained).
 
-    Already-feasible inputs are returned bit-identical.  Infeasible only
-    when a = 0 with the inequality violated, i.e. the barrier condition
-    itself fails at this state.
+    Already-feasible inputs are returned bit-identical.  Infeasible when
+    the inequality is violated and no finite step along a meets it: where
+    a = 0 (or a.a underflows to 0), the barrier condition itself fails at
+    this state, and where a.a is so small against the shortfall (a
+    subnormal, say) that the multiplier lam = (rhs - c - a.u_des) / a.a
+    overflows, u_des + lam*a would not be finite.  An infeasible input keeps
+    u_des, with multiplier inf.
     """
     return _first(filter_unconstrained_block(*_one_row(a, c, rhs, u_des)))
 
@@ -366,24 +399,20 @@ def _breakpoint_search(a, c, rhs, u_des, box, u0):
     return u, lam
 
 
-def filter_boxed_block(a, c, rhs, u_des, box) -> FilterOutcome:
-    """`filter_boxed` for each row of a block: a and u_des (B, m), c and rhs
-    (B,), one box (m, 2) for all rows.  The outcome's fields hold one entry
-    per row, each bitwise the one-row result; only the rows whose free
-    projection leaves the box run the breakpoint search.  Inputs are not
-    validated here."""
+def _boxed_rows(a, c, rhs, u_des, box, nrm2) -> tuple:
+    """`filter_boxed_block` given nrm2 = _rowdot(a, a), as the tuple of
+    `_unconstrained_rows`."""
     lo, hi = box[:, 0], box[:, 1]
     target = rhs - c
     u = np.clip(u_des, lo, hi)
     au = _rowdot(a, u)
     slack = c + au - rhs
     modified = (u != u_des).any(axis=1)
-    status = np.where(modified, "clipped", "analytic").astype(_STATUS)
+    codes = modified.astype(np.int8)  # _CLIPPED where modified, else analytic
     multiplier = np.zeros(len(u))
     short = np.flatnonzero(~(au >= target))
     if short.size == 0:
-        return FilterOutcome(u=u, constraint_value=slack, modified=modified, qp_status=status,
-                             multiplier=multiplier)
+        return u, slack, modified, codes, multiplier, None
     modified[short] = True
     # best achievable value of a.u over the box
     a_s = a[short]
@@ -393,25 +422,37 @@ def filter_boxed_block(a, c, rhs, u_des, box) -> FilterOutcome:
     d = short[dead]
     u[d] = u_best[dead]
     slack[d] = c[d] + best[dead] - rhs[d]
-    status[d] = "infeasible"
+    codes[d] = _INFEASIBLE
     multiplier[d] = math.inf
     r = short[~dead]
     if r.size:
-        # the unconstrained projection is exact where it stays inside the box
-        free = filter_unconstrained_block(a[r], c[r], rhs[r], u_des[r])
-        inside = ((free.u >= lo) & (free.u <= hi)).all(axis=1)
+        free_u, free_slack, free_moved, free_codes, free_lam, free_dead = _unconstrained_rows(
+            a[r], c[r], rhs[r], u_des[r], nrm2[r])
+        # the unconstrained projection is exact where it stays inside the box;
+        # a row it finds infeasible is feasible on the box, so it is searched
+        inside = ((free_u >= lo) & (free_u <= hi)).all(axis=1)
+        if free_dead is not None:
+            inside &= ~free_dead
         k = r[inside]
-        u[k] = free.u[inside]
-        slack[k] = free.constraint_value[inside]
-        modified[k] = free.modified[inside]
-        status[k] = free.qp_status[inside]
-        multiplier[k] = free.multiplier[inside]
+        u[k] = free_u[inside]
+        slack[k] = free_slack[inside]
+        modified[k] = free_moved[inside]
+        codes[k] = free_codes[inside]
+        multiplier[k] = free_lam[inside]
         for i in r[~inside]:
             u[i], multiplier[i] = _breakpoint_search(a[i], c[i], rhs[i], u_des[i], box, u[i])
             slack[i] = c[i] + a[i] @ u[i] - rhs[i]
-            status[i] = "clipped"
-    return FilterOutcome(u=u, constraint_value=slack, modified=modified, qp_status=status,
-                         multiplier=multiplier)
+            codes[i] = _CLIPPED
+    return u, slack, modified, codes, multiplier, (codes == _INFEASIBLE) if d.size else None
+
+
+def filter_boxed_block(a, c, rhs, u_des, box) -> FilterOutcome:
+    """`filter_boxed` for each row of a block: a and u_des (B, m), c and rhs
+    (B,), one box (m, 2) for all rows.  The outcome's fields hold one entry
+    per row, each bitwise the one-row result; only the rows whose free
+    projection leaves the box, or which it finds infeasible, run the
+    breakpoint search.  Inputs are not validated here."""
+    return _outcome(*_boxed_rows(a, c, rhs, u_des, box, _rowdot(a, a)))
 
 
 def filter_boxed(a, c: float, rhs: float, u_des, box) -> FilterOutcome:

@@ -30,10 +30,11 @@ from .safety_filter import (
     ClassK,
     ClassKinfK,
     ConstantActuation,
+    _STATUS_NAMES,
+    _boxed_rows,
     _rowdot,
+    _unconstrained_rows,
     barrier_block,
-    filter_boxed_block,
-    filter_unconstrained_block,
     make_rhs,
 )
 from .systems import Benchmark
@@ -217,6 +218,39 @@ def _as_block(cfg: Union[SimConfig, Sequence[SimConfig]], n: int) -> list:
     return cfgs
 
 
+def _rhs_block(cfgs: list):
+    """Return a function (rows, h (R,), X (R, n)) -> the filter's right-hand
+    sides (R,), where `rows` indexes cfgs (a slice or an index array) and
+    row j is make_rhs(alpha, h[j], |X[j]|) of its config's alpha, bit for
+    bit.  A linear ClassK whose kappa is a float, numpy float64 or int gives
+    -(kappa * h), the same IEEE multiply and negate on float64, so its rows
+    take one call for the block.  The others keep make_rhs row by row:
+    cubic, whose float `**` raises OverflowError where numpy gives inf, tanh,
+    whose math.tanh differs from np.tanh in the last bit, and ClassKinfK."""
+    def kappa(alpha):
+        if type(alpha) is ClassK and alpha.kind == "linear" and type(alpha.kappa) in (float, np.float64, int):
+            try:
+                return float(alpha.kappa)
+            except OverflowError:  # an int beyond the float range
+                pass
+        return math.nan
+
+    kappas = np.array([kappa(c.alpha) for c in cfgs])
+    per_row = np.isnan(kappas)  # the rows that keep make_rhs
+    if not per_row.any():
+        return lambda rows, h, X: -(kappas[rows] * h)
+    index = np.arange(len(cfgs))
+
+    def rhs_block(rows, h, X):
+        out = -(kappas[rows] * h)
+        for j in np.flatnonzero(per_row[rows]):
+            alpha = cfgs[index[rows][j]].alpha
+            out[j] = make_rhs(alpha, h[j], float(np.linalg.norm(X[j])) if isinstance(alpha, ClassKinfK) else None)
+        return out
+
+    return rhs_block
+
+
 def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[SimTrace, list]:
     """Simulate the filtered closed loop; deterministic for fixed inputs.
 
@@ -268,17 +302,22 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
         "h_hard": np.empty((n_steps + 1, B)),
         "modified": np.zeros((n_steps + 1, B), dtype=bool),
         "infeasible": np.zeros((n_steps + 1, B), dtype=bool),
-        # the filter's outcome at every step; ""/NaN where it did not run
-        "filter_status": np.full((n_steps + 1, B), "", dtype="<U10"),
+        # the filter's outcome at every step; NaN where it did not run
         "slack": np.full((n_steps + 1, B), np.nan),
         "multiplier": np.full((n_steps + 1, B), np.nan),
     }
+    # the filter's status codes, which index safety_filter._STATUS_NAMES
+    # (its last entry, "", where the filter did not run), and the steps that
+    # acted where the input direction nearly vanishes, both per [step, row]
+    status = np.full((n_steps + 1, B), len(_STATUS_NAMES) - 1, dtype=np.int8)
+    singular = np.zeros((n_steps + 1, B), dtype=bool)
 
     ends = np.full(B, n_steps + 1)  # rows recorded per trace
     notes = [""] * B
-    near_singular = np.zeros(B, dtype=int)
     takeover = np.zeros(B, dtype=bool)
+    any_takeover = False  # takeover.any(), kept up to date by the loop
     box = sys.input_box
+    rhs_block = _rhs_block(cfgs)
 
     def fallback(x):
         # one call per taken row, on its one-row block
@@ -298,39 +337,37 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
             break
 
         # act: the positions in live whose input is filtered; rows: their records
-        U = np.empty((live.size, m))
         act, rows, Xa, soft_a, grad_a = slice(None), sel, X, soft, grad
-        if takeover.any():
+        if any_takeover:
+            U = np.empty((live.size, m))
             taken = takeover[live]
             for j in np.flatnonzero(taken):
                 U[j] = fallback(X[j])
             act = np.flatnonzero(~taken)
             rows, Xa, soft_a, grad_a = live[act], X[act], soft[act], grad[act]
         stop = []  # positions in live that halt at this step
-        if len(Xa):
+        if len(Xa):  # always, unless every live row has taken over
             u_des = call_batched(bench.desired_controller, Xa, (m,))
             a, c = barrier_block(sys, grad_a, Xa)
-            rhs = np.array([
-                make_rhs(cfgs[i].alpha, h,
-                         float(np.linalg.norm(x)) if isinstance(cfgs[i].alpha, ClassKinfK) else None)
-                for i, h, x in zip(live[act], soft_a, Xa)
-            ])
+            rhs = rhs_block(rows, soft_a, Xa)
+            nrm2 = _rowdot(a, a)
             if box is not None:
-                out = filter_boxed_block(a, c, rhs, u_des, box)
+                u, slack, modified, codes, multiplier, infeasible = _boxed_rows(a, c, rhs, u_des, box, nrm2)
             else:
-                out = filter_unconstrained_block(a, c, rhs, u_des)
-            U[act] = out.u
-            records["filter_status"][k, rows] = out.qp_status
-            records["slack"][k, rows] = out.constraint_value
-            records["multiplier"][k, rows] = out.multiplier
-            ok = out.qp_status != "infeasible"
-            acted = out.modified & ok
+                u, slack, modified, codes, multiplier, infeasible = _unconstrained_rows(a, c, rhs, u_des, nrm2)
+            if any_takeover:
+                U[act] = u
+            else:
+                U = u
+            status[k, rows] = codes
+            records["slack"][k, rows] = slack
+            records["multiplier"][k, rows] = multiplier
+            acted = modified if infeasible is None else modified & ~infeasible
             records["modified"][k, rows] = acted
             # the closed-form projection is discontinuous where the input
-            # direction nearly vanishes: count the steps that acted there
-            near_singular[rows] += acted & (
-                np.sqrt(_rowdot(a, a)) < 1e-6 * (1.0 + np.sqrt(_rowdot(u_des, u_des))))
-            for j in () if ok.all() else np.flatnonzero(~ok):
+            # direction nearly vanishes: mark the steps that acted there
+            singular[k, rows] = acted & (np.sqrt(nrm2) < 1e-6 * (1.0 + np.sqrt(_rowdot(u_des, u_des))))
+            for j in () if infeasible is None else np.flatnonzero(infeasible):
                 p = np.arange(live.size)[act][j]  # the position in live of filtered row j
                 i = live[p]
                 records["infeasible"][k, i] = True
@@ -340,7 +377,7 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
                     ends[i] = k + 1
                     stop.append(p)
                 elif policy == "backup-takeover":
-                    takeover[i] = True
+                    takeover[i] = any_takeover = True
                     U[p] = fallback(X[p])
                 else:  # clip
                     notes[i] = notes[i] or "clip policy applied on infeasible steps (unsound)"
@@ -363,6 +400,7 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
                 break
             sel, theta_live = live, theta[live]
 
+    records["filter_status"] = _STATUS_NAMES[status]
     traces = []
     for i, e in enumerate(ends):
         cols = {name: np.ascontiguousarray(rec[:e, i]) for name, rec in records.items()}
@@ -374,6 +412,6 @@ def run(bench: Benchmark, cfg: Union[SimConfig, Sequence[SimConfig]]) -> Union[S
             violations=[(float(t), float(v)) for t, v in zip(times, trace_h) if v < 0.0],
             truncated=bool(e < n_steps + 1),
             note=notes[i],
-            near_singular_steps=int(near_singular[i]),
+            near_singular_steps=int(singular[:, i].sum()),
         ))
     return traces[0] if isinstance(cfg, SimConfig) else traces

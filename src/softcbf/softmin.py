@@ -48,17 +48,22 @@ def _constant(value: float) -> np.ndarray:
 
 def _fold(op, a: np.ndarray) -> np.ndarray:
     """`op.reduce(a, axis=-1)` for op np.minimum, np.maximum or
-    np.logical_and, as a left fold over the last axis of length N once the
-    block has at least 8 N rows: numpy reduces each short row in a slow
-    inner loop, while N - 1 calls over whole columns are far cheaper
-    (N = 4, 3000 rows: 7.5 us against 150 us).  Smaller blocks keep the one
-    reduce call, which is cheaper below about 30 rows for N = 4 and 100
-    for N = 11.
+    np.logical_and, and for np.add where N < 8, as a left fold over the
+    last axis of length N once the block has at least 8 N rows: numpy
+    reduces each short row in a slow inner loop, while N - 1 calls over
+    whole columns are far cheaper (N = 4, 3000 rows: 7.5 us against 150 us
+    for a minimum, 53 us for a sum).  Smaller blocks keep the one reduce
+    call, which is cheaper below about 30 rows for N = 4 and 100 for
+    N = 11.
 
-    Both select the same value.  Only two signs may differ: the sign of a
-    zero extreme from a row holding +0.0 and -0.0 there, where the fold
-    keeps the earlier column and numpy's vectorised reduce picks by CPU
-    (for N = 9, 17, ... on an AVX-512 host), and the sign of a NaN."""
+    A minimum, maximum or logical and selects the same value either way.
+    Only two signs may differ: the sign of a zero extreme from a row
+    holding +0.0 and -0.0 there, where the fold keeps the earlier column
+    and numpy's vectorised reduce picks by CPU (for N = 9, 17, ... on an
+    AVX-512 host), and the sign of a NaN.  numpy sums a row of fewer than
+    8 columns in a left fold too, so a sum is the same bit for bit, the
+    sign of a NaN again aside; from 8 columns on its pairwise order is no
+    left fold, so np.add must not be folded there."""
     N = a.shape[-1]
     if N == 1 or a.size < 8 * N * N:
         return op.reduce(a, axis=-1)
@@ -98,12 +103,12 @@ def softmin_block(vals: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarra
     z = -(theta[:, None] if np.ndim(theta) else theta) * vals
     # the sign of a zero zmax reaches neither exp(z - zmax) nor the result,
     # so on a NaN-free block the fold's tie rule (see _fold) leaves every bit
-    # as z.max gives it; the sum stays numpy's, as from 8 columns on its
-    # pairwise order is no left fold
+    # as z.max gives it
     zmax = _fold(np.maximum, z)
     e = np.exp(z - zmax[:, None])
-    total = e.sum(axis=1, keepdims=True)
-    return -(zmax + np.log(total[:, 0])) / theta, e / total
+    # numpy's own sum from 8 columns on, where its order is no left fold
+    total = _fold(np.add, e) if vals.shape[1] < 8 else e.sum(axis=1)
+    return -(zmax + np.log(total)) / theta, e / total[:, None]
 
 
 def softmin_rows(vals: np.ndarray, grads: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,31 @@ def test_tail_threshold_degenerate_cases():
     tail = TailSpec(R=5.0, eta_at_R=1.0, C=0.0, p=0.0, r_inf=0.7)
     assert theta_star_tail(tail, N=2) == 0.0
     assert theta_star_tail(tail, N=1) == 0.0
+
+
+@pytest.mark.parametrize("R, C, p", [(1e10, 1.0, 40.0), (1e300, 1e300, 1.0), (1.0, 1e308, 2.0)])
+def test_tail_threshold_that_overflows_names_the_term(R, C, p):
+    # (1 + R)^p raises OverflowError at the first, and r_inf + C (1 + R)^p
+    # is inf at the others: no finite theta is certified
+    tail = TailSpec(R=R, eta_at_R=0.01, C=C, p=p, r_inf=0.5)
+    named = re.escape(f"is not finite (inf) for N=2, R={R!r}, C={C!r}, p={p!r}, r_inf=0.5, eta_at_R=0.01")
+    with pytest.raises(InvalidCertificateError, match=r"^theta_tail = .* " + named):
+        theta_star_tail(tail, N=2)
+    assert theta_star_tail(tail, N=1) == 0.0
+
+
+@pytest.mark.parametrize("d, epsilon, term", [
+    (5e-324, 0.05, r"theta_core = log\(N \(r \+ M\) / r\) / d is not finite \(inf\) for N=3, r=0.5, M=2.0, "
+                   r"d=5e-324"),
+    (1e-3, 5e-324, r"theta_tube = log\(N\) / epsilon is not finite \(inf\) for N=3, epsilon=5e-324"),
+])
+def test_compact_threshold_that_overflows_names_the_term(d, epsilon, term):
+    bounds = CompactBounds(M=2.0, r=0.5, d=d, epsilon=epsilon, n_samples=10)
+    with pytest.raises(InvalidCertificateError, match=term):
+        theta_star_compact(bounds, N=3)
+    with pytest.raises(InvalidCertificateError, match=term):
+        certify(bounds, None, 3)
+    assert theta_star_compact(bounds, N=1).theta_star == 0.0
 
 
 def test_tail_threshold_inverse_in_eta():

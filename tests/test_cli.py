@@ -100,6 +100,12 @@ INVALID_CERTIFY_INPUTS = {
     "precondition-tolerance-nan": (
         "pendulum-backup", [], "precondition_tolerance = nan\n", "precondition tolerance must be finite"),
     "tail-C-nan": ("scalar-stable", [], TAIL + "tail_C = nan\n", "tail constants must be finite"),
+    # a tail term that overflows: (1 + R)^p raises OverflowError, and C (1 + R)^p
+    # is inf, which made theta_star inf
+    "tail-power-overflow": ("double-integrator-box", [], TAIL.replace("tail_p = 1", "tail_p = 40").replace(
+        "tail_R = 1", "tail_R = 1e10") + "tail_C = 1\n", "theta_tail = log((N - 1) (r_inf + C (1 + R)^p)"),
+    "tail-term-inf": ("double-integrator-box", [], TAIL.replace("tail_R = 1", "tail_R = 1e300") + "tail_C = 1e300\n",
+                      "is not finite (inf) for N=4, R=1e+300, C=1e+300"),
 }
 
 
@@ -658,6 +664,8 @@ EARLY_REFUSED_INPUTS = {
     "epsilon-inf": (["--epsilon", "inf"], "", "epsilon must be finite"),
     "tail-partial": ([], "tail_R = 1\n", "tail parameters must be given together"),
     "tail-C-nan": ([], TAIL + "tail_C = nan\n", "tail constants must be finite"),
+    "tail-term-inf": ([], TAIL.replace("tail_R = 1", "tail_R = 1e10").replace("tail_p = 1", "tail_p = 40")
+                      + "tail_C = 1\n", "theta_tail = log((N - 1) (r_inf + C (1 + R)^p) / r_inf) / eta_at_R is not"),
     "theta-multiplier-nan": (["--theta-multiplier", "nan"], "", "theta_multiplier must be a finite positive number"),
     "theta-multiplier-negative": (["--theta-multiplier", "-1"], "", "theta_multiplier must be a finite positive"),
     # theta_star > 0 here (N = 11), so a zero multiplier would give theta = 0

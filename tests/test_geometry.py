@@ -22,7 +22,7 @@ from softcbf import (
     probe_boundary,
     sample_tube,
 )
-from softcbf.geometry import bisect_to_band, march_and_bisect
+from softcbf.geometry import bisect_to_band, call_batched, march_and_bisect
 from softcbf.softmin import softmin_block
 from test_certify import disk_problem
 
@@ -899,3 +899,39 @@ def test_mfcq_block_matches_per_sample_witness_on_failing_samples():
     assert [e.ok for e in report.entries] == [True, True, True, False, False, False, False]
     assert report.entries[3].witness is None and report.entries[3].margin == -np.inf
     assert report.entries[5].violating_pair == (0, 1) and report.entries[6].violating_pair == (0, 2)
+
+
+def test_call_batched_returns_an_exact_float64_block_as_it_is():
+    X = np.zeros((3, 2))
+    one = np.ones((3, 2))
+    pair = (np.ones(3), np.ones((3, 2)))
+    assert call_batched(lambda X: one, X, (2,)) is one
+    assert call_batched(lambda X: pair, X, (), (2,)) is pair
+    # anything else is checked and converted as before: float64 arrays of
+    # the same values, a tuple of them for several tails
+    swapped = np.ones((3, 2), dtype=">f8")
+    subclass = one.view(type("Sub", (np.ndarray,), {}))
+    for out in (np.ones((3, 2), dtype=np.float32), [[1.0, 1.0]] * 3, swapped, subclass):
+        got = call_batched(lambda X: out, X, (2,))
+        assert type(got) is np.ndarray and got.dtype == np.float64 and np.array_equal(got, one)
+    for out in ([np.ones(3), np.ones((3, 2))], (np.ones(3, dtype=np.float32), np.ones((3, 2)))):
+        got = call_batched(lambda X: out, X, (), (2,))
+        assert type(got) is tuple and all(g.dtype == np.float64 for g in got)
+
+
+@pytest.mark.parametrize("out, tails, message", [
+    (np.ones((3, 3)), [(2,)], "returned shape (3, 3) for a block of 3 states; expected (3, 2)"),
+    (np.ones((3, 2), dtype=np.float32)[:2], [(2,)], "returned shape (2, 2) for a block of 3 states; expected (3, 2)"),
+    ((np.ones(3), np.ones((3, 3))), [(), (2,)],
+     "returned shape (3,), (3, 3) for a block of 3 states; expected (3,), (3, 2)"),
+    ((np.ones(3),), [(), (2,)], "returned shape (3,) for a block of 3 states; expected (3,), (3, 2)"),
+    ((np.ones(3), np.ones((3, 2)), np.ones(3)), [(), (2,)],
+     "returned shape (3,), (3, 2), (3,) for a block of 3 states; expected (3,), (3, 2)"),
+])
+def test_call_batched_names_the_callable_and_every_shape(out, tails, message):
+    def field(X):
+        return out
+
+    with pytest.raises(InvalidInputError) as err:
+        call_batched(field, np.zeros((3, 2)), *tails)
+    assert str(err.value) == "test_call_batched_names_the_callable_and_every_shape.<locals>.field " + message

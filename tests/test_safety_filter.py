@@ -9,6 +9,7 @@ from softcbf import (
     barrier_row,
     filter_boxed,
     filter_unconstrained,
+    filter_unconstrained_block,
     make_rhs,
 )
 
@@ -335,3 +336,78 @@ def test_boxed_breakpoint_search_is_exact(m):
         assert np.array_equal(out.u, np.clip(u_des + out.multiplier * a, box[:, 0], box[:, 1]))
         assert 0.0 <= out.constraint_value <= 1e-12 * (1.0 + abs(rhs - c))
         checked += 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("a, u_des", [([1e-160], [0.5]), ([1e-160, 0.0], [0.5, -2.0]), ([1e-300], [0.0])])
+def test_unconstrained_multiplier_overflow_is_infeasible(a, u_des):
+    # a.a is subnormal, so lam = 1 / a.a overflows: no finite input meets the
+    # constraint along a, which is reported as for a = 0, not as u = inf
+    u_des = np.array(u_des)
+    out = filter_unconstrained(np.array(a), 0.0, 1.0, u_des)
+    assert out.qp_status == "infeasible"
+    assert not out.modified
+    assert np.array_equal(out.u, u_des)
+    assert out.multiplier == np.inf
+    assert out.constraint_value == float(np.array(a) @ u_des) - 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_boxed_multiplier_overflow_takes_the_breakpoint_search():
+    # the free projection of this box-feasible row overflows, so the row is
+    # searched and lands at the box edge, not at u_des
+    out = filter_boxed(np.array([1e-160]), 0.0, 1.0, np.array([0.5]), np.array([[-1e200, 1e200]]))
+    assert out.qp_status == "clipped" and out.modified
+    assert np.array_equal(out.u, [1e200])
+    assert out.constraint_value >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_boxed_row_whose_free_projection_is_infeasible_is_searched():
+    # a.a underflows to 0, so the free projection calls the row infeasible;
+    # the box corner a.hi = 1e-170 still meets the target 1e-171, so the
+    # breakpoint search gives a feasible input
+    out = filter_boxed(np.array([1e-170]), 0.0, 1e-171, np.array([-0.5]), np.array([[-1.0, 1.0]]))
+    assert out.qp_status == "clipped" and out.modified
+    assert out.constraint_value >= 0.0
+    assert -0.5 < out.u[0] <= 1.0
+
+
+def _specials(rng, shape, scale):
+    """Normal draws of `scale` with about one entry in three replaced by
+    +-0.0, a subnormal, a tiny or a large value."""
+    x = rng.normal(scale=scale, size=shape)
+    pick = rng.random(shape)
+    specials = rng.choice([0.0, -0.0, 5e-324, -3e-320, 1e-155, -1e-160, 1e150, -1e140], size=shape)
+    return np.where(pick < 0.3, specials, x)
+
+
+@pytest.mark.gate
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_all_moved_block_equals_the_masked_path_bitwise(m):
+    # 200,000 seeded rows in all: the rows that all move take the filter's
+    # all-moved path as one block; with one feasible row appended, the same
+    # rows take the np.where path, and every field agrees bit for bit
+    rng = np.random.default_rng(100 + m)
+    B = (66_668, 66_666, 66_666)[m - 1]
+    a, u_des = _specials(rng, (B, m), 1.0), _specials(rng, (B, m), 2.0)
+    c, rhs = _specials(rng, B, 1.0), _specials(rng, B, 1.0) + 1.0
+    every = filter_unconstrained_block(a, c, rhs, u_des)
+    rows = np.flatnonzero(every.modified)
+    assert rows.size > B // 2
+    feasible = (np.ones((1, m)), np.array([1.0]), np.array([0.0]), np.zeros((1, m)))
+    fast = filter_unconstrained_block(a[rows], c[rows], rhs[rows], u_des[rows])
+    assert fast.modified.all()
+    masked = filter_unconstrained_block(*(np.concatenate([x[rows], y]) for x, y in zip((a, c, rhs, u_des), feasible)))
+    assert not masked.modified[-1]
+    for name in ("u", "constraint_value", "modified", "qp_status", "multiplier"):
+        x, y = getattr(fast, name), getattr(masked, name)[:-1]
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    # and every row of the block is its one-row filter's
+    for i in rng.choice(B, 300, replace=False):
+        one = filter_unconstrained(a[i], c[i], rhs[i], u_des[i])
+        assert one.u.tobytes() == every.u[i].tobytes()
+        assert (one.qp_status, one.modified) == (every.qp_status[i], every.modified[i])
+        assert np.array([one.constraint_value, one.multiplier]).tobytes() == np.array(
+            [every.constraint_value[i], every.multiplier[i]]).tobytes()

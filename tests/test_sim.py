@@ -15,6 +15,7 @@ import softcbf.backup
 import softcbf.sim
 from softcbf import (
     ClassK,
+    ClassKinfK,
     ConstraintSet,
     InvalidInputError,
     SimConfig,
@@ -22,6 +23,7 @@ from softcbf import (
     get_benchmark,
 )
 from softcbf.cli import main
+from softcbf.safety_filter import make_rhs
 from softcbf.sim import run
 
 
@@ -330,6 +332,78 @@ def test_lockstep_rows_equal_single_runs_bitwise(name):
         assert_same_trace(trace, run(bench, cfg))
 
 
+# every relaxation kind: linear rows whose kappa is a float, an int or a
+# numpy float64 take the block right-hand side, the others make_rhs
+RELAXATIONS = [
+    ClassK(), ClassK(kappa=0.7), ClassK(kappa=3), ClassK(kappa=np.float64(2.5)), ClassK(kappa=np.float32(1.1)),
+    ClassK(kind="cubic", kappa=2.0), ClassK(kind="tanh", kappa=3.0, scale=0.5),
+    ClassKinfK(alpha1=ClassK(kappa=2.0), beta=ClassK(kind="cubic", kappa=0.5)),
+    ClassKinfK(alpha1=ClassK(kind="cubic", kappa=1.5), beta=ClassK(kind="tanh")),
+]
+
+
+@pytest.mark.gate
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_block_right_hand_side_equals_make_rhs_bitwise():
+    # h and |x| on +-0.0, subnormals and large values: a cubic row raises
+    # make_rhs's OverflowError, and the block raises it too
+    cfgs = [SimConfig(x0=np.zeros(2), t_final=0.01, dt=0.01, theta=1.0, alpha=alpha) for alpha in RELAXATIONS]
+    rhs_block = softcbf.sim._rhs_block(cfgs)
+    assert softcbf.sim._rhs_block(cfgs[:4])(slice(None), np.array([1.0, -0.0, 2.0, 5e-324]), None).tobytes() == (
+        np.array([-1.0, 0.0, -6.0, -1e-323]).tobytes())
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-110, -1e-120, 1e100, -3e102,
+                1e200, -1e200, 1.7e308, -1e308]
+    rng = np.random.default_rng(21)
+    raised = checked = 0
+    for _ in range(3000):
+        R = int(rng.integers(1, len(cfgs) + 1))
+        rows = slice(None) if R == len(cfgs) and rng.random() < 0.5 else np.sort(
+            rng.choice(len(cfgs), R, replace=False))
+        ids = np.arange(len(cfgs))[rows]
+        h = np.where(rng.random(len(ids)) < 0.4, rng.choice(specials, len(ids)), rng.normal(scale=3.0, size=len(ids)))
+        X = np.where(rng.random((len(ids), 2)) < 0.3, rng.choice(specials, (len(ids), 2)),
+                     rng.normal(size=(len(ids), 2)))
+        want = []
+        try:
+            for i, hj, x in zip(ids, h, X):
+                alpha = cfgs[i].alpha
+                want.append(make_rhs(alpha, hj, float(np.linalg.norm(x)) if isinstance(alpha, ClassKinfK) else None))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                rhs_block(rows, h, X)
+            raised += 1
+            continue
+        got = rhs_block(rows, h, X)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        checked += 1
+    assert raised > 50 and checked > 2000
+
+
+@pytest.mark.gate
+@pytest.mark.filterwarnings("ignore:initial state is inside the hard set")
+def test_lockstep_rows_mixing_every_relaxation_equal_single_runs_bitwise():
+    # a normal block, and one without actuation whose rows halt, take over
+    # or clip, so the filter runs on subsets of the rows
+    bench = get_benchmark("double-integrator-box")
+    cs = bench.constraints
+    X = np.random.default_rng(6).uniform(*cs.bounding_box.T, size=(2000, cs.n))
+    x0s = X[cs.evaluate_batch(X)[0].min(axis=1) > 0.0]
+    cfgs = [SimConfig(x0=x0s[k], t_final=1.0, dt=0.01, theta=theta, alpha=alpha)
+            for k, (theta, alpha) in enumerate(zip([3.0, 25.0, 400.0, 7e3, 9e4, 50.0, 1e3, 2e4, 6.0], RELAXATIONS))]
+    for cfg, trace in zip(cfgs, run(bench, cfgs)):
+        assert_same_trace(trace, run(bench, cfg))
+    unstable = get_benchmark("scalar-unstable")
+    dead = dataclasses.replace(unstable, sys=dataclasses.replace(unstable.sys, actuation=_zero_actuation))
+    cfgs = [scalar_cfg(x0=np.array([x0]), theta=4.0, t_final=1.0, alpha=alpha, infeasible_policy=policy)
+            for x0, alpha, policy in zip(
+                np.linspace(-0.9, 0.9, len(RELAXATIONS)), RELAXATIONS,
+                itertools.cycle(["clip", "backup-takeover", "clip", "halt"]))]
+    traces = run(dead, cfgs)
+    assert any(t.truncated for t in traces) and any((t.filter_status == "").sum() > 1 for t in traces)
+    for cfg, trace in zip(cfgs, traces):
+        assert_same_trace(trace, run(dead, cfg))
+
+
 @pytest.mark.gate
 def test_lockstep_backup_rows_stay_within_1e_12_of_single_runs():
     # the rows share one flow per step, which may round differently in the
@@ -457,6 +531,27 @@ def test_filter_record_marks_infeasible_steps():
     trace = run(bench, scalar_cfg(t_final=1.0))
     assert set(trace.filter_status[:-1]) <= {"analytic", "clipped"}
     assert np.all(trace.multiplier[:-1][trace.modified[:-1]] > 0.0)
+
+
+def test_steps_the_filter_found_infeasible_are_neither_modified_nor_near_singular():
+    # no actuation: every filtered step is infeasible, with a = 0, and none is
+    # an act of the filter, so none counts as near-singular
+    bench = get_benchmark("scalar-unstable")
+    dead = dataclasses.replace(bench, sys=dataclasses.replace(bench.sys, actuation=_zero_actuation))
+    trace = run(dead, scalar_cfg(x0=np.array([0.9]), theta=4.0, t_final=1.0, infeasible_policy="clip"))
+    assert trace.infeasible[:-1].all() and trace.near_singular_steps == 0
+    # a box too small to hold the outward drift: the boxed filter reports the
+    # best corner, which differs from u_des, yet the step is not recorded as
+    # modified
+    small = dataclasses.replace(bench, sys=dataclasses.replace(bench.sys, input_box=np.array([[-0.05, 0.05]])))
+    trace = run(small, scalar_cfg(x0=np.array([0.9]), theta=4.0, t_final=1.0, infeasible_policy="clip"))
+    assert trace.infeasible[:-1].all() and not trace.modified.any()
+    # a tiny actuation: the filter acts at every step with |a| below
+    # 1e-6 (1 + |u_des|), and each act counts
+    weak = dataclasses.replace(bench, sys=dataclasses.replace(
+        bench.sys, actuation=lambda X: np.full((len(X), 1, 1), 1e-9)))
+    trace = run(weak, scalar_cfg(x0=np.array([0.9]), theta=4.0, t_final=0.1))
+    assert trace.near_singular_steps == trace.modified.sum() == 10
 
 
 @pytest.mark.gate
