@@ -27,7 +27,13 @@ Runs, each into OUTDIR/<run>/:
     draw other rays;
   - sweep-double-integrator-box-12: a sweep over twelve θ, one lockstep
     block above `sim._PLANT_ROWS` rows, so its plant steps take the numpy
-    block step while the six-θ sweeps take the row path.
+    block step while the six-θ sweeps take the row path;
+  - sweep-thin-annulus: a sweep over six θ on a two-input plant, whose
+    smallest θ starts outside the smooth set;
+  - simulate-scalar-unstable-takeover: a 2 s trace at θ = 0.5 from
+    x0 = 1e-17, where the smooth gradient vanishes, so the filter is
+    infeasible at once and the safe controller u = 0 takes over while the
+    unstable plant grows the state.
 
 OUTDIR/runs.txt lists each run's command line, exit code and printed lines,
 warnings included.  Every occurrence of OUTDIR's absolute path, in the files
@@ -46,6 +52,7 @@ import softcbf.cli
 from softcbf.systems import benchmark_names
 
 PLACEHOLDER = "<OUTDIR>"
+TAKEOVER_CONFIG = "x0 = 1e-17\n"
 TAIL_CONFIG = "tail_R = 1\ntail_eta = 0.01\ntail_C = 1\ntail_p = 1\ntail_r_inf = 0.5\n"
 ALPHA_CONFIGS = {
     "cubic": "alpha_kind = cubic\nalpha_kappa = 2.5\n",
@@ -75,6 +82,9 @@ def runs() -> list:
             for s in range(1, 10)]
     out.append(("sweep-double-integrator-box-12", "double-integrator-box",
                 ["sweep", "--thetas", "3,10,40,150,500,2000,6000,12000,20000,50000,100000,300000"], None))
+    out.append(("sweep-thin-annulus", "thin-annulus", ["sweep", "--thetas", "20,60,200,2000,20000,200000"], None))
+    out.append(("simulate-scalar-unstable-takeover", "scalar-unstable",
+                ["simulate", "--theta", "0.5", "--t-final", "2"], TAKEOVER_CONFIG))
     return out
 
 

@@ -49,6 +49,7 @@ from .safety_filter import (
     ControlAffineSystem,
     FilterOutcome,
     FusedPlant,
+    LinearDrift,
     barrier_block,
     barrier_row,
     filter_boxed,

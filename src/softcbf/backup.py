@@ -300,6 +300,42 @@ def _check_row_length(f: Callable, out, n: int):
         ) from None
 
 
+def _namers(n: int) -> tuple:
+    """The text helpers of the generated kernels for state dimension n:
+    names(stem, k=n) lists the local names stem0, ... as a target list
+    ("x0, x1," for stem "x" and k = 2), and each(form, k=n, sep="; ") is
+    form once per component, with {0} as its index."""
+    return (lambda stem, k=n: ", ".join(f"{stem}{i}" for i in range(k)) + ",",
+            lambda form, k=n, sep="; ": sep.join(form.format(i) for i in range(k)))
+
+
+def _plant_row_source(n: int, slope: Callable) -> str:
+    """The source of `plant_row` (see `_row_kernels`) for state dimension n,
+    where slope(src, dst) is the statement that sets the stage slopes dst0,
+    ... from the stage state src0, ...: one call of the drift row f, or a
+    linear drift's sums written inline (`_linear_plant_row`)."""
+    names, each = _namers(n)
+    return f"""
+def plant_row(f, x, g, h, substeps):
+    half = 0.5 * h; sixth = h / 6.0
+    {names("g")} = g
+    {names("x")} = k = x
+    try:
+        for _ in range(substeps):
+            {slope("x", "a")}; {each("a{0} += g{0}")}
+            {each("y{0} = x{0} + half * a{0}")}
+            {slope("y", "b")}; {each("b{0} += g{0}")}
+            {each("z{0} = x{0} + half * b{0}")}
+            {slope("z", "c")}; {each("c{0} += g{0}")}
+            {each("w{0} = x{0} + h * c{0}")}
+            {slope("w", "d")}; {each("d{0} += g{0}")}
+            {names("x")} = {each("x{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", sep=", ")},
+    except ValueError:
+        check_row_length(f, k, {n}); raise
+    return {names("x")}
+"""
+
+
 @functools.lru_cache(maxsize=None)
 def _row_kernels(n: int) -> tuple:
     """The one-row kernels of `integrate_flow_batch` for state dimension n,
@@ -332,20 +368,15 @@ def _row_kernels(n: int) -> tuple:
     `sim._plant_block`): each stage adds g to f's output component by
     component, like the block sum drift(X) + held, then runs `rk4_step`'s
     operations in its order.  It returns the final state as a tuple and
-    builds no stage tuples.  Its errors are rk4_row's.
+    builds no stage tuples.  Its errors are rk4_row's.  Its source is
+    `_plant_row_source`, which `_linear_plant_row` shares.
 
     test_row_kernels_equal_reference_loop_bodies_bitwise,
     test_row_flows_equal_one_row_block_flows_bitwise,
     test_row_sensitivities_equal_block_sensitivities_bitwise and
     test_sensitivity_row_matches_matmul_reference_on_signed_zeros keep the
     kernels equal to the loop bodies they replace and to the block bodies."""
-    # names("x") is "x0, x1," for n = 2; each(form) is form once per component
-    def names(stem, k=n):
-        return ", ".join(f"{stem}{i}" for i in range(k)) + ","
-
-    def each(form, k=n, sep="; "):
-        return sep.join(form.format(i) for i in range(k))
-
+    names, each = _namers(n)
     # k holds the row form's latest output (x before its first), so after a
     # ValueError a k of n values means the error came from inside f
     m = n * n
@@ -375,29 +406,29 @@ def sensitivity_row(J, S, h):
         {each("t[{0}] = s{0} + h * c{0}", m)}; prod(J4, T, out=P); {names("d", m)} = p
         {names("s", m)} = {each("s{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", m, ", ")},
     return {names("s", m)}
-
-def plant_row(f, x, g, h, substeps):
-    half = 0.5 * h; sixth = h / 6.0
-    {names("g")} = g
-    {names("x")} = k = x
-    try:
-        for _ in range(substeps):
-            k = f(({names("x")})); {names("a")} = k; {each("a{0} += g{0}")}
-            {each("y{0} = x{0} + half * a{0}")}
-            k = f(({names("y")})); {names("b")} = k; {each("b{0} += g{0}")}
-            {each("z{0} = x{0} + half * b{0}")}
-            k = f(({names("z")})); {names("c")} = k; {each("c{0} += g{0}")}
-            {each("w{0} = x{0} + h * c{0}")}
-            k = f(({names("w")})); {names("d")} = k; {each("d{0} += g{0}")}
-            {names("x")} = {each("x{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", sep=", ")},
-    except ValueError:
-        check_row_length(f, k, {n}); raise
-    return {names("x")}
-"""
+""" + _plant_row_source(n, lambda src, dst: f"k = f(({names(src)})); {names(dst)} = k")
     scope = {"check_row_length": _check_row_length, "empty": np.empty,
              "prod": np.matmul if n == 1 else np.ndarray.dot}
     exec(compile(source, f"<softcbf row kernels n={n}>", "exec"), scope)
     return scope["rk4_row"], scope["sensitivity_row"], scope["plant_row"]
+
+
+@functools.lru_cache(maxsize=64)
+def _linear_plant_row(terms: tuple):
+    """`plant_row` of `_row_kernels(n)` for a linear drift, given by its
+    `LinearDrift.terms`, with the drift written into each stage: slope i is
+    the sum, in j order, of A[i, j] * x_j over the nonzero entries of row i,
+    each A[i, j] as its repr (which reads back as the same float), or 0.0,
+    as the drift's block form computes it, so a step has `rk4_step`'s bits
+    on that drift.  It never calls f, which may be None.  Generated at the
+    first plant step on each A, by one compile/exec like `_row_kernels`."""
+    def slope(src, dst):
+        return "; ".join(f"{dst}{i} = " + (" + ".join(f"{a!r} * {src}{j}" for j, a in row) or "0.0")
+                         for i, row in enumerate(terms))
+
+    scope = {"check_row_length": _check_row_length}
+    exec(compile(_plant_row_source(len(terms), slope), "<softcbf linear plant row>", "exec"), scope)
+    return scope["plant_row"]
 
 
 def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):

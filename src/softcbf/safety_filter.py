@@ -29,6 +29,7 @@ from .geometry import _as_states, _check_shapes, _checked_box
 
 __all__ = [
     "ConstantActuation",
+    "LinearDrift",
     "ControlAffineSystem",
     "FusedPlant",
     "ClassK",
@@ -66,6 +67,39 @@ class ConstantActuation:
         return view[: len(X)]
 
 
+class LinearDrift:
+    """Drift f0(x) = A x, declared as a finite (n, n) matrix A, as a callable
+    that follows the system contract: a block (B, n) gives (B, n).
+
+    Component i is the sum, in j order, of A[i, j] * x_j over the nonzero
+    entries of row i, and 0.0 where the row has none; the block form fills
+    one column per component.  So 1.0 * x_j is x_j exactly, and a hand-
+    written drift such as `out[:, 0] = X[:, 1]` or `-1.0 * X` has the same
+    bits.  On a ConstantActuation, `sim.run` steps a block of up to
+    `sim._PLANT_ROWS` rows on a plant kernel generated once per A, with
+    these sums written into its RK4 stages (see `sim._plant_block`).
+    """
+
+    def __init__(self, A):
+        A = np.array(A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or not np.isfinite(A).all():
+            raise InvalidInputError(f"a linear drift matrix must be finite and square, got shape {A.shape}")
+        self.A = A
+        # per component, the (j, A[i, j]) of its row's nonzero entries in j
+        # order, as Python ints and floats
+        self.terms = tuple(tuple((int(j), float(A[i, j])) for j in np.flatnonzero(A[i])) for i in range(len(A)))
+        # the same products in (i, j) order, each marked where it starts its row's sum
+        self._products = [(i, j, a, k == 0) for i, row in enumerate(self.terms) for k, (j, a) in enumerate(row)]
+
+    def __call__(self, X):
+        out = np.zeros((len(X), len(self.terms)))
+        for i, j, a, first in self._products:
+            # 1.0 * x_j is x_j exactly, so it is not computed
+            term = X[:, j] if a == 1.0 else a * X[:, j]
+            out[:, i] = term if first else out[:, i] + term
+        return out
+
+
 @dataclass(frozen=True)
 class FusedPlant:
     """The plant drift(X) + actuation(X) @ U in one pass, declared for the
@@ -81,7 +115,8 @@ class FusedPlant:
     one-row block, under the rules of a `FusedField.row`.  `sim.run` steps
     each row of a block of up to `sim._PLANT_ROWS` rows on it, with the
     row's held input added, while `actuation` is a ConstantActuation (see
-    `sim._plant_block`).
+    `sim._plant_block`).  A LinearDrift needs none: its plant steps take a
+    kernel with the drift written inline, fused plant or not.
     """
 
     plant: Callable
@@ -100,7 +135,8 @@ class ControlAffineSystem:
     field built from them (`closed_loop`) raises InvalidInputError when
     either, or the controller, returns the wrong shape for a block.  An
     actuation that does not depend on the state is best given as a
-    ConstantActuation.
+    ConstantActuation, and a linear one as a LinearDrift, whose matrix
+    must be (n, n).
     input_box, when present, is (m, 2) rows [lo, hi].
 
     fused, when given, is a FusedPlant.  While its drift and actuation are
@@ -121,6 +157,8 @@ class ControlAffineSystem:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise InvalidInputError("need n >= 1 and m >= 1")
+        if isinstance(self.drift, LinearDrift) and self.drift.A.shape != (self.n, self.n):
+            raise InvalidInputError(f"linear drift matrix {self.drift.A.shape} does not match n = {self.n}")
         if self.input_box is not None:
             object.__setattr__(self, "input_box", _checked_box(self.input_box, self.m, "input box"))
 
@@ -227,7 +265,11 @@ class FilterOutcome:
     (nonnegative unless infeasible), whether u differs from the desired
     input, and how the solution was obtained.  `multiplier` is the lam >= 0
     of the KKT solution u = u_des + lam*a, clipped to the box when there is
-    one; it is inf when the filter is infeasible."""
+    one; it is inf when the filter is infeasible.  It can also be inf on a
+    feasible boxed row where a.a is tiny against the shortfall, when the
+    exact lam overflows: for a = [1e-160], c = 0, rhs = 1, u_des = [0.5] on
+    the box [-1e200, 1e200], the outcome is clipped with u = [1e200] and
+    multiplier inf, where u = [1e160] would meet the constraint."""
 
     u: np.ndarray
     constraint_value: float
@@ -372,21 +414,30 @@ def filter_unconstrained(a, c: float, rhs: float, u_des) -> FilterOutcome:
 def _breakpoint_search(a, c, rhs, u_des, box, u0):
     """The smallest lam >= 0 with c + a.u(lam) >= rhs, u(lam) = clip(u_des +
     lam*a, box), for one row whose free projection leaves the box; returns
-    u(lam) and lam."""
+    u(lam) and lam.
+
+    The walk runs on a and the target scaled by the power of two s that
+    brings max |a_j| into [0.5, 1), so that the slopes a_j^2 do not
+    underflow where a is tiny; lam is unscaled before the ulp correction.
+    Scaling by a power of two is exact, so a row whose walk stays in the
+    normal range has the bits of the unscaled walk."""
+    s = math.ldexp(1.0, -math.frexp(float(np.abs(a).max()))[1])
+    a_s = a * s
     # component j is free between its two breakpoints, adding a_j^2 to the slope
     j = np.flatnonzero(a)
-    ends = (box[j] - u_des[j, None]) / a[j, None]
+    ends = (box[j] - u_des[j, None]) / a_s[j, None]
     times = np.maximum(np.concatenate([ends.min(axis=1), ends.max(axis=1)]), 0.0)
-    rates = np.concatenate([a[j] ** 2, -(a[j] ** 2)])
+    rates = np.concatenate([a_s[j] ** 2, -(a_s[j] ** 2)])
     order = np.argsort(times, kind="stable")
     # gap: how far a.u(lam) still falls short of the target
-    lam, gap, slope = 0.0, rhs - c - float(a @ u0), 0.0
+    lam, gap, slope = 0.0, (rhs - c) * s - float(a_s @ u0), 0.0
     for t, rate in zip(times[order], rates[order]):
         if slope * (t - lam) >= gap:
             lam += gap / slope
             break
         gap -= slope * (t - lam)
         lam, slope = t, slope + rate
+    lam *= s
     # rounding can leave the slack a few ulps below 0: step lam up until it is not
     step = np.finfo(float).eps * (1.0 + lam)
     u = np.clip(u_des + lam * a, box[:, 0], box[:, 1])

@@ -23,13 +23,14 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import softmin as sm
-from .backup import _check_first_row, _row_kernels, rk4_step
+from .backup import _check_first_row, _linear_plant_row, _row_kernels, rk4_step
 from .errors import InvalidInputError
 from .geometry import call_batched
 from .safety_filter import (
     ClassK,
     ClassKinfK,
     ConstantActuation,
+    LinearDrift,
     _STATUS_NAMES,
     _boxed_rows,
     _rowdot,
@@ -163,9 +164,25 @@ def _barrier_block(bench: Benchmark):
     return eval_barrier
 
 
-# lockstep rows up to which a plant step on a drift row form runs row by
-# row on Python floats; larger blocks take the numpy block step
+# lockstep rows up to which a plant step on a linear drift or a drift row
+# form runs row by row on Python floats; larger blocks take the numpy block
+# step
 _PLANT_ROWS = 8
+
+
+def _plant_rows(sys, x: tuple) -> tuple:
+    """(f, plant_row) that step one row of a small block on a
+    ConstantActuation, for the block's first state x, or (None, None) where
+    the block step applies: a LinearDrift's kernel with the drift written
+    inline, which takes no f, else the fused plant's drift row form, checked
+    to return n floats on x, and `_row_kernels`' plant_row."""
+    if isinstance(sys.drift, LinearDrift):
+        return None, _linear_plant_row(sys.drift.terms)
+    plant = sys._fused_plant()
+    if plant is None or plant.drift_row is None:
+        return None, None
+    _check_first_row(plant.drift_row, x, len(x))
+    return plant.drift_row, _row_kernels(len(x))[2]
 
 
 def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) -> np.ndarray:
@@ -175,23 +192,23 @@ def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) ->
     the one-row g @ u; a ConstantActuation's is the same at every RK4 stage,
     so it is computed once.
 
-    A block of 1 to _PLANT_ROWS rows on a ConstantActuation whose system
-    declares a drift row form (`FusedPlant.drift_row`, while the fused plant
-    applies) runs each row's RK4 substeps in one call of the generated
-    `plant_row`, on Python floats, on the drift row plus the row's held
-    input, bit for bit the block step: the drift row is checked to return
-    n floats on the block's first state."""
+    A block of 1 to _PLANT_ROWS rows on a ConstantActuation runs each row's
+    RK4 substeps in one call of a generated `plant_row`, on Python floats,
+    bit for bit the block step (see `_plant_rows`): on a LinearDrift the
+    kernel generated for its matrix, whose stages compute the drift inline
+    and add the row's held input, with no Python call per stage; on a
+    system that declares a drift row form (`FusedPlant.drift_row`, while
+    the fused plant applies) the kernel for n, which calls it at each
+    stage.  Other blocks and systems take `rk4_step` on the block."""
     U = U[:, :, None]
     h = dt / substeps
     if isinstance(sys.actuation, ConstantActuation):
         held = (sys.actuation(X) @ U)[:, :, 0]
-        plant = sys._fused_plant()
-        if 0 < len(X) <= _PLANT_ROWS and plant is not None and plant.drift_row is not None:
-            f, n = plant.drift_row, X.shape[1]
+        if 0 < len(X) <= _PLANT_ROWS:
             rows = X.tolist()
-            _check_first_row(f, tuple(rows[0]), n)
-            plant_row = _row_kernels(n)[2]
-            return np.array([plant_row(f, x, g, h, substeps) for x, g in zip(rows, held.tolist())])
+            f, plant_row = _plant_rows(sys, tuple(rows[0]))
+            if plant_row is not None:
+                return np.array([plant_row(f, x, g, h, substeps) for x, g in zip(rows, held.tolist())])
 
         def f(X):
             return sys.drift(X) + held

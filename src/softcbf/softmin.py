@@ -113,8 +113,10 @@ def softmin_block(vals: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarra
 
 def softmin_rows(vals: np.ndarray, grads: np.ndarray, theta) -> tuple[np.ndarray, np.ndarray]:
     """Smooth minimum (B,) and gradient (B, n) of finite values (B, N) and
-    gradients (B, N, n), at one theta or one per row (B,); theta is unchecked."""
-    if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
+    gradients (B, N, n), at one theta or one per row (B,); theta is unchecked.
+    Gradients whose rows are one block of memory (zero stride, as a
+    ConstantActuation gives them) are checked on their first row."""
+    if not (np.isfinite(vals).all() and np.isfinite(grads[:1] if grads.strides[0] == 0 else grads).all()):
         raise InvalidInputError("constraint values and gradients must be finite")
     if vals.shape[1] == 1:  # one constraint is its own smooth minimum
         return vals[:, 0], grads[:, 0]

@@ -17,7 +17,7 @@ import numpy as np
 from .backup import BackupProblem, FusedField, ValueForms, slice_constraint_set
 from .errors import InvalidInputError
 from .geometry import ConstraintSet
-from .safety_filter import ConstantActuation, ControlAffineSystem, FusedPlant
+from .safety_filter import ConstantActuation, ControlAffineSystem, FusedPlant, LinearDrift
 from .softmin import _constant
 
 __all__ = [
@@ -118,11 +118,6 @@ def double_integrator_box() -> Benchmark:
     filter activity.
     """
 
-    def drift(X):
-        out = np.zeros(X.shape)
-        out[:, 0] = X[:, 1]
-        return out
-
     def plant(X, U):
         # drift(X) + g @ U in one pass, bit for bit: the composed field's
         # einsum adds an exact +0.0 to both components (g = [[0], [1]]), so
@@ -132,13 +127,11 @@ def double_integrator_box() -> Benchmark:
         out[:, 1] = U[:, 0] + _ZERO
         return out
 
-    def drift_row(x):
-        x0, x1 = x
-        return (x1, 0.0)
-
+    # drift [v, 0]: 1.0 * v is v exactly
+    drift = LinearDrift([[0.0, 1.0], [0.0, 0.0]])
     actuation = ConstantActuation([[0.0], [1.0]])
     sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=actuation,
-                              fused=FusedPlant(plant, drift, actuation, drift_row))
+                              fused=FusedPlant(plant, drift, actuation))
 
     W = np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5, 1.5])
@@ -357,11 +350,7 @@ def pendulum_backup() -> Benchmark:
 
 def _scalar_benchmark(name: str, stable: bool) -> Benchmark:
     sign = -1.0 if stable else 1.0
-
-    def drift(X):
-        return sign * X
-
-    sys = ControlAffineSystem(n=1, m=1, drift=drift, actuation=ConstantActuation([[1.0]]))
+    sys = ControlAffineSystem(n=1, m=1, drift=LinearDrift([[sign]]), actuation=ConstantActuation([[1.0]]))
     constraints = _affine_constraints(
         np.array([[-1.0], [1.0]]), np.array([1.0, 1.0]), [[-1.3, 1.3]]
     )
@@ -418,10 +407,7 @@ def thin_annulus(width: float = 0.05) -> Benchmark:
     if not 0 < width < 1:
         raise InvalidInputError("width must be in (0, 1)")
 
-    def drift(X):
-        return np.zeros_like(X)
-
-    sys = ControlAffineSystem(n=2, m=2, drift=drift, actuation=ConstantActuation(np.eye(2)))
+    sys = ControlAffineSystem(n=2, m=2, drift=LinearDrift(np.zeros((2, 2))), actuation=ConstantActuation(np.eye(2)))
 
     def values(X):
         r2 = np.einsum("bi,bi->b", X, X)

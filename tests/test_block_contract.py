@@ -6,7 +6,9 @@ fused forms are wrapped, as a call-counting harness would wrap them, in a
 guard that raises on any argument that is not 2-d; then the CLI commands,
 a backup takeover and the one-state package API run through them.  The
 per-constraint `evaluators`, which take one state by design, are the one
-exception; no benchmark declares any.
+exception; no benchmark declares any.  A LinearDrift and a
+ConstantActuation are package code, matrices that the plant step reads,
+and pass the guard as themselves.
 """
 import dataclasses
 
@@ -14,10 +16,13 @@ import numpy as np
 import pytest
 
 import softcbf.cli
+import softcbf.sim
 from softcbf import (
     ClassK,
+    ConstantActuation,
     FusedField,
     FusedPlant,
+    LinearDrift,
     SimConfig,
     ValueForms,
     backup_barrier,
@@ -53,7 +58,10 @@ def guarded(bench):
     forms rebuilt on the guarded objects so that they still apply."""
     g = blocks_only
     sys = bench.sys
-    drift, actuation = g(sys.drift), g(sys.actuation)
+    # a LinearDrift and a ConstantActuation stay themselves, so that guarded
+    # plant steps keep the row path
+    drift = sys.drift if isinstance(sys.drift, LinearDrift) else g(sys.drift)
+    actuation = sys.actuation if isinstance(sys.actuation, ConstantActuation) else g(sys.actuation)
     # the drift row maps one state as a tuple of floats by design
     plant = sys.fused and FusedPlant(g(sys.fused.plant), drift, actuation, sys.fused.drift_row)
     sys = dataclasses.replace(sys, drift=drift, actuation=actuation, fused=plant)
@@ -88,8 +96,22 @@ def guarded_cli(monkeypatch):
     monkeypatch.setattr(softcbf.cli, "get_benchmark", lambda name: guarded(real(name)))
 
 
+@pytest.fixture
+def block_steps(monkeypatch):
+    """Counts the plant steps that sim takes on the numpy block step."""
+    steps = []
+    step = softcbf.sim.rk4_step
+
+    def counted(F, X, h):
+        steps.append(len(X))
+        return step(F, X, h)
+
+    monkeypatch.setattr(softcbf.sim, "rk4_step", counted)
+    return steps
+
+
 @pytest.mark.parametrize("name", benchmark_names())
-def test_cli_runs_call_benchmark_callables_on_blocks_only(name, guarded_cli, tmp_path):
+def test_cli_runs_call_benchmark_callables_on_blocks_only(name, guarded_cli, block_steps, tmp_path):
     # quick sizes: a coarse tube, few rays and precondition points, short runs
     cfg_file = tmp_path / "quick.cfg"
     cfg_file.write_text("n_check = 20\nprecondition_points = 300\n")
@@ -101,6 +123,10 @@ def test_cli_runs_call_benchmark_callables_on_blocks_only(name, guarded_cli, tmp
     assert main(["simulate", *common, "--theta", "2e4", "--t-final", "0.1"]) == 0
     assert main(["sweep", *common, "--thetas", "100,2e4", "--t-final", "0.1"]) == 0
     assert (tmp_path / f"sweep-{name}.csv").read_text().count("\n") == 3
+    # the guarded plants keep the row path: the linear drifts' inline kernel
+    # and the pendulum's drift row form, never the block step
+    assert isinstance(guarded(get_benchmark(name)).sys.drift, LinearDrift) == (name != "pendulum-backup")
+    assert block_steps == []
 
 
 @pytest.mark.parametrize("name", ["scalar-unstable", "pendulum-backup"])

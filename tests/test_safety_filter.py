@@ -373,6 +373,37 @@ def test_boxed_row_whose_free_projection_is_infeasible_is_searched():
     assert -0.5 < out.u[0] <= 1.0
 
 
+def test_boxed_search_on_a_tiny_a_finds_the_minimal_deviation_input():
+    # a.a and the slope rates a_j^2 underflow to 0 for a = 1e-170; the walk
+    # runs on a scaled by a power of two, so it stops where a.u meets the
+    # target, u = 0.1, not at the box edge u = 1.0
+    out = filter_boxed(np.array([1e-170]), 0.0, 1e-171, np.array([-0.5]), np.array([[-1.0, 1.0]]))
+    assert out.qp_status == "clipped" and out.modified
+    assert out.constraint_value >= 0.0
+    assert out.u[0] == pytest.approx(0.1, rel=1e-14)
+    assert out.multiplier == pytest.approx(6e169, rel=1e-14)
+
+
+def test_boxed_filter_on_a_tiny_a_matches_the_same_rows_at_unit_scale():
+    # a row whose a, c and rhs are scaled by 2**-600 has the same minimal-
+    # deviation input: a.a underflows, so the scaled row is searched, and
+    # the search finds the unscaled row's input to a few ulps
+    rng = np.random.default_rng(5)
+    box = np.array([[-1.0, 1.0], [-2.0, 0.5], [-0.3, 3.0]])
+    tiny = 2.0 ** -600
+    for _ in range(300):
+        a = rng.normal(size=3)
+        a[rng.uniform(size=3) < 0.2] = 0.0
+        u_des = rng.uniform(-3.0, 3.0, size=3)
+        c, rhs = rng.normal(), rng.normal()
+        want = filter_boxed(a, c, rhs, u_des, box)
+        if want.qp_status == "infeasible":
+            continue
+        got = filter_boxed(a * tiny, c * tiny, rhs * tiny, u_des, box)
+        assert got.qp_status != "infeasible" and got.constraint_value >= 0.0
+        np.testing.assert_allclose(got.u, want.u, rtol=1e-12, atol=1e-12)
+
+
 def _specials(rng, shape, scale):
     """Normal draws of `scale` with about one entry in three replaced by
     +-0.0, a subnormal, a tiny or a large value."""

@@ -614,52 +614,138 @@ def plant_draws(rng, size, scale, edge):
     return out
 
 
-# the row-form benchmarks with the largest input magnitude their rows take:
-# the pendulum's input bound, and about the double integrator's desired
-# input on the corners of its box (|-3 (p - 3) - 3 v| <= 21.6)
-ROW_FORM_PLANTS = {"pendulum-backup": 3.0, "double-integrator-box": 21.6}
+# the row-path benchmarks with the largest input magnitude their rows take:
+# the pendulum's input bound, and about the desired input on the corners of
+# each box (double integrator |-3 (p - 3) - 3 v| <= 21.6, scalar
+# |-1.5 (x - 2)| <= 4.95, annulus |2 x_i| <= 2.2)
+ROW_PATH_PLANTS = {"pendulum-backup": 3.0, "double-integrator-box": 21.6, "scalar-stable": 4.95,
+                   "scalar-unstable": 4.95, "thin-annulus": 2.2}
+
+
+def hand_written_di_drift(X):
+    out = np.zeros(X.shape)
+    out[:, 0] = X[:, 1]
+    return out
+
+
+# the linear drifts as the benchmarks wrote them before LinearDrift, which
+# the block step takes as plain callables
+HAND_WRITTEN_DRIFTS = {
+    "double-integrator-box": hand_written_di_drift,
+    "scalar-stable": lambda X: -1.0 * X,
+    "scalar-unstable": lambda X: 1.0 * X,
+    "thin-annulus": np.zeros_like,
+}
+
+
+@pytest.fixture
+def block_steps(monkeypatch):
+    """Counts sim's block RK4 steps by block size."""
+    steps = collections.Counter()
+    step = softcbf.sim.rk4_step
+
+    def counted(F, X, h):
+        steps[len(X)] += 1
+        return step(F, X, h)
+
+    monkeypatch.setattr(softcbf.sim, "rk4_step", counted)
+    return steps
 
 
 @pytest.mark.gate
-@pytest.mark.parametrize("name", ROW_FORM_PLANTS)
-def test_plant_row_path_equals_block_plant_bitwise(name):
+@pytest.mark.parametrize("name", ROW_PATH_PLANTS)
+def test_plant_row_path_equals_block_plant_bitwise(name, block_steps):
     # sim._plant_block on a block of up to _PLANT_ROWS rows runs each row on
-    # the drift row form; without the fused plant it runs the numpy block
+    # the linear drift's inline kernel or the pendulum's drift row form;
+    # with a hand-written drift and no fused plant it runs the numpy block
     # step on the same rows
-    calls = collections.Counter()
     bench = get_benchmark(name)
     sys = bench.sys
-    drift_row = sys.fused.drift_row
-
-    def counted_row(x):
-        calls["row"] += 1
-        return drift_row(x)
-
-    rowed = dataclasses.replace(sys, fused=dataclasses.replace(sys.fused, drift_row=counted_row))
-    blocks = dataclasses.replace(sys, fused=None)
-    box, u_max = bench.constraints.bounding_box, ROW_FORM_PLANTS[name]
+    assert isinstance(sys.drift, softcbf.LinearDrift) == (name in HAND_WRITTEN_DRIFTS)
+    blocks = dataclasses.replace(sys, drift=HAND_WRITTEN_DRIFTS.get(name, sys.drift), fused=None)
+    box, u_max, n, m = bench.constraints.bounding_box, ROW_PATH_PLANTS[name], sys.n, sys.m
     # every combination of special entries, then random draws with some
     corners = np.array(list(itertools.product(
-        plant_specials(box[0, 1]), plant_specials(box[1, 1]), plant_specials(u_max))))
+        *[plant_specials(edge) for edge in box[:, 1]], *[plant_specials(u_max)] * m)))
     rng = np.random.default_rng(21)
-    X = np.vstack([corners[:, :2], np.column_stack([plant_draws(rng, 300, box[k, 1], box[k, 1]) for k in range(2)])])
-    U = np.vstack([corners[:, 2:], plant_draws(rng, (300, 1), u_max, u_max)])
+    X = np.vstack([corners[:, :n], np.column_stack([plant_draws(rng, 300, edge, edge) for edge in box[:, 1]])])
+    U = np.vstack([corners[:, n:], plant_draws(rng, (300, m), u_max, u_max)])
     P = softcbf.sim._PLANT_ROWS
     for B in range(1, P + 2):
         for r in range(0, len(X), B):
             Xb, Ub = X[r:r + B], U[r:r + B]
-            calls.clear()
-            got = softcbf.sim._plant_block(rowed, Xb, Ub, 0.01, 10)
-            # the initial check on the block's first row, then four calls
-            # per RK4 substep and row; a block above _PLANT_ROWS rows takes
-            # the block step, which never calls the row form
-            assert calls["row"] == (1 + len(Xb) * 4 * 10 if len(Xb) <= P else 0)
+            block_steps.clear()
+            got = softcbf.sim._plant_block(sys, Xb, Ub, 0.01, 10)
+            # the row path makes no block step; a block above _PLANT_ROWS
+            # rows takes the block step, once per substep
+            assert block_steps == ({} if len(Xb) <= P else {len(Xb): 10})
             want = softcbf.sim._plant_block(blocks, Xb, Ub, 0.01, 10)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes(), (Xb, Ub)
     # the rows of one block give the same bits, whichever path they take
-    assert softcbf.sim._plant_block(rowed, X, U, 0.01, 10).tobytes() == np.concatenate(
-        [softcbf.sim._plant_block(rowed, x[None], u[None], 0.01, 10) for x, u in zip(X, U)]).tobytes()
+    assert len(X) == {2: 349, 3: 643, 4: 2701}[n + m]
+    assert softcbf.sim._plant_block(sys, X, U, 0.01, 10).tobytes() == np.concatenate(
+        [softcbf.sim._plant_block(sys, x[None], u[None], 0.01, 10) for x, u in zip(X, U)]).tobytes()
+
+
+def linear_drift_draws(rng, n):
+    """A random (n, n) matrix with zero entries, now and then a zero row,
+    and +-1.0, subnormal and tiny entries among the nonzero ones."""
+    A = rng.normal(scale=2.0, size=(n, n))
+    pick = rng.uniform(size=A.shape)
+    A[pick < 0.3] = 0.0
+    A[(pick >= 0.3) & (pick < 0.4)] = rng.choice([1.0, -1.0, 5e-324, -1e-310, 1e-300])
+    if rng.uniform() < 0.3:
+        A[rng.integers(n)] = 0.0
+    return A
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_linear_drift_kernel_equals_its_block_step_bitwise(n, block_steps):
+    # random linear plants on a constant actuation: the inline kernel of
+    # each small block against the block step on the drift's block form
+    rng = np.random.default_rng(300 + n)
+    for _ in range(40):
+        drift = softcbf.LinearDrift(linear_drift_draws(rng, n))
+        m = int(rng.integers(1, 3))
+        G = rng.normal(size=(n, m))
+        G[rng.uniform(size=G.shape) < 0.3] = 0.0
+        sys = softcbf.ControlAffineSystem(n=n, m=m, drift=drift, actuation=softcbf.ConstantActuation(G))
+        blocks = dataclasses.replace(sys, drift=lambda X, drift=drift: drift(X))
+        B = int(rng.integers(1, softcbf.sim._PLANT_ROWS + 1))
+        X = plant_draws(rng, (B, n), 2.0, 1.5)
+        U = plant_draws(rng, (B, m), 5.0, 5.0)
+        dt, substeps = float(rng.choice([0.01, 0.05, 0.2])), int(rng.integers(1, 11))
+        block_steps.clear()
+        got = softcbf.sim._plant_block(sys, X, U, dt, substeps)
+        assert not block_steps
+        want = softcbf.sim._plant_block(blocks, X, U, dt, substeps)
+        assert block_steps == {B: substeps}
+        assert got.tobytes() == want.tobytes(), (drift.A, X, U)
+
+
+def test_linear_drift_block_form_sums_each_row_in_order():
+    drift = softcbf.LinearDrift([[0.0, 2.0, -3.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    assert drift.terms == (((1, 2.0), (2, -3.0)), (), ((0, 1.0), (1, 1.0), (2, 1.0)))
+    X = [[1e16, 1.0, 1.0], [-0.0, -0.0, -0.0], [0.1, 0.2, 0.3]]
+    out = drift(np.array(X))
+    want = [[2.0 * x1 + -3.0 * x2, 0.0, 1.0 * x0 + 1.0 * x1 + 1.0 * x2] for x0, x1, x2 in X]
+    assert out.tobytes() == np.array(want).tobytes()
+    # a left fold: 1e16 + 1.0 rounds back to 1e16 before the second 1.0
+    assert out[0, 2] == 1e16 and np.signbit(out[1]).tolist() == [False, False, True]
+
+
+@pytest.mark.parametrize("A", [[[1.0, math.inf], [0.0, 0.0]], [[math.nan]], [1.0, 2.0], [[1.0, 2.0]]])
+def test_linear_drift_refuses_a_non_finite_or_non_square_matrix(A):
+    with pytest.raises(InvalidInputError, match="finite and square"):
+        softcbf.LinearDrift(A)
+
+
+def test_linear_drift_must_match_the_system_dimension():
+    with pytest.raises(InvalidInputError, match=r"linear drift matrix \(1, 1\) does not match n = 2"):
+        softcbf.ControlAffineSystem(n=2, m=1, drift=softcbf.LinearDrift([[1.0]]),
+                                    actuation=softcbf.ConstantActuation([[0.0], [1.0]]))
 
 
 def test_drift_row_applies_only_to_the_drift_and_actuation_it_was_declared_for():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softcbf import (
+    ConstantActuation,
     DomainError,
     InvalidInputError,
     default_activity_tolerance,
@@ -197,6 +198,23 @@ def test_softmin_rows_of_one_constraint_are_the_constraint():
     grads[1, 0, 0] = np.nan
     with pytest.raises(InvalidInputError, match="must be finite"):
         softmin_rows(vals, grads, 10.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_softmin_rows_checks_zero_stride_gradients(bad):
+    # an affine family's gradients are one read-only zero-stride view of W
+    # (a ConstantActuation), checked on their first row; a W holding a
+    # non-finite entry still raises
+    W = np.array([[-1.0, 0.0], [0.0, 1.0], [2.0, -0.5]])
+    vals = np.array([[0.3, 0.1, 0.2]] * 5)
+    grads = ConstantActuation(W)(np.zeros((5, 2)))
+    assert grads.strides[0] == 0
+    soft, grad = softmin_rows(vals, grads, 7.0)
+    want = softmin_rows(vals, grads.copy(), 7.0)
+    assert soft.tobytes() == want[0].tobytes() and grad.tobytes() == want[1].tobytes()
+    W[2, 1] = bad
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        softmin_rows(vals, ConstantActuation(W)(np.zeros((5, 2))), 7.0)
 
 
 def test_default_activity_tolerance_scales_with_value():

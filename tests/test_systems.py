@@ -17,7 +17,7 @@ from softcbf import (
     scalar_stable,
     thin_annulus,
 )
-from softcbf.safety_filter import ConstantActuation, FusedPlant
+from softcbf.safety_filter import ConstantActuation, FusedPlant, LinearDrift
 from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P, PENDULUM_U_MAX
 
 
@@ -247,7 +247,7 @@ def test_fused_plant_matches_composed_bitwise():
 
 
 @pytest.mark.gate
-def test_double_integrator_fused_plant_and_drift_row_match_the_composed_forms_bitwise():
+def test_double_integrator_fused_plant_and_linear_drift_match_the_hand_written_forms_bitwise():
     # every combination of signed zeros, subnormals, the box edges and
     # inputs as large as the desired controller's on the box, then random
     # draws with them mixed in, compared as bytes
@@ -265,11 +265,31 @@ def test_double_integrator_fused_plant_and_drift_row_match_the_composed_forms_bi
             Xb, Ub = X[r:r + B], U[r:r + B]
             want = sys.drift(Xb) + np.einsum("bij,bj->bi", sys.actuation(Xb), Ub)
             assert sys.fused.plant(Xb, Ub).tobytes() == want.tobytes(), (Xb, Ub)
-    # the drift row on a tuple of floats against drift on a one-row block
-    for x in X:
-        got = sys.fused.drift_row(tuple(x.tolist()))
-        assert type(got) is tuple and all(type(v) is float for v in got)
-        assert np.array(got).tobytes() == sys.drift(x[None])[0].tobytes(), x
+            # the linear drift against the drift as it was written by hand
+            hand = np.zeros(Xb.shape)
+            hand[:, 0] = Xb[:, 1]
+            assert sys.drift(Xb).tobytes() == hand.tobytes(), Xb
+    # no drift row form: the plant steps take the linear drift's inline kernel
+    assert isinstance(sys.drift, LinearDrift) and sys.fused.drift_row is None
+    assert sys.drift.terms == (((1, 1.0),), ())
+
+
+@pytest.mark.parametrize("name, hand_written", [
+    ("scalar-stable", lambda X: -1.0 * X),
+    ("scalar-unstable", lambda X: 1.0 * X),
+    ("thin-annulus", np.zeros_like),
+])
+def test_linear_drifts_match_the_hand_written_drifts_bitwise(name, hand_written):
+    # the drifts as the benchmarks wrote them before LinearDrift, on blocks
+    # with signed zeros, subnormals and extreme magnitudes
+    drift = get_benchmark(name).sys.drift
+    assert isinstance(drift, LinearDrift)
+    specials = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 1.3, -1.3, 1e308, -1e308]
+    n = len(drift.A)
+    X = np.array(list(itertools.product(specials, repeat=n)))
+    for B in (1, 2, len(X)):
+        for r in range(0, len(X), B):
+            assert drift(X[r:r + B]).tobytes() == hand_written(X[r:r + B]).tobytes()
 
 
 @pytest.mark.gate
