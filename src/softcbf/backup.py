@@ -421,7 +421,10 @@ def _linear_plant_row(terms: tuple):
     each A[i, j] as its repr (which reads back as the same float), or 0.0,
     as the drift's block form computes it, so a step has `rk4_step`'s bits
     on that drift.  It never calls f, which may be None.  Generated at the
-    first plant step on each A, by one compile/exec like `_row_kernels`."""
+    first plant step on each A, by one compile/exec like `_row_kernels`;
+    unlike those, keyed by n, the cache is keyed by the matrix, so it keeps
+    the kernels of at most 64 matrices, not one for every drift a program
+    builds."""
     def slope(src, dst):
         return "; ".join(f"{dst}{i} = " + (" + ".join(f"{a!r} * {src}{j}" for j, a in row) or "0.0")
                          for i, row in enumerate(terms))

@@ -88,15 +88,14 @@ class LinearDrift:
         # per component, the (j, A[i, j]) of its row's nonzero entries in j
         # order, as Python ints and floats
         self.terms = tuple(tuple((int(j), float(A[i, j])) for j in np.flatnonzero(A[i])) for i in range(len(A)))
-        # the same products in (i, j) order, each marked where it starts its row's sum
-        self._products = [(i, j, a, k == 0) for i, row in enumerate(self.terms) for k, (j, a) in enumerate(row)]
 
     def __call__(self, X):
         out = np.zeros((len(X), len(self.terms)))
-        for i, j, a, first in self._products:
-            # 1.0 * x_j is x_j exactly, so it is not computed
-            term = X[:, j] if a == 1.0 else a * X[:, j]
-            out[:, i] = term if first else out[:, i] + term
+        for i, row in enumerate(self.terms):
+            for k, (j, a) in enumerate(row):
+                # 1.0 * x_j is x_j exactly, so it is not computed
+                term = X[:, j] if a == 1.0 else a * X[:, j]
+                out[:, i] = out[:, i] + term if k else term
         return out
 
 
@@ -416,15 +415,17 @@ def _breakpoint_search(a, c, rhs, u_des, box, u0):
     lam*a, box), for one row whose free projection leaves the box; returns
     u(lam) and lam.
 
-    The walk runs on a and the target scaled by the power of two s that
-    brings max |a_j| into [0.5, 1), so that the slopes a_j^2 do not
-    underflow where a is tiny; lam is unscaled before the ulp correction.
-    Scaling by a power of two is exact, so a row whose walk stays in the
-    normal range has the bits of the unscaled walk."""
-    s = math.ldexp(1.0, -math.frexp(float(np.abs(a).max()))[1])
+    Where max |a_j| < 0.5, the walk runs on a and the target scaled up by
+    the power of two s that brings max |a_j| into [0.5, 1), so that the
+    slopes a_j^2 do not underflow where a is tiny; lam is unscaled before
+    the ulp correction; s is at most 2**1023, the largest finite power of
+    two.  Scaling up by a power of two is exact, subnormal components
+    included, so a row whose walk stays in the normal range has the bits of
+    the unscaled walk, and a row with max |a_j| >= 0.5 runs unscaled."""
+    s = math.ldexp(1.0, min(max(0, -math.frexp(float(np.abs(a).max()))[1]), 1023))
     a_s = a * s
     # component j is free between its two breakpoints, adding a_j^2 to the slope
-    j = np.flatnonzero(a)
+    j = np.flatnonzero(a_s)
     ends = (box[j] - u_des[j, None]) / a_s[j, None]
     times = np.maximum(np.concatenate([ends.min(axis=1), ends.max(axis=1)]), 0.0)
     rates = np.concatenate([a_s[j] ** 2, -(a_s[j] ** 2)])

@@ -7,8 +7,8 @@ guard that raises on any argument that is not 2-d; then the CLI commands,
 a backup takeover and the one-state package API run through them.  The
 per-constraint `evaluators`, which take one state by design, are the one
 exception; no benchmark declares any.  A LinearDrift and a
-ConstantActuation are package code, matrices that the plant step reads,
-and pass the guard as themselves.
+ConstantActuation, matrices that the plant step reads, are guarded as
+subclasses of themselves, so that guarded plant steps keep the row path.
 """
 import dataclasses
 
@@ -53,15 +53,32 @@ def blocks_only(fn):
     return guarded
 
 
+def _blocks_only_class(cls):
+    """A subclass of cls whose calls raise, as `blocks_only`'s do, on an
+    argument that is not 2-d."""
+    class Guarded(cls):
+        def __call__(self, X):
+            if np.ndim(X) != 2:
+                raise OneStateCall(f"{cls.__name__} called on shape {np.shape(X)}")
+            return super().__call__(X)
+
+    return Guarded
+
+
+GuardedLinearDrift = _blocks_only_class(LinearDrift)
+GuardedConstantActuation = _blocks_only_class(ConstantActuation)
+
+
 def guarded(bench):
     """The benchmark with every callable behind `blocks_only`, its fused
     forms rebuilt on the guarded objects so that they still apply."""
     g = blocks_only
     sys = bench.sys
-    # a LinearDrift and a ConstantActuation stay themselves, so that guarded
-    # plant steps keep the row path
-    drift = sys.drift if isinstance(sys.drift, LinearDrift) else g(sys.drift)
-    actuation = sys.actuation if isinstance(sys.actuation, ConstantActuation) else g(sys.actuation)
+    # a LinearDrift and a ConstantActuation stay instances of their classes,
+    # so that guarded plant steps keep the row path
+    drift = GuardedLinearDrift(sys.drift.A) if isinstance(sys.drift, LinearDrift) else g(sys.drift)
+    actuation = (GuardedConstantActuation(sys.actuation.G) if isinstance(sys.actuation, ConstantActuation)
+                 else g(sys.actuation))
     # the drift row maps one state as a tuple of floats by design
     plant = sys.fused and FusedPlant(g(sys.fused.plant), drift, actuation, sys.fused.drift_row)
     sys = dataclasses.replace(sys, drift=drift, actuation=actuation, fused=plant)
@@ -88,6 +105,14 @@ def test_the_guard_refuses_one_state():
     with pytest.raises(OneStateCall, match=r"called on shape \(2,\)"):
         bench.safe_controller(np.zeros(2))
     assert bench.safe_controller(np.zeros((1, 2))).shape == (1, 1)
+    # the matrices, guarded as their own classes, refuse one state too: a
+    # ConstantActuation would otherwise return an (n, n, m) block for it
+    assert isinstance(bench.sys.drift, LinearDrift) and isinstance(bench.sys.actuation, ConstantActuation)
+    with pytest.raises(OneStateCall, match=r"LinearDrift called on shape \(2,\)"):
+        bench.sys.drift(np.zeros(2))
+    with pytest.raises(OneStateCall, match=r"ConstantActuation called on shape \(2,\)"):
+        bench.sys.actuation(np.zeros(2))
+    assert bench.sys.actuation(np.zeros((3, 2))).shape == (3, 2, 1)
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -402,6 +404,27 @@ def test_boxed_filter_on_a_tiny_a_matches_the_same_rows_at_unit_scale():
         got = filter_boxed(a * tiny, c * tiny, rhs * tiny, u_des, box)
         assert got.qp_status != "infeasible" and got.constraint_value >= 0.0
         np.testing.assert_allclose(got.u, want.u, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_boxed_search_on_a_unit_row_with_a_subnormal_component_returns_the_corner():
+    # max |a_j| >= 0.5: the walk runs unscaled, so the subnormal a_1, whose
+    # u_des sits on a box edge, gives breakpoints 0 and inf, never a 0/0
+    # nan; the target is the best corner's a.u, which the search returns
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    out = filter_boxed(np.array([-2.655, 5e-324]), 0.0, 2.655, np.array([0.099, -1.0]), box)
+    assert out.qp_status == "clipped" and out.u.tolist() == [-1.0, 1.0]
+    assert out.constraint_value == 0.0 and out.multiplier == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_boxed_search_on_a_subnormal_a_scales_by_a_finite_power_of_two():
+    # max |a_j| = 1e-323 would take a scale of 2**1073, past the largest
+    # finite float; the scale stops at 2**1023
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    out = filter_boxed(np.array([5e-324, -1e-323]), 0.0, 5e-324, np.array([-0.5, 0.3]), box)
+    assert out.qp_status == "clipped" and out.u.tolist() == [1.0, -1.0]
+    assert out.constraint_value == 1e-323
 
 
 def _specials(rng, shape, scale):
