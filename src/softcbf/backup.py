@@ -58,8 +58,8 @@ class FusedField:
 
     `field` follows the closed-loop contract, a block (B, n) to (B, n), and
     must equal `sys.closed_loop(k_b)` bit for bit on finite states,
-    including the sign of zero; a flow checks its shape once, on its
-    initial block.
+    including the sign of zero; a flow checks its output shape on its first
+    RK4 step, like every closed-loop field (see `BackupProblem._flow_fields`).
     The next three fields are the very objects `field` fuses; a
     BackupProblem uses it only while its own are these (see
     `BackupProblem.closed_loop`).
@@ -76,11 +76,9 @@ class FusedField:
     np.tanh, ...), since `math` and a written-out dot differ in the last
     bit.  A product's operand should be a fresh float64 array filled by
     item assignment, not the state tuple, which numpy converts at every
-    call: the pendulum's K.dot took 0.77 against 0.81 us a call on the
-    array, and 1.23 against 1.33 us while the host ran slow (2-vCPU host,
-    numpy 2.4.6, best of 15 interleaved rounds).  A buffer shared across
-    calls would not be thread-safe.  It must not raise on overflow: a
-    square is `x * x`, as Python's float `**` raises.
+    call; a buffer shared across calls would not be thread-safe.  It must
+    not raise on overflow: a square is `x * x`, as Python's float `**`
+    raises.
     """
 
     field: Callable
@@ -126,7 +124,8 @@ class BackupProblem:
     them, such as a wrapper that counts k_b's calls, falls back to
     `sys.closed_loop(k_b)`, which takes the system's fused plant while that
     applies (see `ControlAffineSystem`).  `closed_loop()` applies these
-    rules; a flow checks `sys.closed_loop(k_b)` on its first RK4 step only.
+    rules and checks every call; a flow checks its field on its first RK4
+    step only, whichever path it takes.
 
     value_forms, when given, serve the reads of h and h_b that take no
     gradient (see ValueForms): slice values without sensitivities, the
@@ -173,17 +172,19 @@ class BackupProblem:
         return np.arange(self.N) * self.dtau
 
     def closed_loop(self) -> Callable:
-        """The closed-loop field x -> drift(x) + actuation(x) @ k_b(x): the
-        fused field while it applies, `sys.closed_loop(k_b)` otherwise."""
+        """The closed-loop field x -> drift(x) + actuation(x) @ k_b(x), its
+        shapes checked at every call: the fused field while it applies,
+        `sys.closed_loop(k_b)` otherwise."""
         return self._flow_fields()[0]
 
     def _flow_fields(self) -> tuple:
-        """`closed_loop()` and the field of a flow's later RK4 steps."""
-        f = self.fused
+        """`closed_loop()`, the same field without its checks for a flow's
+        RK4 steps after its first, and the fused row form, or None."""
+        f, n = self.fused, self.sys.n
         if (f is not None and f.drift is self.sys.drift
                 and f.actuation is self.sys.actuation and f.k_b is self.k_b):
-            return f.field, f.field
-        return self.sys._closed_loop_fields(self.k_b)
+            return lambda X: call_batched(f.field, _as_states(X, n), (n,)), f.field, f.row
+        return (*self.sys._closed_loop_fields(self.k_b), None)
 
     def _value_fns(self) -> tuple:
         """h and h_b as values-only block functions X -> (B,)."""
@@ -197,15 +198,13 @@ class BackupProblem:
 _JACOBIAN_ROWS = 8192
 
 
-def _make_jacobian(prob: BackupProblem, F: Callable, X: np.ndarray) -> Callable:
-    """Jacobian of the closed-loop field on (B, n) blocks: the analytic one
-    when supplied, otherwise central differences with a state-scaled step.
-    A supplied Jacobian has its shape checked once, on the initial block X,
-    so the integrator loop calls it directly."""
+def _make_jacobian(prob: BackupProblem, F: Callable) -> Callable:
+    """Jacobian of the closed-loop field F on (B, n) blocks: the analytic
+    one when supplied, its shape checked at every call, otherwise central
+    differences with a state-scaled step."""
     n = prob.sys.n
     if prob.jacobian is not None:
-        call_batched(prob.jacobian, X, (n, n))
-        return prob.jacobian
+        return lambda X: call_batched(prob.jacobian, X, (n, n))
 
     def fd_jacobian(X: np.ndarray) -> np.ndarray:
         B = X.shape[0]
@@ -455,17 +454,17 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     variational system is integrated alongside; without, the Jacobian is
     never called and the states are bitwise the same.
 
-    The field is `prob.closed_loop()`: the problem's fused field when it
-    applies, whose shape is checked once on the initial block, or
-    `sys.closed_loop(k_b)`, checked on the first RK4 step only: the later
-    steps, finite differences and a blow-up re-run skip its checks.  A one-row
+    The field is `prob.closed_loop()`, on any of its paths checked on the
+    first RK4 step only: the later steps, finite differences and a blow-up
+    re-run skip its checks (see `BackupProblem._flow_fields`).  A one-row
     block on a fused field with a row form runs its value steps on the row
     form through the generated kernel for its n (`_row_kernels`), bit for
-    bit, once it returns n floats on the initial state.  Finiteness is
-    tested once per slice interval: a non-finite state stays non-finite
-    under the later RK4 updates, so the interval is then re-run step by
-    step on the block field to raise BlowUpError with the time of the step
-    that blew up.
+    bit, once it returns n floats on the initial state; it calls the block
+    field, checked, only for finite differences or a blow-up re-run.
+    Finiteness is tested once per slice interval: a non-finite state stays
+    non-finite under the later RK4 updates, so the interval is then re-run
+    step by step on the block field to raise BlowUpError with the time of
+    the step that blew up.
 
     The value steps of a slice interval record their RK4 stage states; the
     Jacobian then runs on groups of whole steps of at most _JACOBIAN_ROWS
@@ -490,15 +489,14 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
-    F, F_rest = prob._flow_fields()
-    row = None
-    if prob.fused is not None and F is prob.fused.field:
-        call_batched(F, X, (n,))
-        if B == 1 and prob.fused.row is not None:
-            row, x = prob.fused.row, tuple(X[0].tolist())
-            _check_first_row(row, x, n)
-            rk4_row, sensitivity_row, _ = _row_kernels(n)
-            stage_rows = []
+    F, F_rest, row = prob._flow_fields()
+    row = row if B == 1 else None
+    if row is not None:
+        x = tuple(X[0].tolist())
+        _check_first_row(row, x, n)
+        rk4_row, sensitivity_row, _ = _row_kernels(n)
+        # no block step runs, so the block field stays checked
+        stage_rows, F_rest = [], F
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
@@ -507,7 +505,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     states[0] = X
     sens = None
     if sensitivities:
-        jac = _make_jacobian(prob, F_rest, X)
+        jac = _make_jacobian(prob, F_rest)
         sens = np.empty((N, B, n, n))
         sens[0] = np.eye(n)
         S = sens[0].copy() if row is None else sens[0, 0].ravel().tolist()
@@ -688,10 +686,9 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
         raise DomainError(f"precondition tolerance must be finite and positive, got {tol}")
     n = prob.sys.n
     X = _as_states(np.atleast_2d(region_samples), n)
-    F = prob.closed_loop()
     hb_vals, hb_grads = call_batched(prob.h_b, X, (), (n,))
     h_vals, h_grads = call_batched(prob.h, X, (), (n,))
-    Fx = call_batched(F, X, (n,))
+    Fx = prob.closed_loop()(X)
 
     on_sb = np.abs(hb_vals) <= tol
     lie_hb = np.einsum("bi,bi->b", hb_grads, Fx)

@@ -210,7 +210,8 @@ class ClassK:
     kind 'linear': kappa*h; 'cubic': kappa*h^3; 'tanh': kappa*tanh(scale*h)
     (bounded, so not suitable where an unbounded relaxation is required).
     All forms extend oddly to negative arguments, which is what the filter
-    needs when the barrier value dips below zero.
+    needs when the barrier value dips below zero.  kappa and scale are held
+    as Python floats.
     """
 
     kind: str = "linear"
@@ -222,6 +223,11 @@ class ClassK:
             raise InvalidInputError(f"unknown class-K kind {self.kind!r}")
         if not (0 < self.kappa < math.inf and 0 < self.scale < math.inf):
             raise InvalidInputError(f"class-K kappa {self.kappa} and scale {self.scale} must be finite and positive")
+        try:
+            object.__setattr__(self, "kappa", float(self.kappa))
+            object.__setattr__(self, "scale", float(self.scale))
+        except OverflowError:  # an int beyond the float range
+            raise InvalidInputError("class-K kappa and scale must be finite, got an int beyond the float range") from None
 
     @property
     def unbounded(self) -> bool:
@@ -421,7 +427,9 @@ def _breakpoint_search(a, c, rhs, u_des, box, u0):
     the ulp correction; s is at most 2**1023, the largest finite power of
     two.  Scaling up by a power of two is exact, subnormal components
     included, so a row whose walk stays in the normal range has the bits of
-    the unscaled walk, and a row with max |a_j| >= 0.5 runs unscaled."""
+    the unscaled walk, and a row with max |a_j| >= 0.5 runs unscaled.
+    Where lam overflows to inf, u is u0 with each component whose a_j != 0
+    at its box edge in the direction of a_j."""
     s = math.ldexp(1.0, min(max(0, -math.frexp(float(np.abs(a).max()))[1]), 1023))
     a_s = a * s
     # component j is free between its two breakpoints, adding a_j^2 to the slope
@@ -439,15 +447,23 @@ def _breakpoint_search(a, c, rhs, u_des, box, u0):
         gap -= slope * (t - lam)
         lam, slope = t, slope + rate
     lam *= s
+
+    def clipped(lam):
+        if lam < math.inf:
+            return np.clip(u_des + lam * a, box[:, 0], box[:, 1])
+        # where lam overflows, inf * 0 would be nan: only the components
+        # with a_j != 0 move, to their box edge
+        return np.where(a > 0, box[:, 1], np.where(a < 0, box[:, 0], u0))
+
     # rounding can leave the slack a few ulps below 0: step lam up until it is not
     step = np.finfo(float).eps * (1.0 + lam)
-    u = np.clip(u_des + lam * a, box[:, 0], box[:, 1])
+    u = clipped(lam)
     for _ in range(64):
         if float(c + a @ u - rhs) >= 0.0:
             break
         lam += step
         step *= 2.0
-        u = np.clip(u_des + lam * a, box[:, 0], box[:, 1])
+        u = clipped(lam)
     return u, lam
 
 

@@ -239,20 +239,13 @@ def _rhs_block(cfgs: list):
     """Return a function (rows, h (R,), X (R, n)) -> the filter's right-hand
     sides (R,), where `rows` indexes cfgs (a slice or an index array) and
     row j is make_rhs(alpha, h[j], |X[j]|) of its config's alpha, bit for
-    bit.  A linear ClassK whose kappa is a float, numpy float64 or int gives
+    bit.  A linear ClassK, whose kappa is a Python float, gives
     -(kappa * h), the same IEEE multiply and negate on float64, so its rows
     take one call for the block.  The others keep make_rhs row by row:
     cubic, whose float `**` raises OverflowError where numpy gives inf, tanh,
     whose math.tanh differs from np.tanh in the last bit, and ClassKinfK."""
-    def kappa(alpha):
-        if type(alpha) is ClassK and alpha.kind == "linear" and type(alpha.kappa) in (float, np.float64, int):
-            try:
-                return float(alpha.kappa)
-            except OverflowError:  # an int beyond the float range
-                pass
-        return math.nan
-
-    kappas = np.array([kappa(c.alpha) for c in cfgs])
+    kappas = np.array([c.alpha.kappa if type(c.alpha) is ClassK and c.alpha.kind == "linear" else math.nan
+                       for c in cfgs])
     per_row = np.isnan(kappas)  # the rows that keep make_rhs
     if not per_row.any():
         return lambda rows, h, X: -(kappas[rows] * h)

@@ -93,10 +93,6 @@ def _affine_constraints(W: np.ndarray, b: np.ndarray, box) -> ConstraintSet:
     )
 
 
-# operands of the fused plants and closed loop, whose other side is float64
-_ZERO = _constant(0.0)
-
-
 # ---------------------------------------------------------------------------
 # double integrator in a sheared box
 # ---------------------------------------------------------------------------
@@ -118,20 +114,9 @@ def double_integrator_box() -> Benchmark:
     filter activity.
     """
 
-    def plant(X, U):
-        # drift(X) + g @ U in one pass, bit for bit: the composed field's
-        # einsum adds an exact +0.0 to both components (g = [[0], [1]]), so
-        # the velocity component is 0.0 + (u + 0.0), which is u + 0.0
-        out = np.empty(X.shape)
-        out[:, 0] = X[:, 1] + _ZERO
-        out[:, 1] = U[:, 0] + _ZERO
-        return out
-
     # drift [v, 0]: 1.0 * v is v exactly
-    drift = LinearDrift([[0.0, 1.0], [0.0, 0.0]])
-    actuation = ConstantActuation([[0.0], [1.0]])
-    sys = ControlAffineSystem(n=2, m=1, drift=drift, actuation=actuation,
-                              fused=FusedPlant(plant, drift, actuation))
+    sys = ControlAffineSystem(n=2, m=1, drift=LinearDrift([[0.0, 1.0], [0.0, 0.0]]),
+                              actuation=ConstantActuation([[0.0], [1.0]]))
 
     W = np.array([[-1.0, -1.0], [1.0, 1.0], [0.0, -1.0], [0.0, 1.0]])
     b = np.array([1.0, 1.0, 1.5, 1.5])
@@ -180,7 +165,8 @@ PENDULUM_HB_LEVEL = 0.05
 # shear of the safe-set coordinates; keeps the inward-flow condition
 # non-degenerate where the boundary crosses the zero-velocity axis
 PENDULUM_SHEAR = 0.4
-_U_MAX, _NEG_U_MAX = _constant(PENDULUM_U_MAX), _constant(-PENDULUM_U_MAX)
+# operands of the fused plant and closed loop, whose other side is float64
+_ZERO, _U_MAX, _NEG_U_MAX = _constant(0.0), _constant(PENDULUM_U_MAX), _constant(-PENDULUM_U_MAX)
 
 
 def pendulum_backup() -> Benchmark:

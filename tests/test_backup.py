@@ -249,7 +249,7 @@ def test_blow_up_reports_time():
         return (x[0] * x[0],)
 
     fused = dataclasses.replace(prob, fused=FusedField(square, drift, sys.actuation, zero_controller, square_row))
-    assert fused.closed_loop() is square
+    assert fused._flow_fields()[1:] == (square, square_row)
     with pytest.raises(BlowUpError) as err:
         integrate_flow(fused, np.array([2.0]))
     assert err.value.time == 0.5300000000000002
@@ -463,7 +463,9 @@ def test_flow_callable_with_wrong_block_shape_raises():
     X0 = np.array([[0.5], [-0.3]])
     with pytest.raises(InvalidInputError, match=r"shape \(1,\), \(2, 1, 1\), \(2, 1\)"):
         integrate_flow_batch(bad_drift, X0)
-    with pytest.raises(InvalidInputError, match=r"shape \(1, 1\) for a block of 2 states"):
+    # the Jacobian's first call is on the first slice interval's stage
+    # states: 4 stages of each of its 50 RK4 steps, on both rows
+    with pytest.raises(InvalidInputError, match=r"shape \(1, 1\) for a block of 400 states"):
         integrate_flow_batch(bad_jacobian, X0)
 
 
@@ -474,9 +476,30 @@ def test_fused_field_with_wrong_block_shape_raises():
 
     prob = get_benchmark("pendulum-backup").backup
     bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, field=field_single))
-    assert bad.closed_loop() is field_single
+    assert bad._flow_fields()[1] is field_single
     with pytest.raises(InvalidInputError, match=r"field_single returned shape \(2,\) for a block of 3 states; expected \(3, 2\)"):
         integrate_flow_batch(bad, np.zeros((3, 2)))
+    # a one-row flow on the row path calls the block field only for finite
+    # differences, there on the flow's 800 stage states, and checks it
+    integrate_flow_batch(bad, np.zeros((1, 2)))
+    with pytest.raises(InvalidInputError, match=r"field_single returned shape \(2,\) for a block of 800 states"):
+        integrate_flow_batch(dataclasses.replace(bad, jacobian=None), np.zeros((1, 2)))
+
+
+def test_row_path_flow_never_calls_the_block_field():
+    prob = get_benchmark("pendulum-backup").backup
+    calls = collections.Counter()
+
+    def field(X):
+        calls["field"] += 1
+        return prob.fused.field(X)
+
+    counted = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, field=field))
+    X0 = np.array([[0.3, -0.2]])
+    for sensitivities in (False, True):
+        got = integrate_flow_batch(counted, X0, sensitivities=sensitivities)
+        assert got.states.tobytes() == integrate_flow_batch(prob, X0, sensitivities=sensitivities).states.tobytes()
+    assert calls == {}
 
 
 @pytest.mark.gate
@@ -485,7 +508,7 @@ def test_row_flows_equal_one_row_block_flows_bitwise():
     # one-row flows run rk4_step on (1, n) blocks of the fused field
     prob = get_benchmark("pendulum-backup").backup
     blocks = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=None))
-    assert blocks.closed_loop() is prob.closed_loop()
+    assert blocks._flow_fields()[1:] == (prob.fused.field, None)
     box = prob.bounding_box
     rng = np.random.default_rng(5)
     X = rng.uniform(box[:, 0], box[:, 1], size=(200, prob.sys.n))
@@ -863,21 +886,21 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     reference = integrate_flow_batch(prob, X0)
     reference_row = integrate_flow_batch(prob, X0[:1])
 
-    # the fused field alone: its shape check on the initial block, then four
-    # calls per RK4 step; the finite-difference Jacobian and the
+    # the fused field alone, four calls per RK4 step, of which the first
+    # step's are checked; the finite-difference Jacobian and the
     # precondition checks go through it too
     flow = integrate_flow_batch(declared, X0)
-    assert calls == {"fused": 1 + 4 * flow.stats.steps}
+    assert calls == {"fused": 4 * flow.stats.steps}
     integrate_flow_batch(dataclasses.replace(declared, jacobian=None), X0)
     check_backup_preconditions(declared, X0)
     assert set(calls) == {"fused"}
     assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
 
     # a one-row flow: the row form's check on the initial state and four
-    # calls per RK4 step, and the fused field once, for its shape check
+    # calls per RK4 step, and no call of the fused field
     calls.clear()
     flow = integrate_flow_batch(declared, X0[:1])
-    assert calls == {"fused": 1, "row": 1 + 4 * flow.stats.steps}
+    assert calls == {"row": 1 + 4 * flow.stats.steps}
     assert flow.sensitivities.tobytes() == reference_row.sensitivities.tobytes()
 
     # a wrapped k_b, like a step clock's, keeps the system's fused plant:
@@ -1004,7 +1027,7 @@ def per_stage_sensitivities(prob, X0):
     X = np.array(X0, dtype=float)
     B, n = X.shape
     F = prob.sys.closed_loop(prob.k_b)
-    jac = softcbf.backup._make_jacobian(prob, F, X)
+    jac = softcbf.backup._make_jacobian(prob, F)
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     S = np.broadcast_to(np.eye(n), (B, n, n)).copy()
@@ -1065,14 +1088,14 @@ def test_sensitivity_flow_calls_jacobian_once_per_slice(B):
     n_sub = math.ceil(prob.dtau / prob.h_max)
     X0 = np.linspace(-0.3, 0.3, 2 * B).reshape(B, 2)
     flow = integrate_flow_batch(dataclasses.replace(prob, jacobian=counted), X0)
-    # the shape check on the initial block, then on a block one call per
-    # slice interval on the 4 stage states of each of its n_sub RK4 steps,
-    # and on the row path one call on the stage states of the whole flow
+    # on a block one call per slice interval on the 4 stage states of each
+    # of its n_sub RK4 steps, and on the row path one call on the stage
+    # states of the whole flow
     if B == 1:
-        assert rows == [1, 4 * n_sub * (prob.N - 1)]
+        assert rows == [4 * n_sub * (prob.N - 1)]
     else:
-        assert rows == [B] + [4 * n_sub * B] * (prob.N - 1)
-    assert len(rows) == (2 if B == 1 else 11) and flow.stats.steps == 200
+        assert rows == [4 * n_sub * B] * (prob.N - 1)
+    assert len(rows) == (1 if B == 1 else 10) and flow.stats.steps == 200
     assert flow.sensitivities.tobytes() == integrate_flow_batch(prob, X0).sensitivities.tobytes()
 
 
@@ -1093,10 +1116,9 @@ def test_large_sensitivity_flow_calls_jacobian_on_whole_steps_within_budget():
     box = prob.bounding_box
     X0 = np.random.default_rng(6).uniform(box[:, 0], box[:, 1], size=(B, 2))
     flow = integrate_flow_batch(dataclasses.replace(prob, jacobian=counted), X0)
-    assert rows[0] == B
-    assert all(r % (4 * B) == 0 and 0 < r <= budget for r in rows[1:])
+    assert all(r % (4 * B) == 0 and 0 < r <= budget for r in rows)
     intervals, acc = 0, 0
-    for r in rows[1:]:
+    for r in rows:
         acc += r
         if acc == 4 * n_sub * B:
             intervals, acc = intervals + 1, 0
@@ -1327,6 +1349,6 @@ def test_row_flow_jacobian_groups_whole_steps_across_interval_ends(monkeypatch):
     monkeypatch.setattr(softcbf.backup, "_JACOBIAN_ROWS", 4 * 7 + 3)
     flow = integrate_flow_batch(dataclasses.replace(prob, jacobian=counted), X0)
     steps = flow.stats.steps
-    assert rows == [1] + [4 * 7] * (steps // 7) + [4 * (steps % 7)]
+    assert rows == [4 * 7] * (steps // 7) + [4 * (steps % 7)]
     assert flow.sensitivities.tobytes() == want.sensitivities.tobytes()
     assert flow.states.tobytes() == want.states.tobytes()

@@ -94,7 +94,7 @@ def guarded(bench):
         forms = v and ValueForms(g(v.h_value), g(v.h_b_value), h, h_b)
         backup = dataclasses.replace(backup, sys=sys, k_b=k_b, h=h, h_b=h_b,
                                      jacobian=g(backup.jacobian), fused=field, value_forms=forms)
-        assert backup.closed_loop() is field.field
+        assert backup._flow_fields()[1] is field.field
     return dataclasses.replace(bench, sys=sys, constraints=cs, backup=backup,
                                desired_controller=g(bench.desired_controller),
                                safe_controller=g(bench.safe_controller))

@@ -73,6 +73,20 @@ def test_class_k_validation():
         ClassKinfK(alpha1=ClassK(kind="tanh"), beta=ClassK())
 
 
+def test_class_k_holds_python_floats():
+    # a float32 kappa gives make_rhs a float64 product, not a float32 one
+    alpha = ClassK(kappa=np.float32(0.1), scale=np.float32(2.0))
+    assert type(alpha.kappa) is float and type(alpha.scale) is float
+    rhs = make_rhs(alpha, 0.3)
+    assert type(rhs) is float and rhs == -(float(np.float32(0.1)) * 0.3)
+
+
+def test_class_k_refuses_an_int_beyond_the_float_range():
+    for kw in ({"kappa": 10**400}, {"kind": "tanh", "scale": 10**400}, {"kappa": 10**5000}):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            ClassK(**kw)
+
+
 def test_class_kinf_k_form():
     gamma = ClassKinfK(alpha1=ClassK(kappa=1.0), beta=ClassK(kappa=1.0))
     assert gamma(1.0, 3.0) == 4.0  # h * (1 + |x|)
@@ -425,6 +439,19 @@ def test_boxed_search_on_a_subnormal_a_scales_by_a_finite_power_of_two():
     out = filter_boxed(np.array([5e-324, -1e-323]), 0.0, 5e-324, np.array([-0.5, 0.3]), box)
     assert out.qp_status == "clipped" and out.u.tolist() == [1.0, -1.0]
     assert out.constraint_value == 1e-323
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_boxed_search_whose_multiplier_overflows_moves_only_the_components_along_a():
+    # lam overflows to inf; inf * 0 would make the a_1 = 0 component nan, so
+    # only a_0 moves, to its box edge, and a_1 keeps clip(u_des_1) with its sign
+    box = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+    for u_1 in (0.3, -0.0, 0.0, 1.7):
+        out = filter_boxed(np.array([5e-324, 0.0]), 0.0, 4e-324, np.array([-0.5, u_1]), box)
+        want = min(u_1, 1.0)
+        assert out.qp_status == "clipped" and out.multiplier == math.inf
+        assert out.u.tobytes() == np.array([1.0, want]).tobytes()
+        assert out.constraint_value >= 0.0
 
 
 def _specials(rng, shape, scale):

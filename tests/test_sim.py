@@ -332,8 +332,9 @@ def test_lockstep_rows_equal_single_runs_bitwise(name):
         assert_same_trace(trace, run(bench, cfg))
 
 
-# every relaxation kind: linear rows whose kappa is a float, an int or a
-# numpy float64 take the block right-hand side, the others make_rhs
+# every relaxation kind: linear rows, whose kappa a ClassK holds as a Python
+# float whether given as a float, an int, a numpy float64 or a float32, take
+# the block right-hand side, the others make_rhs
 RELAXATIONS = [
     ClassK(), ClassK(kappa=0.7), ClassK(kappa=3), ClassK(kappa=np.float64(2.5)), ClassK(kappa=np.float32(1.1)),
     ClassK(kind="cubic", kappa=2.0), ClassK(kind="tanh", kappa=3.0, scale=0.5),
@@ -349,8 +350,8 @@ def test_block_right_hand_side_equals_make_rhs_bitwise():
     # make_rhs's OverflowError, and the block raises it too
     cfgs = [SimConfig(x0=np.zeros(2), t_final=0.01, dt=0.01, theta=1.0, alpha=alpha) for alpha in RELAXATIONS]
     rhs_block = softcbf.sim._rhs_block(cfgs)
-    assert softcbf.sim._rhs_block(cfgs[:4])(slice(None), np.array([1.0, -0.0, 2.0, 5e-324]), None).tobytes() == (
-        np.array([-1.0, 0.0, -6.0, -1e-323]).tobytes())
+    assert softcbf.sim._rhs_block(cfgs[:5])(slice(None), np.array([1.0, -0.0, 2.0, 5e-324, 0.3]), None).tobytes() == (
+        np.array([-1.0, 0.0, -6.0, -1e-323, -(float(np.float32(1.1)) * 0.3)]).tobytes())
     specials = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-110, -1e-120, 1e100, -3e102,
                 1e200, -1e200, 1.7e308, -1e308]
     rng = np.random.default_rng(21)

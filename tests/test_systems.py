@@ -187,8 +187,8 @@ def test_fused_closed_loop_matches_composed_bitwise():
     # compared as bytes, since == takes -0.0 for +0.0: the composed field's
     # einsum turns a -0.0 component into +0.0, and the fused field must too
     prob = pendulum_backup().backup
-    fused = prob.closed_loop()
-    assert fused is prob.fused.field
+    fused = prob.fused.field
+    assert prob._flow_fields()[1] is fused
     # sys.closed_loop(k_b) is the fused plant's path; the reference is the
     # drift + actuation + einsum sum of a system without one
     composed = dataclasses.replace(prob.sys, fused=None).closed_loop(prob.k_b)
@@ -246,13 +246,24 @@ def test_fused_plant_matches_composed_bitwise():
     assert zero_signs == {False, True}
 
 
+def double_integrator_plant(X, U):
+    """The hand-fused plant the double integrator declared before it took
+    the composed field: drift(X) + g @ U in one pass, where the composed
+    field's einsum adds an exact +0.0 to both components (g = [[0], [1]]),
+    so the velocity component is 0.0 + (u + 0.0), which is u + 0.0."""
+    out = np.empty(X.shape)
+    out[:, 0] = X[:, 1] + 0.0
+    out[:, 1] = U[:, 0] + 0.0
+    return out
+
+
 @pytest.mark.gate
-def test_double_integrator_fused_plant_and_linear_drift_match_the_hand_written_forms_bitwise():
+def test_double_integrator_composed_plant_and_linear_drift_match_the_hand_written_forms_bitwise():
     # every combination of signed zeros, subnormals, the box edges and
     # inputs as large as the desired controller's on the box, then random
     # draws with them mixed in, compared as bytes
     sys = double_integrator_box().sys
-    assert sys._fused_plant() is sys.fused
+    assert sys.fused is None
     specials = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.6, -2.6, 1.6, -1.6, 21.6, -21.6]
     rng = np.random.default_rng(17)
     draws = rng.uniform(-3.0, 3.0, size=(600, 3))
@@ -263,14 +274,15 @@ def test_double_integrator_fused_plant_and_linear_drift_match_the_hand_written_f
     for B in (1, 2, 7, len(X)):
         for r in range(0, len(X), B):
             Xb, Ub = X[r:r + B], U[r:r + B]
-            want = sys.drift(Xb) + np.einsum("bij,bj->bi", sys.actuation(Xb), Ub)
-            assert sys.fused.plant(Xb, Ub).tobytes() == want.tobytes(), (Xb, Ub)
+            got = sys.drift(Xb) + np.einsum("bij,bj->bi", sys.actuation(Xb), Ub)
+            assert got.tobytes() == double_integrator_plant(Xb, Ub).tobytes(), (Xb, Ub)
+            assert sys.closed_loop(lambda X: Ub)(Xb).tobytes() == got.tobytes(), (Xb, Ub)
             # the linear drift against the drift as it was written by hand
             hand = np.zeros(Xb.shape)
             hand[:, 0] = Xb[:, 1]
             assert sys.drift(Xb).tobytes() == hand.tobytes(), Xb
-    # no drift row form: the plant steps take the linear drift's inline kernel
-    assert isinstance(sys.drift, LinearDrift) and sys.fused.drift_row is None
+    # the plant steps take the linear drift's inline kernel
+    assert isinstance(sys.drift, LinearDrift)
     assert sys.drift.terms == (((1, 1.0),), ())
 
 
