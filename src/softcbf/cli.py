@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .backup import check_backup_preconditions
-from .certify import TailSpec, ThetaCertificate, certify, probe_boundary, theta_star_tail, verify_certificate
+from .backup import BackupPreconditionReport, check_backup_preconditions
+from .certify import (TailSpec, ThetaCertificate, VerificationReport, certify, probe_boundary, theta_star_tail,
+                      verify_certificate)
 from .errors import DomainError, NotStrictlySafeError, SoftCBFError
-from .geometry import _check_activity_tolerance, _check_band, check_mfcq, estimate_bounds, sample_tube
+from .geometry import (CompactBounds, MFCQReport, TubeSpec, _check_activity_tolerance, _check_band, check_mfcq,
+                       estimate_bounds, sample_tube)
 from .safety_filter import ClassK
 from .sim import SAFETY_TOLERANCE, SimConfig, _as_block, run
 from .systems import benchmark_names, get_benchmark
@@ -60,10 +62,6 @@ class ScenarioConfig:
     tail_C: Optional[float] = None
     tail_p: Optional[float] = None
     tail_r_inf: Optional[float] = None
-
-    def items(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
 
 
 class ConfigError(SoftCBFError):
@@ -150,32 +148,92 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_report(path: Path, entries: list, cfg: ScenarioConfig) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fobj:
-        for key, value in entries:
-            fobj.write(f"{key} = {_fmt(value)}\n")
-        for key, value in cfg.items():
-            if value is not None:
-                fobj.write(f"config.{key} = {_fmt(value)}\n")
+@dataclass(frozen=True)
+class CertifyReport:
+    """What one certification ran and found, step by step; a step that did
+    not run leaves its field None.  `code`, `status` and `summary` are the
+    exit code, the report's `exit_status` and the printed summary."""
+
+    config: ScenarioConfig
+    N: int
+    preconditions: Optional[BackupPreconditionReport] = None
+    tube: Optional[TubeSpec] = None
+    mfcq: Optional[MFCQReport] = None
+    bounds: Optional[CompactBounds] = None
+    cert: Optional[ThetaCertificate] = None
+    verification: Optional[VerificationReport] = None
+    code: int = 0
+    status: str = ""
+    summary: Optional[str] = None  # where None, the status is printed
 
 
-def _certification_pieces(cfg: ScenarioConfig):
-    bench = get_benchmark(cfg.benchmark)
+def _report_lines(report: CertifyReport) -> list:
+    """The report file's `key = value` lines: each step's keys where it
+    ran, then `exit_status` and the resolved configuration."""
+    entries = [("benchmark", report.config.benchmark), ("N", report.N), ("epsilon", report.config.epsilon)]
+    pre = report.preconditions
+    for chk in (pre.backup_set_safe, pre.reachable_boundary_safe, pre.regular_value) if pre else ():
+        tag = chk.name.replace(" ", "_")
+        entries.append((f"precondition.{tag}", "pass" if chk.passed else "FAIL"))
+        if chk.min_margin is not None:
+            entries.append((f"precondition.{tag}.min_margin", chk.min_margin))
+        if chk.note:
+            entries.append((f"precondition.{tag}.note", chk.note))
+    tube = report.tube
+    if tube is not None:
+        entries += [("tube_samples", len(tube)), ("tube_constraint_coverage", tube.constraint_coverage.astype(int))]
+        entries += [(f"tube_rays_{k}", getattr(tube, f"rays_{k}"))
+                    for k in ("requested", "located", "abandoned", "unconverged")]
+    if report.mfcq is not None:
+        entries += [("mfcq_checked", report.mfcq.n_checked), ("mfcq_passed", report.mfcq.passed)]
+        if not report.mfcq.passed:
+            worst = report.mfcq.failures[0]
+            entries.append(("mfcq_witness_point", worst.point))
+            if worst.violating_pair is not None:
+                entries.append(("mfcq_violating_pair", worst.violating_pair))
+    if report.bounds is not None:
+        entries += [(k, getattr(report.bounds, k)) for k in ("M", "r", "d")]
+    if report.cert is not None:
+        entries += [(k, getattr(report.cert, k)) for k in ("theta_tube", "theta_core", "theta_star", "kind")]
+        if report.cert.theta_tail is not None:
+            entries.append(("theta_tail", report.cert.theta_tail))
+    check = report.verification
+    if check is not None:
+        lie = check.min_lie if check.min_lie is not None else "n/a"
+        entries += [("verify_theta", check.theta), ("verify_boundary_points", check.n_located),
+                    ("verify_rays_abandoned", check.n_abandoned), ("verify_rays_unconverged", check.n_unconverged),
+                    ("verify_min_lie", lie), ("verify_containment", check.containment_ok)]
+    entries.append(("exit_status", report.status))
+    entries += [(f"config.{key}", value) for key, value in vars(report.config).items() if value is not None]
+    return [f"{key} = {_fmt(value)}" for key, value in entries]
+
+
+def write_report(path: Path, report: CertifyReport) -> None:
+    path.write_text("".join(line + "\n" for line in _report_lines(report)))
+
+
+def _out_file(cfg: ScenarioConfig, name: str) -> Path:
+    """`name` in the output directory, made where it is missing."""
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    return Path(cfg.out) / name
+
+
+def _certification_pieces(cfg: ScenarioConfig, bench):
+    """The benchmark's certification set and closed-loop field; an unset ε
+    or density takes the benchmark's preferred one."""
     cfg.epsilon = bench.cert_epsilon if cfg.epsilon is None else cfg.epsilon
     cfg.density = bench.cert_density if cfg.density is None else cfg.density
-    return bench, bench.certification_set(), bench.closed_loop_field()
+    return bench.certification_set(), bench.closed_loop_field()
 
 
-def _certify_steps(cfg: ScenarioConfig, entries: list):
+def _certify_steps(cfg: ScenarioConfig, bench, cs, F) -> CertifyReport:
     """Certification as `certify` and `simulate` without --theta run it.
     Refuses a bad θ or theta_multiplier, activity tolerance, ε, density or
-    tail spec before any work, then runs each step, appending its report
-    entries.  Returns (bench, cs, F, outcome); outcome is the certificate,
-    or the (exit code, status, summary) of the step that failed."""
+    tail spec before any work, then runs each step.  Returns the report up
+    to the certificate, or up to the step that failed, with its exit code
+    and status."""
     _check_activity_tolerance(cfg.activity_tolerance)
     tail = _tail_from(cfg)
-    bench, cs, F = _certification_pieces(cfg)
     # θ is --theta, else theta_multiplier·θ*; 0 runs at 1 only where θ* = 0, i.e. N = 1
     key = "theta" if cfg.theta is not None else "theta_multiplier"
     value = float(getattr(cfg, key))
@@ -184,46 +242,25 @@ def _certify_steps(cfg: ScenarioConfig, entries: list):
     _check_band(cfg.epsilon, cfg.density)
     if tail is not None:  # a tail term that overflows refuses the spec here
         theta_star_tail(tail, cs.N)
-    entries += [("benchmark", bench.name), ("N", cs.N), ("epsilon", cfg.epsilon)]
+    report = CertifyReport(config=cfg, N=cs.N)
 
     if bench.backup is not None:
         samples = bench.precondition_sampler(cfg.precondition_points, cfg.seed)
         pre = check_backup_preconditions(bench.backup, samples, cfg.precondition_tolerance)
-        for chk in (pre.backup_set_safe, pre.reachable_boundary_safe, pre.regular_value):
-            tag = chk.name.replace(" ", "_")
-            entries.append((f"precondition.{tag}", "pass" if chk.passed else "FAIL"))
-            if chk.min_margin is not None:
-                entries.append((f"precondition.{tag}.min_margin", chk.min_margin))
-            if chk.note:
-                entries.append((f"precondition.{tag}.note", chk.note))
+        report = replace(report, preconditions=pre)
         if not pre.passed:
-            return bench, cs, F, (2, "backup preconditions failed", None)
+            return replace(report, code=2, status="backup preconditions failed")
 
     tube = sample_tube(cs, cfg.epsilon, cfg.density, cfg.seed)
-    entries += [("tube_samples", len(tube)), ("tube_constraint_coverage", tube.constraint_coverage.astype(int))]
-    entries += [(f"tube_rays_{k}", getattr(tube, f"rays_{k}"))
-                for k in ("requested", "located", "abandoned", "unconverged")]
-
-    mfcq = check_mfcq(tube, cfg.activity_tolerance)
-    entries += [("mfcq_checked", mfcq.n_checked), ("mfcq_passed", mfcq.passed)]
-    if not mfcq.passed:
-        worst = mfcq.failures[0]
-        entries.append(("mfcq_witness_point", worst.point))
-        if worst.violating_pair is not None:
-            entries.append(("mfcq_violating_pair", worst.violating_pair))
-        return bench, cs, F, (3, "constraint qualification failed", None)
+    report = replace(report, tube=tube, mfcq=check_mfcq(tube, cfg.activity_tolerance))
+    if not report.mfcq.passed:
+        return replace(report, code=3, status="constraint qualification failed")
 
     try:
         bounds = estimate_bounds(F, tube, cfg.activity_tolerance)
     except NotStrictlySafeError as err:
-        return bench, cs, F, (2, f"not strictly safe: {err}", "not strictly safe")
-    entries += [("M", bounds.M), ("r", bounds.r), ("d", bounds.d)]
-
-    cert = certify(bounds, tail, cs.N)
-    entries += [(k, getattr(cert, k)) for k in ("theta_tube", "theta_core", "theta_star", "kind")]
-    if cert.theta_tail is not None:
-        entries.append(("theta_tail", cert.theta_tail))
-    return bench, cs, F, cert
+        return replace(report, code=2, status=f"not strictly safe: {err}", summary="not strictly safe")
+    return replace(report, bounds=bounds, cert=certify(bounds, tail, cs.N))
 
 
 def _operating_theta(cfg: ScenarioConfig, cert: ThetaCertificate) -> float:
@@ -233,41 +270,32 @@ def _operating_theta(cfg: ScenarioConfig, cert: ThetaCertificate) -> float:
 
 
 def cmd_certify(cfg: ScenarioConfig) -> int:
-    entries = []
-    bench, cs, F, cert = _certify_steps(cfg, entries)
-    report_path = Path(cfg.out) / f"certify-{bench.name}.txt"
-
-    def finish(code: int, status: str, summary: Optional[str] = None) -> int:
-        entries.append(("exit_status", status))
-        write_report(report_path, entries, cfg)
-        print(f"{summary or status}; report: {report_path}")
-        return code
-
-    if not isinstance(cert, ThetaCertificate):
-        return finish(*cert)
-    theta = _operating_theta(cfg, cert)
-    below = theta <= cert.theta_star
-    if below:
-        report = probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
-    else:
-        report = verify_certificate(cs, F, cert, theta, cfg.n_check, cfg.seed)
-    entries += [
-        ("verify_theta", theta),
-        ("verify_boundary_points", report.n_located),
-        ("verify_rays_abandoned", report.n_abandoned),
-        ("verify_rays_unconverged", report.n_unconverged),
-        ("verify_min_lie", report.min_lie if report.min_lie is not None else "n/a"),
-        ("verify_containment", report.containment_ok),
-    ]
-    if report.n_located == 0:
-        status, code = "verification located no boundary point", 2
-    elif not report.all_positive:
-        status, code = "verification found nonpositive witnesses", 2
-    elif below:
-        status, code = "sampled check below theta_star, not a certificate", 5
-    else:
-        status, code = "certified", 0
-    return finish(code, status, f"theta_star = {cert.theta_star:.6g} ({cert.kind})")
+    bench = get_benchmark(cfg.benchmark)
+    cs, F = _certification_pieces(cfg, bench)
+    report = _certify_steps(cfg, bench, cs, F)
+    cert = report.cert
+    if cert is not None:
+        # verification above θ*, a sampled boundary probe at or below it
+        theta = _operating_theta(cfg, cert)
+        below = theta <= cert.theta_star
+        if below:
+            check = probe_boundary(cs, F, theta, cfg.epsilon, cfg.n_check, cfg.seed)
+        else:
+            check = verify_certificate(cs, F, cert, theta, cfg.n_check, cfg.seed)
+        if check.n_located == 0:
+            status, code = "verification located no boundary point", 2
+        elif not check.all_positive:
+            status, code = "verification found nonpositive witnesses", 2
+        elif below:
+            status, code = "sampled check below theta_star, not a certificate", 5
+        else:
+            status, code = "certified", 0
+        report = replace(report, verification=check, code=code, status=status,
+                         summary=f"theta_star = {cert.theta_star:.6g} ({cert.kind})")
+    report_path = _out_file(cfg, f"certify-{bench.name}.txt")
+    write_report(report_path, report)
+    print(f"{report.summary or report.status}; report: {report_path}")
+    return report.code
 
 
 def cmd_simulate(cfg: ScenarioConfig) -> int:
@@ -276,15 +304,13 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
     bench = get_benchmark(cfg.benchmark)
     sim_cfg = _sim_config(cfg, bench, 1.0 if cfg.theta is None else cfg.theta)
     if cfg.theta is None:
-        bench, _, _, cert = _certify_steps(cfg, [])
-        if not isinstance(cert, ThetaCertificate):  # (exit code, status, summary)
-            print(f"{cert[1]}; no trace written")
-            return cert[0]
-        sim_cfg = replace(sim_cfg, theta=_operating_theta(cfg, cert))
+        report = _certify_steps(cfg, bench, *_certification_pieces(cfg, bench))
+        if report.cert is None:
+            print(f"{report.status}; no trace written")
+            return report.code
+        sim_cfg = replace(sim_cfg, theta=_operating_theta(cfg, report.cert))
     trace = run(bench, sim_cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"trace-{bench.name}.csv"
+    csv_path = _out_file(cfg, f"trace-{bench.name}.csv")
     trace.to_csv(str(csv_path))
     print(
         f"simulated {trace.times[-1]:.3g}s at theta={sim_cfg.theta:.6g}: min_h_soft={trace.min_h_soft:.3e},"
@@ -296,19 +322,20 @@ def cmd_simulate(cfg: ScenarioConfig) -> int:
 def cmd_sweep(cfg: ScenarioConfig) -> int:
     if not cfg.thetas:
         raise ConfigError("sweep needs a nonempty theta list (--thetas)")
-    bench, cs, F = _certification_pieces(cfg)
+    bench = get_benchmark(cfg.benchmark)
+    cs, F = _certification_pieces(cfg, bench)
     # the configs check every theta, and ε and the density are checked,
-    # before the csv is opened
+    # before any work
     sim_cfgs = [_sim_config(cfg, bench, theta) for theta in cfg.thetas]
     _check_band(cfg.epsilon, cfg.density)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"sweep-{bench.name}.csv"
+    # one closed loop and one boundary probe per theta, each set in lockstep,
+    # both done before the csv is opened, so a run that raises leaves none;
+    # the loops go first, as they refuse an unsafe x0 before any step
+    traces = run(bench, sim_cfgs)
+    reports = probe_boundary(cs, F, cfg.thetas, cfg.epsilon, cfg.n_check, cfg.seed)
+    csv_path = _out_file(cfg, f"sweep-{bench.name}.csv")
     with open(csv_path, "w") as fobj:
         fobj.write("theta,min_boundary_lie,min_h_soft,infeasible_count\n")
-        # one boundary probe and one closed loop per theta, each set in lockstep
-        reports = probe_boundary(cs, F, cfg.thetas, cfg.epsilon, cfg.n_check, cfg.seed)
-        traces = run(bench, sim_cfgs)
         for theta, report, trace in zip(cfg.thetas, reports, traces):
             lie = report.min_lie if report.min_lie is not None else float("nan")
             fobj.write(

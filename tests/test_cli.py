@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -531,6 +532,23 @@ def test_sweep_refuses_a_bad_band_before_writing(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_writes_no_csv_when_a_run_raises(tmp_path, capsys, monkeypatch):
+    # x0 = (5, 5) passes the configuration checks but starts outside the
+    # safe set, so the closed loop raises, before any boundary probe
+    def never(*args, **kwargs):
+        raise AssertionError("boundary probe ran")
+
+    monkeypatch.setattr(softcbf.cli, "probe_boundary", never)
+    cfg_file = tmp_path / "x0.cfg"
+    cfg_file.write_text("x0 = 5 5\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--benchmark", "double-integrator-box", "--config", str(cfg_file),
+                 "--thetas", "100,200", "--t-final", "0.1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "initial state is unsafe" in err
+    assert not out.exists() or list(out.glob("sweep-*.csv")) == []
+
+
 @pytest.mark.gate
 def test_pendulum_sweep_writes_the_rows_of_one_theta_probes_and_run(tmp_path):
     thetas = [3000.0, 75000.0, 1e6]
@@ -741,3 +759,78 @@ def test_certify_reproduces_the_full_size_seed0_pendulum_certificate(tmp_path, m
 
     monkeypatch.setattr(softcbf.cli, "get_benchmark", get_benchmark)
     assert report_lines(tmp_path / "wrapped") == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"], ["simulate", "--t-final", "0.1"], ["simulate", "--theta", "30", "--t-final", "0.1"],
+    ["sweep", "--thetas", "3,30", "--t-final", "0.1"],
+], ids=["certify", "simulate", "simulate-theta", "sweep"])
+def test_every_command_builds_the_benchmark_once(tmp_path, monkeypatch, argv):
+    real = softcbf.cli.get_benchmark
+    built = []
+
+    def get_benchmark(name):
+        built.append(name)
+        return real(name)
+
+    monkeypatch.setattr(softcbf.cli, "get_benchmark", get_benchmark)
+    assert main([*argv, "--benchmark", "scalar-stable", "--out", str(tmp_path)]) == 0
+    assert built == ["scalar-stable"]
+
+
+# the key sequence of each certify report that scripts/fixed_outputs.py
+# writes, at reduced sizes where the keys stay the same: the keys before
+# `exit_status`, the status with its floats masked, and the config keys
+HEAD_KEYS = ["benchmark", "N", "epsilon"]
+PRECONDITION_KEYS = [
+    "precondition.backup-set_inward_flow", "precondition.backup-set_inward_flow.min_margin",
+    "precondition.reachable-boundary_inward_flow", "precondition.reachable-boundary_inward_flow.min_margin",
+    "precondition.terminal_boundary_regular_value", "precondition.terminal_boundary_regular_value.min_margin",
+]
+TUBE_MFCQ_KEYS = ["tube_samples", "tube_constraint_coverage", "tube_rays_requested", "tube_rays_located",
+                  "tube_rays_abandoned", "tube_rays_unconverged", "mfcq_checked", "mfcq_passed"]
+CERTIFICATE_KEYS = ["M", "r", "d", "theta_tube", "theta_core", "theta_star", "kind"]
+VERIFY_KEYS = ["verify_theta", "verify_boundary_points", "verify_rays_abandoned", "verify_rays_unconverged",
+               "verify_min_lie", "verify_containment"]
+CONFIG_KEYS = ["benchmark", "epsilon", "density", "seed", "theta_multiplier", "n_check", "precondition_points",
+               "precondition_tolerance", "t_final", "dt", "substeps", "alpha_kind", "alpha_kappa", "alpha_scale",
+               "infeasible_policy", "out"]
+REPORT_KEY_SEQUENCES = {
+    "compact-certificate": (
+        "double-integrator-box", ["--density", "400"], "",
+        HEAD_KEYS + TUBE_MFCQ_KEYS + CERTIFICATE_KEYS + VERIFY_KEYS, "certified", CONFIG_KEYS),
+    "backup-certificate": (
+        "pendulum-backup", ["--density", "30"], QUICK_PENDULUM_CONFIG,
+        HEAD_KEYS + PRECONDITION_KEYS + TUBE_MFCQ_KEYS + CERTIFICATE_KEYS + VERIFY_KEYS, "certified", CONFIG_KEYS),
+    "not-strictly-safe": (
+        "scalar-unstable", [], "", HEAD_KEYS + TUBE_MFCQ_KEYS,
+        "not strictly safe: active constraint 1 has Lie derivative <float> <= 0 at sample [<float>]"
+        " (strict inward flow violated)", CONFIG_KEYS),
+    "mfcq-failure": (
+        "thin-annulus", ["--activity-tolerance", "0.1"], "",
+        HEAD_KEYS + TUBE_MFCQ_KEYS + ["mfcq_witness_point", "mfcq_violating_pair"], "constraint qualification failed",
+        CONFIG_KEYS[:6] + ["activity_tolerance"] + CONFIG_KEYS[6:]),
+    "precondition-failure": (
+        "pendulum-backup", [], "precondition_points = 0\n",
+        HEAD_KEYS + [key.replace(".min_margin", ".note") for key in PRECONDITION_KEYS],
+        "backup preconditions failed", CONFIG_KEYS),
+    "tail-certificate": (
+        "scalar-stable", [], TAIL + "tail_C = 1\n",
+        HEAD_KEYS + TUBE_MFCQ_KEYS + CERTIFICATE_KEYS + ["theta_tail"] + VERIFY_KEYS, "certified",
+        CONFIG_KEYS + ["tail_R", "tail_eta", "tail_C", "tail_p", "tail_r_inf"]),
+}
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("case", sorted(REPORT_KEY_SEQUENCES))
+def test_certify_report_keys_come_in_a_fixed_order(tmp_path, case):
+    name, flags, config, keys, status, config_keys = REPORT_KEY_SEQUENCES[case]
+    cfg_file = tmp_path / "case.cfg"
+    cfg_file.write_text(config)
+    main(["certify", "--benchmark", name, "--seed", "0", "--config", str(cfg_file), *flags,
+          "--out", str(tmp_path)])
+    lines = (tmp_path / f"certify-{name}.txt").read_text().splitlines()
+    written = [line.partition(" = ")[0] for line in lines]
+    assert written == keys + ["exit_status"] + [f"config.{key}" for key in config_keys]
+    exit_status = lines[len(keys)].partition(" = ")[2]
+    assert re.sub(r"-?\d+\.\d*(?:e[+-]?\d+)?", "<float>", exit_status) == status
