@@ -63,7 +63,6 @@ from .backup import (
     BackupProblem,
     BackupPreconditionReport,
     FlowResult,
-    FusedField,
     ValueForms,
     backup_barrier,
     check_backup_preconditions,

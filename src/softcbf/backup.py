@@ -33,7 +33,6 @@ from .safety_filter import ControlAffineSystem
 
 __all__ = [
     "BackupProblem",
-    "FusedField",
     "ValueForms",
     "IntegratorStats",
     "FlowResult",
@@ -49,43 +48,6 @@ __all__ = [
     "BackupPreconditionReport",
     "check_backup_preconditions",
 ]
-
-
-@dataclass(frozen=True)
-class FusedField:
-    """A closed-loop field computed in one pass, declared for the drift,
-    actuation and backup controller it fuses.
-
-    `field` follows the closed-loop contract, a block (B, n) to (B, n), and
-    must equal `sys.closed_loop(k_b)` bit for bit on finite states,
-    including the sign of zero; a flow checks its output shape on its first
-    RK4 step, like every closed-loop field (see `BackupProblem._flow_fields`).
-    The next three fields are the very objects `field` fuses; a
-    BackupProblem uses it only while its own are these (see
-    `BackupProblem.closed_loop`).
-
-    `row`, when given, maps one state as a tuple of n floats to a tuple
-    (or list) of n floats, bit for bit `field` on that one-row block.
-    One-row flows call it four times per RK4 step from the straight-line
-    kernel generated for their n (see `_row_kernels`), which unpacks each
-    output into n local floats: the initial state's output is checked to be
-    n floats, and any later output of another length raises
-    InvalidInputError.  Only + - * / may be Python float arithmetic; the
-    rest goes through the block's numpy kernels (a bound ndarray.dot for a
-    one-row product, which reaches the BLAS dot of the block's matmul,
-    np.tanh, ...), since `math` and a written-out dot differ in the last
-    bit.  A product's operand should be a fresh float64 array filled by
-    item assignment, not the state tuple, which numpy converts at every
-    call; a buffer shared across calls would not be thread-safe.  It must
-    not raise on overflow: a square is `x * x`, as Python's float `**`
-    raises.
-    """
-
-    field: Callable
-    drift: Callable
-    actuation: Callable
-    k_b: Callable
-    row: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -116,22 +78,16 @@ class BackupProblem:
     bounding_box is the operating region used by sampling-based
     certification.
 
-    fused, when given, is a hand-fused closed-loop field (see FusedField)
-    that the flows call in place of `sys.closed_loop(k_b)`, in its row form
-    on one-row flows when it has one.
-    It applies only while sys.drift, sys.actuation and k_b are the very
-    objects it was declared for: a `dataclasses.replace` that swaps any of
-    them, such as a wrapper that counts k_b's calls, falls back to
-    `sys.closed_loop(k_b)`, which takes the system's fused plant while that
-    applies (see `ControlAffineSystem`).  `closed_loop()` applies these
-    rules and checks every call; a flow checks its field on its first RK4
-    step only, whichever path it takes.
+    The closed-loop field is `sys.closed_loop(k_b)`, on the system's fused
+    forms while they apply (see `ControlAffineSystem`): the fused closed
+    loop, in its row form on one-row flows, while k_b is the declared
+    controller.  A flow checks its field on its first RK4 step only.
 
     value_forms, when given, serve the reads of h and h_b that take no
     gradient (see ValueForms): slice values without sensitivities, the
     slice screen and the reachability test of `check_backup_preconditions`.
-    Like `fused`, they apply only while h and h_b are the very objects they
-    were declared for; otherwise those reads take h(X)[0] and h_b(X)[0].
+    They apply only while h and h_b are the very objects they were declared
+    for; otherwise those reads take h(X)[0] and h_b(X)[0].
     """
 
     sys: ControlAffineSystem
@@ -143,7 +99,6 @@ class BackupProblem:
     jacobian: Optional[Callable] = None
     h_max: float = 1e-2
     bounding_box: Optional[np.ndarray] = None
-    fused: Optional[FusedField] = None
     value_forms: Optional[ValueForms] = None
 
     def __post_init__(self):
@@ -170,21 +125,6 @@ class BackupProblem:
     @property
     def slice_times(self) -> np.ndarray:
         return np.arange(self.N) * self.dtau
-
-    def closed_loop(self) -> Callable:
-        """The closed-loop field x -> drift(x) + actuation(x) @ k_b(x), its
-        shapes checked at every call: the fused field while it applies,
-        `sys.closed_loop(k_b)` otherwise."""
-        return self._flow_fields()[0]
-
-    def _flow_fields(self) -> tuple:
-        """`closed_loop()`, the same field without its checks for a flow's
-        RK4 steps after its first, and the fused row form, or None."""
-        f, n = self.fused, self.sys.n
-        if (f is not None and f.drift is self.sys.drift
-                and f.actuation is self.sys.actuation and f.k_b is self.k_b):
-            return lambda X: call_batched(f.field, _as_states(X, n), (n,)), f.field, f.row
-        return (*self.sys._closed_loop_fields(self.k_b), None)
 
     def _value_fns(self) -> tuple:
         """h and h_b as values-only block functions X -> (B,)."""
@@ -454,13 +394,14 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     variational system is integrated alongside; without, the Jacobian is
     never called and the states are bitwise the same.
 
-    The field is `prob.closed_loop()`, on any of its paths checked on the
-    first RK4 step only: the later steps, finite differences and a blow-up
-    re-run skip its checks (see `BackupProblem._flow_fields`).  A one-row
-    block on a fused field with a row form runs its value steps on the row
-    form through the generated kernel for its n (`_row_kernels`), bit for
-    bit, once it returns n floats on the initial state; it calls the block
-    field, checked, only for finite differences or a blow-up re-run.
+    The field is `prob.sys.closed_loop(prob.k_b)`, on any of its paths
+    checked on the first RK4 step only: the later steps, finite differences
+    and a blow-up re-run skip its checks (see
+    `ControlAffineSystem._closed_loop_fields`).  A one-row block on a fused
+    closed loop with a row form runs its value steps on the row form through
+    the generated kernel for its n (`_row_kernels`), bit for bit, once it
+    returns n floats on the initial state; it calls the block field,
+    checked, only for finite differences or a blow-up re-run.
     Finiteness is tested once per slice interval: a non-finite state stays
     non-finite under the later RK4 updates, so the interval is then re-run
     step by step on the block field to raise BlowUpError with the time of
@@ -489,7 +430,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
-    F, F_rest, row = prob._flow_fields()
+    F, F_rest, row = prob.sys._closed_loop_fields(prob.k_b)
     row = row if B == 1 else None
     if row is not None:
         x = tuple(X[0].tolist())
@@ -688,7 +629,7 @@ def check_backup_preconditions(prob: BackupProblem, region_samples, tol: float =
     X = _as_states(np.atleast_2d(region_samples), n)
     hb_vals, hb_grads = call_batched(prob.h_b, X, (), (n,))
     h_vals, h_grads = call_batched(prob.h, X, (), (n,))
-    Fx = prob.closed_loop()(X)
+    Fx = prob.sys.closed_loop(prob.k_b)(X)
 
     on_sb = np.abs(hb_vals) <= tol
     lie_hb = np.einsum("bi,bi->b", hb_grads, Fx)

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import _as_states, _check_shapes, _checked_box
+from .geometry import _as_states, _check_shapes, _checked_box, call_batched
 
 __all__ = [
     "ConstantActuation",
@@ -102,26 +102,44 @@ class LinearDrift:
 @dataclass(frozen=True)
 class FusedPlant:
     """The plant drift(X) + actuation(X) @ U in one pass, declared for the
-    drift and actuation it fuses.
+    drift and actuation it fuses, and optionally the closed loop under one
+    controller in one pass, declared for that controller.
 
     `plant` maps blocks X (B, n) and U (B, m) to (B, n), bit for bit the
     composed `drift(X) + einsum("bij,bj->bi", actuation(X), U)` on finite
     states and inputs, including the sign of zero: the einsum adds an exact
-    +0.0 to every component.
+    +0.0 to every component.  `closed_loop`, given with `controller`, maps
+    a block X (B, n) to (B, n), bit for bit `plant(X, controller(X))` on
+    finite states, sign of zero included.
 
-    `drift_row`, when given, is `drift` on one state: it maps a tuple of n
-    floats to a tuple (or list) of n floats, bit for bit `drift` on that
-    one-row block, under the rules of a `FusedField.row`.  `sim.run` steps
-    each row of a block of up to `sim._PLANT_ROWS` rows on it, with the
-    row's held input added, while `actuation` is a ConstantActuation (see
-    `sim._plant_block`).  A LinearDrift needs none: its plant steps take a
-    kernel with the drift written inline, fused plant or not.
+    The two row forms are `drift` and `closed_loop` on one state: each maps
+    a tuple of n floats to a tuple (or list) of n floats, bit for bit the
+    block form on that one-row block.  `drift_row` serves `sim.run`'s plant
+    steps of a block of up to `sim._PLANT_ROWS` rows, with each row's held
+    input added, while `actuation` is a ConstantActuation (see
+    `sim._plant_block`); a LinearDrift needs none, as its plant steps take a
+    kernel with the drift written inline.  `closed_loop_row` serves one-row
+    backup flows.  Each is called from the straight-line kernel generated
+    for n (see `backup._row_kernels`), which unpacks every output into n
+    local floats: the initial state's output is checked to be n floats, and
+    any later output of another length raises InvalidInputError.  Only
+    + - * / may be Python float arithmetic; the rest goes through the block
+    form's numpy kernels (a bound ndarray.dot for a one-row product, which
+    reaches the BLAS dot of the block's matmul, np.sin, np.tanh, ...), since
+    `math` and a written-out dot differ in the last bit.  A product's
+    operand should be a fresh float64 array filled by item assignment, not
+    the state tuple, which numpy converts at every call; a buffer shared
+    across calls would not be thread-safe.  A row form must not raise on
+    overflow: a square is `x * x`, as Python's float `**` raises.
     """
 
     plant: Callable
     drift: Callable
     actuation: Callable
     drift_row: Optional[Callable] = None
+    controller: Optional[Callable] = None
+    closed_loop: Optional[Callable] = None
+    closed_loop_row: Optional[Callable] = None
 
 
 @dataclass(frozen=True)
@@ -138,12 +156,15 @@ class ControlAffineSystem:
     must be (n, n).
     input_box, when present, is (m, 2) rows [lo, hi].
 
-    fused, when given, is a FusedPlant.  While its drift and actuation are
-    this system's very objects, `closed_loop(controller)` calls the
-    controller and then the plant, whatever the controller; a
-    `dataclasses.replace` that swaps the drift or the actuation, such as
-    one that wraps them to count their calls, falls back to the composed
-    field: drift, actuation and controller, summed by an einsum.
+    fused, when given, is a FusedPlant, which applies only while its drift
+    and actuation are this system's very objects (`_fused_plant`).  Then
+    `closed_loop(controller)` is its `closed_loop` while the controller is
+    its declared `controller`, and the controller followed by its `plant`
+    for any other controller; otherwise it is the composed field: drift,
+    actuation and controller, summed by an einsum.  So a `dataclasses.replace`
+    that swaps the drift or the actuation, such as one that wraps them to
+    count their calls, falls back to the composed field, and a wrapped
+    controller, such as a step clock, to the plant.
     """
 
     n: int
@@ -163,22 +184,29 @@ class ControlAffineSystem:
 
     def closed_loop(self, controller: Callable) -> Callable[[np.ndarray], np.ndarray]:
         """Vector field X -> drift(X) + actuation(X) @ controller(X) on a
-        block (B, n), on the fused plant while it applies.  The controller
+        block (B, n), on the fused forms while they apply.  The controller
         follows the same contract as the dynamics, returning (B, m); the
         input and every output shape are checked at every call."""
         return self._closed_loop_fields(controller)[0]
 
-    def _fused_plant(self) -> Optional[FusedPlant]:
-        """`fused` while its drift and actuation are this system's, else None."""
+    def _fused_plant(self, controller: Optional[Callable] = None) -> Optional[FusedPlant]:
+        """`fused` while its drift and actuation are this system's and, given
+        a controller, while that is its declared `controller`; else None."""
         p = self.fused
-        if p is not None and p.drift is self.drift and p.actuation is self.actuation:
+        if (p is not None and p.drift is self.drift and p.actuation is self.actuation
+                and (controller is None or controller is p.controller)):
             return p
         return None
 
     def _closed_loop_fields(self, controller: Callable) -> tuple:
-        """`closed_loop(controller)` and the same composition on (B, n)
-        blocks without its checks, for a flow's RK4 steps after its first."""
+        """`closed_loop(controller)`, the same field on (B, n) blocks without
+        its checks, for a flow's RK4 steps after its first, and the fused
+        closed loop's row form, or None."""
         n, m = self.n, self.m
+        loop = self._fused_plant(controller)
+        if loop is not None and loop.closed_loop is not None:
+            f = loop.closed_loop
+            return lambda X: call_batched(f, _as_states(X, n), (n,)), f, loop.closed_loop_row
         p = self._fused_plant()
         if p is not None:
             plant = p.plant
@@ -191,7 +219,7 @@ class ControlAffineSystem:
                 _check_shapes("fused plant", [out], [(len(X), n)])
                 return out
 
-            return F, lambda X: plant(X, controller(X))
+            return F, lambda X: plant(X, controller(X)), None
 
         def F(X):
             X = _as_states(X, n)
@@ -200,7 +228,7 @@ class ControlAffineSystem:
             _check_shapes("drift, actuation and controller", [f0, g, u], [(B, n), (B, n, m), (B, m)])
             return f0 + np.einsum("bij,bj->bi", g, u)
 
-        return F, lambda X: self.drift(X) + np.einsum("bij,bj->bi", self.actuation(X), controller(X))
+        return F, lambda X: self.drift(X) + np.einsum("bij,bj->bi", self.actuation(X), controller(X)), None
 
 
 @dataclass(frozen=True)
@@ -455,8 +483,9 @@ def _breakpoint_search(a, c, rhs, u_des, box, u0):
         # with a_j != 0 move, to their box edge
         return np.where(a > 0, box[:, 1], np.where(a < 0, box[:, 0], u0))
 
-    # rounding can leave the slack a few ulps below 0: step lam up until it is not
-    step = np.finfo(float).eps * (1.0 + lam)
+    # rounding can leave the slack a few ulps below 0: step lam up until it
+    # is not, from one ulp of lam (an absolute eps would overshoot a lam << 1)
+    step = math.ulp(lam)
     u = clipped(lam)
     for _ in range(64):
         if float(c + a @ u - rhs) >= 0.0:

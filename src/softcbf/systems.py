@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .backup import BackupProblem, FusedField, ValueForms, slice_constraint_set
+from .backup import BackupProblem, ValueForms, slice_constraint_set
 from .errors import InvalidInputError
 from .geometry import ConstraintSet
 from .safety_filter import ConstantActuation, ControlAffineSystem, FusedPlant, LinearDrift
@@ -209,34 +209,6 @@ def pendulum_backup() -> Benchmark:
         x0, x1 = x
         return (x1, float(sin(x0)))
 
-    actuation = ConstantActuation([[0.0], [1.0]])
-    sys = ControlAffineSystem(
-        n=2,
-        m=1,
-        drift=drift,
-        actuation=actuation,
-        input_box=np.array([[-PENDULUM_U_MAX, PENDULUM_U_MAX]]),
-        fused=FusedPlant(plant, drift, actuation, drift_row),
-    )
-
-    c = PENDULUM_SHEAR
-
-    # values-only forms of h and h_b on a block, which h and h_b call
-    def h_value(X):
-        z = X[:, 0] + c * X[:, 1]
-        return 1.0 - z**4 - (X[:, 1] / 1.5) ** 4
-
-    def h_b_value(X):
-        return PENDULUM_HB_LEVEL - np.einsum("bi,ij,bj->b", X, PENDULUM_P, X)
-
-    def h(X):
-        z3 = (X[:, 0] + c * X[:, 1]) ** 3
-        grad = np.stack([-4.0 * z3, -4.0 * c * z3 - 4.0 * X[:, 1] ** 3 / 1.5**4], axis=-1)
-        return h_value(X), grad
-
-    def h_b(X):
-        return h_b_value(X), -2.0 * X @ PENDULUM_P
-
     def k_b(X):
         # K.x / -u_max, which IEEE division's sign symmetry makes bitwise
         # -K.x / u_max, saves the negation ufunc here and in the fused forms
@@ -263,6 +235,34 @@ def pendulum_backup() -> Benchmark:
         u = u_max * float(tanh(float(k_dot(a)) / neg_u_max))
         return (x1 + 0.0, float(sin(x0)) + (u + 0.0))
 
+    actuation = ConstantActuation([[0.0], [1.0]])
+    sys = ControlAffineSystem(
+        n=2,
+        m=1,
+        drift=drift,
+        actuation=actuation,
+        input_box=np.array([[-PENDULUM_U_MAX, PENDULUM_U_MAX]]),
+        fused=FusedPlant(plant, drift, actuation, drift_row, k_b, closed_loop, closed_loop_row),
+    )
+
+    c = PENDULUM_SHEAR
+
+    # values-only forms of h and h_b on a block, which h and h_b call
+    def h_value(X):
+        z = X[:, 0] + c * X[:, 1]
+        return 1.0 - z**4 - (X[:, 1] / 1.5) ** 4
+
+    def h_b_value(X):
+        return PENDULUM_HB_LEVEL - np.einsum("bi,ij,bj->b", X, PENDULUM_P, X)
+
+    def h(X):
+        z3 = (X[:, 0] + c * X[:, 1]) ** 3
+        grad = np.stack([-4.0 * z3, -4.0 * c * z3 - 4.0 * X[:, 1] ** 3 / 1.5**4], axis=-1)
+        return h_value(X), grad
+
+    def h_b(X):
+        return h_b_value(X), -2.0 * X @ PENDULUM_P
+
     def jac_closed_loop(X):
         # d/dx [w, sin(a) + umax*tanh(-K.x/umax)]
         J = np.zeros((len(X), 2, 2))
@@ -283,7 +283,6 @@ def pendulum_backup() -> Benchmark:
         dtau=0.2,
         jacobian=jac_closed_loop,
         bounding_box=box,
-        fused=FusedField(closed_loop, drift, actuation, k_b, row=closed_loop_row),
         value_forms=ValueForms(h_value, h_b_value, h, h_b),
     )
 

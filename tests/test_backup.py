@@ -16,7 +16,6 @@ from softcbf import (
     ControlAffineSystem,
     DomainError,
     FlowResult,
-    FusedField,
     FusedPlant,
     InvalidInputError,
     backup_barrier,
@@ -47,6 +46,20 @@ def column_actuation(col):
         return np.broadcast_to(col, (X.shape[0],) + col.shape)
 
     return g
+
+
+def fused_loop(sys, controller, closed_loop, row=None):
+    """sys with a FusedPlant that declares `closed_loop`, and its row form,
+    for `controller`; its plant is the composed drift + actuation @ u."""
+    def plant(X, U):
+        return sys.drift(X) + np.einsum("bij,bj->bi", sys.actuation(X), U)
+
+    return dataclasses.replace(sys, fused=FusedPlant(plant, sys.drift, sys.actuation, None, controller, closed_loop, row))
+
+
+def with_fused(prob, **fields):
+    """prob with the named fields of its system's FusedPlant replaced."""
+    return dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=dataclasses.replace(prob.sys.fused, **fields)))
 
 
 def quad_fn(level, scale=1.0):
@@ -234,7 +247,7 @@ def test_blow_up_reports_time():
     # time is h accumulated step by step
     assert err.value.time == 0.5300000000000002
 
-    # the same flow on the row path of a fused field: it must find the blow
+    # the same flow on the row path of a fused closed loop: it must find the blow
     # up in the same interval, and the block re-run reports the same time.
     # The row square is x * x: Python's float ** raises OverflowError where
     # numpy returns inf
@@ -248,8 +261,8 @@ def test_blow_up_reports_time():
         rows["row"] += 1
         return (x[0] * x[0],)
 
-    fused = dataclasses.replace(prob, fused=FusedField(square, drift, sys.actuation, zero_controller, square_row))
-    assert fused._flow_fields()[1:] == (square, square_row)
+    fused = dataclasses.replace(prob, sys=fused_loop(sys, zero_controller, square, square_row))
+    assert fused.sys._closed_loop_fields(fused.k_b)[1:] == (square, square_row)
     with pytest.raises(BlowUpError) as err:
         integrate_flow(fused, np.array([2.0]))
     assert err.value.time == 0.5300000000000002
@@ -469,14 +482,14 @@ def test_flow_callable_with_wrong_block_shape_raises():
         integrate_flow_batch(bad_jacobian, X0)
 
 
-def test_fused_field_with_wrong_block_shape_raises():
+def test_fused_closed_loop_with_wrong_block_shape_raises():
     def field_single(X):
         # answers a block with the field of its first state
-        return prob.fused.field(X[:1])[0]
+        return prob.sys.fused.closed_loop(X[:1])[0]
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, field=field_single))
-    assert bad._flow_fields()[1] is field_single
+    bad = with_fused(prob, closed_loop=field_single)
+    assert bad.sys._closed_loop_fields(bad.k_b)[1] is field_single
     with pytest.raises(InvalidInputError, match=r"field_single returned shape \(2,\) for a block of 3 states; expected \(3, 2\)"):
         integrate_flow_batch(bad, np.zeros((3, 2)))
     # a one-row flow on the row path calls the block field only for finite
@@ -492,9 +505,9 @@ def test_row_path_flow_never_calls_the_block_field():
 
     def field(X):
         calls["field"] += 1
-        return prob.fused.field(X)
+        return prob.sys.fused.closed_loop(X)
 
-    counted = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, field=field))
+    counted = with_fused(prob, closed_loop=field)
     X0 = np.array([[0.3, -0.2]])
     for sensitivities in (False, True):
         got = integrate_flow_batch(counted, X0, sensitivities=sensitivities)
@@ -505,10 +518,10 @@ def test_row_path_flow_never_calls_the_block_field():
 @pytest.mark.gate
 def test_row_flows_equal_one_row_block_flows_bitwise():
     # the row path against the same problem without a row form, whose
-    # one-row flows run rk4_step on (1, n) blocks of the fused field
+    # one-row flows run rk4_step on (1, n) blocks of the fused closed loop
     prob = get_benchmark("pendulum-backup").backup
-    blocks = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=None))
-    assert blocks._flow_fields()[1:] == (prob.fused.field, None)
+    blocks = with_fused(prob, closed_loop_row=None)
+    assert blocks.sys._closed_loop_fields(blocks.k_b)[1:] == (prob.sys.fused.closed_loop, None)
     box = prob.bounding_box
     rng = np.random.default_rng(5)
     X = rng.uniform(box[:, 0], box[:, 1], size=(200, prob.sys.n))
@@ -524,11 +537,11 @@ def test_row_flows_equal_one_row_block_flows_bitwise():
 
 
 def row_form_problem(n):
-    """A problem whose closed loop is a fused field with a row form and an
+    """A problem whose closed loop is a fused closed loop with a row form and an
     analytic Jacobian: xdot = -x + 0.5 x^2 for n = 1, pendulum-backup for
     n = 2, and a damped chain with a cubic spring for n = 3.  The drift is
     the field, and each component adds the + 0.0 that the composed field's
-    einsum adds, so the fused field is the composed one bit for bit."""
+    einsum adds, so the fused closed loop is the composed one bit for bit."""
     if n == 2:
         return get_benchmark("pendulum-backup").backup
 
@@ -564,9 +577,8 @@ def row_form_problem(n):
 
     sys = ControlAffineSystem(n=n, m=1, drift=field, actuation=column_actuation([0.0] * n))
     return BackupProblem(
-        sys=sys, k_b=zero_controller, h=quad_fn(1.0), h_b=quad_fn(0.25), T=1.0, dtau=0.25,
-        jacobian=jacobian, bounding_box=np.array([[-1.0, 1.0]] * n),
-        fused=FusedField(field, field, sys.actuation, zero_controller, row),
+        sys=fused_loop(sys, zero_controller, field, row), k_b=zero_controller, h=quad_fn(1.0), h_b=quad_fn(0.25),
+        T=1.0, dtau=0.25, jacobian=jacobian, bounding_box=np.array([[-1.0, 1.0]] * n),
     )
 
 
@@ -577,14 +589,14 @@ def test_row_sensitivities_equal_block_sensitivities_bitwise(n):
     # the numpy recursion of the same problem without a row form
     rows = collections.Counter()
     prob = row_form_problem(n)
-    row = prob.fused.row
+    row = prob.sys.fused.closed_loop_row
 
     def counted_row(x):
         rows["row"] += 1
         return row(x)
 
-    prob = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=counted_row))
-    blocks = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=None))
+    prob = with_fused(prob, closed_loop_row=counted_row)
+    blocks = with_fused(prob, closed_loop_row=None)
     box = prob.bounding_box
     rng = np.random.default_rng(7)
     X = rng.uniform(box[:, 0], box[:, 1], size=(40, n))
@@ -800,11 +812,10 @@ def test_blow_up_reports_time_on_the_row_path_with_sensitivities():
 
     sys = ControlAffineSystem(n=1, m=1, drift=square, actuation=column_actuation([0.0]))
     prob = BackupProblem(
-        sys=sys, k_b=zero_controller, h=quad_fn(1.0), h_b=quad_fn(0.25), T=2.0, dtau=0.5,
-        jacobian=jacobian, bounding_box=np.array([[-3, 3]]),
-        fused=FusedField(square, square, sys.actuation, zero_controller, square_row),
+        sys=fused_loop(sys, zero_controller, square, square_row), k_b=zero_controller, h=quad_fn(1.0),
+        h_b=quad_fn(0.25), T=2.0, dtau=0.5, jacobian=jacobian, bounding_box=np.array([[-3, 3]]),
     )
-    blocks = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=None))
+    blocks = with_fused(prob, closed_loop_row=None)
     errors = []
     for p in (prob, blocks):
         with pytest.raises(BlowUpError) as err:
@@ -817,10 +828,10 @@ def test_blow_up_reports_time_on_the_row_path_with_sensitivities():
 
 def test_fused_row_form_with_wrong_length_raises():
     def short_row(x):
-        return prob.fused.row(x)[:1]
+        return prob.sys.fused.closed_loop_row(x)[:1]
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=short_row))
+    bad = with_fused(prob, closed_loop_row=short_row)
     with pytest.raises(InvalidInputError, match=r"short_row returned \(.+,\) for one state; expected 2 floats"):
         integrate_flow_batch(bad, np.zeros((1, 2)))
     # only a one-row flow takes the row path and checks the row form
@@ -836,11 +847,11 @@ def test_row_form_that_changes_length_after_its_first_call_raises(extra, sensiti
 
     def drifting_row(x):
         calls["row"] += 1
-        out = prob.fused.row(x)
+        out = prob.sys.fused.closed_loop_row(x)
         return out if calls["row"] < 3 else out + (0.0,) if extra > 0 else out[:1]
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=drifting_row))
+    bad = with_fused(prob, closed_loop_row=drifting_row)
     with pytest.raises(InvalidInputError, match=rf"drifting_row returned {2 + extra} values for one state; expected 2"):
         integrate_flow_batch(bad, np.full((1, 2), 0.01), sensitivities=sensitivities)
 
@@ -853,16 +864,64 @@ def test_value_error_inside_a_row_form_propagates_unchanged():
         calls["row"] += 1
         if calls["row"] == 6:
             raise failure
-        return prob.fused.row(x)
+        return prob.sys.fused.closed_loop_row(x)
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = dataclasses.replace(prob, fused=dataclasses.replace(prob.fused, row=failing_row))
+    bad = with_fused(prob, closed_loop_row=failing_row)
     with pytest.raises(ValueError) as err:
         integrate_flow_batch(bad, np.full((1, 2), 0.01))
     assert err.value is failure
 
 
-def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
+def test_every_closed_loop_of_the_declared_controller_takes_the_fused_closed_loop():
+    # with a counted closed loop re-declared on the pendulum's FusedPlant, the
+    # benchmark's closed-loop field, sys.closed_loop(k_b), a block flow and
+    # the precondition checks call it once per block and never the plant
+    bench = get_benchmark("pendulum-backup")
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    fused = bench.sys.fused
+    sys = dataclasses.replace(bench.sys, fused=dataclasses.replace(
+        fused, plant=counted("plant", fused.plant), closed_loop=counted("closed_loop", fused.closed_loop)))
+    prob = dataclasses.replace(bench.backup, sys=sys)
+    bench = dataclasses.replace(bench, sys=sys, backup=prob)
+    X = np.random.default_rng(3).uniform(prob.bounding_box[:, 0], prob.bounding_box[:, 1], size=(5, 2))
+    for F in (bench.closed_loop_field(), sys.closed_loop(prob.k_b)):
+        calls.clear()
+        F(X)
+        assert calls == {"closed_loop": 1}
+    calls.clear()
+    steps = integrate_flow_batch(prob, X).stats.steps
+    assert calls == {"closed_loop": 4 * steps}
+    # one call for the Lie derivatives, one flow of the samples near the
+    # safe-set boundary
+    calls.clear()
+    assert check_backup_preconditions(prob, bench.precondition_sampler(60, 0)).passed
+    assert calls == {"closed_loop": 1 + 4 * steps}
+
+    # a wrapped k_b falls back to the plant, a wrapped drift or actuation to
+    # the composed field, which calls neither
+    k_b = prob.k_b
+    want = sys.closed_loop(k_b)(X)
+    fallbacks = [
+        ("plant", sys, lambda X: k_b(X)),
+        ("composed", dataclasses.replace(sys, drift=lambda X: sys.drift(X)), k_b),
+        ("composed", dataclasses.replace(sys, actuation=lambda X: sys.actuation(X)), k_b),
+    ]
+    for path, other, controller in fallbacks:
+        calls.clear()
+        assert other.closed_loop(controller)(X).tobytes() == want.tobytes()
+        assert calls == ({"plant": 1} if path == "plant" else {})
+
+
+def test_fused_closed_loop_applies_only_to_the_callables_it_was_declared_for():
     prob = get_benchmark("pendulum-backup").backup
     calls = collections.Counter()
 
@@ -876,17 +935,17 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     drift = counted("drift", prob.sys.drift)
     actuation = counted("actuation", prob.sys.actuation)
     k_b = counted("k_b", prob.k_b)
-    field = counted("fused", prob.fused.field)
-    row = counted("row", prob.fused.row)
+    field = counted("fused", prob.sys.fused.closed_loop)
+    row = counted("row", prob.sys.fused.closed_loop_row)
     plant = counted("plant", prob.sys.fused.plant)
     sys = dataclasses.replace(prob.sys, drift=drift, actuation=actuation,
-                              fused=FusedPlant(plant, drift, actuation))
-    declared = dataclasses.replace(prob, sys=sys, k_b=k_b, fused=FusedField(field, drift, actuation, k_b, row))
+                              fused=FusedPlant(plant, drift, actuation, None, k_b, field, row))
+    declared = dataclasses.replace(prob, sys=sys, k_b=k_b)
     X0 = np.array([[0.3, -0.2], [-0.1, 0.4], [0.05, 0.0]])
     reference = integrate_flow_batch(prob, X0)
     reference_row = integrate_flow_batch(prob, X0[:1])
 
-    # the fused field alone, four calls per RK4 step, of which the first
+    # the fused closed loop alone, four calls per RK4 step, of which the first
     # step's are checked; the finite-difference Jacobian and the
     # precondition checks go through it too
     flow = integrate_flow_batch(declared, X0)
@@ -897,7 +956,7 @@ def test_fused_field_applies_only_to_the_callables_it_was_declared_for():
     assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
 
     # a one-row flow: the row form's check on the initial state and four
-    # calls per RK4 step, and no call of the fused field
+    # calls per RK4 step, and no call of the fused closed loop
     calls.clear()
     flow = integrate_flow_batch(declared, X0[:1])
     assert calls == {"row": 1 + 4 * flow.stats.steps}
@@ -1195,14 +1254,14 @@ def test_value_forms_serve_every_gradient_free_read_of_h_and_h_b():
 def flow_paths(prob):
     """The pendulum problem on the fused-plant path and on the composed
     path, each paired with a reference that runs the checked
-    `sys.closed_loop(k_b)` at every RK4 stage (as the fused field it is
-    declared as)."""
-    plant = dataclasses.replace(prob, fused=None)
-    composed = dataclasses.replace(plant, sys=dataclasses.replace(prob.sys, fused=None))
+    `sys.closed_loop(k_b)` at every RK4 stage (as the fused closed loop it
+    is declared as)."""
+    plant = with_fused(prob, controller=None, closed_loop=None, closed_loop_row=None)
+    composed = dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=None))
     out = {}
     for name, p in (("fused-plant", plant), ("composed", composed)):
-        checked = FusedField(p.sys.closed_loop(p.k_b), p.sys.drift, p.sys.actuation, p.k_b)
-        out[name] = (p, dataclasses.replace(p, fused=checked))
+        checked = fused_loop(p.sys, p.k_b, p.sys.closed_loop(p.k_b))
+        out[name] = (p, dataclasses.replace(p, sys=checked))
     return out
 
 
@@ -1211,7 +1270,8 @@ def flow_paths(prob):
 @pytest.mark.parametrize("B", [2, 400])
 def test_unchecked_flow_steps_equal_the_checked_field_bitwise(path, B):
     prob, reference = flow_paths(get_benchmark("pendulum-backup").backup)[path]
-    assert prob.fused is None and (prob.sys.fused is None) == (path == "composed")
+    fused = prob.sys.fused
+    assert (fused is None) == (path == "composed") and (fused is None or fused.closed_loop is None)
     box = prob.bounding_box
     X0 = np.random.default_rng(B).uniform(box[:, 0], box[:, 1], size=(B, 2))
     X0[0] = [0.0, -0.0]
@@ -1285,7 +1345,7 @@ def test_rk4_step_matches_python_float_coefficients_bitwise(B):
         X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
         U = rng.choice([0.0, -0.0, 1.5, -2.25], size=(B, 1))
         held = (plant.actuation(X) @ U[:, :, None])[:, :, 0]
-        for F in (pendulum.backup.closed_loop(), lambda X: plant.drift(X) + held):
+        for F in (pendulum.sys.closed_loop(pendulum.backup.k_b), lambda X: plant.drift(X) + held):
             for h in (0.01, 0.02 / 3, 0.001, 0.1 / 7):
                 got, want = softcbf.backup.rk4_step(F, X, h), rk4_reference(F, X, h)
                 assert got[0].tobytes() == want[0].tobytes()

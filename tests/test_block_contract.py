@@ -20,7 +20,6 @@ import softcbf.sim
 from softcbf import (
     ClassK,
     ConstantActuation,
-    FusedField,
     FusedPlant,
     LinearDrift,
     SimConfig,
@@ -79,25 +78,27 @@ def guarded(bench):
     drift = GuardedLinearDrift(sys.drift.A) if isinstance(sys.drift, LinearDrift) else g(sys.drift)
     actuation = (GuardedConstantActuation(sys.actuation.G) if isinstance(sys.actuation, ConstantActuation)
                  else g(sys.actuation))
-    # the drift row maps one state as a tuple of floats by design
-    plant = sys.fused and FusedPlant(g(sys.fused.plant), drift, actuation, sys.fused.drift_row)
+    backup = bench.backup
+    k_b = backup and g(backup.k_b)
+    f = sys.fused
+    # the row forms map one state as a tuple of floats by design
+    plant = f and FusedPlant(g(f.plant), drift, actuation, f.drift_row, k_b, g(f.closed_loop), f.closed_loop_row)
     sys = dataclasses.replace(sys, drift=drift, actuation=actuation, fused=plant)
     cs = bench.constraints
     cs = dataclasses.replace(cs, batch_evaluator=g(cs.batch_evaluator),
                              value_evaluator=g(cs.value_evaluator), screen=g(cs.screen))
-    backup = bench.backup
     if backup is not None:
-        k_b, h, h_b = g(backup.k_b), g(backup.h), g(backup.h_b)
-        f, v = backup.fused, backup.value_forms
-        # the row form maps one state as a tuple of floats by design
-        field = f and FusedField(g(f.field), drift, actuation, k_b, row=f.row)
+        h, h_b = g(backup.h), g(backup.h_b)
+        v = backup.value_forms
         forms = v and ValueForms(g(v.h_value), g(v.h_b_value), h, h_b)
         backup = dataclasses.replace(backup, sys=sys, k_b=k_b, h=h, h_b=h_b,
-                                     jacobian=g(backup.jacobian), fused=field, value_forms=forms)
-        assert backup._flow_fields()[1] is field.field
+                                     jacobian=g(backup.jacobian), value_forms=forms)
+        assert sys._closed_loop_fields(k_b)[1] is plant.closed_loop
+    # a safe controller that is k_b stays the declared controller of the
+    # fused closed loop
+    safe = k_b if backup is not None and bench.safe_controller is bench.backup.k_b else g(bench.safe_controller)
     return dataclasses.replace(bench, sys=sys, constraints=cs, backup=backup,
-                               desired_controller=g(bench.desired_controller),
-                               safe_controller=g(bench.safe_controller))
+                               desired_controller=g(bench.desired_controller), safe_controller=safe)
 
 
 def test_the_guard_refuses_one_state():

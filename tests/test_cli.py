@@ -320,7 +320,7 @@ def test_certify_reproduces_seed0_certificate(tmp_path, name):
 
 def test_certify_with_a_wrapped_backup_controller_writes_the_same_report(tmp_path, monkeypatch):
     # a step clock or a call counter wraps k_b, which takes the flows off the
-    # fused field and onto the system's fused plant; the report must not move
+    # fused closed loop and onto the system's fused plant; the report must not move
     def report_lines(out):
         code, _ = certify_quick_pendulum(out)
         assert code == 0

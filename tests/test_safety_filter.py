@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,48 @@ def grid_search_halfspace_box(a, c, rhs, u_des, box, resolution=1e-3):
         half = 8.0 * spacing
         lo = np.maximum(box[:, 0], best - half)
         hi = np.minimum(box[:, 1], best + half)
+
+
+def exact_filter(a, c, rhs, u_des, box=None):
+    """Exact oracle for the filters: the status and the minimiser u, as
+    Fractions, of |u - u_des| over {a.u >= rhs - c}, within the box when one
+    is given, by the breakpoint walk in rational arithmetic; u is None where
+    the status is infeasible."""
+    a, u_des = ([Fraction(float(v)) for v in w] for w in (a, u_des))
+    target = Fraction(float(rhs)) - Fraction(float(c))
+    lo, hi = ([None] * len(a),) * 2 if box is None else ([Fraction(float(v)) for v in b] for b in np.transpose(box))
+
+    def at(lam, clip=True):
+        u = [d + lam * x for d, x in zip(u_des, a)]
+        return u if box is None or not clip else [min(max(v, l), h) for v, l, h in zip(u, lo, hi)]
+
+    def dot(u):
+        return sum(x * v for x, v in zip(a, u))
+
+    u0, nrm2 = at(0), dot(a)
+    if dot(u0) >= target:
+        return ("analytic" if u0 == u_des else "clipped"), u0
+    if nrm2 == 0:
+        return "infeasible", None
+    free = at((target - dot(u_des)) / nrm2, clip=False)
+    if box is None or all(l <= v <= h for v, l, h in zip(free, lo, hi)):
+        return "analytic", free
+    # the breakpoints, where a component meets its box edge; a.u(lam) is
+    # linear between them
+    times = sorted({max((b - d) / x, 0) for x, d, l, h in zip(a, u_des, lo, hi) if x for b in (l, h)})
+    prev = Fraction(0)
+    for t in times:
+        g0, g1 = dot(at(prev)), dot(at(t))
+        if g1 >= target:
+            return "clipped", at(prev + (target - g0) * (t - prev) / (g1 - g0))
+        prev = t
+    return "infeasible", None
+
+
+def within_ulps(u, exact, scale, ulps=4):
+    """Whether every component of the float vector u is within `ulps` ulps
+    of `scale` of the exact Fraction vector."""
+    return all(abs(Fraction(float(v)) - e) <= ulps * Fraction(math.ulp(scale)) for v, e in zip(u, exact))
 
 
 def test_class_k_forms():
@@ -163,7 +206,7 @@ def test_unconstrained_infeasible_when_unactuated():
     assert out.constraint_value < 0
 
 
-def test_unconstrained_matches_grid_oracle():
+def test_unconstrained_matches_exact_oracle():
     rng = np.random.default_rng(0)
     for _ in range(200):
         m = int(rng.integers(1, 4))
@@ -172,21 +215,13 @@ def test_unconstrained_matches_grid_oracle():
         rhs = float(rng.normal())
         u_des = rng.uniform(-1.0, 1.0, size=m)
         out = filter_unconstrained(a, c, rhs, u_des)
-        if out.qp_status == "infeasible":
+        status, exact = exact_filter(a, c, rhs, u_des)
+        assert out.qp_status == status
+        if status == "infeasible":
             continue
         assert out.constraint_value >= -1e-9
-        # search region sized from the instance: projection offset plus margin
-        reach = max(0.0, rhs - c - float(a @ u_des)) / np.linalg.norm(a) + 1.0
-        box = np.stack([u_des - reach, u_des + reach], axis=-1)
-        ref = grid_search_halfspace_box(a, c, rhs, u_des, box)
-        d_out = np.linalg.norm(out.u - u_des)
-        d_ref = np.linalg.norm(ref - u_des)
-        # the filter may never beat brute force by more than quantization,
-        # nor lose to it at all
-        assert d_out <= d_ref + 1e-9
-        assert abs(d_out - d_ref) <= 2e-3
-        if d_out <= 5e-3:  # near the plane the point itself is pinned
-            assert np.linalg.norm(out.u - ref) <= 2e-3
+        scale = max(np.abs(u_des).max(), np.abs(out.u).max())
+        assert within_ulps(out.u, exact, scale), (a, c, rhs, u_des)
 
 
 def test_boxed_inactive_box_equals_unconstrained():
@@ -222,7 +257,7 @@ def test_boxed_clips_desired_outside_box():
 
 
 @pytest.mark.gate
-def test_boxed_matches_grid_oracle():
+def test_boxed_matches_exact_oracle():
     rng = np.random.default_rng(1)
     checked = 0
     for _ in range(200):
@@ -237,20 +272,33 @@ def test_boxed_matches_grid_oracle():
         # aim the threshold so feasible and infeasible instances both occur
         rhs = c + float(rng.uniform(-1.0, 1.2)) * abs(float(a @ corner) - c)
         out = filter_boxed(a, c, rhs, u_des, box)
-        if out.qp_status == "infeasible":
+        status, exact = exact_filter(a, c, rhs, u_des, box)
+        assert out.qp_status == status
+        if status == "infeasible":
             assert float(a @ corner) < rhs - c
             continue
         assert out.constraint_value >= -1e-9
         assert np.all(out.u >= box[:, 0] - 1e-12) and np.all(out.u <= box[:, 1] + 1e-12)
-        ref = grid_search_halfspace_box(a, c, rhs, u_des, box)
-        d_out = np.linalg.norm(out.u - u_des)
-        d_ref = np.linalg.norm(ref - u_des)
-        assert d_out <= d_ref + 1e-9
-        assert abs(d_out - d_ref) <= 2e-3
-        if d_out <= 5e-3:
-            assert np.linalg.norm(out.u - ref) <= 2e-3
+        assert within_ulps(out.u, exact, np.abs(box).max()), (a, c, rhs, u_des, box)
         checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize("a, rhs, u_des", [
+    ([50511246.68276012, 91537409.59563617], 13215075.446258515, [1.0, -0.4074418521132803]),
+    ([-3175402575.5135016, 3431814791.656508], 5107763272.26022, [-1.0, 0.5630725472807807]),
+])
+def test_boxed_breakpoint_search_does_not_overshoot_a_tiny_multiplier(a, rhs, u_des):
+    # the exact multiplier is far below 1 (5.6e-17 and 1.8e-20), so the slack
+    # correction must step lam by its own ulps: an absolute eps step of
+    # 2.2e-16 left u's second component 3.7e8 and 6.9e9 of its ulps past the
+    # minimiser's, with slack 1.86 and 2,615
+    box = [[-1.0, 1.0], [-1.0, 1.0]]
+    out = filter_boxed(a, 0.0, rhs, u_des, box)
+    status, exact = exact_filter(a, 0.0, rhs, u_des, box)
+    assert out.qp_status == status == "clipped"
+    assert out.constraint_value >= 0.0
+    assert all(abs(Fraction(float(v)) - e) <= Fraction(math.ulp(float(e))) for v, e in zip(out.u, exact))
 
 
 @pytest.mark.gate

@@ -171,7 +171,9 @@ def test_closed_loop_field_shapes_and_rows(name):
     X = np.random.default_rng(0).uniform(box[:, 0], box[:, 1], size=(9, n))
     fields = [bench.closed_loop_field()]
     if bench.backup is not None:
-        fields += [bench.sys.closed_loop(bench.backup.k_b), bench.backup.closed_loop()]
+        # the fused closed loop, and the fused plant under a wrapped k_b
+        k_b = bench.backup.k_b
+        fields += [bench.sys.closed_loop(k_b), bench.sys.closed_loop(lambda X: k_b(X))]
     for F in fields:
         block = F(X)
         assert block.shape == (9, n)
@@ -185,12 +187,12 @@ def test_closed_loop_field_shapes_and_rows(name):
 @pytest.mark.gate
 def test_fused_closed_loop_matches_composed_bitwise():
     # compared as bytes, since == takes -0.0 for +0.0: the composed field's
-    # einsum turns a -0.0 component into +0.0, and the fused field must too
+    # einsum turns a -0.0 component into +0.0, and the fused closed loop must too
     prob = pendulum_backup().backup
-    fused = prob.fused.field
-    assert prob._flow_fields()[1] is fused
-    # sys.closed_loop(k_b) is the fused plant's path; the reference is the
-    # drift + actuation + einsum sum of a system without one
+    fused = prob.sys.fused.closed_loop
+    assert prob.sys._closed_loop_fields(prob.k_b)[1] is fused
+    # the reference is the drift + actuation + einsum sum of a system
+    # without fused forms
     composed = dataclasses.replace(prob.sys, fused=None).closed_loop(prob.k_b)
     box = prob.bounding_box
     rng = np.random.default_rng(7)
@@ -210,8 +212,9 @@ def test_fused_plant_matches_composed_bitwise():
     # one (a step clock's or a call counter's), the desired controller and
     # seeded linear controllers, whose outputs include both signed zeros
     bench = pendulum_backup()
-    sys = bench.sys
-    assert sys.fused is not None
+    # the fused plant without the fused closed loop, which k_b would take
+    sys = dataclasses.replace(bench.sys, fused=dataclasses.replace(bench.sys.fused, closed_loop=None))
+    assert sys.fused.plant is bench.sys.fused.plant
     composed_sys = dataclasses.replace(sys, fused=None)
     rng = np.random.default_rng(13)
     k_b = bench.backup.k_b
@@ -306,11 +309,11 @@ def test_linear_drifts_match_the_hand_written_drifts_bitwise(name, hand_written)
 
 @pytest.mark.gate
 def test_fused_row_form_matches_field_bitwise():
-    # the row form on a tuple of floats against the fused field on the same
-    # state as a one-row block, as bytes, over box states, states where tanh
-    # saturates (|x| about 50) and injected signed zeros
+    # the row form on a tuple of floats against the fused closed loop on the
+    # same state as a one-row block, as bytes, over box states, states where
+    # tanh saturates (|x| about 50) and injected signed zeros
     prob = pendulum_backup().backup
-    row, field = prob.fused.row, prob.fused.field
+    row, field = prob.sys.fused.closed_loop_row, prob.sys.fused.closed_loop
     box = prob.bounding_box
     rng = np.random.default_rng(11)
     X = rng.uniform(box[:, 0], box[:, 1], size=(4500, prob.sys.n))
@@ -326,7 +329,7 @@ def test_fused_row_form_matches_field_bitwise():
 
 @pytest.mark.gate
 def test_pendulum_division_matches_the_negated_numerator_bitwise():
-    # k_b, the fused field and its row form compute tanh(K.x / -u_max); IEEE
+    # k_b, the fused closed loop and its row form compute tanh(K.x / -u_max); IEEE
     # division is sign-symmetric, so that is bitwise the written
     # u_max * tanh(-K.x / u_max), signed zeros included
     prob = pendulum_backup().backup
@@ -344,14 +347,14 @@ def test_pendulum_division_matches_the_negated_numerator_bitwise():
     old = np.empty(X.shape)
     old[:, 0] = X[:, 1] + 0.0
     old[:, 1] = np.sin(X[:, 0]) + (old_u(X) + 0.0)
-    assert prob.fused.field(X).tobytes() == old.tobytes()
+    assert prob.sys.fused.closed_loop(X).tobytes() == old.tobytes()
 
     def old_row(x):
         u = U * float(np.tanh(-float(K.dot(x)) / U))
         return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
 
     states = [tuple(x) for x in X.tolist()]
-    rows = np.array([prob.fused.row(x) for x in states])
+    rows = np.array([prob.sys.fused.closed_loop_row(x) for x in states])
     assert rows.tobytes() == np.array([old_row(x) for x in states]).tobytes()
     # K.x of +0.0 and -0.0: the division alone keeps the sign of the old form
     for kx in (0.0, -0.0):
