@@ -47,6 +47,7 @@ from .safety_filter import (
     ClassKinfK,
     ConstantActuation,
     ControlAffineSystem,
+    Expr,
     FilterOutcome,
     FusedPlant,
     LinearDrift,

@@ -29,7 +29,7 @@ import numpy as np
 from . import softmin as sm
 from .errors import BlowUpError, DomainError, InvalidInputError
 from .geometry import ConstraintSet, _as_states, _checked_box, call_batched
-from .safety_filter import ControlAffineSystem
+from .safety_filter import ControlAffineSystem, _slope
 
 __all__ = [
     "BackupProblem",
@@ -248,26 +248,32 @@ def _namers(n: int) -> tuple:
             lambda form, k=n, sep="; ": sep.join(form.format(i) for i in range(k)))
 
 
-def _plant_row_source(n: int, slope: Callable) -> str:
-    """The source of `plant_row` (see `_row_kernels`) for state dimension n,
-    where slope(src, dst) is the statement that sets the stage slopes dst0,
-    ... from the stage state src0, ...: one call of the drift row f, or a
-    linear drift's sums written inline (`_linear_plant_row`)."""
+def _rk4_row_source(n: int, slope: Callable, prologue: str = "", held: bool = False) -> str:
+    """The source of a one-row RK4 kernel of `_row_kernels` for state
+    dimension n, where slope(src, dst) is the statement that sets the stage
+    slopes dst0, ... from the stage state src0, ...: one call of the row
+    form f, or a declared field written inline (`_inline_kernel`), after
+    the statement prologue.  With `held` it is plant_row, which adds the
+    held row g to each stage's slopes, else interval_row, which writes the
+    stage states into out."""
     names, each = _namers(n)
+    add = {d: "; " + each(d + "{0} += g{0}") if held else "" for d in "abcd"}
+    if held:
+        head, record = f"plant_row(f, x, g, h, n_sub):\n    {names('g')} = g", ""
+    else:
+        head = "interval_row(f, x, h, n_sub, out, o):"
+        record = "; ".join(f"out[o + {k * n + i}] = {s}{i}" for k, s in enumerate("xyzw") for i in range(n))
+        record = f"; {record}; o += {4 * n}"
     return f"""
-def plant_row(f, x, g, h, substeps):
-    half = 0.5 * h; sixth = h / 6.0
-    {names("g")} = g
+def {head}
+    half = 0.5 * h; sixth = h / 6.0; {prologue}
     {names("x")} = k = x
     try:
-        for _ in range(substeps):
-            {slope("x", "a")}; {each("a{0} += g{0}")}
-            {each("y{0} = x{0} + half * a{0}")}
-            {slope("y", "b")}; {each("b{0} += g{0}")}
-            {each("z{0} = x{0} + half * b{0}")}
-            {slope("z", "c")}; {each("c{0} += g{0}")}
-            {each("w{0} = x{0} + h * c{0}")}
-            {slope("w", "d")}; {each("d{0} += g{0}")}
+        for _ in range(n_sub):
+            {slope("x", "a")}{add["a"]}; {each("y{0} = x{0} + half * a{0}")}
+            {slope("y", "b")}{add["b"]}; {each("z{0} = x{0} + half * b{0}")}
+            {slope("z", "c")}{add["c"]}; {each("w{0} = x{0} + h * c{0}")}
+            {slope("w", "d")}{add["d"]}{record}
             {names("x")} = {each("x{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", sep=", ")},
     except ValueError:
         check_row_length(f, k, {n}); raise
@@ -282,12 +288,14 @@ def _row_kernels(n: int) -> tuple:
     __init__), so one implementation serves every n with no per-element
     loop: each state component, stage slope and entry of S is a local name.
 
-    rk4_row(f, x, h) is `rk4_step` on one state as a tuple of floats, for a
-    row form f: the same operations in the same order, so the same bits,
-    without numpy's per-call dispatch.  It returns the next state and the
-    four stage states as one flat tuple of 4*n floats.  A stage output that
-    does not unpack into n values raises InvalidInputError; a ValueError
-    raised in f itself propagates unchanged.
+    interval_row(f, x, h, n_sub, out, o) is a slice interval's n_sub
+    `rk4_step`s on one state x, a tuple of floats, for a row form f: the
+    same operations in the same order, so the same bits, without numpy's
+    per-call dispatch.  It writes the four stage states of each step, 4*n
+    floats, into the float64 memoryview out from index o on, and returns
+    the final state as a tuple.  A stage output that does not unpack into n
+    values raises InvalidInputError; a ValueError raised in f itself
+    propagates unchanged.
 
     sensitivity_row(J, S, h) runs the variational recursion over one slice
     interval, with S = D_x phi as n*n floats and J the interval's
@@ -301,14 +309,14 @@ def _row_kernels(n: int) -> tuple:
     they stay np.matmul, as dot then multiplies the two scalars and keeps
     the -0.0 that gemm's sum turns into +0.0.
 
-    plant_row(f, x, g, h, substeps) is a plant step's `substeps` RK4 steps
-    of size h on one state x, a tuple of n floats, for the row form
+    plant_row(f, x, g, h, n_sub) is a plant step's n_sub RK4 steps of size
+    h on one state x, a tuple of n floats, for the row form
     x -> f(x) + g of a drift row f and a held row g of n floats (see
     `sim._plant_block`): each stage adds g to f's output component by
     component, like the block sum drift(X) + held, then runs `rk4_step`'s
     operations in its order.  It returns the final state as a tuple and
-    builds no stage tuples.  Its errors are rk4_row's.  Its source is
-    `_plant_row_source`, which `_linear_plant_row` shares.
+    records no stage states.  Its errors are interval_row's.  Both come
+    from one template, `_rk4_row_source`, which `_inline_kernel` shares.
 
     test_row_kernels_equal_reference_loop_bodies_bitwise,
     test_row_flows_equal_one_row_block_flows_bitwise,
@@ -320,19 +328,6 @@ def _row_kernels(n: int) -> tuple:
     # ValueError a k of n values means the error came from inside f
     m = n * n
     source = f"""
-def rk4_row(f, x, h):
-    half = 0.5 * h; sixth = h / 6.0
-    {names("x")} = k = x
-    try:
-        k = f(x); {names("a")} = k; {each("y{0} = x{0} + half * a{0}")}
-        k = f(({names("y")})); {names("b")} = k; {each("z{0} = x{0} + half * b{0}")}
-        k = f(({names("z")})); {names("c")} = k; {each("w{0} = x{0} + h * c{0}")}
-        k = f(({names("w")})); {names("d")} = k
-    except ValueError:
-        check_row_length(f, k, {n}); raise
-    x_next = {each("x{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", sep=", ")},
-    return x_next, ({" ".join(names(stem) for stem in "xyzw")})
-
 def sensitivity_row(J, S, h):
     half = 0.5 * h; sixth = h / 6.0
     T, P = empty(({n}, {n})), empty(({n}, {n}))
@@ -345,32 +340,29 @@ def sensitivity_row(J, S, h):
         {each("t[{0}] = s{0} + h * c{0}", m)}; prod(J4, T, out=P); {names("d", m)} = p
         {names("s", m)} = {each("s{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", m, ", ")},
     return {names("s", m)}
-""" + _plant_row_source(n, lambda src, dst: f"k = f(({names(src)})); {names(dst)} = k")
+"""
+    source += "".join(_rk4_row_source(n, lambda src, dst: f"k = f(({names(src)})); {names(dst)} = k", held=held)
+                      for held in (False, True))
     scope = {"check_row_length": _check_row_length, "empty": np.empty,
              "prod": np.matmul if n == 1 else np.ndarray.dot}
     exec(compile(source, f"<softcbf row kernels n={n}>", "exec"), scope)
-    return scope["rk4_row"], scope["sensitivity_row"], scope["plant_row"]
+    return scope["interval_row"], scope["sensitivity_row"], scope["plant_row"]
 
 
 @functools.lru_cache(maxsize=64)
-def _linear_plant_row(terms: tuple):
-    """`plant_row` of `_row_kernels(n)` for a linear drift, given by its
-    `LinearDrift.terms`, with the drift written into each stage: slope i is
-    the sum, in j order, of A[i, j] * x_j over the nonzero entries of row i,
-    each A[i, j] as its repr (which reads back as the same float), or 0.0,
-    as the drift's block form computes it, so a step has `rk4_step`'s bits
-    on that drift.  It never calls f, which may be None.  Generated at the
-    first plant step on each A, by one compile/exec like `_row_kernels`;
-    unlike those, keyed by n, the cache is keyed by the matrix, so it keeps
-    the kernels of at most 64 matrices, not one for every drift a program
-    builds."""
-    def slope(src, dst):
-        return "; ".join(f"{dst}{i} = " + (" + ".join(f"{a!r} * {src}{j}" for j, a in row) or "0.0")
-                         for i, row in enumerate(terms))
-
-    scope = {"check_row_length": _check_row_length}
-    exec(compile(_plant_row_source(len(terms), slope), "<softcbf linear plant row>", "exec"), scope)
-    return scope["plant_row"]
+def _inline_kernel(field: tuple, held: bool) -> Callable:
+    """`_row_kernels(n)`'s interval_row, or its plant_row with `held`, for a field
+    declared as a tuple of n Exprs, written into each RK4 stage (see
+    `safety_filter._slope`), so a step has `rk4_step`'s bits on its block
+    form and makes no Python call per stage.  The kernel never calls f,
+    which may be None.  Generated at the first flow or plant step on each
+    field, by one compile/exec like `_row_kernels`; unlike those, keyed by
+    n, the cache is keyed by the field, so it keeps the kernels of at most
+    64 fields, not one for every field a program declares (a LinearDrift's
+    field is shared by every drift of its matrix, see `_linear_field`)."""
+    scope = {"check_row_length": _check_row_length, "empty": np.empty, "sin": np.sin, "tanh": np.tanh}
+    exec(compile(_rk4_row_source(len(field), *_slope(field, scope), held), "<softcbf inline kernel>", "exec"), scope)
+    return scope["plant_row" if held else "interval_row"]
 
 
 def _raise_blow_up(F: Callable, X: np.ndarray, h: float, n_sub: int, i: int):
@@ -398,10 +390,13 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     checked on the first RK4 step only: the later steps, finite differences
     and a blow-up re-run skip its checks (see
     `ControlAffineSystem._closed_loop_fields`).  A one-row block on a fused
-    closed loop with a row form runs its value steps on the row form through
-    the generated kernel for its n (`_row_kernels`), bit for bit, once it
-    returns n floats on the initial state; it calls the block field,
-    checked, only for finite differences or a blow-up re-run.
+    closed loop runs each slice interval's value steps in one call of a
+    generated kernel, bit for bit: for a closed loop declared as Exprs, the
+    kernel with the expression written into its stages (`_inline_kernel`),
+    which makes no Python call per RK4 stage; for a callable row form, the
+    kernel for its n (`_row_kernels`), once the row form returns n floats
+    on the initial state.  It calls the block field, checked, only for
+    finite differences or a blow-up re-run.
     Finiteness is tested once per slice interval: a non-finite state stays
     non-finite under the later RK4 updates, so the interval is then re-run
     step by step on the block field to raise BlowUpError with the time of
@@ -411,7 +406,8 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     Jacobian then runs on groups of whole steps of at most _JACOBIAN_ROWS
     stage rows (one call per interval while its 4*n_sub*B rows fit), each
     followed by the sensitivity recursion over its steps.  On the row path
-    the stage states of the whole flow go into one flat list of floats, and
+    the kernel writes the stage states of the whole flow into one float64
+    buffer, and
     once every interval has passed the finiteness test the Jacobian runs on
     groups of whole steps across interval ends, up to _JACOBIAN_ROWS stage
     rows (one call for the pendulum's 800): a block of two or more rows
@@ -431,16 +427,21 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         raise InvalidInputError("initial states must be finite")
     B, n = X.shape
     F, F_rest, row = prob.sys._closed_loop_fields(prob.k_b)
-    row = row if B == 1 else None
-    if row is not None:
-        x = tuple(X[0].tolist())
-        _check_first_row(row, x, n)
-        rk4_row, sensitivity_row, _ = _row_kernels(n)
-        # no block step runs, so the block field stays checked
-        stage_rows, F_rest = [], F
     n_sub = max(1, math.ceil(prob.dtau / prob.h_max))
     h = prob.dtau / n_sub
     N = prob.N
+    interval_row = None
+    if B == 1 and row is not None:
+        x = tuple(X[0].tolist())
+        if isinstance(row, tuple):
+            interval_row, row = _inline_kernel(row, False), None
+        else:
+            _check_first_row(row, x, n)
+            interval_row = _row_kernels(n)[0]
+        # the stage states of the whole flow; no block step runs, so the
+        # block field stays checked
+        stage_rows, F_rest = np.empty(((N - 1) * n_sub * 4, n)), F
+        out = memoryview(stage_rows.reshape(-1))
 
     states = np.empty((N, B, n))
     states[0] = X
@@ -449,9 +450,9 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
         jac = _make_jacobian(prob, F_rest)
         sens = np.empty((N, B, n, n))
         sens[0] = np.eye(n)
-        S = sens[0].copy() if row is None else sens[0, 0].ravel().tolist()
+        S = sens[0].copy() if interval_row is None else sens[0, 0].ravel().tolist()
         # the stage states of each RK4 step of one slice interval, which
-        # the row path lists in stage_rows for the whole flow instead
+        # the row path records in stage_rows for the whole flow instead
         stages = np.empty((n_sub, 4, B, n))
         group = max(1, _JACOBIAN_ROWS // (4 * B))
         # rk4_step's coefficients; S and each J @ S are float64 whatever
@@ -461,7 +462,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     # divergence is detected explicitly, so let overflow produce inf quietly
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, N):
-            if row is None:
+            if interval_row is None:
                 for s in range(n_sub):
                     X, stage_states = rk4_step(F, X, h)
                     F = F_rest
@@ -469,14 +470,11 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                         stages[s] = stage_states
                 states[i] = X
             else:
-                for s in range(n_sub):
-                    x, stage_states = rk4_row(row, x, h)
-                    if sens is not None:
-                        stage_rows += stage_states
+                x = interval_row(row, x, h, n_sub, out, 4 * n * n_sub * (i - 1))
                 states[i, 0] = x
             if not np.isfinite(states[i]).all():
                 _raise_blow_up(F_rest, states[i - 1], h, n_sub, i)
-            if sens is None or row is not None:
+            if sens is None or interval_row is not None:
                 continue
             for g in range(0, n_sub, group):
                 for J in jac(stages[g:g + group].reshape(-1, n)).reshape(-1, 4, B, n, n):
@@ -486,13 +484,13 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                     k4s = J[3] @ (S + c_h * k3s)
                     S = S + c_sixth * (k1s + _TWO * k2s + _TWO * k3s + k4s)
             sens[i] = S
-        if row is not None and sens is not None:
+        if interval_row is not None and sens is not None:
             # once every interval is finite: whole RK4 steps across interval
             # ends, up to _JACOBIAN_ROWS stage rows per call
-            A = np.array(stage_rows).reshape(-1, n)
             size = 4 * group
-            Js = [jac(A[r:r + size]) for r in range(0, len(A), size)]
+            Js = [jac(stage_rows[r:r + size]) for r in range(0, len(stage_rows), size)]
             J = Js[0] if len(Js) == 1 else np.concatenate(Js)
+            sensitivity_row = _row_kernels(n)[1]
             for i in range(1, N):
                 S = sensitivity_row(J[4 * n_sub * (i - 1):4 * n_sub * i], S, h)
                 sens[i, 0].flat = S

@@ -18,6 +18,7 @@ stacked matmul, so a row of a block is bitwise the one-row result.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -26,9 +27,11 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import _as_states, _check_shapes, _checked_box, call_batched
+from .softmin import _constant
 
 __all__ = [
     "ConstantActuation",
+    "Expr",
     "LinearDrift",
     "ControlAffineSystem",
     "FusedPlant",
@@ -67,17 +70,152 @@ class ConstantActuation:
         return view[: len(X)]
 
 
+def _operator(op: str, swap: bool = False) -> Callable:
+    """Expr's binary operator op, with the operands swapped for the
+    reflected one; another operand than an Expr is a finite constant, and
+    a divisor must be a nonzero constant."""
+    def method(self, other):
+        if not isinstance(other, Expr):
+            other = Expr("c", float(other))
+            if not math.isfinite(other.args[0]):
+                raise InvalidInputError(f"an expression constant must be finite, got {other.args[0]}")
+        if op == "/" and (swap or other.op != "c" or other.args[0] == 0.0):
+            raise InvalidInputError("an expression divides only by a nonzero constant")
+        return Expr(op, other, self) if swap else Expr(op, self, other)
+
+    return method
+
+
+class Expr:
+    """A scalar expression in the state x, declared once so that every form
+    of it can be generated: state components (`Expr.state(n)`), finite float
+    constants, + - * /, negation, `sin`, `tanh` and `Expr.dot(v)`, the dot
+    of a constant vector v with x.  A tuple of n of them declares a vector
+    field, such as `FusedPlant.closed_loop` or a LinearDrift's components.
+    For example, xdot = (x1, x2, -x0 - 2 x1 - 2 x2 - 0.5 x0^3) is
+
+        x0, x1, x2 = Expr.state(3)
+        field = (x1, x2, -x0 - 2.0 * x1 - 2.0 * x2 - 0.5 * x0 * x0 * x0)
+
+    `_block_form` writes the field on a block X (B, n), with numpy on the
+    columns X[:, i], X.dot(v) and 0-d float64 constants, and `_slope` writes
+    it on one state of Python floats into `backup`'s generated one-row
+    kernels: Python floats for + - * / and numpy scalar calls for `sin`,
+    `tanh` and the dot, under FusedPlant's row-form rules, so that both
+    forms give the bits of the written expression.  A divisor must be a
+    nonzero constant, as Python's float division raises where numpy gives
+    inf or nan.
+    """
+
+    __array_ufunc__ = None  # a numpy operand defers to the operators below
+
+    def __init__(self, op: str, *args):
+        self.op, self.args = op, args
+
+    @staticmethod
+    def state(n: int) -> tuple:
+        return tuple(Expr("x", i) for i in range(n))
+
+    @staticmethod
+    def dot(v) -> "Expr":
+        v = np.array(v, dtype=float)
+        if v.ndim != 1 or not np.isfinite(v).all():
+            raise InvalidInputError(f"a dot needs a finite vector, got shape {v.shape}")
+        return Expr("dot", v)
+
+    sin, tanh, __neg__ = [(lambda self, op=op: Expr(op, self)) for op in ("sin", "tanh", "-")]
+    __add__, __radd__, __sub__, __rsub__ = _operator("+"), _operator("+", True), _operator("-"), _operator("-", True)
+    __mul__, __rmul__ = _operator("*"), _operator("*", True)
+    __truediv__, __rtruediv__ = _operator("/"), _operator("/", True)
+
+    def _code(self, src: Optional[str], name: Callable) -> str:
+        """The source of this expression on the block X where src is None,
+        else on the state src0, src1, ... of Python floats.  name(value)
+        adds a constant of the block form to the generated code's scope and
+        returns its name; in the row form it takes a dot node and returns
+        the local name of its value (see `_slope`)."""
+        op, args = self.op, self.args
+        if op == "x":
+            return f"X[:, {args[0]}]" if src is None else f"{src}{args[0]}"
+        if op == "c":
+            return name(_constant(args[0])) if src is None else repr(args[0])
+        if op == "dot":
+            return f"X.dot({name(args[0])})" if src is None else name(self)
+        inner = [a._code(src, name) for a in args]
+        if op in ("sin", "tanh"):
+            return f"{op}({inner[0]})" if src is None else f"float({op}({inner[0]}))"
+        return f"(-{inner[0]})" if len(inner) == 1 else f"({inner[0]} {op} {inner[1]})"
+
+
+def _name(scope: dict, value) -> str:
+    """A fresh name for value in the scope of generated code."""
+    scope[f"k{len(scope)}"] = value
+    return f"k{len(scope) - 1}"
+
+
+@functools.lru_cache(maxsize=64)
+def _block_form(field: tuple) -> Callable:
+    """The block form X (B, n) -> (B, n) of a field declared as a tuple of n
+    Exprs (see Expr), generated at its first use by one compile/exec, as
+    `backup._row_kernels` is, and cached while the tuple lives in the cache."""
+    scope = {"empty": np.empty, "sin": np.sin, "tanh": np.tanh}
+    body = "".join(f"\n    out[:, {i}] = {e._code(None, functools.partial(_name, scope))}" for i, e in enumerate(field))
+    source = f"def block(X):\n    out = empty((len(X), {len(field)})){body}\n    return out\n"
+    exec(compile(source, "<softcbf block form>", "exec"), scope)
+    return scope["block"]
+
+
+def _slope(field: tuple, scope: dict) -> tuple:
+    """(slope, prologue) for the kernel templates of `backup`: slope(src,
+    dst) is the statement that sets dst0, ... to the field on the stage
+    state src0, ... of Python floats, and prologue the statement that makes
+    the kernel's own operand arrays, or "" where the field takes no dot.
+    Each dot of a stage runs first, as its vector's bound ndarray.dot on
+    the operand o_, filled with the stage state, into the 0-d r_, both
+    written and read through memoryviews, which cost less than ndarray
+    item access; the dot's bits are those of a fresh operand per call.
+    Its constants go into scope, which must hold empty, sin and tanh."""
+
+    def slope(src, dst):
+        n, pre = len(field), []
+
+        def dot(e):
+            k = _name(scope, e.args[0].dot)
+            pre.append(f"{k}(o_, r_); {k}_ = rm[()]")
+            return f"{k}_"
+
+        code = [f"{dst}{i} = {e._code(src, dot)}" for i, e in enumerate(field)]
+        fill = [f"om[{i}] = {src}{i}" for i in range(n)] if pre else []
+        return "; ".join(fill + pre + code)
+
+    operands = f"o_, r_ = empty({len(field)}), empty(()); om, rm = memoryview(o_), memoryview(r_)"
+    return slope, operands if "rm[" in slope("x", "a") else ""
+
+
+@functools.lru_cache(maxsize=64)
+def _linear_field(terms: tuple) -> tuple:
+    """The LinearDrift of `terms` as a tuple of Exprs, one per component:
+    the left fold of its products A[i, j] * x_j, with x_j for A[i, j] = 1.0,
+    or the constant 0.0 for a row with none.  Cached by terms, so that
+    every drift of one matrix shares one tuple and its generated forms."""
+    x = Expr.state(len(terms))
+    sums = ([x[j] if a == 1.0 else a * x[j] for j, a in row] for row in terms)
+    return tuple(sum(t[1:], t[0]) if t else Expr("c", 0.0) for t in sums)
+
+
 class LinearDrift:
     """Drift f0(x) = A x, declared as a finite (n, n) matrix A, as a callable
     that follows the system contract: a block (B, n) gives (B, n).
 
     Component i is the sum, in j order, of A[i, j] * x_j over the nonzero
-    entries of row i, and 0.0 where the row has none; the block form fills
-    one column per component.  So 1.0 * x_j is x_j exactly, and a hand-
-    written drift such as `out[:, 0] = X[:, 1]` or `-1.0 * X` has the same
-    bits.  On a ConstantActuation, `sim.run` steps a block of up to
-    `sim._PLANT_ROWS` rows on a plant kernel generated once per A, with
-    these sums written into its RK4 stages (see `sim._plant_block`).
+    entries of row i, and 0.0 where the row has none, declared once as the
+    Exprs `field` (`_linear_field`); the block form is generated from them
+    at the first call (`_block_form`), one numpy operation per term.  So
+    1.0 * x_j is x_j exactly, and a hand-written drift such as
+    `out[:, 0] = X[:, 1]` or `-1.0 * X` has the same bits.  On a
+    ConstantActuation, `sim.run` steps a block of up to `sim._PLANT_ROWS`
+    rows on a plant kernel generated from the same field, with these sums
+    written into its RK4 stages (see `sim._plant_block`).
     """
 
     def __init__(self, A):
@@ -88,15 +226,14 @@ class LinearDrift:
         # per component, the (j, A[i, j]) of its row's nonzero entries in j
         # order, as Python ints and floats
         self.terms = tuple(tuple((int(j), float(A[i, j])) for j in np.flatnonzero(A[i])) for i in range(len(A)))
+        self.field = _linear_field(self.terms)
+
+    @functools.cached_property
+    def _block(self) -> Callable:
+        return _block_form(self.field)
 
     def __call__(self, X):
-        out = np.zeros((len(X), len(self.terms)))
-        for i, row in enumerate(self.terms):
-            for k, (j, a) in enumerate(row):
-                # 1.0 * x_j is x_j exactly, so it is not computed
-                term = X[:, j] if a == 1.0 else a * X[:, j]
-                out[:, i] = out[:, i] + term if k else term
-        return out
+        return self._block(X)
 
 
 @dataclass(frozen=True)
@@ -108,29 +245,33 @@ class FusedPlant:
     `plant` maps blocks X (B, n) and U (B, m) to (B, n), bit for bit the
     composed `drift(X) + einsum("bij,bj->bi", actuation(X), U)` on finite
     states and inputs, including the sign of zero: the einsum adds an exact
-    +0.0 to every component.  `closed_loop`, given with `controller`, maps
-    a block X (B, n) to (B, n), bit for bit `plant(X, controller(X))` on
-    finite states, sign of zero included.
+    +0.0 to every component.  `closed_loop`, given with `controller`, is
+    the field X -> plant(X, controller(X)), bit for bit on finite states,
+    sign of zero included, declared as a tuple of n Exprs (see Expr), from
+    which its block form and the one-row flows' kernel are generated (see
+    `backup._inline_kernel`), or as a callable block form.
 
-    The two row forms are `drift` and `closed_loop` on one state: each maps
-    a tuple of n floats to a tuple (or list) of n floats, bit for bit the
-    block form on that one-row block.  `drift_row` serves `sim.run`'s plant
-    steps of a block of up to `sim._PLANT_ROWS` rows, with each row's held
-    input added, while `actuation` is a ConstantActuation (see
-    `sim._plant_block`); a LinearDrift needs none, as its plant steps take a
-    kernel with the drift written inline.  `closed_loop_row` serves one-row
-    backup flows.  Each is called from the straight-line kernel generated
-    for n (see `backup._row_kernels`), which unpacks every output into n
-    local floats: the initial state's output is checked to be n floats, and
-    any later output of another length raises InvalidInputError.  Only
-    + - * / may be Python float arithmetic; the rest goes through the block
-    form's numpy kernels (a bound ndarray.dot for a one-row product, which
-    reaches the BLAS dot of the block's matmul, np.sin, np.tanh, ...), since
-    `math` and a written-out dot differ in the last bit.  A product's
-    operand should be a fresh float64 array filled by item assignment, not
-    the state tuple, which numpy converts at every call; a buffer shared
-    across calls would not be thread-safe.  A row form must not raise on
-    overflow: a square is `x * x`, as Python's float `**` raises.
+    The hand-written row forms are `drift`, and a callable `closed_loop`,
+    on one state: each maps a tuple of n floats to a tuple (or list) of n
+    floats, bit for bit the block form on that one-row block.  `drift_row`
+    serves `sim.run`'s plant steps of a block of up to `sim._PLANT_ROWS`
+    rows, with each row's held input added, while `actuation` is a
+    ConstantActuation (see `sim._plant_block`); a LinearDrift needs none, as
+    its plant steps take a kernel with the drift written inline.
+    `closed_loop_row` serves one-row backup flows; a declared expression
+    needs none.  Each is called from the straight-line kernel generated for
+    n (see `backup._row_kernels`), which unpacks every output into n local
+    floats: the initial state's output is checked to be n floats, and any
+    later output of another length raises InvalidInputError.  Only + - * /
+    may be Python float arithmetic; the rest goes through the block form's
+    numpy kernels (a bound ndarray.dot for a one-row product, which reaches
+    the BLAS dot of the block's matmul, np.sin, np.tanh, ...), since `math`
+    and a written-out dot differ in the last bit.  A product's operand
+    should be a fresh float64 array filled by item assignment, not the state
+    tuple, which numpy converts at every call; a buffer shared across calls
+    would not be thread-safe.  A row form must not raise on overflow: a
+    square is `x * x`, as Python's float `**` raises.  A generated kernel
+    keeps these rules.
     """
 
     plant: Callable
@@ -138,7 +279,7 @@ class FusedPlant:
     actuation: Callable
     drift_row: Optional[Callable] = None
     controller: Optional[Callable] = None
-    closed_loop: Optional[Callable] = None
+    closed_loop: Union[Callable, tuple, None] = None
     closed_loop_row: Optional[Callable] = None
 
 
@@ -179,6 +320,9 @@ class ControlAffineSystem:
             raise InvalidInputError("need n >= 1 and m >= 1")
         if isinstance(self.drift, LinearDrift) and self.drift.A.shape != (self.n, self.n):
             raise InvalidInputError(f"linear drift matrix {self.drift.A.shape} does not match n = {self.n}")
+        loop = self.fused and self.fused.closed_loop
+        if isinstance(loop, tuple) and (len(loop) != self.n or not all(isinstance(e, Expr) for e in loop)):
+            raise InvalidInputError(f"a closed-loop expression must be a tuple of n = {self.n} Exprs, got {loop!r}")
         if self.input_box is not None:
             object.__setattr__(self, "input_box", _checked_box(self.input_box, self.m, "input box"))
 
@@ -201,12 +345,17 @@ class ControlAffineSystem:
     def _closed_loop_fields(self, controller: Callable) -> tuple:
         """`closed_loop(controller)`, the same field on (B, n) blocks without
         its checks, for a flow's RK4 steps after its first, and the fused
-        closed loop's row form, or None."""
+        closed loop's row form (a callable, or its declared tuple of Exprs),
+        or None."""
         n, m = self.n, self.m
         loop = self._fused_plant(controller)
         if loop is not None and loop.closed_loop is not None:
-            f = loop.closed_loop
-            return lambda X: call_batched(f, _as_states(X, n), (n,)), f, loop.closed_loop_row
+            f, row = loop.closed_loop, loop.closed_loop_row
+            if isinstance(f, tuple):
+                # a declared expression: its generated block form, and the
+                # expression itself for one-row flows
+                f, row = _block_form(f), f
+            return lambda X: call_batched(f, _as_states(X, n), (n,)), f, row
         p = self._fused_plant()
         if p is not None:
             plant = p.plant
@@ -460,20 +609,31 @@ def _breakpoint_search(a, c, rhs, u_des, box, u0):
     at its box edge in the direction of a_j."""
     s = math.ldexp(1.0, min(max(0, -math.frexp(float(np.abs(a).max()))[1]), 1023))
     a_s = a * s
-    # component j is free between its two breakpoints, adding a_j^2 to the slope
+    # component j is free between its two breakpoints and fixed elsewhere:
+    # at u0_j before, at the box edge it moves to after
     j = np.flatnonzero(a_s)
+    k, aj, d = len(j), a_s[j].tolist(), u_des[j].tolist()
+    fixed, edge = u0[j].tolist(), np.where(a_s[j] > 0, box[j, 1], box[j, 0]).tolist()
     ends = (box[j] - u_des[j, None]) / a_s[j, None]
     times = np.maximum(np.concatenate([ends.min(axis=1), ends.max(axis=1)]), 0.0)
-    rates = np.concatenate([a_s[j] ** 2, -(a_s[j] ** 2)])
     order = np.argsort(times, kind="stable")
-    # gap: how far a.u(lam) still falls short of the target
-    lam, gap, slope = 0.0, (rhs - c) * s - float(a_s @ u0), 0.0
-    for t, rate in zip(times[order], rates[order]):
-        if slope * (t - lam) >= gap:
-            lam += gap / slope
-            break
-        gap -= slope * (t - lam)
-        lam, slope = t, slope + rate
+    free, lam = [False] * k, 0.0
+    for t, e in zip(times[order].tolist(), order.tolist()):
+        # where a.u(lam) meets the target on the segment from the last
+        # breakpoint lam to t: (target - a.u(0), the free components at
+        # u_des) / (sum of their a_j^2), each sum correctly rounded, as a
+        # running gap or slope would carry the rounding of a large a_j^2
+        # into a small remainder
+        slope = math.fsum([x * x for x, f in zip(aj, free) if f])
+        if t > lam and slope > 0.0:
+            rest = math.fsum([(rhs - c) * s] + [-x * (y if f else v) for x, f, y, v in zip(aj, free, d, fixed)])
+            lam = max(lam, rest / slope)
+            if lam <= t:
+                break
+        free[e % k] = e < k
+        if e >= k:
+            fixed[e - k] = edge[e - k]
+        lam = t
     lam *= s
 
     def clipped(lam):

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import softmin as sm
-from .backup import _check_first_row, _linear_plant_row, _row_kernels, rk4_step
+from .backup import _check_first_row, _inline_kernel, _row_kernels, rk4_step
 from .errors import InvalidInputError
 from .geometry import call_batched
 from .safety_filter import (
@@ -177,7 +177,7 @@ def _plant_rows(sys, x: tuple) -> tuple:
     inline, which takes no f, else the fused plant's drift row form, checked
     to return n floats on x, and `_row_kernels`' plant_row."""
     if isinstance(sys.drift, LinearDrift):
-        return None, _linear_plant_row(sys.drift.terms)
+        return None, _inline_kernel(sys.drift.field, True)
     plant = sys._fused_plant()
     if plant is None or plant.drift_row is None:
         return None, None

@@ -17,7 +17,7 @@ import numpy as np
 from .backup import BackupProblem, ValueForms, slice_constraint_set
 from .errors import InvalidInputError
 from .geometry import ConstraintSet
-from .safety_filter import ConstantActuation, ControlAffineSystem, FusedPlant, LinearDrift
+from .safety_filter import ConstantActuation, ControlAffineSystem, Expr, FusedPlant, LinearDrift
 from .softmin import _constant
 
 __all__ = [
@@ -165,8 +165,8 @@ PENDULUM_HB_LEVEL = 0.05
 # shear of the safe-set coordinates; keeps the inward-flow condition
 # non-degenerate where the boundary crosses the zero-velocity axis
 PENDULUM_SHEAR = 0.4
-# operands of the fused plant and closed loop, whose other side is float64
-_ZERO, _U_MAX, _NEG_U_MAX = _constant(0.0), _constant(PENDULUM_U_MAX), _constant(-PENDULUM_U_MAX)
+# operand of the fused plant, whose other side is float64
+_ZERO = _constant(0.0)
 
 
 def pendulum_backup() -> Benchmark:
@@ -199,10 +199,9 @@ def pendulum_backup() -> Benchmark:
         out[:, 1] = np.sin(X[:, 0]) + (U[:, 0] + _ZERO)
         return out
 
-    # the row forms' numpy functions and constants as closure names, which
-    # cost less per call than module globals and attributes
-    empty, sin, tanh, k_dot = np.empty, np.sin, np.tanh, PENDULUM_K.dot
-    u_max, neg_u_max = PENDULUM_U_MAX, -PENDULUM_U_MAX
+    # the row form's numpy function as a closure name, which costs less per
+    # call than a module attribute
+    sin = np.sin
 
     def drift_row(x):
         # drift on a tuple of floats; sin stays a numpy call (math.sin may differ)
@@ -215,25 +214,11 @@ def pendulum_backup() -> Benchmark:
         u = PENDULUM_U_MAX * np.tanh(X.dot(PENDULUM_K) / -PENDULUM_U_MAX)
         return u[:, None]
 
-    def closed_loop(X):
-        # plant(X, k_b(X)) with k_b written inline
-        out = np.empty(X.shape)
-        out[:, 0] = X[:, 1] + _ZERO
-        out[:, 1] = np.sin(X[:, 0]) + (_U_MAX * np.tanh(X.dot(PENDULUM_K) / _NEG_U_MAX) + _ZERO)
-        return out
-
-    def closed_loop_row(x):
-        # closed_loop on a tuple of floats, same operations in the same order;
-        # K.x, tanh and sin stay numpy calls (a written-out dot or math differ),
-        # K.x through the bound ndarray.dot, which skips np.dot's dispatch, on
-        # a float64 array, which numpy need not convert as it does a tuple;
-        # a fresh one per call, as a shared buffer is not thread-safe
-        x0, x1 = x
-        a = empty(2)
-        a[0] = x0
-        a[1] = x1
-        u = u_max * float(tanh(float(k_dot(a)) / neg_u_max))
-        return (x1 + 0.0, float(sin(x0)) + (u + 0.0))
+    # plant(X, k_b(X)) with k_b written inline, + 0.0 terms included (see
+    # plant), declared once: its block form and the one-row flows' kernel
+    # are generated from it
+    a, w = Expr.state(2)
+    closed_loop = (w + 0.0, a.sin() + (PENDULUM_U_MAX * (Expr.dot(PENDULUM_K) / -PENDULUM_U_MAX).tanh() + 0.0))
 
     actuation = ConstantActuation([[0.0], [1.0]])
     sys = ControlAffineSystem(
@@ -242,7 +227,7 @@ def pendulum_backup() -> Benchmark:
         drift=drift,
         actuation=actuation,
         input_box=np.array([[-PENDULUM_U_MAX, PENDULUM_U_MAX]]),
-        fused=FusedPlant(plant, drift, actuation, drift_row, k_b, closed_loop, closed_loop_row),
+        fused=FusedPlant(plant, drift, actuation, drift_row, k_b, closed_loop),
     )
 
     c = PENDULUM_SHEAR

@@ -10,11 +10,13 @@ from scipy.linalg import expm
 
 import softcbf.backup
 import softcbf.sim
+from softcbf.systems import PENDULUM_K, PENDULUM_U_MAX
 from softcbf import (
     BackupProblem,
     BlowUpError,
     ControlAffineSystem,
     DomainError,
+    Expr,
     FlowResult,
     FusedPlant,
     InvalidInputError,
@@ -60,6 +62,30 @@ def fused_loop(sys, controller, closed_loop, row=None):
 def with_fused(prob, **fields):
     """prob with the named fields of its system's FusedPlant replaced."""
     return dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=dataclasses.replace(prob.sys.fused, **fields)))
+
+
+def block_form(prob):
+    """The block form of prob's fused closed loop: generated from its
+    declared expression, or the declared callable."""
+    return prob.sys._closed_loop_fields(prob.k_b)[1]
+
+
+def pendulum_closed_loop_row(x):
+    """The pendulum's closed loop on one state, as it was written by hand
+    before it was declared as an expression: a callable row form under
+    FusedPlant's row-form rules, for the tests of the row path's checks."""
+    x0, x1 = x
+    a = np.empty(2)
+    a[0] = x0
+    a[1] = x1
+    u = PENDULUM_U_MAX * float(np.tanh(float(PENDULUM_K.dot(a)) / -PENDULUM_U_MAX))
+    return (x1 + 0.0, float(np.sin(x0)) + (u + 0.0))
+
+
+def with_callables(prob, **fields):
+    """The pendulum problem with its closed loop declared as callables: the
+    generated block form and the hand-written row form, unless given."""
+    return with_fused(prob, **{"closed_loop": block_form(prob), "closed_loop_row": pendulum_closed_loop_row, **fields})
 
 
 def quad_fn(level, scale=1.0):
@@ -485,10 +511,10 @@ def test_flow_callable_with_wrong_block_shape_raises():
 def test_fused_closed_loop_with_wrong_block_shape_raises():
     def field_single(X):
         # answers a block with the field of its first state
-        return prob.sys.fused.closed_loop(X[:1])[0]
+        return block_form(prob)(X[:1])[0]
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = with_fused(prob, closed_loop=field_single)
+    bad = with_callables(prob, closed_loop=field_single)
     assert bad.sys._closed_loop_fields(bad.k_b)[1] is field_single
     with pytest.raises(InvalidInputError, match=r"field_single returned shape \(2,\) for a block of 3 states; expected \(3, 2\)"):
         integrate_flow_batch(bad, np.zeros((3, 2)))
@@ -505,9 +531,9 @@ def test_row_path_flow_never_calls_the_block_field():
 
     def field(X):
         calls["field"] += 1
-        return prob.sys.fused.closed_loop(X)
+        return block_form(prob)(X)
 
-    counted = with_fused(prob, closed_loop=field)
+    counted = with_callables(prob, closed_loop=field)
     X0 = np.array([[0.3, -0.2]])
     for sensitivities in (False, True):
         got = integrate_flow_batch(counted, X0, sensitivities=sensitivities)
@@ -517,11 +543,12 @@ def test_row_path_flow_never_calls_the_block_field():
 
 @pytest.mark.gate
 def test_row_flows_equal_one_row_block_flows_bitwise():
-    # the row path against the same problem without a row form, whose
-    # one-row flows run rk4_step on (1, n) blocks of the fused closed loop
+    # the row path, on the kernel generated from the declared closed loop,
+    # against the same problem with its generated block form as a callable
+    # and no row form, whose one-row flows run rk4_step on (1, n) blocks
     prob = get_benchmark("pendulum-backup").backup
-    blocks = with_fused(prob, closed_loop_row=None)
-    assert blocks.sys._closed_loop_fields(blocks.k_b)[1:] == (prob.sys.fused.closed_loop, None)
+    blocks = with_callables(prob, closed_loop_row=None)
+    assert blocks.sys._closed_loop_fields(blocks.k_b)[1:] == (block_form(prob), None)
     box = prob.bounding_box
     rng = np.random.default_rng(5)
     X = rng.uniform(box[:, 0], box[:, 1], size=(200, prob.sys.n))
@@ -543,7 +570,7 @@ def row_form_problem(n):
     the field, and each component adds the + 0.0 that the composed field's
     einsum adds, so the fused closed loop is the composed one bit for bit."""
     if n == 2:
-        return get_benchmark("pendulum-backup").backup
+        return with_callables(get_benchmark("pendulum-backup").backup)
 
     if n == 1:
         def field(x):
@@ -608,6 +635,90 @@ def test_row_sensitivities_equal_block_sensitivities_bitwise(n):
         assert got.states.tobytes() == want.states.tobytes()
         assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
     assert rows["row"] == len(X) * (1 + 4 * got.stats.steps)
+
+
+def declared_problem(n):
+    """row_form_problem(n)'s model with its closed loop declared once as a
+    tuple of Exprs (the pendulum's own for n = 2, and a test-only third
+    model for n = 3), paired with the same problem on the composed path,
+    and a state from which its flow blows up (None for the pendulum, whose
+    field is bounded in the rate)."""
+    prob = row_form_problem(n)
+    x = Expr.state(3)
+    field, blow_up = {
+        1: ((-x[0] + 0.5 * x[0] * x[0] + 0.0,), [4.0]),
+        2: (get_benchmark("pendulum-backup").sys.fused.closed_loop, None),
+        3: ((x[1] + 0.0, x[2] + 0.0, -x[0] - 2.0 * x[1] - 2.0 * x[2] - 0.5 * x[0] * x[0] * x[0] + 0.0),
+            [50.0, 0.0, -0.0]),
+    }[n]
+    prob = with_fused(prob, closed_loop=field, closed_loop_row=None)
+    return prob, dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=None)), blow_up
+
+
+@pytest.mark.gate
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_declared_closed_loops_equal_the_composed_path_bitwise(n):
+    # the generated block form against plant(X, k_b(X)) and the composed
+    # field, and the generated interval kernel of one-row flows against
+    # one-row block flows on the composed field, on seeded states with
+    # signed zeros, a row [..., -0.0] and one state whose flow blows up
+    prob, composed, blow_up = declared_problem(n)
+    F, block, field = prob.sys._closed_loop_fields(prob.k_b)
+    assert field is prob.sys.fused.closed_loop and block is softcbf.safety_filter._block_form(field)
+    plant, reference = prob.sys.fused.plant, composed.sys.closed_loop(prob.k_b)
+    box = prob.bounding_box
+    rng = np.random.default_rng(40 + n)
+    X = rng.uniform(box[:, 0], box[:, 1], size=(400, n))
+    zeros = rng.uniform(size=X.shape) < 0.2
+    X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    X[0, -1] = -0.0
+    for B in (1, 2, 7, 400):
+        for r in range(0, len(X), B):
+            Xb = X[r:r + B]
+            want = reference(Xb).tobytes()
+            assert F(Xb).tobytes() == want and plant(Xb, prob.k_b(Xb)).tobytes() == want
+    for x in X[:30]:
+        for sens in (False, True):
+            got, want = integrate_flow_batch(prob, x[None], sens), integrate_flow_batch(composed, x[None], sens)
+            assert got.states.tobytes() == want.states.tobytes()
+            if sens:
+                assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
+    if blow_up is not None:
+        for sens in (False, True):
+            errors = []
+            for p in (prob, composed):
+                with pytest.raises(BlowUpError) as err:
+                    integrate_flow_batch(p, np.array([blow_up]), sens)
+                errors.append((str(err.value), err.value.time))
+            assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: x[0] / x[1],
+    lambda x: x[0] / 0.0,
+    lambda x: x[0] / -0.0,
+    lambda x: 1.0 / x[0],
+    lambda x: x[0] / Expr.dot([1.0, 2.0]),
+])
+def test_expression_divides_only_by_a_nonzero_constant(make):
+    # Python's float division raises where numpy's gives inf or nan, so the
+    # row form could not keep the block form's bits
+    with pytest.raises(InvalidInputError, match="divides only by a nonzero constant"):
+        make(Expr.state(2))
+
+
+def test_expression_refuses_non_finite_constants_and_a_closed_loop_of_the_wrong_length():
+    x0, x1 = Expr.state(2)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            x0 + bad
+    with pytest.raises(InvalidInputError, match="a dot needs a finite vector"):
+        Expr.dot([1.0, math.nan])
+    prob = get_benchmark("pendulum-backup").backup
+    for field in ((x1 + 0.0,), (x1, x0, x0), (x1, 0.0)):
+        with pytest.raises(InvalidInputError, match=r"a closed-loop expression must be a tuple of n = 2 Exprs"):
+            with_fused(prob, closed_loop=field)
+    assert (x0 / 2.0).op == "/" and (np.float64(2.0) * x0).op == "*"
 
 
 def matmul_sensitivity_recursion(J, S, h):
@@ -728,7 +839,7 @@ def float_bits(values):
 def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
     # the row form answers from a script of drawn slopes, so special values
     # reach every stage; both bodies see the same script
-    rk4_row, sensitivity_row, plant_row = softcbf.backup._row_kernels(n)
+    interval_row, sensitivity_row, plant_row = softcbf.backup._row_kernels(n)
     rng = np.random.default_rng(100 + n)
     # the plant step's held rows and slopes, from a stream of their own
     plant_rng = np.random.default_rng(200 + n)
@@ -738,19 +849,27 @@ def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
         h = float(rng.choice([0.01, 0.2 / 3, 0.5, rng.uniform(1e-4, 1.0)]))
         x = tuple(special_draws(rng, n, rate).tolist())
         slopes = special_draws(rng, (4, n), rate).tolist()
-        x_next, stages = rk4_row(scripted_row(slopes), x, h)
-        want_next, want_stages = reference_rk4_row(scripted_row(slopes), x, h)
-        assert float_bits(x_next) == float_bits(want_next)
-        assert float_bits(stages) == float_bits(want_stages)
+        # a slice interval of one to three steps, its stage states written
+        # after the buffer's first entry
+        n_sub = int(rng.integers(1, 4))
+        slopes = special_draws(rng, (4 * n_sub, n), rate).tolist()
+        out = np.full(1 + 4 * n * n_sub, 7.0)
+        x_next = interval_row(scripted_row(slopes), x, h, n_sub, memoryview(out), 1)
+        want_next, want_stages, f = x, [7.0], scripted_row(slopes)
+        for _ in range(n_sub):
+            want_next, stages = reference_rk4_row(f, want_next, h)
+            want_stages += [v for stage in stages for v in stage]
+        assert type(x_next) is tuple and float_bits(x_next) == float_bits(want_next)
+        assert float_bits(out) == float_bits(want_stages)
 
-        # a plant step: its substeps of rk4_row on the drift row plus g
+        # a plant step: its substeps of the reference step on the drift row plus g
         g = tuple(special_draws(plant_rng, n, rate).tolist())
         for substeps in (1, int(plant_rng.integers(2, 10)), 10):
             slopes = special_draws(plant_rng, (4 * substeps, n), rate).tolist()
             got = plant_row(scripted_row(slopes), x, g, h, substeps)
             f, want = reference_held_row(scripted_row(slopes), g), x
             for _ in range(substeps):
-                want, _ = rk4_row(f, want, h)
+                want, _ = reference_rk4_row(f, want, h)
             assert type(got) is tuple and float_bits(got) == float_bits(want)
 
         J = special_draws(rng, (4 * int(rng.integers(1, 4)), n, n), rate)
@@ -828,10 +947,10 @@ def test_blow_up_reports_time_on_the_row_path_with_sensitivities():
 
 def test_fused_row_form_with_wrong_length_raises():
     def short_row(x):
-        return prob.sys.fused.closed_loop_row(x)[:1]
+        return pendulum_closed_loop_row(x)[:1]
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = with_fused(prob, closed_loop_row=short_row)
+    bad = with_callables(prob, closed_loop_row=short_row)
     with pytest.raises(InvalidInputError, match=r"short_row returned \(.+,\) for one state; expected 2 floats"):
         integrate_flow_batch(bad, np.zeros((1, 2)))
     # only a one-row flow takes the row path and checks the row form
@@ -847,11 +966,11 @@ def test_row_form_that_changes_length_after_its_first_call_raises(extra, sensiti
 
     def drifting_row(x):
         calls["row"] += 1
-        out = prob.sys.fused.closed_loop_row(x)
+        out = pendulum_closed_loop_row(x)
         return out if calls["row"] < 3 else out + (0.0,) if extra > 0 else out[:1]
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = with_fused(prob, closed_loop_row=drifting_row)
+    bad = with_callables(prob, closed_loop_row=drifting_row)
     with pytest.raises(InvalidInputError, match=rf"drifting_row returned {2 + extra} values for one state; expected 2"):
         integrate_flow_batch(bad, np.full((1, 2), 0.01), sensitivities=sensitivities)
 
@@ -864,10 +983,10 @@ def test_value_error_inside_a_row_form_propagates_unchanged():
         calls["row"] += 1
         if calls["row"] == 6:
             raise failure
-        return prob.sys.fused.closed_loop_row(x)
+        return pendulum_closed_loop_row(x)
 
     prob = get_benchmark("pendulum-backup").backup
-    bad = with_fused(prob, closed_loop_row=failing_row)
+    bad = with_callables(prob, closed_loop_row=failing_row)
     with pytest.raises(ValueError) as err:
         integrate_flow_batch(bad, np.full((1, 2), 0.01))
     assert err.value is failure
@@ -889,7 +1008,7 @@ def test_every_closed_loop_of_the_declared_controller_takes_the_fused_closed_loo
 
     fused = bench.sys.fused
     sys = dataclasses.replace(bench.sys, fused=dataclasses.replace(
-        fused, plant=counted("plant", fused.plant), closed_loop=counted("closed_loop", fused.closed_loop)))
+        fused, plant=counted("plant", fused.plant), closed_loop=counted("closed_loop", block_form(bench.backup))))
     prob = dataclasses.replace(bench.backup, sys=sys)
     bench = dataclasses.replace(bench, sys=sys, backup=prob)
     X = np.random.default_rng(3).uniform(prob.bounding_box[:, 0], prob.bounding_box[:, 1], size=(5, 2))
@@ -935,8 +1054,8 @@ def test_fused_closed_loop_applies_only_to_the_callables_it_was_declared_for():
     drift = counted("drift", prob.sys.drift)
     actuation = counted("actuation", prob.sys.actuation)
     k_b = counted("k_b", prob.k_b)
-    field = counted("fused", prob.sys.fused.closed_loop)
-    row = counted("row", prob.sys.fused.closed_loop_row)
+    field = counted("fused", block_form(prob))
+    row = counted("row", pendulum_closed_loop_row)
     plant = counted("plant", prob.sys.fused.plant)
     sys = dataclasses.replace(prob.sys, drift=drift, actuation=actuation,
                               fused=FusedPlant(plant, drift, actuation, None, k_b, field, row))
@@ -1360,8 +1479,8 @@ def test_rk4_step_matches_python_float_coefficients_bitwise(B):
 
 @pytest.mark.gate
 def test_one_row_flows_in_two_threads_give_the_single_thread_bits():
-    # the row form builds a fresh K.x operand at every call and the kernels
-    # keep their buffers per call, so concurrent one-row flows share no state
+    # the generated kernels make their operand arrays and buffers per call,
+    # so concurrent one-row flows share no state
     prob = get_benchmark("pendulum-backup").backup
     box = prob.bounding_box
     starts = [np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(12, 2)) for seed in (31, 32)]

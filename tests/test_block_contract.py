@@ -8,7 +8,10 @@ a backup takeover and the one-state package API run through them.  The
 per-constraint `evaluators`, which take one state by design, are the one
 exception; no benchmark declares any.  A LinearDrift and a
 ConstantActuation, matrices that the plant step reads, are guarded as
-subclasses of themselves, so that guarded plant steps keep the row path.
+subclasses of themselves, so that guarded plant steps keep the row path,
+and every block form generated from a declared expression (a closed loop
+or a linear drift) is guarded where it is generated, so that a declared
+closed loop keeps its one-row kernel.
 """
 import dataclasses
 
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 import softcbf.cli
+import softcbf.safety_filter
 import softcbf.sim
 from softcbf import (
     ClassK,
@@ -68,6 +72,14 @@ GuardedLinearDrift = _blocks_only_class(LinearDrift)
 GuardedConstantActuation = _blocks_only_class(ConstantActuation)
 
 
+@pytest.fixture(autouse=True)
+def guarded_block_forms(monkeypatch):
+    """Every block form generated from a declared expression, behind
+    `blocks_only`."""
+    real = softcbf.safety_filter._block_form
+    monkeypatch.setattr(softcbf.safety_filter, "_block_form", lambda field: blocks_only(real(field)))
+
+
 def guarded(bench):
     """The benchmark with every callable behind `blocks_only`, its fused
     forms rebuilt on the guarded objects so that they still apply."""
@@ -81,8 +93,10 @@ def guarded(bench):
     backup = bench.backup
     k_b = backup and g(backup.k_b)
     f = sys.fused
-    # the row forms map one state as a tuple of floats by design
-    plant = f and FusedPlant(g(f.plant), drift, actuation, f.drift_row, k_b, g(f.closed_loop), f.closed_loop_row)
+    # the row forms map one state as a tuple of floats by design; a declared
+    # closed loop's block form is guarded where it is generated
+    loop = f and (f.closed_loop if isinstance(f.closed_loop, tuple) else g(f.closed_loop))
+    plant = f and FusedPlant(g(f.plant), drift, actuation, f.drift_row, k_b, loop, f.closed_loop_row)
     sys = dataclasses.replace(sys, drift=drift, actuation=actuation, fused=plant)
     cs = bench.constraints
     cs = dataclasses.replace(cs, batch_evaluator=g(cs.batch_evaluator),
@@ -93,7 +107,8 @@ def guarded(bench):
         forms = v and ValueForms(g(v.h_value), g(v.h_b_value), h, h_b)
         backup = dataclasses.replace(backup, sys=sys, k_b=k_b, h=h, h_b=h_b,
                                      jacobian=g(backup.jacobian), value_forms=forms)
-        assert sys._closed_loop_fields(k_b)[1] is plant.closed_loop
+        block, row = sys._closed_loop_fields(k_b)[1:]
+        assert row is plant.closed_loop and block.__qualname__ == "blocks_only.<locals>.guarded"
     # a safe controller that is k_b stays the declared controller of the
     # fused closed loop
     safe = k_b if backup is not None and bench.safe_controller is bench.backup.k_b else g(bench.safe_controller)

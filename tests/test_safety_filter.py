@@ -17,40 +17,6 @@ from softcbf import (
 )
 
 
-def grid_search_halfspace_box(a, c, rhs, u_des, box, resolution=1e-3):
-    """Independent oracle: grid search refined to the requested resolution,
-    returning the closest feasible grid point to u_des.
-
-    A grid at spacing s pins the optimal *distance* to within O(s) but the
-    minimizer itself may slide O(sqrt(dist * s)) along the constraint plane
-    (the objective is flat to first order there), so comparisons against
-    the analytic projection are made on the objective, and on the point
-    only when u_des is close to the plane.
-    """
-    a = np.asarray(a, dtype=float)
-    u_des = np.asarray(u_des, dtype=float)
-    box = np.asarray(box, dtype=float)
-    m = a.size
-    lo, hi = box[:, 0].copy(), box[:, 1].copy()
-    best = None
-    while True:
-        axes = [np.linspace(lo[j], hi[j], 65) for j in range(m)]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-        feas = grid[grid @ a >= rhs - c]
-        if feas.size == 0:
-            return None
-        dist = np.linalg.norm(feas - u_des, axis=1)
-        cand = feas[int(dist.argmin())]
-        if best is None or np.linalg.norm(cand - u_des) <= np.linalg.norm(best - u_des):
-            best = cand
-        spacing = float((hi - lo).max() / 64.0)
-        if spacing <= resolution:
-            return best
-        half = 8.0 * spacing
-        lo = np.maximum(box[:, 0], best - half)
-        hi = np.minimum(box[:, 1], best + half)
-
-
 def exact_filter(a, c, rhs, u_des, box=None):
     """Exact oracle for the filters: the status and the minimiser u, as
     Fractions, of |u - u_des| over {a.u >= rhs - c}, within the box when one
@@ -299,6 +265,20 @@ def test_boxed_breakpoint_search_does_not_overshoot_a_tiny_multiplier(a, rhs, u_
     assert out.qp_status == status == "clipped"
     assert out.constraint_value >= 0.0
     assert all(abs(Fraction(float(v)) - e) <= Fraction(math.ulp(float(e))) for v, e in zip(out.u, exact))
+
+
+def test_boxed_breakpoint_search_slope_keeps_no_rounding_of_a_clipped_component():
+    # once the component with the large |a_j| clips, the walk's slope is
+    # a_0^2 = 8.5e8 alone: a running sum of +-a_j^2 left it the rounding of
+    # a_0^2 + a_1^2 = 1.36e13, and u_0 1,635 ulps of the box scale above the
+    # minimiser, with slack 1.07e-8, where the correctly rounded u has slack 0
+    a, rhs = [29157.667610286375, -3691633.3869117713], 3711679.875241696
+    u_des, box = [-0.8046691548289668, -0.862770102151768], [[-1.0, 1.0], [-1.0, 1.0]]
+    out = filter_boxed(a, 0.0, rhs, u_des, box)
+    status, exact = exact_filter(a, 0.0, rhs, u_des, box)
+    assert out.qp_status == status == "clipped"
+    assert out.constraint_value >= 0.0
+    assert within_ulps(out.u, exact, 1.0)
 
 
 @pytest.mark.gate

@@ -17,8 +17,18 @@ from softcbf import (
     scalar_stable,
     thin_annulus,
 )
-from softcbf.safety_filter import ConstantActuation, FusedPlant, LinearDrift
+from softcbf.safety_filter import ConstantActuation, FusedPlant, LinearDrift, _block_form, _slope
 from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P, PENDULUM_U_MAX
+
+
+def generated_row(field):
+    """The row form that the generated one-row kernels write inline for a
+    field declared as Exprs, as a function of one state, a tuple of floats."""
+    scope = {"empty": np.empty, "sin": np.sin, "tanh": np.tanh}
+    slope, prologue = _slope(field, scope)
+    x, a = (", ".join(f"{s}{i}" for i in range(len(field))) + "," for s in "xa")
+    exec(f"def row(x):\n    {prologue}\n    {x} = x\n    {slope('x', 'a')}\n    return {a}\n", scope)
+    return scope["row"]
 
 
 def test_registry():
@@ -189,8 +199,8 @@ def test_fused_closed_loop_matches_composed_bitwise():
     # compared as bytes, since == takes -0.0 for +0.0: the composed field's
     # einsum turns a -0.0 component into +0.0, and the fused closed loop must too
     prob = pendulum_backup().backup
-    fused = prob.sys.fused.closed_loop
-    assert prob.sys._closed_loop_fields(prob.k_b)[1] is fused
+    fused = prob.sys._closed_loop_fields(prob.k_b)[1]
+    assert fused is _block_form(prob.sys.fused.closed_loop)
     # the reference is the drift + actuation + einsum sum of a system
     # without fused forms
     composed = dataclasses.replace(prob.sys, fused=None).closed_loop(prob.k_b)
@@ -309,11 +319,12 @@ def test_linear_drifts_match_the_hand_written_drifts_bitwise(name, hand_written)
 
 @pytest.mark.gate
 def test_fused_row_form_matches_field_bitwise():
-    # the row form on a tuple of floats against the fused closed loop on the
-    # same state as a one-row block, as bytes, over box states, states where
-    # tanh saturates (|x| about 50) and injected signed zeros
+    # the row form that the one-row kernels write inline, on a tuple of
+    # floats, against the generated block form on the same state as a
+    # one-row block, as bytes, over box states, states where tanh saturates
+    # (|x| about 50) and injected signed zeros
     prob = pendulum_backup().backup
-    row, field = prob.sys.fused.closed_loop_row, prob.sys.fused.closed_loop
+    row, field = generated_row(prob.sys.fused.closed_loop), _block_form(prob.sys.fused.closed_loop)
     box = prob.bounding_box
     rng = np.random.default_rng(11)
     X = rng.uniform(box[:, 0], box[:, 1], size=(4500, prob.sys.n))
@@ -347,14 +358,15 @@ def test_pendulum_division_matches_the_negated_numerator_bitwise():
     old = np.empty(X.shape)
     old[:, 0] = X[:, 1] + 0.0
     old[:, 1] = np.sin(X[:, 0]) + (old_u(X) + 0.0)
-    assert prob.sys.fused.closed_loop(X).tobytes() == old.tobytes()
+    assert _block_form(prob.sys.fused.closed_loop)(X).tobytes() == old.tobytes()
 
     def old_row(x):
         u = U * float(np.tanh(-float(K.dot(x)) / U))
         return (x[1] + 0.0, float(np.sin(x[0])) + (u + 0.0))
 
     states = [tuple(x) for x in X.tolist()]
-    rows = np.array([prob.sys.fused.closed_loop_row(x) for x in states])
+    row = generated_row(prob.sys.fused.closed_loop)
+    rows = np.array([row(x) for x in states])
     assert rows.tobytes() == np.array([old_row(x) for x in states]).tobytes()
     # K.x of +0.0 and -0.0: the division alone keeps the sign of the old form
     for kx in (0.0, -0.0):
