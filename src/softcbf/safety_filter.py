@@ -322,7 +322,7 @@ class ControlAffineSystem:
             raise InvalidInputError(f"linear drift matrix {self.drift.A.shape} does not match n = {self.n}")
         loop = self.fused and self.fused.closed_loop
         if isinstance(loop, tuple) and (len(loop) != self.n or not all(isinstance(e, Expr) for e in loop)):
-            raise InvalidInputError(f"a closed-loop expression must be a tuple of n = {self.n} Exprs, got {loop!r}")
+            raise InvalidInputError(f"a closed loop must be n = {self.n} Exprs, got {[type(e).__name__ for e in loop]}")
         if self.input_box is not None:
             object.__setattr__(self, "input_box", _checked_box(self.input_box, self.m, "input box"))
 

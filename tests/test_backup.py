@@ -716,7 +716,7 @@ def test_expression_refuses_non_finite_constants_and_a_closed_loop_of_the_wrong_
         Expr.dot([1.0, math.nan])
     prob = get_benchmark("pendulum-backup").backup
     for field in ((x1 + 0.0,), (x1, x0, x0), (x1, 0.0)):
-        with pytest.raises(InvalidInputError, match=r"a closed-loop expression must be a tuple of n = 2 Exprs"):
+        with pytest.raises(InvalidInputError, match=r"a closed loop must be n = 2 Exprs, got \['Expr'"):
             with_fused(prob, closed_loop=field)
     assert (x0 / 2.0).op == "/" and (np.float64(2.0) * x0).op == "*"
 
