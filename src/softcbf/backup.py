@@ -29,7 +29,7 @@ import numpy as np
 from . import softmin as sm
 from .errors import BlowUpError, DomainError, InvalidInputError
 from .geometry import ConstraintSet, _as_states, _checked_box, call_batched
-from .safety_filter import ControlAffineSystem, _slope
+from .safety_filter import _EXPR_NAMES, ControlAffineSystem, _slope
 
 __all__ = [
     "BackupProblem",
@@ -80,8 +80,9 @@ class BackupProblem:
 
     The closed-loop field is `sys.closed_loop(k_b)`, on the system's fused
     forms while they apply (see `ControlAffineSystem`): the fused closed
-    loop, in its row form on one-row flows, while k_b is the declared
-    controller.  A flow checks its field on its first RK4 step only.
+    loop, on a kernel generated from its declared Exprs on one-row flows,
+    while k_b is the declared controller.  A flow checks its field on its
+    first RK4 step only.
 
     value_forms, when given, serve the reads of h and h_b that take no
     gradient (see ValueForms): slice values without sensitivities, the
@@ -220,22 +221,13 @@ def rk4_step(F: Callable, X: np.ndarray, h: float):
     return X + sixth * (k1 + _TWO * k2 + _TWO * k3 + k4), (X, X2, X3, X4)
 
 
-def _check_first_row(f: Callable, x: tuple, n: int):
-    """Raise InvalidInputError unless row form f maps the initial state x,
-    a tuple of n floats, to a tuple or list of n floats."""
-    out = f(x)
+def _check_row(f: Callable, out, n: int):
+    """Raise InvalidInputError unless `out`, an output of the row form f on
+    one state, is a tuple or list of n floats: on the initial state before
+    a row path starts, and in the generated RK4 kernels on a ValueError."""
     if not (isinstance(out, (tuple, list)) and len(out) == n and all(isinstance(v, float) for v in out)):
         raise InvalidInputError(
             f"{getattr(f, '__qualname__', f)} returned {out!r} for one state; expected {n} floats"
-        )
-
-
-def _check_row_length(f: Callable, out, n: int):
-    """Raise InvalidInputError when the output `out` of row form f does not
-    hold n values; the generated RK4 kernel calls this on a ValueError."""
-    if len(out) != n:
-        raise InvalidInputError(
-            f"{getattr(f, '__qualname__', f)} returned {len(out)} values for one state; expected {n} floats"
         ) from None
 
 
@@ -249,21 +241,21 @@ def _namers(n: int) -> tuple:
 
 
 def _rk4_row_source(n: int, slope: Callable, prologue: str = "", held: bool = False) -> str:
-    """The source of a one-row RK4 kernel of `_row_kernels` for state
-    dimension n, where slope(src, dst) is the statement that sets the stage
-    slopes dst0, ... from the stage state src0, ...: one call of the row
-    form f, or a declared field written inline (`_inline_kernel`), after
-    the statement prologue.  With `held` it is plant_row, which adds the
-    held row g to each stage's slopes, else interval_row, which writes the
-    stage states into out."""
+    """The source of a one-row RK4 kernel for state dimension n, where
+    slope(src, dst) is the statement that sets the stage slopes dst0, ...
+    from the stage state src0, ...: one call of the drift row form f
+    (`_row_kernels`), or a declared field written inline
+    (`_inline_kernel`), after the statement prologue.  With `held` it is
+    plant_row, which adds the held row g to each stage's slopes, else
+    interval_row, which writes the stage states into out."""
     names, each = _namers(n)
     add = {d: "; " + each(d + "{0} += g{0}") if held else "" for d in "abcd"}
     if held:
         head, record = f"plant_row(f, x, g, h, n_sub):\n    {names('g')} = g", ""
     else:
         head = "interval_row(f, x, h, n_sub, out, o):"
-        record = "; ".join(f"out[o + {k * n + i}] = {s}{i}" for k, s in enumerate("xyzw") for i in range(n))
-        record = f"; {record}; o += {4 * n}"
+        record = "".join(f"; out[o + {k * n + i}] = {s}{i}" for k, s in enumerate("xyzw") for i in range(n))
+        record += f"; o += {4 * n}"
     return f"""
 def {head}
     half = 0.5 * h; sixth = h / 6.0; {prologue}
@@ -276,26 +268,17 @@ def {head}
             {slope("w", "d")}{add["d"]}{record}
             {names("x")} = {each("x{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", sep=", ")},
     except ValueError:
-        check_row_length(f, k, {n}); raise
+        check_row(f, k, {n}); raise
     return {names("x")}
 """
 
 
 @functools.lru_cache(maxsize=None)
 def _row_kernels(n: int) -> tuple:
-    """The one-row kernels of `integrate_flow_batch` for state dimension n,
-    generated from n alone by one compile/exec (as dataclasses writes an
+    """(sensitivity_row, plant_row), the one-row kernels for state dimension
+    n, generated from n alone by one compile/exec (as dataclasses writes an
     __init__), so one implementation serves every n with no per-element
     loop: each state component, stage slope and entry of S is a local name.
-
-    interval_row(f, x, h, n_sub, out, o) is a slice interval's n_sub
-    `rk4_step`s on one state x, a tuple of floats, for a row form f: the
-    same operations in the same order, so the same bits, without numpy's
-    per-call dispatch.  It writes the four stage states of each step, 4*n
-    floats, into the float64 memoryview out from index o on, and returns
-    the final state as a tuple.  A stage output that does not unpack into n
-    values raises InvalidInputError; a ValueError raised in f itself
-    propagates unchanged.
 
     sensitivity_row(J, S, h) runs the variational recursion over one slice
     interval, with S = D_x phi as n*n floats and J the interval's
@@ -314,18 +297,19 @@ def _row_kernels(n: int) -> tuple:
     x -> f(x) + g of a drift row f and a held row g of n floats (see
     `sim._plant_block`): each stage adds g to f's output component by
     component, like the block sum drift(X) + held, then runs `rk4_step`'s
-    operations in its order.  It returns the final state as a tuple and
-    records no stage states.  Its errors are interval_row's.  Both come
-    from one template, `_rk4_row_source`, which `_inline_kernel` shares.
+    operations in its order, so the same bits, without numpy's per-call
+    dispatch.  It returns the final state as a tuple.  A stage output that
+    does not unpack into n values raises InvalidInputError; a ValueError
+    raised in f itself propagates unchanged.  It comes from the template
+    `_rk4_row_source`, which `_inline_kernel` shares.
 
     test_row_kernels_equal_reference_loop_bodies_bitwise,
-    test_row_flows_equal_one_row_block_flows_bitwise,
-    test_row_sensitivities_equal_block_sensitivities_bitwise and
+    test_row_flows_equal_one_row_block_flows_bitwise and
     test_sensitivity_row_matches_matmul_reference_on_signed_zeros keep the
     kernels equal to the loop bodies they replace and to the block bodies."""
     names, each = _namers(n)
     # k holds the row form's latest output (x before its first), so after a
-    # ValueError a k of n values means the error came from inside f
+    # ValueError a k of n floats means the error came from inside f
     m = n * n
     source = f"""
 def sensitivity_row(J, S, h):
@@ -341,26 +325,31 @@ def sensitivity_row(J, S, h):
         {names("s", m)} = {each("s{0} + sixth * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})", m, ", ")},
     return {names("s", m)}
 """
-    source += "".join(_rk4_row_source(n, lambda src, dst: f"k = f(({names(src)})); {names(dst)} = k", held=held)
-                      for held in (False, True))
-    scope = {"check_row_length": _check_row_length, "empty": np.empty,
+    source += _rk4_row_source(n, lambda src, dst: f"k = f(({names(src)})); {names(dst)} = k", held=True)
+    scope = {"check_row": _check_row, "empty": np.empty,
              "prod": np.matmul if n == 1 else np.ndarray.dot}
     exec(compile(source, f"<softcbf row kernels n={n}>", "exec"), scope)
-    return scope["interval_row"], scope["sensitivity_row"], scope["plant_row"]
+    return scope["sensitivity_row"], scope["plant_row"]
 
 
 @functools.lru_cache(maxsize=64)
 def _inline_kernel(field: tuple, held: bool) -> Callable:
-    """`_row_kernels(n)`'s interval_row, or its plant_row with `held`, for a field
-    declared as a tuple of n Exprs, written into each RK4 stage (see
-    `safety_filter._slope`), so a step has `rk4_step`'s bits on its block
-    form and makes no Python call per stage.  The kernel never calls f,
-    which may be None.  Generated at the first flow or plant step on each
-    field, by one compile/exec like `_row_kernels`; unlike those, keyed by
-    n, the cache is keyed by the field, so it keeps the kernels of at most
-    64 fields, not one for every field a program declares (a LinearDrift's
+    """The one-row RK4 kernel of a field declared as a tuple of n Exprs,
+    written into each RK4 stage (see `safety_filter._slope`), so a step has
+    `rk4_step`'s bits on its block form and makes no Python call per stage.
+
+    Without `held` it is interval_row(f, x, h, n_sub, out, o), a slice
+    interval's n_sub `rk4_step`s on one state x, a tuple of floats, which
+    writes the four stage states of each step, 4*n floats, into the float64
+    memoryview out from index o on, and returns the final state as a
+    tuple.  With `held` it is `_row_kernels(n)`'s plant_row(f, x, g, h,
+    n_sub) with the field in place of f's output.  Neither calls f, which
+    may be None.  Generated at the first flow or plant step on each field,
+    by one compile/exec like `_row_kernels`; unlike those, keyed by n, the
+    cache is keyed by the field, so it keeps the kernels of at most 64
+    fields, not one for every field a program declares (a LinearDrift's
     field is shared by every drift of its matrix, see `_linear_field`)."""
-    scope = {"check_row_length": _check_row_length, "empty": np.empty, "sin": np.sin, "tanh": np.tanh}
+    scope = {"check_row": _check_row, **_EXPR_NAMES}
     exec(compile(_rk4_row_source(len(field), *_slope(field, scope), held), "<softcbf inline kernel>", "exec"), scope)
     return scope["plant_row" if held else "interval_row"]
 
@@ -390,13 +379,11 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     checked on the first RK4 step only: the later steps, finite differences
     and a blow-up re-run skip its checks (see
     `ControlAffineSystem._closed_loop_fields`).  A one-row block on a fused
-    closed loop runs each slice interval's value steps in one call of a
-    generated kernel, bit for bit: for a closed loop declared as Exprs, the
-    kernel with the expression written into its stages (`_inline_kernel`),
-    which makes no Python call per RK4 stage; for a callable row form, the
-    kernel for its n (`_row_kernels`), once the row form returns n floats
-    on the initial state.  It calls the block field, checked, only for
-    finite differences or a blow-up re-run.
+    closed loop runs each slice interval's value steps in one call of the
+    kernel generated from its declared Exprs, with the expression written
+    into its stages (`_inline_kernel`), bit for bit and with no Python call
+    per RK4 stage.  It calls the block field, checked, only for finite
+    differences or a blow-up re-run.
     Finiteness is tested once per slice interval: a non-finite state stays
     non-finite under the later RK4 updates, so the interval is then re-run
     step by step on the block field to raise BlowUpError with the time of
@@ -432,12 +419,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
     N = prob.N
     interval_row = None
     if B == 1 and row is not None:
-        x = tuple(X[0].tolist())
-        if isinstance(row, tuple):
-            interval_row, row = _inline_kernel(row, False), None
-        else:
-            _check_first_row(row, x, n)
-            interval_row = _row_kernels(n)[0]
+        x, interval_row = tuple(X[0].tolist()), _inline_kernel(row, False)
         # the stage states of the whole flow; no block step runs, so the
         # block field stays checked
         stage_rows, F_rest = np.empty(((N - 1) * n_sub * 4, n)), F
@@ -470,7 +452,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
                         stages[s] = stage_states
                 states[i] = X
             else:
-                x = interval_row(row, x, h, n_sub, out, 4 * n * n_sub * (i - 1))
+                x = interval_row(None, x, h, n_sub, out, 4 * n * n_sub * (i - 1))
                 states[i, 0] = x
             if not np.isfinite(states[i]).all():
                 _raise_blow_up(F_rest, states[i - 1], h, n_sub, i)
@@ -490,7 +472,7 @@ def integrate_flow_batch(prob: BackupProblem, X0, sensitivities: bool = True) ->
             size = 4 * group
             Js = [jac(stage_rows[r:r + size]) for r in range(0, len(stage_rows), size)]
             J = Js[0] if len(Js) == 1 else np.concatenate(Js)
-            sensitivity_row = _row_kernels(n)[1]
+            sensitivity_row = _row_kernels(n)[0]
             for i in range(1, N):
                 S = sensitivity_row(J[4 * n_sub * (i - 1):4 * n_sub * i], S, h)
                 sens[i, 0].flat = S

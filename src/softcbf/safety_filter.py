@@ -101,10 +101,12 @@ class Expr:
     columns X[:, i], X.dot(v) and 0-d float64 constants, and `_slope` writes
     it on one state of Python floats into `backup`'s generated one-row
     kernels: Python floats for + - * / and numpy scalar calls for `sin`,
-    `tanh` and the dot, under FusedPlant's row-form rules, so that both
-    forms give the bits of the written expression.  A divisor must be a
-    nonzero constant, as Python's float division raises where numpy gives
-    inf or nan.
+    `tanh` and the dot, so that both forms give the bits of the written
+    expression (see FusedPlant).  A divisor must be a nonzero constant, as
+    Python's float division raises where numpy gives inf or nan.  The
+    operators and constructors above make only valid nodes;
+    `ControlAffineSystem` refuses a declared field with any other
+    (`_check_field`).
     """
 
     __array_ufunc__ = None  # a numpy operand defers to the operators below
@@ -147,6 +149,32 @@ class Expr:
         return f"(-{inner[0]})" if len(inner) == 1 else f"({inner[0]} {op} {inner[1]})"
 
 
+def _check_field(field, n: int):
+    """Raise InvalidInputError unless field is a tuple of n Exprs whose
+    every node is one that Expr's operators and constructors make on states
+    of dimension n: a state index below n, a finite float constant, a
+    finite float64 dot vector of length n, and + - * / sin tanh with Expr
+    operands, a divisor a nonzero constant."""
+    def fits(e):
+        op, args = e.op, e.args
+        a = args[0] if len(args) == 1 else None
+        if op in ("x", "c", "dot"):
+            return (type(a) is int and 0 <= a < n if op == "x" else type(a) is float and math.isfinite(a) if op == "c"
+                    else isinstance(a, np.ndarray) and a.dtype == float and a.shape == (n,) and np.isfinite(a).all())
+        return (len(args) in _ARITY.get(op, ()) and all(isinstance(b, Expr) and fits(b) for b in args)
+                and (op != "/" or args[1].op == "c" and args[1].args[0] != 0.0))
+
+    if not (isinstance(field, tuple) and len(field) == n and all(isinstance(e, Expr) and fits(e) for e in field)):
+        raise InvalidInputError(f"a closed loop must be n = {n} Exprs that Expr's operators make on x0 to x{n - 1}, got "
+                                f"{[type(e).__name__ for e in field] if isinstance(field, tuple) else type(field).__name__}")
+
+
+# the operand counts of each inner node of an Expr
+_ARITY = {"sin": (1,), "tanh": (1,), "-": (1, 2), "+": (2,), "*": (2,), "/": (2,)}
+# the numpy names that code generated from Exprs calls
+_EXPR_NAMES = {"empty": np.empty, "sin": np.sin, "tanh": np.tanh}
+
+
 def _name(scope: dict, value) -> str:
     """A fresh name for value in the scope of generated code."""
     scope[f"k{len(scope)}"] = value
@@ -158,7 +186,7 @@ def _block_form(field: tuple) -> Callable:
     """The block form X (B, n) -> (B, n) of a field declared as a tuple of n
     Exprs (see Expr), generated at its first use by one compile/exec, as
     `backup._row_kernels` is, and cached while the tuple lives in the cache."""
-    scope = {"empty": np.empty, "sin": np.sin, "tanh": np.tanh}
+    scope = dict(_EXPR_NAMES)
     body = "".join(f"\n    out[:, {i}] = {e._code(None, functools.partial(_name, scope))}" for i, e in enumerate(field))
     source = f"def block(X):\n    out = empty((len(X), {len(field)})){body}\n    return out\n"
     exec(compile(source, "<softcbf block form>", "exec"), scope)
@@ -174,7 +202,7 @@ def _slope(field: tuple, scope: dict) -> tuple:
     the operand o_, filled with the stage state, into the 0-d r_, both
     written and read through memoryviews, which cost less than ndarray
     item access; the dot's bits are those of a fresh operand per call.
-    Its constants go into scope, which must hold empty, sin and tanh."""
+    Its constants go into scope, which must hold `_EXPR_NAMES`."""
 
     def slope(src, dst):
         n, pre = len(field), []
@@ -248,30 +276,29 @@ class FusedPlant:
     +0.0 to every component.  `closed_loop`, given with `controller`, is
     the field X -> plant(X, controller(X)), bit for bit on finite states,
     sign of zero included, declared as a tuple of n Exprs (see Expr), from
-    which its block form and the one-row flows' kernel are generated (see
-    `backup._inline_kernel`), or as a callable block form.
+    which its block form (`_block_form`) and the one-row flows' kernel
+    (`backup._inline_kernel`) are generated.
 
-    The hand-written row forms are `drift`, and a callable `closed_loop`,
-    on one state: each maps a tuple of n floats to a tuple (or list) of n
-    floats, bit for bit the block form on that one-row block.  `drift_row`
-    serves `sim.run`'s plant steps of a block of up to `sim._PLANT_ROWS`
-    rows, with each row's held input added, while `actuation` is a
-    ConstantActuation (see `sim._plant_block`); a LinearDrift needs none, as
-    its plant steps take a kernel with the drift written inline.
-    `closed_loop_row` serves one-row backup flows; a declared expression
-    needs none.  Each is called from the straight-line kernel generated for
-    n (see `backup._row_kernels`), which unpacks every output into n local
-    floats: the initial state's output is checked to be n floats, and any
-    later output of another length raises InvalidInputError.  Only + - * /
-    may be Python float arithmetic; the rest goes through the block form's
-    numpy kernels (a bound ndarray.dot for a one-row product, which reaches
-    the BLAS dot of the block's matmul, np.sin, np.tanh, ...), since `math`
-    and a written-out dot differ in the last bit.  A product's operand
-    should be a fresh float64 array filled by item assignment, not the state
-    tuple, which numpy converts at every call; a buffer shared across calls
-    would not be thread-safe.  A row form must not raise on overflow: a
-    square is `x * x`, as Python's float `**` raises.  A generated kernel
-    keeps these rules.
+    `drift_row` is the drift's hand-written row form on one state: it maps
+    a tuple of n floats to a tuple (or list) of n floats, bit for bit the
+    block form on that one-row block.  It serves `sim.run`'s plant steps of
+    a block of up to `sim._PLANT_ROWS` rows, with each row's held input
+    added, while `actuation` is a ConstantActuation (see `sim._plant_block`);
+    a LinearDrift needs none, as its plant steps take a kernel with the
+    drift written inline.  It is called from the straight-line kernel
+    generated for n (see `backup._row_kernels`), which unpacks every output
+    into n local floats: the initial state's output is checked to be n
+    floats, and any later output of another length raises
+    InvalidInputError.  Only + - * / may be Python float arithmetic; the
+    rest goes through the block form's numpy kernels (a bound ndarray.dot
+    for a one-row product, which reaches the BLAS dot of the block's matmul,
+    np.sin, np.tanh, ...), since `math` and a written-out dot differ in the
+    last bit.  A product's operand should be a fresh float64 array filled by
+    item assignment, not the state tuple, which numpy converts at every
+    call; a buffer shared across calls would not be thread-safe.  A row form
+    must not raise on overflow: a square is `x * x`, as Python's float `**`
+    raises.  The kernels generated from a declared closed loop keep these
+    rules.
     """
 
     plant: Callable
@@ -279,8 +306,7 @@ class FusedPlant:
     actuation: Callable
     drift_row: Optional[Callable] = None
     controller: Optional[Callable] = None
-    closed_loop: Union[Callable, tuple, None] = None
-    closed_loop_row: Optional[Callable] = None
+    closed_loop: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -320,9 +346,8 @@ class ControlAffineSystem:
             raise InvalidInputError("need n >= 1 and m >= 1")
         if isinstance(self.drift, LinearDrift) and self.drift.A.shape != (self.n, self.n):
             raise InvalidInputError(f"linear drift matrix {self.drift.A.shape} does not match n = {self.n}")
-        loop = self.fused and self.fused.closed_loop
-        if isinstance(loop, tuple) and (len(loop) != self.n or not all(isinstance(e, Expr) for e in loop)):
-            raise InvalidInputError(f"a closed loop must be n = {self.n} Exprs, got {[type(e).__name__ for e in loop]}")
+        if self.fused is not None and self.fused.closed_loop is not None:
+            _check_field(self.fused.closed_loop, self.n)
         if self.input_box is not None:
             object.__setattr__(self, "input_box", _checked_box(self.input_box, self.m, "input box"))
 
@@ -345,17 +370,12 @@ class ControlAffineSystem:
     def _closed_loop_fields(self, controller: Callable) -> tuple:
         """`closed_loop(controller)`, the same field on (B, n) blocks without
         its checks, for a flow's RK4 steps after its first, and the fused
-        closed loop's row form (a callable, or its declared tuple of Exprs),
-        or None."""
+        closed loop's declared tuple of Exprs, for one-row flows, or None."""
         n, m = self.n, self.m
         loop = self._fused_plant(controller)
         if loop is not None and loop.closed_loop is not None:
-            f, row = loop.closed_loop, loop.closed_loop_row
-            if isinstance(f, tuple):
-                # a declared expression: its generated block form, and the
-                # expression itself for one-row flows
-                f, row = _block_form(f), f
-            return lambda X: call_batched(f, _as_states(X, n), (n,)), f, row
+            f = _block_form(loop.closed_loop)
+            return lambda X: call_batched(f, _as_states(X, n), (n,)), f, loop.closed_loop
         p = self._fused_plant()
         if p is not None:
             plant = p.plant

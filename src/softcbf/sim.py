@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import softmin as sm
-from .backup import _check_first_row, _inline_kernel, _row_kernels, rk4_step
+from .backup import _check_row, _inline_kernel, _row_kernels, rk4_step
 from .errors import InvalidInputError
 from .geometry import call_batched
 from .safety_filter import (
@@ -181,8 +181,8 @@ def _plant_rows(sys, x: tuple) -> tuple:
     plant = sys._fused_plant()
     if plant is None or plant.drift_row is None:
         return None, None
-    _check_first_row(plant.drift_row, x, len(x))
-    return plant.drift_row, _row_kernels(len(x))[2]
+    _check_row(plant.drift_row, plant.drift_row(x), len(x))
+    return plant.drift_row, _row_kernels(len(x))[1]
 
 
 def _plant_block(sys, X: np.ndarray, U: np.ndarray, dt: float, substeps: int) -> np.ndarray:

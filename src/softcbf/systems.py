@@ -167,6 +167,12 @@ PENDULUM_HB_LEVEL = 0.05
 PENDULUM_SHEAR = 0.4
 # operand of the fused plant, whose other side is float64
 _ZERO = _constant(0.0)
+# the pendulum's closed loop, plant(X, k_b(X)) with k_b written inline,
+# + 0.0 terms included (see its plant), declared once: its block form and
+# the one-row flows' kernel are generated from it, and every benchmark
+# built shares them, as their caches are keyed by this tuple
+_a, _w = Expr.state(2)
+_PENDULUM_CLOSED_LOOP = (_w + 0.0, _a.sin() + (PENDULUM_U_MAX * (Expr.dot(PENDULUM_K) / -PENDULUM_U_MAX).tanh() + 0.0))
 
 
 def pendulum_backup() -> Benchmark:
@@ -214,12 +220,6 @@ def pendulum_backup() -> Benchmark:
         u = PENDULUM_U_MAX * np.tanh(X.dot(PENDULUM_K) / -PENDULUM_U_MAX)
         return u[:, None]
 
-    # plant(X, k_b(X)) with k_b written inline, + 0.0 terms included (see
-    # plant), declared once: its block form and the one-row flows' kernel
-    # are generated from it
-    a, w = Expr.state(2)
-    closed_loop = (w + 0.0, a.sin() + (PENDULUM_U_MAX * (Expr.dot(PENDULUM_K) / -PENDULUM_U_MAX).tanh() + 0.0))
-
     actuation = ConstantActuation([[0.0], [1.0]])
     sys = ControlAffineSystem(
         n=2,
@@ -227,7 +227,7 @@ def pendulum_backup() -> Benchmark:
         drift=drift,
         actuation=actuation,
         input_box=np.array([[-PENDULUM_U_MAX, PENDULUM_U_MAX]]),
-        fused=FusedPlant(plant, drift, actuation, drift_row, k_b, closed_loop),
+        fused=FusedPlant(plant, drift, actuation, drift_row, k_b, _PENDULUM_CLOSED_LOOP),
     )
 
     c = PENDULUM_SHEAR

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import functools
 import math
+import re
 import threading
 from sys import getswitchinterval, setswitchinterval
 
@@ -10,7 +12,6 @@ from scipy.linalg import expm
 
 import softcbf.backup
 import softcbf.sim
-from softcbf.systems import PENDULUM_K, PENDULUM_U_MAX
 from softcbf import (
     BackupProblem,
     BlowUpError,
@@ -50,13 +51,13 @@ def column_actuation(col):
     return g
 
 
-def fused_loop(sys, controller, closed_loop, row=None):
-    """sys with a FusedPlant that declares `closed_loop`, and its row form,
+def fused_loop(sys, controller, closed_loop):
+    """sys with a FusedPlant that declares `closed_loop`, a tuple of Exprs,
     for `controller`; its plant is the composed drift + actuation @ u."""
     def plant(X, U):
         return sys.drift(X) + np.einsum("bij,bj->bi", sys.actuation(X), U)
 
-    return dataclasses.replace(sys, fused=FusedPlant(plant, sys.drift, sys.actuation, None, controller, closed_loop, row))
+    return dataclasses.replace(sys, fused=FusedPlant(plant, sys.drift, sys.actuation, None, controller, closed_loop))
 
 
 def with_fused(prob, **fields):
@@ -64,28 +65,42 @@ def with_fused(prob, **fields):
     return dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=dataclasses.replace(prob.sys.fused, **fields)))
 
 
-def block_form(prob):
-    """The block form of prob's fused closed loop: generated from its
-    declared expression, or the declared callable."""
-    return prob.sys._closed_loop_fields(prob.k_b)[1]
+def flow_on(fields, prob, X0, sensitivities=True):
+    """integrate_flow_batch(prob, X0, sensitivities) with the system's
+    (checked field, unchecked field, declared closed loop) of
+    `ControlAffineSystem._closed_loop_fields` replaced by fields(*those)."""
+    real = ControlAffineSystem._closed_loop_fields
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ControlAffineSystem, "_closed_loop_fields", lambda sys, k: fields(*real(sys, k)))
+        return integrate_flow_batch(prob, X0, sensitivities)
 
 
-def pendulum_closed_loop_row(x):
-    """The pendulum's closed loop on one state, as it was written by hand
-    before it was declared as an expression: a callable row form under
-    FusedPlant's row-form rules, for the tests of the row path's checks."""
-    x0, x1 = x
-    a = np.empty(2)
-    a[0] = x0
-    a[1] = x1
-    u = PENDULUM_U_MAX * float(np.tanh(float(PENDULUM_K.dot(a)) / -PENDULUM_U_MAX))
-    return (x1 + 0.0, float(np.sin(x0)) + (u + 0.0))
+def block_path(F, f, loop):
+    # no row path: a one-row flow runs rk4_step on (1, n) blocks of the
+    # generated block form
+    return F, f, None
 
 
-def with_callables(prob, **fields):
-    """The pendulum problem with its closed loop declared as callables: the
-    generated block form and the hand-written row form, unless given."""
-    return with_fused(prob, **{"closed_loop": block_form(prob), "closed_loop_row": pendulum_closed_loop_row, **fields})
+def checked_path(F, f, loop):
+    # the checked field at every RK4 step, finite difference and re-run
+    return F, F, None
+
+
+def counted_block_forms(monkeypatch, calls, name):
+    """Count in calls[name] every call of a block form that
+    `safety_filter._block_form` generates from here on."""
+    real = softcbf.safety_filter._block_form
+
+    def counted(field):
+        block = real(field)
+
+        def wrapper(X):
+            calls[name] += 1
+            return block(X)
+
+        return wrapper
+
+    monkeypatch.setattr(softcbf.safety_filter, "_block_form", counted)
 
 
 def quad_fn(level, scale=1.0):
@@ -273,26 +288,15 @@ def test_blow_up_reports_time():
     # time is h accumulated step by step
     assert err.value.time == 0.5300000000000002
 
-    # the same flow on the row path of a fused closed loop: it must find the blow
-    # up in the same interval, and the block re-run reports the same time.
-    # The row square is x * x: Python's float ** raises OverflowError where
-    # numpy returns inf
-    rows = collections.Counter()
-
-    def square(x):
-        x = np.asarray(x, dtype=float)
-        return x * x
-
-    def square_row(x):
-        rows["row"] += 1
-        return (x[0] * x[0],)
-
-    fused = dataclasses.replace(prob, sys=fused_loop(sys, zero_controller, square, square_row))
-    assert fused.sys._closed_loop_fields(fused.k_b)[1:] == (square, square_row)
+    # the same flow on the row path of a declared closed loop: it must find
+    # the blow up in the same interval, and the block re-run reports the
+    # same time
+    (x,) = Expr.state(1)
+    fused = dataclasses.replace(prob, sys=fused_loop(sys, zero_controller, (x * x,)))
+    assert fused.sys._closed_loop_fields(fused.k_b)[2] == fused.sys.fused.closed_loop
     with pytest.raises(BlowUpError) as err:
         integrate_flow(fused, np.array([2.0]))
     assert err.value.time == 0.5300000000000002
-    assert rows["row"] > 4 * 50
 
 
 def test_slice_gradients_match_closed_form():
@@ -508,91 +512,68 @@ def test_flow_callable_with_wrong_block_shape_raises():
         integrate_flow_batch(bad_jacobian, X0)
 
 
-def test_fused_closed_loop_with_wrong_block_shape_raises():
+def test_fused_closed_loop_with_wrong_block_shape_raises(monkeypatch):
+    prob = get_benchmark("pendulum-backup").backup
+    real = softcbf.safety_filter._block_form(prob.sys.fused.closed_loop)
+
     def field_single(X):
         # answers a block with the field of its first state
-        return block_form(prob)(X[:1])[0]
+        return real(X[:1])[0]
 
-    prob = get_benchmark("pendulum-backup").backup
-    bad = with_callables(prob, closed_loop=field_single)
-    assert bad.sys._closed_loop_fields(bad.k_b)[1] is field_single
+    monkeypatch.setattr(softcbf.safety_filter, "_block_form", lambda field: field_single)
+    assert prob.sys._closed_loop_fields(prob.k_b)[1] is field_single
     with pytest.raises(InvalidInputError, match=r"field_single returned shape \(2,\) for a block of 3 states; expected \(3, 2\)"):
-        integrate_flow_batch(bad, np.zeros((3, 2)))
+        integrate_flow_batch(prob, np.zeros((3, 2)))
     # a one-row flow on the row path calls the block field only for finite
     # differences, there on the flow's 800 stage states, and checks it
-    integrate_flow_batch(bad, np.zeros((1, 2)))
+    integrate_flow_batch(prob, np.zeros((1, 2)))
     with pytest.raises(InvalidInputError, match=r"field_single returned shape \(2,\) for a block of 800 states"):
-        integrate_flow_batch(dataclasses.replace(bad, jacobian=None), np.zeros((1, 2)))
+        integrate_flow_batch(dataclasses.replace(prob, jacobian=None), np.zeros((1, 2)))
 
 
-def test_row_path_flow_never_calls_the_block_field():
+def test_row_path_flow_never_calls_the_block_field(monkeypatch):
     prob = get_benchmark("pendulum-backup").backup
-    calls = collections.Counter()
-
-    def field(X):
-        calls["field"] += 1
-        return block_form(prob)(X)
-
-    counted = with_callables(prob, closed_loop=field)
     X0 = np.array([[0.3, -0.2]])
+    want = [integrate_flow_batch(prob, X0, sensitivities=s).states.tobytes() for s in (False, True)]
+    calls = collections.Counter()
+    counted_block_forms(monkeypatch, calls, "field")
     for sensitivities in (False, True):
-        got = integrate_flow_batch(counted, X0, sensitivities=sensitivities)
-        assert got.states.tobytes() == integrate_flow_batch(prob, X0, sensitivities=sensitivities).states.tobytes()
+        got = integrate_flow_batch(prob, X0, sensitivities=sensitivities)
+        assert got.states.tobytes() == want[sensitivities]
     assert calls == {}
 
 
-@pytest.mark.gate
-def test_row_flows_equal_one_row_block_flows_bitwise():
-    # the row path, on the kernel generated from the declared closed loop,
-    # against the same problem with its generated block form as a callable
-    # and no row form, whose one-row flows run rk4_step on (1, n) blocks
-    prob = get_benchmark("pendulum-backup").backup
-    blocks = with_callables(prob, closed_loop_row=None)
-    assert blocks.sys._closed_loop_fields(blocks.k_b)[1:] == (block_form(prob), None)
-    box = prob.bounding_box
-    rng = np.random.default_rng(5)
-    X = rng.uniform(box[:, 0], box[:, 1], size=(200, prob.sys.n))
-    zeros = rng.uniform(size=X.shape) < 0.1
-    X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
-    for x in X:
-        for sens in (False, True):
-            got = integrate_flow_batch(prob, x[None], sensitivities=sens)
-            want = integrate_flow_batch(blocks, x[None], sensitivities=sens)
-            assert got.states.tobytes() == want.states.tobytes()
-            if sens:
-                assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
-
-
-def row_form_problem(n):
-    """A problem whose closed loop is a fused closed loop with a row form and an
-    analytic Jacobian: xdot = -x + 0.5 x^2 for n = 1, pendulum-backup for
-    n = 2, and a damped chain with a cubic spring for n = 3.  The drift is
-    the field, and each component adds the + 0.0 that the composed field's
-    einsum adds, so the fused closed loop is the composed one bit for bit."""
+def declared_problem(n):
+    """A problem whose closed loop is declared once as a tuple of Exprs, with
+    an analytic Jacobian: xdot = -x + 0.5 x^2 for n = 1, pendulum-backup
+    for n = 2, and a test-only damped chain with a cubic spring for n = 3;
+    paired with the same problem on the composed path, and a state from
+    which its flow blows up (None for the pendulum, whose field is bounded
+    in the rate).  For n = 1 and 3 the drift is the field, and each
+    component adds the + 0.0 that the composed field's einsum adds, so the
+    declared closed loop is the composed one bit for bit."""
     if n == 2:
-        return with_callables(get_benchmark("pendulum-backup").backup)
-
+        prob = get_benchmark("pendulum-backup").backup
+        return prob, dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=None)), None
+    x = Expr.state(n)
     if n == 1:
-        def field(x):
-            x = np.asarray(x, dtype=float)
-            return -x + 0.5 * x * x + 0.0
+        closed_loop, blow_up = (-x[0] + 0.5 * x[0] * x[0] + 0.0,), [4.0]
 
-        def row(x):
-            return (-x[0] + 0.5 * x[0] * x[0] + 0.0,)
+        def drift(X):
+            return -X + 0.5 * X * X
 
         def jacobian(X):
             return (-1.0 + X)[:, :, None]
     else:
-        def field(X):
-            out = np.empty(X.shape)
-            out[:, 0] = X[:, 1] + 0.0
-            out[:, 1] = X[:, 2] + 0.0
-            out[:, 2] = -X[:, 0] - 2.0 * X[:, 1] - 2.0 * X[:, 2] - 0.5 * X[:, 0] * X[:, 0] * X[:, 0] + 0.0
-            return out
+        closed_loop = (x[1] + 0.0, x[2] + 0.0, -x[0] - 2.0 * x[1] - 2.0 * x[2] - 0.5 * x[0] * x[0] * x[0] + 0.0)
+        blow_up = [50.0, 0.0, -0.0]
 
-        def row(x):
-            a, b, c = x
-            return (b + 0.0, c + 0.0, -a - 2.0 * b - 2.0 * c - 0.5 * a * a * a + 0.0)
+        def drift(X):
+            out = np.empty(X.shape)
+            out[:, 0] = X[:, 1]
+            out[:, 1] = X[:, 2]
+            out[:, 2] = -X[:, 0] - 2.0 * X[:, 1] - 2.0 * X[:, 2] - 0.5 * X[:, 0] * X[:, 0] * X[:, 0]
+            return out
 
         def jacobian(X):
             J = np.zeros((X.shape[0], 3, 3))
@@ -602,57 +583,34 @@ def row_form_problem(n):
             J[:, 2, 1:] = -2.0
             return J
 
-    sys = ControlAffineSystem(n=n, m=1, drift=field, actuation=column_actuation([0.0] * n))
-    return BackupProblem(
-        sys=fused_loop(sys, zero_controller, field, row), k_b=zero_controller, h=quad_fn(1.0), h_b=quad_fn(0.25),
+    sys = ControlAffineSystem(n=n, m=1, drift=drift, actuation=column_actuation([0.0] * n))
+    prob = BackupProblem(
+        sys=sys, k_b=zero_controller, h=quad_fn(1.0), h_b=quad_fn(0.25),
         T=1.0, dtau=0.25, jacobian=jacobian, bounding_box=np.array([[-1.0, 1.0]] * n),
     )
+    return dataclasses.replace(prob, sys=fused_loop(sys, zero_controller, closed_loop)), prob, blow_up
 
 
 @pytest.mark.gate
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_row_sensitivities_equal_block_sensitivities_bitwise(n):
-    # the float recursion of a one-row flow (backup._row_kernels) against
-    # the numpy recursion of the same problem without a row form
-    rows = collections.Counter()
-    prob = row_form_problem(n)
-    row = prob.sys.fused.closed_loop_row
-
-    def counted_row(x):
-        rows["row"] += 1
-        return row(x)
-
-    prob = with_fused(prob, closed_loop_row=counted_row)
-    blocks = with_fused(prob, closed_loop_row=None)
+def test_row_flows_equal_one_row_block_flows_bitwise(n):
+    # the row path, on the kernel generated from the declared closed loop,
+    # against one-row flows of rk4_step on (1, n) blocks of its generated
+    # block form, states and the float recursion's sensitivities
+    prob = declared_problem(n)[0]
+    assert prob.sys._closed_loop_fields(prob.k_b)[2] is prob.sys.fused.closed_loop
     box = prob.bounding_box
-    rng = np.random.default_rng(7)
-    X = rng.uniform(box[:, 0], box[:, 1], size=(40, n))
+    rng = np.random.default_rng(5 + n)
+    X = rng.uniform(box[:, 0], box[:, 1], size=(200 if n == 2 else 40, n))
     zeros = rng.uniform(size=X.shape) < 0.2
     X[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
     for x in X:
-        got = integrate_flow_batch(prob, x[None])
-        want = integrate_flow_batch(blocks, x[None])
-        assert got.states.tobytes() == want.states.tobytes()
-        assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
-    assert rows["row"] == len(X) * (1 + 4 * got.stats.steps)
-
-
-def declared_problem(n):
-    """row_form_problem(n)'s model with its closed loop declared once as a
-    tuple of Exprs (the pendulum's own for n = 2, and a test-only third
-    model for n = 3), paired with the same problem on the composed path,
-    and a state from which its flow blows up (None for the pendulum, whose
-    field is bounded in the rate)."""
-    prob = row_form_problem(n)
-    x = Expr.state(3)
-    field, blow_up = {
-        1: ((-x[0] + 0.5 * x[0] * x[0] + 0.0,), [4.0]),
-        2: (get_benchmark("pendulum-backup").sys.fused.closed_loop, None),
-        3: ((x[1] + 0.0, x[2] + 0.0, -x[0] - 2.0 * x[1] - 2.0 * x[2] - 0.5 * x[0] * x[0] * x[0] + 0.0),
-            [50.0, 0.0, -0.0]),
-    }[n]
-    prob = with_fused(prob, closed_loop=field, closed_loop_row=None)
-    return prob, dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=None)), blow_up
+        for sens in (False, True):
+            got = integrate_flow_batch(prob, x[None], sensitivities=sens)
+            want = flow_on(block_path, prob, x[None], sens)
+            assert got.states.tobytes() == want.states.tobytes()
+            if sens:
+                assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
 
 
 @pytest.mark.gate
@@ -715,9 +673,20 @@ def test_expression_refuses_non_finite_constants_and_a_closed_loop_of_the_wrong_
     with pytest.raises(InvalidInputError, match="a dot needs a finite vector"):
         Expr.dot([1.0, math.nan])
     prob = get_benchmark("pendulum-backup").backup
-    for field in ((x1 + 0.0,), (x1, x0, x0), (x1, 0.0)):
-        with pytest.raises(InvalidInputError, match=r"a closed loop must be n = 2 Exprs, got \['Expr'"):
+    for field, got in (((x1 + 0.0,), "['Expr']"), ((x1, x0, x0), "['Expr', 'Expr', 'Expr']"),
+                       ((x1, 0.0), "['Expr', 'float']"), (lambda X: X, "function")):
+        with pytest.raises(InvalidInputError, match=re.escape(f"a closed loop must be n = 2 Exprs that Expr's "
+                                                              f"operators make on x0 to x1, got {got}")):
             with_fused(prob, closed_loop=field)
+    # nodes that the operators would not make, or that do not fit n = 2,
+    # are refused when the system is built, not by the generated code
+    x2 = Expr.state(3)[2]
+    for bad in (x2, x0 + x2, Expr.dot([1.0, 2.0, 3.0]).tanh(), Expr("c", math.inf), Expr("c", 2),
+                Expr("c", np.float64(2.0)), Expr("x", -1), Expr("x", 1.0), Expr("/", x0, x1),
+                Expr("/", x0, Expr("c", 0.0)), Expr("**", x0, x1), Expr("sin", x0, x1), Expr("+", x0, 1.0),
+                Expr("dot", [1.0, 2.0]), Expr("dot", np.array([1, 2]))):
+        with pytest.raises(InvalidInputError, match="a closed loop must be n = 2 Exprs that"):
+            with_fused(prob, closed_loop=(x1 + 0.0, x0 * bad))
     assert (x0 / 2.0).op == "/" and (np.float64(2.0) * x0).op == "*"
 
 
@@ -751,7 +720,7 @@ def test_sensitivity_row_matches_matmul_reference_on_signed_zeros(n):
         for M in (J, S):
             zeros = rng.uniform(size=M.shape) < 0.4
             M[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
-        got = np.array(softcbf.backup._row_kernels(n)[1](J, S.tolist(), h))
+        got = np.array(softcbf.backup._row_kernels(n)[0](J, S.tolist(), h))
         assert got.tobytes() == matmul_sensitivity_recursion(J, S, h).tobytes()
 
 
@@ -837,9 +806,9 @@ def float_bits(values):
 @pytest.mark.gate
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
-    # the row form answers from a script of drawn slopes, so special values
-    # reach every stage; both bodies see the same script
-    interval_row, sensitivity_row, plant_row = softcbf.backup._row_kernels(n)
+    # the drift row form answers from a script of drawn slopes, so special
+    # values reach every stage; both bodies see the same script
+    sensitivity_row, plant_row = softcbf.backup._row_kernels(n)
     rng = np.random.default_rng(100 + n)
     # the plant step's held rows and slopes, from a stream of their own
     plant_rng = np.random.default_rng(200 + n)
@@ -848,19 +817,6 @@ def test_row_kernels_equal_reference_loop_bodies_bitwise(n):
         rate = float(rng.choice([0.01, 0.05, 0.3]))
         h = float(rng.choice([0.01, 0.2 / 3, 0.5, rng.uniform(1e-4, 1.0)]))
         x = tuple(special_draws(rng, n, rate).tolist())
-        slopes = special_draws(rng, (4, n), rate).tolist()
-        # a slice interval of one to three steps, its stage states written
-        # after the buffer's first entry
-        n_sub = int(rng.integers(1, 4))
-        slopes = special_draws(rng, (4 * n_sub, n), rate).tolist()
-        out = np.full(1 + 4 * n * n_sub, 7.0)
-        x_next = interval_row(scripted_row(slopes), x, h, n_sub, memoryview(out), 1)
-        want_next, want_stages, f = x, [7.0], scripted_row(slopes)
-        for _ in range(n_sub):
-            want_next, stages = reference_rk4_row(f, want_next, h)
-            want_stages += [v for stage in stages for v in stage]
-        assert type(x_next) is tuple and float_bits(x_next) == float_bits(want_next)
-        assert float_bits(out) == float_bits(want_stages)
 
         # a plant step: its substeps of the reference step on the drift row plus g
         g = tuple(special_draws(plant_rng, n, rate).tolist())
@@ -914,88 +870,35 @@ def test_stacked_slice_values_equal_per_slice_reference_bitwise(B):
 
 def test_blow_up_reports_time_on_the_row_path_with_sensitivities():
     # xdot = x * x from 2 overflows in the second slice interval (see
-    # test_blow_up_reports_time), so the row path has listed the first
+    # test_blow_up_reports_time), so the row path has recorded the first
     # interval's stage states for its Jacobian when the blow-up is found
-    rows = collections.Counter()
-
     def square(x):
         x = np.asarray(x, dtype=float)
         return x * x
 
-    def square_row(x):
-        rows["row"] += 1
-        return (x[0] * x[0],)
-
     def jacobian(X):
         return (2.0 * X)[:, :, None]
 
+    (x,) = Expr.state(1)
     sys = ControlAffineSystem(n=1, m=1, drift=square, actuation=column_actuation([0.0]))
     prob = BackupProblem(
-        sys=fused_loop(sys, zero_controller, square, square_row), k_b=zero_controller, h=quad_fn(1.0),
+        sys=fused_loop(sys, zero_controller, (x * x,)), k_b=zero_controller, h=quad_fn(1.0),
         h_b=quad_fn(0.25), T=2.0, dtau=0.5, jacobian=jacobian, bounding_box=np.array([[-3, 3]]),
     )
-    blocks = with_fused(prob, closed_loop_row=None)
+    assert prob.sys._closed_loop_fields(prob.k_b)[2] is prob.sys.fused.closed_loop
     errors = []
-    for p in (prob, blocks):
+    for flow in (integrate_flow_batch, functools.partial(flow_on, block_path)):
         with pytest.raises(BlowUpError) as err:
-            integrate_flow_batch(p, np.array([[2.0]]), sensitivities=True)
+            flow(prob, np.array([[2.0]]), sensitivities=True)
         errors.append((str(err.value), err.value.time))
     assert errors[0] == errors[1]
     assert errors[0][1] == 0.5300000000000002
-    assert rows["row"] > 4 * 50
 
 
-def test_fused_row_form_with_wrong_length_raises():
-    def short_row(x):
-        return pendulum_closed_loop_row(x)[:1]
-
-    prob = get_benchmark("pendulum-backup").backup
-    bad = with_callables(prob, closed_loop_row=short_row)
-    with pytest.raises(InvalidInputError, match=r"short_row returned \(.+,\) for one state; expected 2 floats"):
-        integrate_flow_batch(bad, np.zeros((1, 2)))
-    # only a one-row flow takes the row path and checks the row form
-    integrate_flow_batch(bad, np.zeros((2, 2)))
-
-
-@pytest.mark.parametrize("sensitivities", [False, True])
-@pytest.mark.parametrize("extra", [1, -1])
-def test_row_form_that_changes_length_after_its_first_call_raises(extra, sensitivities):
-    # the initial check sees n floats; a later stage's output of another
-    # length must not be truncated (longer) or reach K.dot (shorter)
-    calls = collections.Counter()
-
-    def drifting_row(x):
-        calls["row"] += 1
-        out = pendulum_closed_loop_row(x)
-        return out if calls["row"] < 3 else out + (0.0,) if extra > 0 else out[:1]
-
-    prob = get_benchmark("pendulum-backup").backup
-    bad = with_callables(prob, closed_loop_row=drifting_row)
-    with pytest.raises(InvalidInputError, match=rf"drifting_row returned {2 + extra} values for one state; expected 2"):
-        integrate_flow_batch(bad, np.full((1, 2), 0.01), sensitivities=sensitivities)
-
-
-def test_value_error_inside_a_row_form_propagates_unchanged():
-    calls = collections.Counter()
-    failure = ValueError("row form failed")
-
-    def failing_row(x):
-        calls["row"] += 1
-        if calls["row"] == 6:
-            raise failure
-        return pendulum_closed_loop_row(x)
-
-    prob = get_benchmark("pendulum-backup").backup
-    bad = with_callables(prob, closed_loop_row=failing_row)
-    with pytest.raises(ValueError) as err:
-        integrate_flow_batch(bad, np.full((1, 2), 0.01))
-    assert err.value is failure
-
-
-def test_every_closed_loop_of_the_declared_controller_takes_the_fused_closed_loop():
-    # with a counted closed loop re-declared on the pendulum's FusedPlant, the
-    # benchmark's closed-loop field, sys.closed_loop(k_b), a block flow and
-    # the precondition checks call it once per block and never the plant
+def test_every_closed_loop_of_the_declared_controller_takes_the_fused_closed_loop(monkeypatch):
+    # with the closed loop's generated block form counted, the benchmark's
+    # closed-loop field, sys.closed_loop(k_b), a block flow and the
+    # precondition checks call it once per block and never the plant
     bench = get_benchmark("pendulum-backup")
     calls = collections.Counter()
 
@@ -1006,9 +909,9 @@ def test_every_closed_loop_of_the_declared_controller_takes_the_fused_closed_loo
 
         return wrapper
 
+    counted_block_forms(monkeypatch, calls, "closed_loop")
     fused = bench.sys.fused
-    sys = dataclasses.replace(bench.sys, fused=dataclasses.replace(
-        fused, plant=counted("plant", fused.plant), closed_loop=counted("closed_loop", block_form(bench.backup))))
+    sys = dataclasses.replace(bench.sys, fused=dataclasses.replace(fused, plant=counted("plant", fused.plant)))
     prob = dataclasses.replace(bench.backup, sys=sys)
     bench = dataclasses.replace(bench, sys=sys, backup=prob)
     X = np.random.default_rng(3).uniform(prob.bounding_box[:, 0], prob.bounding_box[:, 1], size=(5, 2))
@@ -1040,7 +943,7 @@ def test_every_closed_loop_of_the_declared_controller_takes_the_fused_closed_loo
         assert calls == ({"plant": 1} if path == "plant" else {})
 
 
-def test_fused_closed_loop_applies_only_to_the_callables_it_was_declared_for():
+def test_fused_closed_loop_applies_only_to_the_callables_it_was_declared_for(monkeypatch):
     prob = get_benchmark("pendulum-backup").backup
     calls = collections.Counter()
 
@@ -1054,15 +957,14 @@ def test_fused_closed_loop_applies_only_to_the_callables_it_was_declared_for():
     drift = counted("drift", prob.sys.drift)
     actuation = counted("actuation", prob.sys.actuation)
     k_b = counted("k_b", prob.k_b)
-    field = counted("fused", block_form(prob))
-    row = counted("row", pendulum_closed_loop_row)
     plant = counted("plant", prob.sys.fused.plant)
     sys = dataclasses.replace(prob.sys, drift=drift, actuation=actuation,
-                              fused=FusedPlant(plant, drift, actuation, None, k_b, field, row))
+                              fused=FusedPlant(plant, drift, actuation, None, k_b, prob.sys.fused.closed_loop))
     declared = dataclasses.replace(prob, sys=sys, k_b=k_b)
     X0 = np.array([[0.3, -0.2], [-0.1, 0.4], [0.05, 0.0]])
     reference = integrate_flow_batch(prob, X0)
     reference_row = integrate_flow_batch(prob, X0[:1])
+    counted_block_forms(monkeypatch, calls, "fused")
 
     # the fused closed loop alone, four calls per RK4 step, of which the first
     # step's are checked; the finite-difference Jacobian and the
@@ -1074,16 +976,16 @@ def test_fused_closed_loop_applies_only_to_the_callables_it_was_declared_for():
     assert set(calls) == {"fused"}
     assert flow.sensitivities.tobytes() == reference.sensitivities.tobytes()
 
-    # a one-row flow: the row form's check on the initial state and four
-    # calls per RK4 step, and no call of the fused closed loop
+    # a one-row flow: the kernel generated from the declared closed loop,
+    # which calls none of them
     calls.clear()
     flow = integrate_flow_batch(declared, X0[:1])
-    assert calls == {"row": 1 + 4 * flow.stats.steps}
+    assert calls == {}
     assert flow.sensitivities.tobytes() == reference_row.sensitivities.tobytes()
 
     # a wrapped k_b, like a step clock's, keeps the system's fused plant:
     # four calls per RK4 step of the wrapper, the k_b it wraps and the plant,
-    # and none of drift or actuation; a one-row flow too, not the row form
+    # and none of drift or actuation; a one-row flow too, not the row path
     wrapped = dataclasses.replace(declared, k_b=counted("new k_b", k_b))
     for X, want in ((X0, reference), (X0[:1], reference_row)):
         calls.clear()
@@ -1372,23 +1274,19 @@ def test_value_forms_serve_every_gradient_free_read_of_h_and_h_b():
 
 def flow_paths(prob):
     """The pendulum problem on the fused-plant path and on the composed
-    path, each paired with a reference that runs the checked
-    `sys.closed_loop(k_b)` at every RK4 stage (as the fused closed loop it
-    is declared as)."""
-    plant = with_fused(prob, controller=None, closed_loop=None, closed_loop_row=None)
+    path."""
+    plant = with_fused(prob, controller=None, closed_loop=None)
     composed = dataclasses.replace(prob, sys=dataclasses.replace(prob.sys, fused=None))
-    out = {}
-    for name, p in (("fused-plant", plant), ("composed", composed)):
-        checked = fused_loop(p.sys, p.k_b, p.sys.closed_loop(p.k_b))
-        out[name] = (p, dataclasses.replace(p, sys=checked))
-    return out
+    return {"fused-plant": plant, "composed": composed}
 
 
 @pytest.mark.gate
 @pytest.mark.parametrize("path", ["fused-plant", "composed"])
 @pytest.mark.parametrize("B", [2, 400])
 def test_unchecked_flow_steps_equal_the_checked_field_bitwise(path, B):
-    prob, reference = flow_paths(get_benchmark("pendulum-backup").backup)[path]
+    # against a reference that runs the checked sys.closed_loop(k_b) at
+    # every RK4 stage
+    prob = flow_paths(get_benchmark("pendulum-backup").backup)[path]
     fused = prob.sys.fused
     assert (fused is None) == (path == "composed") and (fused is None or fused.closed_loop is None)
     box = prob.bounding_box
@@ -1397,7 +1295,7 @@ def test_unchecked_flow_steps_equal_the_checked_field_bitwise(path, B):
     for jacobian in (prob.jacobian, None):
         # the finite-difference Jacobian calls the unchecked field as well
         p = dataclasses.replace(prob, jacobian=jacobian)
-        want = integrate_flow_batch(dataclasses.replace(reference, jacobian=jacobian), X0)
+        want = flow_on(checked_path, p, X0)
         got = integrate_flow_batch(p, X0)
         assert got.states.tobytes() == want.states.tobytes()
         assert got.sensitivities.tobytes() == want.sensitivities.tobytes()
@@ -1407,7 +1305,7 @@ def test_unchecked_flow_steps_equal_the_checked_field_bitwise(path, B):
 @pytest.mark.parametrize("path", ["fused-plant", "composed"])
 @pytest.mark.parametrize("rows", [1, 4])
 def test_backup_controller_with_wrong_shape_raises_in_a_flow(path, rows):
-    prob, _ = flow_paths(get_benchmark("pendulum-backup").backup)[path]
+    prob = flow_paths(get_benchmark("pendulum-backup").backup)[path]
 
     def k_flat(X):
         # answers a block with inputs (B,), not (B, 1)

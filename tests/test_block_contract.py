@@ -93,10 +93,9 @@ def guarded(bench):
     backup = bench.backup
     k_b = backup and g(backup.k_b)
     f = sys.fused
-    # the row forms map one state as a tuple of floats by design; a declared
-    # closed loop's block form is guarded where it is generated
-    loop = f and (f.closed_loop if isinstance(f.closed_loop, tuple) else g(f.closed_loop))
-    plant = f and FusedPlant(g(f.plant), drift, actuation, f.drift_row, k_b, loop, f.closed_loop_row)
+    # the drift row form maps one state as a tuple of floats by design; a
+    # declared closed loop's block form is guarded where it is generated
+    plant = f and FusedPlant(g(f.plant), drift, actuation, f.drift_row, k_b, f.closed_loop)
     sys = dataclasses.replace(sys, drift=drift, actuation=actuation, fused=plant)
     cs = bench.constraints
     cs = dataclasses.replace(cs, batch_evaluator=g(cs.batch_evaluator),

@@ -771,6 +771,23 @@ def test_drift_row_applies_only_to_the_drift_and_actuation_it_was_declared_for()
     assert calls == {"drift": 40}
 
 
+def test_value_error_inside_a_drift_row_form_propagates_unchanged():
+    calls = collections.Counter()
+    failure = ValueError("row form failed")
+    sys = get_benchmark("pendulum-backup").sys
+
+    def failing_row(x):
+        calls["row"] += 1
+        if calls["row"] == 6:
+            raise failure
+        return sys.fused.drift_row(x)
+
+    bad = dataclasses.replace(sys, fused=dataclasses.replace(sys.fused, drift_row=failing_row))
+    with pytest.raises(ValueError) as err:
+        softcbf.sim._plant_block(bad, np.full((1, 2), 0.01), np.ones((1, 1)), 0.01, 10)
+    assert err.value is failure
+
+
 @pytest.mark.gate
 @pytest.mark.parametrize("rows", [1, softcbf.sim._PLANT_ROWS])
 @pytest.mark.parametrize("later", [False, True], ids=["initial", "later"])
@@ -790,8 +807,9 @@ def test_drift_row_form_of_the_wrong_length_raises_naming_it(extra, later, rows)
         return out + (0.0,) if extra > 0 else out[:1]
 
     bad = dataclasses.replace(sys, fused=dataclasses.replace(sys.fused, drift_row=wrong_row))
-    match = (rf"wrong_row returned {2 + extra} values for one state; expected 2" if later
-             else r"wrong_row returned \(.+\) for one state; expected 2 floats")
+    # the output of 2 + extra values, named in full
+    values = ", ".join([r"[^,()]+"] * (2 + extra)) + ("," if extra < 0 else "")
+    match = rf"wrong_row returned \({values}\) for one state; expected 2 floats"
     with pytest.raises(InvalidInputError, match=match):
         softcbf.sim._plant_block(bad, np.full((rows, 2), 0.01), np.ones((rows, 1)), 0.01, 10)
     assert calls["row"] == (wrong_from if later else 1)

@@ -17,14 +17,14 @@ from softcbf import (
     scalar_stable,
     thin_annulus,
 )
-from softcbf.safety_filter import ConstantActuation, FusedPlant, LinearDrift, _block_form, _slope
+from softcbf.safety_filter import _EXPR_NAMES, ConstantActuation, FusedPlant, LinearDrift, _block_form, _slope
 from softcbf.systems import PENDULUM_HB_LEVEL, PENDULUM_K, PENDULUM_P, PENDULUM_U_MAX
 
 
 def generated_row(field):
     """The row form that the generated one-row kernels write inline for a
     field declared as Exprs, as a function of one state, a tuple of floats."""
-    scope = {"empty": np.empty, "sin": np.sin, "tanh": np.tanh}
+    scope = dict(_EXPR_NAMES)
     slope, prologue = _slope(field, scope)
     x, a = (", ".join(f"{s}{i}" for i in range(len(field))) + "," for s in "xa")
     exec(f"def row(x):\n    {prologue}\n    {x} = x\n    {slope('x', 'a')}\n    return {a}\n", scope)
@@ -201,6 +201,9 @@ def test_fused_closed_loop_matches_composed_bitwise():
     prob = pendulum_backup().backup
     fused = prob.sys._closed_loop_fields(prob.k_b)[1]
     assert fused is _block_form(prob.sys.fused.closed_loop)
+    # declared once: every benchmark built shares the generated forms
+    other = pendulum_backup().backup
+    assert other.sys._closed_loop_fields(other.k_b)[1] is fused
     # the reference is the drift + actuation + einsum sum of a system
     # without fused forms
     composed = dataclasses.replace(prob.sys, fused=None).closed_loop(prob.k_b)
